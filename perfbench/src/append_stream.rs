@@ -19,7 +19,9 @@ use tjoin_join::{
 };
 use tjoin_matching::golden_value_pairs;
 
-use crate::metrics::{self, repeat_setup, summed_f1, timed, Checks, Report, Traced, Untraced};
+use crate::metrics::{
+    self, repeat_setup, summed_f1, timed, Checks, OpSamples, Report, Traced, Untraced,
+};
 use crate::trace::Tracer;
 use crate::{threads, Args};
 
@@ -135,25 +137,24 @@ pub fn run(args: &Args) -> Report {
     if args.trace {
         return metrics::per_layer(traced(args, ops), args);
     }
-    let ((workload, mut joins), setup_s) = repeat_setup(SETUPS, || {
+    let ((workload, mut joins), setup_s) = repeat_setup(SETUPS, 1, || {
         let workload = generate(args.seed, ops);
         let joins = live_joins(&workload.base);
         (workload, joins)
     });
 
-    let mut op_s = Vec::with_capacity(ops);
+    let mut samples = OpSamples::default();
     let mut op_failures = Vec::with_capacity(ops);
     for (i, step) in workload.steps.iter().enumerate() {
         let join = &mut joins[step.pair];
-        let (report, s) = timed(|| join.append(&step.rows));
-        op_s.push(s);
+        let report = samples.time(|| join.append(&step.rows));
         op_failures.push(step_failures(i, join, report.appended_rows, step));
     }
     let mut checks = Checks::default();
     record(&mut checks, op_failures, &workload.steps, &joins);
     metrics::end_to_end(Untraced {
         setup_s,
-        op_s,
+        ops: samples,
         checks,
         micro_f1: summed_f1(joins.iter().map(|j| j.outcome().metrics)),
     })
@@ -252,5 +253,6 @@ fn traced(args: &Args, ops: usize) -> Traced {
         untraced_op_s,
         gauges: BTreeMap::new(),
         checks,
+        incremental: true,
     }
 }

@@ -16,16 +16,22 @@ use tjoin_discovery::shortlist_repository;
 use tjoin_join::{BatchJoinRunner, DiscoveredBatchOutcome, DiscoveryConfig, JoinPipelineConfig};
 
 use crate::layers::{self, batch_failures, batch_results};
-use crate::metrics::{self, repeat_setup, summed_f1, timed, Checks, Report, Traced, Untraced};
+use crate::metrics::{
+    self, repeat_setup, summed_f1, timed, Checks, OpSamples, Report, Traced, Untraced,
+};
 use crate::trace::Tracer;
-use crate::{threads, Args};
+use crate::{par_map, threads, Args};
 
-/// Ops per nominal second.
-const OPS_PER_SECOND: f64 = 0.5;
+/// Ops per nominal second. One op takes about 0.8 s on 2 cores and its
+/// check as long again, so the whole run takes about `--seconds`.
+const OPS_PER_SECOND: f64 = 0.6;
 /// Fewest ops in a run.
 const MIN_OPS: usize = 3;
 /// Set-ups per run; `setup_s` is their median.
-const SETUPS: usize = 21;
+const SETUPS: usize = 11;
+/// Complete set-ups in one timed interval: generating the op stream once
+/// takes about 2 ms, so one interval takes about 0.2 s.
+const SETUP_ROUNDS: usize = 100;
 /// Joinable pairs per repository, and their rows.
 const TRUE_PAIRS: usize = 6;
 const ROWS: usize = 30;
@@ -55,9 +61,9 @@ fn repository(seed: u64) -> Vec<ColumnPair> {
 }
 
 fn generate(seed: u64, ops: usize) -> Vec<Vec<ColumnPair>> {
-    (0..ops as u64)
-        .map(|i| repository(seed.wrapping_mul(1_000).wrapping_add(i)))
-        .collect()
+    par_map(ops, |i| {
+        repository(seed.wrapping_mul(1_000).wrapping_add(i as u64))
+    })
 }
 
 fn discovery() -> DiscoveryConfig {
@@ -99,13 +105,12 @@ pub fn run(args: &Args) -> Report {
     if args.trace {
         return metrics::per_layer(traced(args, ops, &runner), args);
     }
-    let (repositories, setup_s) = repeat_setup(SETUPS, || generate(args.seed, ops));
+    let (repositories, setup_s) = repeat_setup(SETUPS, SETUP_ROUNDS, || generate(args.seed, ops));
     let config = discovery();
-    let mut op_s = Vec::with_capacity(ops);
+    let mut samples = OpSamples::default();
     let mut outcomes = Vec::with_capacity(ops);
     for repository in &repositories {
-        let (outcome, s) = timed(|| runner.discover_and_run(repository, &config));
-        op_s.push(s);
+        let outcome = samples.time(|| runner.discover_and_run(repository, &config));
         outcomes.push(outcome);
     }
 
@@ -122,7 +127,7 @@ pub fn run(args: &Args) -> Report {
     }
     metrics::end_to_end(Untraced {
         setup_s,
-        op_s,
+        ops: samples,
         checks,
         micro_f1: summed_f1(outcomes.iter().map(|o| o.outcome.metrics.micro)),
     })
@@ -217,5 +222,6 @@ fn traced(args: &Args, ops: usize, runner: &BatchJoinRunner) -> Traced {
         untraced_op_s,
         gauges,
         checks,
+        incremental: false,
     }
 }

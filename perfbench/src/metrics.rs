@@ -69,21 +69,48 @@ pub fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
     (result, start.elapsed().as_secs_f64())
 }
 
-/// Runs set-up `times` times (each from scratch) and returns the last
-/// result with every set-up's seconds.
-pub fn repeat_setup<T>(times: usize, mut setup: impl FnMut() -> T) -> (T, Vec<f64>) {
-    assert!(times >= 1);
+/// Times set-up `times` times, each time from scratch, and returns the
+/// last result with every timing. One timing is a single interval over
+/// `rounds` complete set-ups run back to back, divided by `rounds`: a
+/// set-up of a few milliseconds is timed over a tenth of a second or more.
+pub fn repeat_setup<T>(times: usize, rounds: usize, mut setup: impl FnMut() -> T) -> (T, Vec<f64>) {
+    assert!(times >= 1 && rounds >= 1);
     let mut seconds = Vec::with_capacity(times);
     let mut last = None;
     for _ in 0..times {
-        // Drop the previous set-up's state first, so the timed set-ups
-        // start from the same heap as the first one.
-        drop(last.take());
-        let (value, s) = timed(&mut setup);
-        seconds.push(s);
-        last = Some(value);
+        let ((), s) = timed(|| {
+            for _ in 0..rounds {
+                // Drop the previous set-up's state first, so every set-up
+                // starts from the same heap as the first one.
+                drop(last.take());
+                last = Some(setup());
+            }
+        });
+        seconds.push(s / rounds as f64);
     }
     (last.expect("at least one set-up"), seconds)
+}
+
+/// What the timed ops measured: each op's seconds, and the process's peak
+/// resident set during each op.
+#[derive(Debug, Default)]
+pub struct OpSamples {
+    /// Seconds of each timed op.
+    pub seconds: Vec<f64>,
+    /// Peak resident set during each op, in MiB.
+    pub peak_rss_mb: Vec<f64>,
+}
+
+impl OpSamples {
+    /// Runs `f` as one timed op. The peak-RSS mark is reset before it and
+    /// read after it, both outside the timed region.
+    pub fn time<R>(&mut self, f: impl FnOnce() -> R) -> R {
+        reset_peak_rss();
+        let (result, s) = timed(f);
+        self.peak_rss_mb.push(peak_rss_mb());
+        self.seconds.push(s);
+        result
+    }
 }
 
 /// Micro-F1 over the given pairs' join metrics: summed true positives,
@@ -103,8 +130,8 @@ pub fn summed_f1(pairs: impl IntoIterator<Item = JoinMetrics>) -> f64 {
 pub struct Untraced {
     /// Seconds of each set-up.
     pub setup_s: Vec<f64>,
-    /// Seconds of each timed op.
-    pub op_s: Vec<f64>,
+    /// The timed ops.
+    pub ops: OpSamples,
     /// Op checks.
     pub checks: Checks,
     /// Micro-averaged F1 over the distinct pairs the run joined.
@@ -113,8 +140,8 @@ pub struct Untraced {
 
 /// The end-to-end metrics of an untraced run.
 pub fn end_to_end(run: Untraced) -> Report {
-    let op_ms: Vec<f64> = run.op_s.iter().map(|s| s * 1e3).collect();
-    let busy: f64 = run.op_s.iter().sum();
+    let op_ms: Vec<f64> = run.ops.seconds.iter().map(|s| s * 1e3).collect();
+    let busy: f64 = run.ops.seconds.iter().sum();
     let metrics = vec![
         (
             "op_p50_ms".to_string(),
@@ -142,7 +169,11 @@ pub fn end_to_end(run: Untraced) -> Report {
             stats::median(&run.setup_s).unwrap_or(0.0),
             "s",
         ),
-        ("peak_rss_mb".to_string(), peak_rss_mb(), "MB"),
+        (
+            "peak_rss_mb".to_string(),
+            stats::median(&run.ops.peak_rss_mb).unwrap_or(0.0),
+            "MB",
+        ),
     ];
     Report {
         tally: run.checks.tally,
@@ -164,7 +195,6 @@ const TIMED_LAYERS: &[(&str, &str)] = &[
     ("synthesis.top_k", "synthesis.top_k"),
     ("synthesis.greedy", "synthesis.greedy"),
     ("join.equi_join", "join.equi_join"),
-    ("join.incremental.coverage", "join.incremental.coverage"),
     ("discovery.shortlist", "discovery.shortlist"),
 ];
 
@@ -178,9 +208,13 @@ const COUNTS: &[&str] = &[
     "synthesis.survivors",
     "synthesis.cover_size",
     "join.predicted_pairs",
-    "join.incremental.resyntheses",
     "discovery.signatures_built",
 ];
+
+/// The incremental join's span and counter. Only `append_stream` drives
+/// it, and that workload runs by hand only, so these print on it alone.
+const INCREMENTAL_LAYER: (&str, &str) = ("join.incremental.coverage", "join.incremental.coverage");
+const INCREMENTAL_COUNT: &str = "join.incremental.resyntheses";
 
 /// Per-layer values a workload measures itself (ratios and gauges that
 /// are not sums of span times or counts). Absent ones print as 0: that
@@ -206,6 +240,9 @@ pub struct Traced {
     pub gauges: BTreeMap<&'static str, f64>,
     /// Op checks (composed results against the public call's results).
     pub checks: Checks,
+    /// Whether the run drives the incremental join: only then are the
+    /// `join.incremental.*` metrics printed.
+    pub incremental: bool,
 }
 
 /// The per-layer metrics of a traced run, plus the span dump.
@@ -223,13 +260,15 @@ pub fn per_layer(run: Traced, args: &Args) -> Report {
         .unwrap_or(0.0);
     let mut metrics: Vec<Metric> = vec![("datasets.generate_s".into(), generate_s, "s")];
     let mut attributed = 0.0;
-    for (span, metric) in TIMED_LAYERS {
+    let incremental = run.incremental.then_some(INCREMENTAL_LAYER);
+    for (span, metric) in TIMED_LAYERS.iter().chain(&incremental) {
         let s = self_s.get(span).copied().unwrap_or(0.0);
         attributed += s;
         metrics.push((format!("{metric}_s"), s, "s"));
         metrics.push((format!("{metric}_share"), share(s), "ratio"));
     }
-    for name in COUNTS {
+    let incremental = run.incremental.then_some(INCREMENTAL_COUNT);
+    for name in COUNTS.iter().chain(&incremental) {
         metrics.push((name.to_string(), tracer.op_count(name), "count"));
     }
     let corpus_hits =
@@ -293,7 +332,17 @@ fn ratio(numerator: f64, denominator: f64) -> f64 {
     }
 }
 
-/// The process's peak resident set, in MiB, from `getrusage`.
+/// Resets the process's peak resident set to its current resident set, so
+/// that [`peak_rss_mb`] reads the peak since the reset. It writes `5` to
+/// the process's own `/proc/self/clear_refs` (Linux 4.0 and later), which
+/// changes only this process's accounting.
+pub fn reset_peak_rss() {
+    std::fs::write("/proc/self/clear_refs", "5")
+        .expect("resetting the peak resident set through /proc/self/clear_refs");
+}
+
+/// The process's peak resident set, in MiB, from `getrusage`: the peak
+/// since the last [`reset_peak_rss`], or since the process started.
 pub fn peak_rss_mb() -> f64 {
     /// `struct rusage` on Linux: two `timeval`s, then fourteen `long`s, the
     /// first of which is `ru_maxrss` in KiB.
@@ -337,7 +386,10 @@ mod tests {
         checks.op(vec!["mismatch".into()]);
         let report = end_to_end(Untraced {
             setup_s: vec![0.3, 0.1, 0.2],
-            op_s: vec![0.001, 0.003, 0.002, 0.004],
+            ops: OpSamples {
+                seconds: vec![0.001, 0.003, 0.002, 0.004],
+                peak_rss_mb: vec![40.0, 10.0, 30.0, 20.0],
+            },
             checks,
             micro_f1: 0.9,
         });
@@ -361,11 +413,21 @@ mod tests {
         assert!((value("ops_per_s") - 400.0).abs() < 1e-6);
         assert_eq!(value("ok_ratio"), 0.5);
         assert_eq!(value("setup_s"), 0.2);
-        assert!(value("peak_rss_mb") > 0.0);
+        assert_eq!(value("peak_rss_mb"), 20.0);
         assert!(!report.correct());
         assert!(report
             .result_line()
             .starts_with("{\"correct\":false,\"attempted\":2,\"failed\":1,"));
+    }
+
+    #[test]
+    fn setup_timings_are_per_set_up() {
+        let mut calls = 0;
+        let (last, seconds) = repeat_setup(3, 4, || {
+            calls += 1;
+            calls
+        });
+        assert_eq!((last, calls, seconds.len()), (12, 12, 3));
     }
 
     #[test]

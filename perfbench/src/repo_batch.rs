@@ -12,16 +12,23 @@ use tjoin_datasets::{ColumnPair, RepositoryConfig};
 use tjoin_join::{BatchJoinRunner, JoinPipelineConfig};
 
 use crate::layers::{self, batch_failures, batch_results};
-use crate::metrics::{self, repeat_setup, summed_f1, timed, Checks, Report, Traced, Untraced};
+use crate::metrics::{
+    self, repeat_setup, summed_f1, timed, Checks, OpSamples, Report, Traced, Untraced,
+};
 use crate::trace::Tracer;
-use crate::{threads, Args};
+use crate::{par_map, threads, Args};
 
-/// Ops per nominal second (one op takes a few seconds on 2 cores).
-const OPS_PER_SECOND: f64 = 0.4;
+/// Ops per nominal second. One op takes 3–4.5 s on 2 cores, and the
+/// `run_static` check costs one more, so the whole run takes about
+/// `--seconds`.
+const OPS_PER_SECOND: f64 = 0.2;
 /// Fewest ops in a run: two distinct repositories plus the repeat.
 const MIN_OPS: usize = 3;
 /// Set-ups per run; `setup_s` is their median.
-const SETUPS: usize = 21;
+const SETUPS: usize = 11;
+/// Complete set-ups in one timed interval: generating the op stream once
+/// takes about 2.5 ms, so one interval takes about 0.2 s.
+const SETUP_ROUNDS: usize = 80;
 
 fn repository_config() -> RepositoryConfig {
     RepositoryConfig::new(12, 80)
@@ -31,9 +38,9 @@ fn repository_config() -> RepositoryConfig {
 /// one again.
 fn generate(seed: u64, ops: usize) -> Vec<Vec<ColumnPair>> {
     let config = repository_config();
-    let mut repositories: Vec<Vec<ColumnPair>> = (0..ops as u64 - 1)
-        .map(|i| config.generate(seed.wrapping_mul(1_000).wrapping_add(i)))
-        .collect();
+    let mut repositories = par_map(ops - 1, |i| {
+        config.generate(seed.wrapping_mul(1_000).wrapping_add(i as u64))
+    });
     repositories.push(repositories[0].clone());
     repositories
 }
@@ -45,12 +52,11 @@ pub fn run(args: &Args) -> Report {
         return metrics::per_layer(traced(args, ops, &runner), args);
     }
 
-    let (repositories, setup_s) = repeat_setup(SETUPS, || generate(args.seed, ops));
-    let mut op_s = Vec::with_capacity(ops);
+    let (repositories, setup_s) = repeat_setup(SETUPS, SETUP_ROUNDS, || generate(args.seed, ops));
+    let mut samples = OpSamples::default();
     let mut outcomes = Vec::with_capacity(ops);
     for repository in &repositories {
-        let (outcome, s) = timed(|| runner.run(repository));
-        op_s.push(s);
+        let outcome = samples.time(|| runner.run(repository));
         outcomes.push(outcome);
     }
 
@@ -72,7 +78,7 @@ pub fn run(args: &Args) -> Report {
     }
     metrics::end_to_end(Untraced {
         setup_s,
-        op_s,
+        ops: samples,
         checks,
         micro_f1: summed_f1(outcomes[..repeat].iter().map(|o| o.metrics.micro)),
     })
@@ -118,5 +124,6 @@ fn traced(args: &Args, ops: usize, runner: &BatchJoinRunner) -> Traced {
         untraced_op_s,
         gauges: BTreeMap::new(),
         checks,
+        incremental: false,
     }
 }

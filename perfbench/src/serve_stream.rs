@@ -17,7 +17,9 @@ use tjoin_serve::{JoinService, ServeConfig};
 use tjoin_text::ServeStats;
 
 use crate::layers::{self, batch_failures, batch_results, ReportResult};
-use crate::metrics::{self, repeat_setup, summed_f1, timed, Checks, Report, Traced, Untraced};
+use crate::metrics::{
+    self, repeat_setup, summed_f1, timed, Checks, OpSamples, Report, Traced, Untraced,
+};
 use crate::trace::Tracer;
 use crate::{threads, Args};
 
@@ -144,18 +146,17 @@ pub fn run(args: &Args) -> Report {
     if args.trace {
         return metrics::per_layer(traced(args, ops), args);
     }
-    let ((repositories, sequence, primed), setup_s) = repeat_setup(SETUPS, || {
+    let ((repositories, sequence, primed), setup_s) = repeat_setup(SETUPS, 1, || {
         let (repositories, sequence) = generate(args.seed, ops);
         let primed = prime(&repositories);
         (repositories, sequence, primed)
     });
 
     let mut checks = Checks::default();
-    let mut op_s = Vec::with_capacity(ops);
+    let mut samples = OpSamples::default();
     for (i, &r) in sequence.iter().enumerate() {
         let repository = repositories[r].clone();
-        let (outcome, s) = timed(|| request(&primed.service, repository));
-        op_s.push(s);
+        let outcome = samples.time(|| request(&primed.service, repository));
         let mut failures = batch_failures(&outcome, &repositories[r], &format!("op {i}"));
         if batch_results(&outcome) != primed.cold[r] {
             failures.push(format!("op {i}: repository {r} differs from its cold run"));
@@ -164,7 +165,7 @@ pub fn run(args: &Args) -> Report {
     }
     metrics::end_to_end(Untraced {
         setup_s,
-        op_s,
+        ops: samples,
         checks,
         micro_f1: distinct_f1(&primed.cold),
     })
@@ -250,5 +251,6 @@ fn traced(args: &Args, ops: usize) -> Traced {
         untraced_op_s,
         gauges,
         checks,
+        incremental: false,
     }
 }

@@ -189,33 +189,17 @@ impl Tracer {
     }
 }
 
-/// Each span's self time: its duration minus the part of its interval
-/// covered by its children (overlapping children are counted once).
+/// Each span's self time: its duration minus the summed durations of its
+/// direct children. Spans nest strictly (see [`Tracer::span`]), so the
+/// children of a span never overlap one another or outlast it.
 pub fn self_times(spans: &[Span]) -> Vec<f64> {
-    let mut children: Vec<Vec<(f64, f64)>> = vec![Vec::new(); spans.len()];
+    let mut self_s: Vec<f64> = spans.iter().map(|s| s.end - s.start).collect();
     for span in spans {
         if let Some(parent) = span.parent {
-            children[parent].push((span.start, span.end));
+            self_s[parent] -= span.end - span.start;
         }
     }
-    spans
-        .iter()
-        .zip(children.iter_mut())
-        .map(|(span, kids)| {
-            kids.sort_by(|a, b| a.0.total_cmp(&b.0));
-            let mut covered = 0.0;
-            let mut reach = span.start;
-            for &(start, end) in kids.iter() {
-                let start = start.max(reach);
-                let end = end.min(span.end);
-                if end > start {
-                    covered += end - start;
-                    reach = end;
-                }
-            }
-            (span.end - span.start - covered).max(0.0)
-        })
-        .collect()
+    self_s
 }
 
 #[cfg(test)]
@@ -241,18 +225,6 @@ mod tests {
             span("b.inner", 5.0, 6.0, Some(2)),
         ];
         assert_eq!(self_times(&spans), vec![4.0, 2.0, 3.0, 1.0]);
-    }
-
-    #[test]
-    fn overlapping_children_count_once() {
-        let spans = vec![
-            span("op", 0.0, 10.0, None),
-            span("a", 1.0, 5.0, Some(0)),
-            span("b", 3.0, 7.0, Some(0)),
-            // Leaks past the parent's end: only the inside part counts.
-            span("c", 9.0, 12.0, Some(0)),
-        ];
-        assert_eq!(self_times(&spans)[0], 10.0 - 6.0 - 1.0);
     }
 
     #[test]
