@@ -68,7 +68,7 @@ fn bench_coverage_interned(c: &mut Criterion) {
     let mut group = c.benchmark_group("coverage_interned");
     group.sample_size(10);
     group.bench_function("reference", |b| {
-        b.iter(|| black_box(compute_coverage_reference(black_box(&ts), &pairs, true, 1)))
+        b.iter(|| black_box(compute_coverage_reference(black_box(&ts), &pairs, true)))
     });
     group.bench_function("interned", |b| {
         b.iter(|| black_box(compute_coverage(black_box(&ts), &pairs, true, 1)))
@@ -85,13 +85,13 @@ fn coverage_comparison(_c: &mut Criterion) {
         ts.len()
     );
 
-    let reference_outcome = compute_coverage_reference(&ts, &pairs, true, 1);
+    let reference_outcome = compute_coverage_reference(&ts, &pairs, true);
     let interned_outcome = compute_coverage(&ts, &pairs, true, 1);
     assert_outcomes_identical(&reference_outcome, &interned_outcome);
 
     let samples = 11;
     let reference_secs = time_seconds(samples, || {
-        black_box(compute_coverage_reference(black_box(&ts), &pairs, true, 1));
+        black_box(compute_coverage_reference(black_box(&ts), &pairs, true));
     });
     let interned_secs = time_seconds(samples, || {
         black_box(compute_coverage(black_box(&ts), &pairs, true, 1));

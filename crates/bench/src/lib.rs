@@ -34,7 +34,7 @@ pub use suite::DatasetInstance;
 
 /// Median seconds per iteration of `f` over `samples` runs — the timing
 /// helper shared by the BENCH_*.json-writing comparison benches (coverage,
-/// memo_sharing, join_throughput), so the methodology lives in one place.
+/// join_throughput), so the methodology lives in one place.
 pub fn time_seconds<F: FnMut()>(samples: usize, mut f: F) -> f64 {
     let mut times = Vec::with_capacity(samples);
     for _ in 0..samples {

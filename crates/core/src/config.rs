@@ -1,6 +1,6 @@
 //! Synthesis engine configuration.
 
-use crate::coverage::plan::CoverageAxis;
+use crate::coverage::CoverageAxis;
 use serde::{Deserialize, Serialize};
 use tjoin_text::NormalizeOptions;
 use tjoin_units::UnitKind;
@@ -50,6 +50,8 @@ pub struct SynthesisConfig {
     /// Normalization applied to both columns before synthesis.
     pub normalize: NormalizeOptions,
     /// Number of worker threads for the coverage phase (1 = sequential).
+    /// Coverage splits the rows into contiguous chunks, one per worker; its
+    /// outcome, counters included, is the same at every thread count.
     ///
     /// This field is the workspace-wide thread-budget convention: the row
     /// matcher (`NGramMatcherConfig::threads`), the join pipeline's
@@ -58,10 +60,8 @@ pub struct SynthesisConfig {
     /// only wall-clock changes. `JoinPipelineConfig::with_threads` applies
     /// one budget across every stage.
     pub threads: usize,
-    /// Which axis of the coverage matrix parallel execution chunks across
-    /// threads: transformations, rows, or (the default) whatever the
-    /// planner picks from the shape — see
-    /// [`crate::coverage::plan::plan_execution`].
+    /// No effect: the single-valued residue of the retired coverage-axis
+    /// knob (see [`CoverageAxis`]).
     pub coverage_axis: CoverageAxis,
     /// How many of the highest-coverage transformations to report.
     pub top_k: usize,
@@ -142,12 +142,6 @@ impl SynthesisConfig {
         self
     }
 
-    /// Builder-style setter for the parallel coverage axis.
-    pub fn with_coverage_axis(mut self, axis: CoverageAxis) -> Self {
-        self.coverage_axis = axis;
-        self
-    }
-
     /// Whether a unit kind is enabled.
     pub fn kind_enabled(&self, kind: UnitKind) -> bool {
         kind == UnitKind::Literal || self.unit_kinds.contains(&kind)
@@ -205,13 +199,11 @@ mod tests {
             .with_max_placeholders(2)
             .with_sample(100, 7)
             .with_min_support(0.05)
-            .with_threads(0)
-            .with_coverage_axis(CoverageAxis::Rows);
+            .with_threads(0);
         assert_eq!(c.max_placeholders, 2);
         assert_eq!(c.sample_size, Some(100));
         assert_eq!(c.sample_seed, 7);
         assert_eq!(c.threads, 1); // clamped to at least one
-        assert_eq!(c.coverage_axis, CoverageAxis::Rows);
         c.validate();
     }
 

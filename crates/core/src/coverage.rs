@@ -15,7 +15,7 @@
 //!
 //! # The interned engine
 //!
-//! The production path ([`compute_coverage_interned`]) exploits the
+//! The production path ([`compute_coverage_planned_budgeted`]) exploits the
 //! [`UnitPool`] the generation phase already built:
 //!
 //! * **Per-row output memoization.** For each row, every unit's
@@ -37,11 +37,10 @@
 //!   that is ~1.25 GB); a sparse list costs one `Vec` header (24 bytes) for
 //!   an empty candidate and 4 bytes per covered row otherwise. Row-major
 //!   iteration appends rows in increasing order, so each list is sorted by
-//!   construction, and each worker thread accumulates the lists for its own
-//!   chunk of candidates. Densification into `RowBitmap`s — the
-//!   representation the selection phase's set algebra wants — happens in the
-//!   engine, only for candidates surviving the non-empty/support filter
-//!   (see [`crate::bitmap::RowBitmap::from_sorted_rows`]).
+//!   construction. Densification into `RowBitmap`s — the representation
+//!   the selection phase's set algebra wants — happens in the engine, only
+//!   for candidates surviving the non-empty/support filter (see
+//!   [`crate::bitmap::RowBitmap::from_sorted_rows`]).
 //!
 //! The iteration order is row-major (rows outer, transformations inner) so
 //! the memo table is a single pool-sized vector reset per row via epoch
@@ -52,190 +51,50 @@
 //! [`reference`] — which still collects densely, making it the oracle for
 //! the sparse collection as well.
 //!
-//! # Planned parallel execution
+//! # Parallel execution
 //!
-//! Parallel coverage runs as a two-phase *planned* execution chosen by
-//! [`plan::plan_execution`] from the transformations × rows shape (and the
-//! [`plan::CoverageAxis`] config knob):
-//!
-//! 1. **Shared unit-output memo** ([`SharedUnitMemo`]): every distinct
-//!    [`UnitId`] referenced by the candidate list is evaluated exactly once
-//!    per row into a write-once table — built in parallel, sharded by
-//!    unit-id range across threads, then frozen behind a shared reference.
-//!    Worker threads *read* unit outputs instead of each lazily re-deriving
-//!    them, so the engine performs exactly
-//!    `rows × referenced units` evaluations at any thread count, where the
-//!    pre-planner parallel path (retained as
-//!    [`compute_coverage_interned_per_thread`]) pays up to that *per
-//!    worker*. The memo's entry table is bounded by
-//!    [`SHARED_MEMO_BUDGET_BYTES`]: an over-budget shape runs the same
-//!    chunked scan over lazy per-worker memos instead (identical covered
-//!    rows and trial/hit accounting; only `unit_evaluations` reverts to
-//!    lazy counting).
-//! 2. **Axis scan** ([`plan::ExecutionPlan`]): the coverage matrix is
-//!    chunked either along the transformation axis (each worker scans a
-//!    candidate chunk over all rows — best when candidates vastly outnumber
-//!    rows) or along the row axis (each worker scans all candidates over a
-//!    contiguous row chunk — best for few-transformations × many-rows
-//!    workloads, where transformation chunking degenerates). Row chunks are
-//!    disjoint and ordered, so per-candidate sparse row lists from
-//!    consecutive chunks concatenate without merging and stay sorted.
-//!
-//! ## Stats semantics under the shared memo
-//!
-//! * `covered_rows` is bit-identical to [`reference`] under every plan —
-//!   the memo stores exactly the verdicts the lazy engine would derive.
-//! * `trials` / `cache_hits` keep the *incremental* per-row cache
-//!   semantics: a unit enters a row's bad-unit cache only when a trial on
-//!   that row reaches it, never "from the future" via the memo. Row-axis
-//!   scans process every row's full transformation sequence in order, so
-//!   their trial/hit counts are bit-identical to the serial engine (and to
-//!   [`reference`] at `threads = 1`) **at any thread count**;
-//!   transformation-axis scans restart the cache per chunk, matching
-//!   [`reference`] at the same thread count (the pre-planner semantics).
-//! * `unit_evaluations` counts memo-build work for shared-memo plans:
-//!   exactly `rows × referenced units`, independent of thread count and
-//!   axis — the bound the serial lazy engine approaches from below.
+//! With `threads > 1` the rows are split into `min(threads, rows)`
+//! contiguous chunks, and each worker runs the same scan over its chunk
+//! with its own lazy per-row memo and cache; one chunk is the serial
+//! engine. Shapes with fewer than 256 candidates and fewer than 256 rows
+//! always scan in one chunk, because thread start-up costs more than a
+//! second core buys there. The per-candidate row lists of consecutive
+//! chunks concatenate, in chunk order, into the sorted global lists. Both
+//! the memo and the cache live for one row only, and chunks share no rows,
+//! so every `(row, unit)` pair is evaluated at most once overall and every
+//! counter — `covered_rows`, `trials`, `cache_hits`, `potential_trials` and
+//! `unit_evaluations` — is identical at every thread count, while each
+//! worker holds one pool-sized table.
 
 use crate::pair::PairSet;
-use plan::{CoverageAxis, ExecutionPlan};
+use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use std::time::{Duration, Instant};
 use tjoin_text::{BudgetExceeded, BudgetToken};
-use tjoin_units::{IdTransformation, Transformation, UnitId, UnitPool};
+use tjoin_units::{CharStr, IdTransformation, Transformation, UnitId, UnitPool};
 
-pub mod plan {
-    //! The coverage execution planner.
-    //!
-    //! Coverage is a `transformations × rows` matrix scan; either axis can
-    //! be chunked across worker threads. The planner picks the axis from
-    //! the matrix shape: transformation chunking degenerates when
-    //! candidates are few (a GXJoin-style generalized-pattern pool of a few
-    //! dozen patterns over 10^5+ rows leaves every thread but one idle),
-    //! and row chunking is pointless when rows are few. [`plan_execution`]
-    //! resolves the configured [`CoverageAxis`] plus the shape into an
-    //! [`ExecutionPlan`]; degenerate shapes (zero or one chunk, empty
-    //! inputs) always resolve to [`ExecutionPlan::Serial`], so no plan ever
-    //! divides by a zero chunk size.
-
-    use serde::{Deserialize, Serialize};
-
-    /// Which axis of the coverage matrix parallel execution chunks across
-    /// worker threads (the `coverage_axis` knob of
-    /// [`crate::SynthesisConfig`]).
-    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-    pub enum CoverageAxis {
-        /// Let the planner pick from the transformations × rows shape
-        /// (the default).
-        #[default]
-        Auto,
-        /// Force transformation-axis chunking (each worker takes a
-        /// contiguous candidate chunk over all rows).
-        Transformations,
-        /// Force row-axis chunking (each worker takes a contiguous row
-        /// chunk over all candidates).
-        Rows,
-    }
-
-    /// A resolved coverage execution plan.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum ExecutionPlan {
-        /// Single-threaded scan with the lazy per-row memo — also the
-        /// explicit degenerate path (empty candidate list, zero rows, one
-        /// thread, or a shape where chunking would leave one worker).
-        Serial,
-        /// Transformation-axis chunking: `workers` threads each scan a
-        /// contiguous chunk of at most `chunk_size` candidates over all
-        /// rows, sharing the unit-output memo.
-        Transformations {
-            /// Number of chunks actually spawned (`≥ 2`).
-            workers: usize,
-            /// Candidates per chunk (`≥ 1`; the last chunk may be short).
-            chunk_size: usize,
-        },
-        /// Row-axis chunking: `workers` threads each scan all candidates
-        /// over a contiguous chunk of at most `chunk_size` rows, sharing
-        /// the unit-output memo.
-        Rows {
-            /// Number of chunks actually spawned (`≥ 2`).
-            workers: usize,
-            /// Rows per chunk (`≥ 1`; the last chunk may be short).
-            chunk_size: usize,
-        },
-    }
-
-    /// `Auto` considers transformation-axis chunking only at or above this
-    /// many candidates (the historical threshold of the pre-planner
-    /// engine: below it, per-chunk cache restarts and thread bookkeeping
-    /// cost more than they buy). Forced axes ignore it.
-    pub const MIN_AUTO_TRANSFORMATIONS: usize = 256;
-
-    /// `Auto` considers row-axis chunking only at or above this many rows.
-    /// Forced axes ignore it.
-    pub const MIN_AUTO_ROWS: usize = 256;
-
-    /// Resolves the configured axis and the `transformations × rows` shape
-    /// into an execution plan for `threads` worker threads.
-    ///
-    /// Guarantees: the returned chunk size is never zero, the worker count
-    /// never exceeds the chunked dimension, and degenerate shapes (either
-    /// dimension zero, `threads <= 1`, or a single chunk) resolve to
-    /// [`ExecutionPlan::Serial`]. `Auto` prefers the transformation axis
-    /// when candidates are plentiful and at least as numerous as rows —
-    /// preserving the pre-planner behavior (and its exact trial/hit
-    /// accounting) on the shapes it already handled — and otherwise falls
-    /// back to the row axis when rows are plentiful.
-    pub fn plan_execution(
-        transformations: usize,
-        rows: usize,
-        threads: usize,
-        axis: CoverageAxis,
-    ) -> ExecutionPlan {
-        if transformations == 0 || rows == 0 || threads <= 1 {
-            return ExecutionPlan::Serial;
-        }
-        match axis {
-            CoverageAxis::Transformations => transformation_axis(transformations, threads),
-            CoverageAxis::Rows => row_axis(rows, threads),
-            CoverageAxis::Auto => {
-                if transformations >= MIN_AUTO_TRANSFORMATIONS && transformations >= rows {
-                    transformation_axis(transformations, threads)
-                } else if rows >= MIN_AUTO_ROWS {
-                    row_axis(rows, threads)
-                } else {
-                    ExecutionPlan::Serial
-                }
-            }
-        }
-    }
-
-    fn transformation_axis(transformations: usize, threads: usize) -> ExecutionPlan {
-        let chunk_size = transformations.div_ceil(threads.min(transformations));
-        let workers = transformations.div_ceil(chunk_size);
-        if workers <= 1 {
-            ExecutionPlan::Serial
-        } else {
-            ExecutionPlan::Transformations { workers, chunk_size }
-        }
-    }
-
-    fn row_axis(rows: usize, threads: usize) -> ExecutionPlan {
-        let chunk_size = rows.div_ceil(threads.min(rows));
-        let workers = rows.div_ceil(chunk_size);
-        if workers <= 1 {
-            ExecutionPlan::Serial
-        } else {
-            ExecutionPlan::Rows { workers, chunk_size }
-        }
-    }
+/// Compatibility residue of the retired coverage-axis knob: coverage always
+/// chunks rows, so the knob has one value and no effect. It is deleted
+/// together with `SynthesisConfig::coverage_axis` and the `axis` parameter
+/// of [`compute_coverage_planned_budgeted`] once `perfbench`, which still
+/// passes them, is next updated.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub enum CoverageAxis {
+    /// The only value.
+    #[default]
+    Auto,
 }
+
+/// Shapes with fewer than this many candidates *and* fewer than this many
+/// rows scan in one chunk (see the module docs).
+const MIN_PARALLEL_SIDE: usize = 256;
 
 /// A candidate's covered rows as a sorted list of row indices — the sparse
 /// per-chunk collection format (see the module docs).
 pub type SparseRows = Vec<u32>;
 
 /// The result of the coverage phase.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CoverageOutcome {
     /// For each transformation (same order as the input slice), the rows it
     /// covers, as a sorted sparse row list. Densify survivors with
@@ -248,12 +107,10 @@ pub struct CoverageOutcome {
     pub cache_hits: u64,
     /// `transformations × rows`: what a pruning-free evaluation would cost.
     pub potential_trials: u64,
-    /// Number of `Unit::output_on` evaluations performed. The serial lazy
-    /// engine stays below `rows × distinct units`; shared-memo parallel
-    /// plans perform exactly `rows × referenced units` (at any thread
-    /// count — see the module docs); the retained per-thread path pays up
-    /// to the lazy bound per worker; and the naive reference pays one
-    /// evaluation per unit application.
+    /// Number of `Unit::output_on` evaluations performed: at most one per
+    /// `(row, unit)` pair, so below `rows × distinct units`, and the same at
+    /// every thread count. The naive reference pays one evaluation per unit
+    /// application instead.
     pub unit_evaluations: u64,
     /// Wall-clock time spent applying transformations.
     pub apply_time: Duration,
@@ -269,12 +126,6 @@ impl CoverageOutcome {
             self.cache_hits as f64 / self.potential_trials as f64
         }
     }
-
-    /// Covered rows as sorted index vectors (now the native shape; retained
-    /// for tests and reports written against the dense era's API).
-    pub fn covered_rows_as_vecs(&self) -> Vec<Vec<u32>> {
-        self.covered_rows.clone()
-    }
 }
 
 /// Computes the coverage of every transformation over every pair.
@@ -282,13 +133,11 @@ impl CoverageOutcome {
 /// Compatibility entry point over owned [`Transformation`]s: interns them
 /// into a fresh [`UnitPool`] and runs the interned engine. Callers that
 /// already hold a pool (the synthesis engine) should use
-/// [`compute_coverage_interned`] directly and skip the re-interning.
+/// [`compute_coverage_planned_budgeted`] directly and skip the re-interning.
 ///
 /// `use_cache` toggles the non-covering-unit cache (pruning strategy 2);
-/// `threads` > 1 hands the scan to the execution planner with
-/// [`CoverageAxis::Auto`] (see the module docs: a shared unit-output memo
-/// plus chunking along whichever matrix axis the shape favors; covered rows
-/// are identical under every plan).
+/// `threads` > 1 splits the rows across worker threads (see the module
+/// docs: the outcome is the same at every thread count).
 pub fn compute_coverage(
     transformations: &[Transformation],
     pairs: &PairSet,
@@ -302,337 +151,84 @@ pub fn compute_coverage(
             IdTransformation::new(t.units().iter().map(|u| pool.intern(u.clone())).collect())
         })
         .collect();
-    compute_coverage_interned(&pool, &interned, pairs, use_cache, threads)
-}
-
-/// Computes coverage over pre-interned transformations with automatic axis
-/// planning (equivalent to [`compute_coverage_planned`] with
-/// [`CoverageAxis::Auto`]).
-///
-/// See the module docs for the memoization/bitset design. `covered_rows`
-/// and `potential_trials` are bit-identical to
-/// [`reference::compute_coverage_reference`] with the same arguments under
-/// every plan; see the module docs for the trial/hit and evaluation
-/// semantics of parallel plans.
-pub fn compute_coverage_interned(
-    pool: &UnitPool,
-    transformations: &[IdTransformation],
-    pairs: &PairSet,
-    use_cache: bool,
-    threads: usize,
-) -> CoverageOutcome {
-    compute_coverage_planned(pool, transformations, pairs, use_cache, threads, CoverageAxis::Auto)
-}
-
-/// Resident-size budget for the shared unit-output memo: `referenced units
-/// × rows` entries, each charged `size_of::<SharedEntry>()` plus
-/// [`MEMO_ENTRY_PAYLOAD_ESTIMATE`] bytes for the `Good` variant's heap
-/// string (an estimate — unit outputs are short source fragments, and
-/// `Bad` entries carry none, so the charge is conservative for typical
-/// mixes but not an exact bound). A plan whose estimated memo would exceed
-/// the budget falls back to *lazy* per-worker memos — covered rows and
-/// trial/hit accounting are identical (the scan loop is shared and the
-/// verdicts agree by construction), only `unit_evaluations` reverts to the
-/// lazy counting — so parallel coverage never eagerly allocates a table
-/// far larger than anything the serial engine would hold.
-pub const SHARED_MEMO_BUDGET_BYTES: usize = 256 << 20;
-
-/// Per-entry heap-payload charge used by the memo budget (covers a short
-/// `Good` output plus allocator overhead, averaged over the `Bad` entries
-/// that carry none).
-const MEMO_ENTRY_PAYLOAD_ESTIMATE: usize = 16;
-
-/// Computes coverage as a planned two-phase execution (the hot path): a
-/// shared unit-output memo build followed by a chunked scan along the axis
-/// [`plan::plan_execution`] resolves from the shape and the requested
-/// `axis`. Plans whose memo would exceed [`SHARED_MEMO_BUDGET_BYTES`] run
-/// the same chunked scan over lazy per-worker memos instead.
-pub fn compute_coverage_planned(
-    pool: &UnitPool,
-    transformations: &[IdTransformation],
-    pairs: &PairSet,
-    use_cache: bool,
-    threads: usize,
-    axis: CoverageAxis,
-) -> CoverageOutcome {
-    compute_coverage_planned_impl(
-        pool,
-        transformations,
+    compute_coverage_planned_budgeted(
+        &pool,
+        &interned,
         pairs,
         use_cache,
         threads,
-        axis,
-        SHARED_MEMO_BUDGET_BYTES,
+        CoverageAxis::Auto,
         None,
     )
     .expect("unbudgeted coverage cannot abort")
 }
 
-/// [`compute_coverage_planned`] under a cooperative [`BudgetToken`]: the
-/// scan loop checks the token at every row boundary and the whole
+/// Computes coverage over pre-interned transformations (the hot path), row
+/// chunked across `threads` workers as the module docs describe, under an
+/// optional cooperative [`BudgetToken`].
+///
+/// Every worker checks the token at each row boundary, and the whole
 /// computation returns `Err` — with no partial outcome — once it trips
 /// (only the wall-clock deadline can trip mid-scan; row/byte caps are
-/// charged at pipeline admission). With `budget = None` this is exactly
-/// [`compute_coverage_planned`], bit for bit.
+/// charged at pipeline admission). `axis` has no effect (see
+/// [`CoverageAxis`]).
 pub fn compute_coverage_planned_budgeted(
     pool: &UnitPool,
     transformations: &[IdTransformation],
     pairs: &PairSet,
     use_cache: bool,
     threads: usize,
-    axis: CoverageAxis,
-    budget: Option<&BudgetToken>,
-) -> Result<CoverageOutcome, BudgetExceeded> {
-    compute_coverage_planned_impl(
-        pool,
-        transformations,
-        pairs,
-        use_cache,
-        threads,
-        axis,
-        SHARED_MEMO_BUDGET_BYTES,
-        budget,
-    )
-}
-
-/// Whether a shared memo of `referenced` columns × `rows` entries fits the
-/// byte budget (overflow-safe).
-fn shared_memo_fits(referenced: usize, rows: usize, budget_bytes: usize) -> bool {
-    referenced
-        .checked_mul(rows)
-        .and_then(|entries| {
-            entries.checked_mul(std::mem::size_of::<SharedEntry>() + MEMO_ENTRY_PAYLOAD_ESTIMATE)
-        })
-        .is_some_and(|bytes| bytes <= budget_bytes)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn compute_coverage_planned_impl(
-    pool: &UnitPool,
-    transformations: &[IdTransformation],
-    pairs: &PairSet,
-    use_cache: bool,
-    threads: usize,
-    axis: CoverageAxis,
-    memo_budget_bytes: usize,
+    _axis: CoverageAxis,
     budget: Option<&BudgetToken>,
 ) -> Result<CoverageOutcome, BudgetExceeded> {
     let start = Instant::now();
-    let rows = pairs.len();
     if let Some(token) = budget {
         token.check()?;
     }
-    // Explicit degenerate path: an empty candidate list or an empty pair
-    // set produces the (trivially correct) empty outcome before any chunk
-    // arithmetic. `plan_execution` also resolves these shapes to `Serial`,
-    // but returning here keeps the invariant visible at the entry point —
-    // no plan ever divides by a zero dimension.
-    if transformations.is_empty() || rows == 0 {
-        return Ok(CoverageOutcome {
-            covered_rows: vec![Vec::new(); transformations.len()],
-            apply_time: start.elapsed(),
-            ..CoverageOutcome::default()
-        });
-    }
-    let potential_trials = transformations.len() as u64 * rows as u64;
-    let mut outcome = match plan::plan_execution(transformations.len(), rows, threads, axis) {
-        ExecutionPlan::Serial => {
-            coverage_chunk_interned_budgeted(pool, transformations, pairs, use_cache, budget)
-        }
-        ExecutionPlan::Transformations { workers, chunk_size } => {
-            let memo =
-                build_memo_within_budget(pool, transformations, pairs, workers, memo_budget_bytes);
-            let jobs: Vec<ScanJob<'_>> =
-                transformations.chunks(chunk_size).map(|chunk| (chunk, 0..rows)).collect();
-            let results = run_scans(memo.as_ref(), pool, pairs, use_cache, jobs, budget);
-            let mut covered_rows = Vec::with_capacity(transformations.len());
-            let (mut trials, mut cache_hits, mut lazy_evaluations) = (0u64, 0u64, 0u64);
-            for r in results {
-                covered_rows.extend(r.covered);
-                trials += r.trials;
-                cache_hits += r.cache_hits;
-                lazy_evaluations += r.evaluations;
-            }
-            CoverageOutcome {
-                covered_rows,
-                trials,
-                cache_hits,
-                potential_trials: 0, // set below for all plans
-                unit_evaluations: memo.map_or(lazy_evaluations, |m| m.evaluations),
-                apply_time: Duration::ZERO,
-            }
-        }
-        ExecutionPlan::Rows { workers, chunk_size } => {
-            let memo =
-                build_memo_within_budget(pool, transformations, pairs, workers, memo_budget_bytes);
-            let jobs: Vec<ScanJob<'_>> = (0..workers)
-                .map(|w| (transformations, w * chunk_size..rows.min((w + 1) * chunk_size)))
-                .filter(|(_, range)| !range.is_empty())
-                .collect();
-            let results = run_scans(memo.as_ref(), pool, pairs, use_cache, jobs, budget);
-            // Row chunks are disjoint and processed in ascending order, so
-            // each candidate's per-chunk sorted lists concatenate — in
-            // chunk order — into the globally sorted list with no merging.
-            let mut covered_rows: Vec<SparseRows> = vec![Vec::new(); transformations.len()];
-            let (mut trials, mut cache_hits, mut lazy_evaluations) = (0u64, 0u64, 0u64);
-            for r in results {
-                trials += r.trials;
-                cache_hits += r.cache_hits;
-                lazy_evaluations += r.evaluations;
-                for (t_idx, list) in r.covered.into_iter().enumerate() {
-                    if covered_rows[t_idx].is_empty() {
-                        covered_rows[t_idx] = list;
-                    } else {
-                        covered_rows[t_idx].extend(list);
-                    }
-                }
-            }
-            CoverageOutcome {
-                covered_rows,
-                trials,
-                cache_hits,
-                potential_trials: 0, // set below for all plans
-                unit_evaluations: memo.map_or(lazy_evaluations, |m| m.evaluations),
-                apply_time: Duration::ZERO,
-            }
-        }
+    let chunks = row_chunks(transformations.len(), pairs.len(), threads);
+    let scan = |rows: Range<usize>| {
+        coverage_scan(pool, transformations, pairs, rows, use_cache, budget)
     };
+    // The calling thread scans the first chunk; one chunk spawns nothing.
+    let scans: Vec<CoverageOutcome> = std::thread::scope(|scope| {
+        let workers: Vec<_> =
+            chunks[1..].iter().map(|rows| scope.spawn(move || scan(rows.clone()))).collect();
+        let mut scans = vec![scan(chunks[0].clone())];
+        scans.extend(workers.into_iter().map(|worker| {
+            worker.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+        }));
+        scans
+    });
+    // Row chunks are disjoint and ascending, so each candidate's per-chunk
+    // sorted lists concatenate, in chunk order, into the sorted global list.
+    let mut scans = scans.into_iter();
+    let mut outcome = scans.next().expect("row_chunks yields at least one chunk");
+    for scan in scans {
+        for (rows, more) in outcome.covered_rows.iter_mut().zip(scan.covered_rows) {
+            rows.extend(more);
+        }
+        outcome.trials += scan.trials;
+        outcome.cache_hits += scan.cache_hits;
+        outcome.potential_trials += scan.potential_trials;
+        outcome.unit_evaluations += scan.unit_evaluations;
+    }
     // A tripped budget discards the (truncated) partial scan: budgeted
     // aborts are all-or-nothing, like `chunk_map_budgeted`.
     if let Some(token) = budget {
         token.check()?;
     }
-    outcome.potential_trials = potential_trials;
     outcome.apply_time = start.elapsed();
     Ok(outcome)
 }
 
-/// One worker's rectangle of the coverage matrix: a candidate chunk and a
-/// row range.
-type ScanJob<'a> = (&'a [IdTransformation], Range<usize>);
-
-/// Spawns one scoped worker per job and collects results in job order.
-/// Workers stop scanning (leaving truncated results) once `budget` trips;
-/// the caller discards the whole outcome in that case.
-fn run_scans(
-    memo: Option<&SharedUnitMemo>,
-    pool: &UnitPool,
-    pairs: &PairSet,
-    use_cache: bool,
-    jobs: Vec<ScanJob<'_>>,
-    budget: Option<&BudgetToken>,
-) -> Vec<ScanResult> {
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = jobs
-            .into_iter()
-            .map(|(chunk, range)| {
-                scope.spawn(move || run_scan(memo, pool, chunk, pairs, range, use_cache, budget))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-            })
-            .collect()
-    })
-}
-
-/// Builds the shared memo when its entry table fits the byte budget;
-/// `None` selects the lazy per-worker fallback.
-fn build_memo_within_budget(
-    pool: &UnitPool,
-    transformations: &[IdTransformation],
-    pairs: &PairSet,
-    workers: usize,
-    memo_budget_bytes: usize,
-) -> Option<SharedUnitMemo> {
-    let ids = pool.referenced_ids(transformations);
-    shared_memo_fits(ids.len(), pairs.len(), memo_budget_bytes)
-        .then(|| SharedUnitMemo::build(pool, ids, pairs, workers))
-}
-
-/// Runs one worker's scan with the shared memo when available, or a fresh
-/// lazy per-worker memo otherwise.
-#[allow(clippy::too_many_arguments)]
-fn run_scan(
-    memo: Option<&SharedUnitMemo>,
-    pool: &UnitPool,
-    transformations: &[IdTransformation],
-    pairs: &PairSet,
-    row_range: Range<usize>,
-    use_cache: bool,
-    budget: Option<&BudgetToken>,
-) -> ScanResult {
-    match memo {
-        Some(memo) => coverage_scan(
-            &mut SharedVerdicts { memo },
-            transformations,
-            pairs,
-            row_range,
-            use_cache,
-            pool.len(),
-            budget,
-        ),
-        None => coverage_scan(
-            &mut LazyVerdicts::new(pool, pairs),
-            transformations,
-            pairs,
-            row_range,
-            use_cache,
-            pool.len(),
-            budget,
-        ),
-    }
-}
-
-/// The pre-planner parallel path: transformation-axis chunking where every
-/// worker keeps its own *lazy* per-row memo, re-evaluating units shared
-/// across chunks once per worker (up to `rows × distinct units` per
-/// thread). Falls back to the serial scan below 256 candidates, exactly as
-/// the pre-planner engine did.
-///
-/// Retained as the "per-thread memo" baseline leg of the `memo_sharing`
-/// benchmark and as a differential midpoint between
-/// [`reference::compute_coverage_reference`] and the shared-memo plans; its
-/// `trials`/`cache_hits`/`covered_rows` are bit-identical to the reference
-/// at the same thread count. Production callers use
-/// [`compute_coverage_planned`].
-pub fn compute_coverage_interned_per_thread(
-    pool: &UnitPool,
-    transformations: &[IdTransformation],
-    pairs: &PairSet,
-    use_cache: bool,
-    threads: usize,
-) -> CoverageOutcome {
-    let start = Instant::now();
-    let mut outcome = if threads <= 1 || transformations.len() < 256 {
-        coverage_chunk_interned(pool, transformations, pairs, use_cache)
-    } else {
-        let threads = threads.min(transformations.len());
-        let chunk_size = transformations.len().div_ceil(threads);
-        let chunks: Vec<&[IdTransformation]> = transformations.chunks(chunk_size).collect();
-        let results: Vec<CoverageOutcome> = std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .into_iter()
-                .map(|chunk| {
-                    scope.spawn(move || coverage_chunk_interned(pool, chunk, pairs, use_cache))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-        });
-        let mut merged = CoverageOutcome::default();
-        for r in results {
-            merged.covered_rows.extend(r.covered_rows);
-            merged.trials += r.trials;
-            merged.cache_hits += r.cache_hits;
-            merged.potential_trials += r.potential_trials;
-            merged.unit_evaluations += r.unit_evaluations;
-        }
-        merged
-    };
-    outcome.apply_time = start.elapsed();
-    outcome
+/// Splits `0..rows` into the contiguous, ascending row chunks the workers
+/// scan: `min(threads, rows)` non-empty chunks balanced to within one row,
+/// or the single chunk `0..rows` for shapes below [`MIN_PARALLEL_SIDE`] on
+/// both sides (and for `rows <= 1` or `threads <= 1`).
+fn row_chunks(transformations: usize, rows: usize, threads: usize) -> Vec<Range<usize>> {
+    let small = transformations < MIN_PARALLEL_SIDE && rows < MIN_PARALLEL_SIDE;
+    let workers = if small { 1 } else { threads.clamp(1, rows.max(1)) };
+    (0..workers).map(|w| w * rows / workers..(w + 1) * rows / workers).collect()
 }
 
 /// The memoized outcome of one `(row, unit)` evaluation.
@@ -672,19 +268,35 @@ impl RowMemo {
         self.current_epoch += 1;
     }
 
+    /// The unit's output on the current row, or `None` when the unit is
+    /// non-covering there (it does not apply to `source`, or its non-empty
+    /// output is not a substring of `target`). Evaluates the unit at most
+    /// once per row, counting each evaluation in `evaluations`.
     #[inline]
-    fn get(&self, id: UnitId) -> &MemoEntry {
-        if self.epochs[id.index()] == self.current_epoch {
-            &self.entries[id.index()]
-        } else {
-            &MemoEntry::Unknown
+    fn output(
+        &mut self,
+        pool: &UnitPool,
+        id: UnitId,
+        source: &CharStr,
+        target: &str,
+        evaluations: &mut u64,
+    ) -> Option<&str> {
+        let i = id.index();
+        if self.epochs[i] != self.current_epoch {
+            *evaluations += 1;
+            self.entries[i] = match pool.get(id).output_on(source) {
+                Some(out) if out.is_empty() || target.contains(out.as_ref()) => {
+                    MemoEntry::Good(out.into_owned().into_boxed_str())
+                }
+                _ => MemoEntry::Bad,
+            };
+            self.epochs[i] = self.current_epoch;
         }
-    }
-
-    #[inline]
-    fn set(&mut self, id: UnitId, entry: MemoEntry) {
-        self.epochs[id.index()] = self.current_epoch;
-        self.entries[id.index()] = entry;
+        match &self.entries[i] {
+            MemoEntry::Good(out) => Some(out),
+            MemoEntry::Bad => None,
+            MemoEntry::Unknown => unreachable!("memo entry was just filled"),
+        }
     }
 }
 
@@ -726,260 +338,45 @@ impl BadUnitSet {
     }
 }
 
-/// One frozen `(row, unit)` verdict in the shared memo. Unlike
-/// [`MemoEntry`] there is no `Unknown`: the build phase evaluates every
-/// referenced `(row, unit)` pair eagerly, so scans never evaluate.
-enum SharedEntry {
-    /// The unit does not apply to the row's source, or its (non-empty)
-    /// output is not a substring of the row's target.
-    Bad,
-    /// The unit's output, which occurs in the row's target (or is empty).
-    Good(Box<str>),
-}
-
-/// Marker in [`SharedUnitMemo::column_of_unit`] for pool entries no
-/// candidate references (never looked up by scans).
-const NO_COLUMN: u32 = u32::MAX;
-
-/// Phase 1 of a planned parallel execution: the write-once unit-output memo
-/// shared by all scan workers.
+/// The scan loop of the interned engine: covers `transformations` × `rows`
+/// with a lazy per-row memo and bad-unit cache of its own.
 ///
-/// The memo's domain is the distinct units *referenced* by the candidate
-/// list ([`UnitPool::referenced_ids`]), one column per unit in ascending id
-/// order, one entry per row. The build is itself parallel — columns are
-/// sharded by unit-id range across the plan's worker threads, each shard
-/// evaluated independently — and the result is frozen (moved behind a
-/// shared reference) before any scan thread starts, so scans read it
-/// without synchronization. Exactly `rows × referenced units` evaluations
-/// are performed, at any thread count.
-struct SharedUnitMemo {
-    /// Memo columns in ascending unit-id order; `columns[c][row]` is the
-    /// verdict for the unit assigned column `c`.
-    columns: Vec<Vec<SharedEntry>>,
-    /// `UnitId` index → column index (`NO_COLUMN` for unreferenced units).
-    column_of_unit: Vec<u32>,
-    /// `Unit::output_on` evaluations performed by the build:
-    /// `rows × referenced units`.
-    evaluations: u64,
-}
-
-impl SharedUnitMemo {
-    fn build(pool: &UnitPool, ids: Vec<UnitId>, pairs: &PairSet, threads: usize) -> Self {
-        let rows = pairs.len();
-        let mut column_of_unit = vec![NO_COLUMN; pool.len()];
-        for (col, id) in ids.iter().enumerate() {
-            // Invariant is local (audited): `col` indexes `ids`, whose
-            // length is bounded by the pool size, itself capped at the
-            // u32 id space by `UnitPool::intern`'s checked conversion.
-            column_of_unit[id.index()] = col as u32;
-        }
-        let shard_size = ids.len().div_ceil(threads.min(ids.len()).max(1)).max(1);
-        let columns: Vec<Vec<SharedEntry>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = ids
-                .chunks(shard_size)
-                .map(|shard| {
-                    scope.spawn(move || {
-                        shard
-                            .iter()
-                            .map(|&id| {
-                                let unit = pool.get(id);
-                                (0..rows)
-                                    .map(|row| {
-                                        match unit.output_on(pairs.source(row)) {
-                                            Some(out)
-                                                if out.is_empty()
-                                                    || pairs
-                                                        .target(row)
-                                                        .contains(out.as_ref()) =>
-                                            {
-                                                SharedEntry::Good(
-                                                    out.into_owned().into_boxed_str(),
-                                                )
-                                            }
-                                            _ => SharedEntry::Bad,
-                                        }
-                                    })
-                                    .collect::<Vec<SharedEntry>>()
-                            })
-                            .collect::<Vec<Vec<SharedEntry>>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("memo build worker panicked"))
-                .collect()
-        });
-        Self {
-            columns,
-            column_of_unit,
-            evaluations: (ids.len() * rows) as u64,
-        }
-    }
-
-    #[inline]
-    fn entry(&self, unit: UnitId, row: usize) -> &SharedEntry {
-        &self.columns[self.column_of_unit[unit.index()] as usize][row]
-    }
-}
-
-/// A scan worker's share of the coverage matrix.
-struct ScanResult {
-    /// Per candidate (in the worker's candidate order), the covered rows of
-    /// the worker's row range, as global row indices, sorted.
-    covered: Vec<SparseRows>,
-    trials: u64,
-    cache_hits: u64,
-    /// `Unit::output_on` evaluations performed by the worker's verdict
-    /// source (zero for frozen shared-memo scans, whose evaluations were
-    /// counted at build time).
-    evaluations: u64,
-}
-
-/// A per-`(row, unit)` verdict, ready for the scan loop: concatenable
-/// output, or known non-covering.
-enum Verdict<'a> {
-    Bad,
-    Good(&'a str),
-}
-
-/// Where the scan loop gets unit verdicts from.
-///
-/// Implementations must agree with the `(row, unit)` classification of
-/// [`reference`]: `Bad` exactly when the unit does not apply to the row's
-/// source or its non-empty output is not a substring of the row's target.
-/// Keeping a *single* scan loop ([`coverage_scan`]) generic over this trait
-/// is what makes the serial, per-thread, and shared-memo engines
-/// bit-identical by construction — there is no second copy of the trial /
-/// cache-hit / length-abandon logic to drift.
-trait UnitVerdicts {
-    /// Called once when the scan moves to `row`, before any verdict for it.
-    fn begin_row(&mut self, row: usize);
-    /// The verdict for `unit` on `row` (evaluating and memoizing lazily if
-    /// this source does so). Only called for the row most recently passed
-    /// to [`Self::begin_row`].
-    fn verdict(&mut self, unit: UnitId, row: usize) -> Verdict<'_>;
-    /// `Unit::output_on` evaluations this source has performed so far.
-    fn evaluations(&self) -> u64;
-}
-
-/// Lazy verdicts: evaluate on first use, memoized per row in an
-/// epoch-stamped pool-sized table — the serial engine's (and the per-thread
-/// path's, and the over-budget fallback's) source.
-struct LazyVerdicts<'a> {
-    pool: &'a UnitPool,
-    pairs: &'a PairSet,
-    memo: RowMemo,
-    evaluations: u64,
-}
-
-impl<'a> LazyVerdicts<'a> {
-    fn new(pool: &'a UnitPool, pairs: &'a PairSet) -> Self {
-        Self {
-            pool,
-            pairs,
-            memo: RowMemo::new(pool.len()),
-            evaluations: 0,
-        }
-    }
-}
-
-impl UnitVerdicts for LazyVerdicts<'_> {
-    fn begin_row(&mut self, _row: usize) {
-        self.memo.next_row();
-    }
-
-    #[inline]
-    fn verdict(&mut self, unit: UnitId, row: usize) -> Verdict<'_> {
-        // Evaluate the unit on this row at most once, memoizing both the
-        // output and the substring-of-target verdict.
-        if matches!(self.memo.get(unit), MemoEntry::Unknown) {
-            self.evaluations += 1;
-            let entry = match self.pool.get(unit).output_on(self.pairs.source(row)) {
-                Some(out) if out.is_empty() || self.pairs.target(row).contains(out.as_ref()) => {
-                    MemoEntry::Good(out.into_owned().into_boxed_str())
-                }
-                _ => MemoEntry::Bad,
-            };
-            self.memo.set(unit, entry);
-        }
-        match self.memo.get(unit) {
-            MemoEntry::Good(out) => Verdict::Good(out),
-            MemoEntry::Bad => Verdict::Bad,
-            MemoEntry::Unknown => unreachable!("memo entry was just filled"),
-        }
-    }
-
-    fn evaluations(&self) -> u64 {
-        self.evaluations
-    }
-}
-
-/// Frozen shared-memo verdicts: pure lookups, no evaluation (phase 2 of a
-/// planned parallel execution reads the table phase 1 built).
-struct SharedVerdicts<'a> {
-    memo: &'a SharedUnitMemo,
-}
-
-impl UnitVerdicts for SharedVerdicts<'_> {
-    fn begin_row(&mut self, _row: usize) {}
-
-    #[inline]
-    fn verdict(&mut self, unit: UnitId, row: usize) -> Verdict<'_> {
-        match self.memo.entry(unit, row) {
-            SharedEntry::Good(out) => Verdict::Good(out),
-            SharedEntry::Bad => Verdict::Bad,
-        }
-    }
-
-    fn evaluations(&self) -> u64 {
-        0
-    }
-}
-
-/// The one scan loop of the interned engine: covers `transformations` ×
-/// `row_range`, with verdicts from `source`.
-///
-/// Serves every execution shape — the serial engine passes all candidates
-/// with the full row range and a lazy source; a transformation-axis worker
-/// passes its candidate chunk with the full row range; a row-axis worker
-/// passes all candidates with its row chunk. The per-row bad-unit cache
-/// keeps the *incremental* semantics of the naive loop — a unit is
-/// inserted only when a trial on that row reaches it, never "from the
-/// future" via a pre-built memo — so trial/hit accounting over any
-/// rectangle is bit-identical to the naive transformation-major reference
-/// over the same rectangle (see the module docs for why row-major and
-/// transformation-major orders agree).
-#[allow(clippy::too_many_arguments)]
-fn coverage_scan<V: UnitVerdicts>(
-    source: &mut V,
+/// The per-row bad-unit cache keeps the *incremental* semantics of the
+/// naive loop — a unit is inserted only when a trial on that row reaches
+/// it — so trial/hit accounting over any row range is bit-identical to the
+/// naive transformation-major reference over the same rows (see the module
+/// docs for why row-major and transformation-major orders agree). A tripped
+/// `budget` stops the scan at the next row boundary, leaving a truncated
+/// outcome for the caller to discard.
+fn coverage_scan(
+    pool: &UnitPool,
     transformations: &[IdTransformation],
     pairs: &PairSet,
-    row_range: Range<usize>,
+    rows: Range<usize>,
     use_cache: bool,
-    pool_len: usize,
     budget: Option<&BudgetToken>,
-) -> ScanResult {
+) -> CoverageOutcome {
     // Sparse collection: one (initially unallocated) sorted row list per
     // candidate — empty candidates never touch the heap. Rows arrive in
     // increasing order, so each list stays sorted by construction.
-    let mut covered: Vec<SparseRows> = vec![Vec::new(); transformations.len()];
+    let mut covered_rows: Vec<SparseRows> = vec![Vec::new(); transformations.len()];
+    let potential_trials = transformations.len() as u64 * rows.len() as u64;
     let mut trials: u64 = 0;
     let mut cache_hits: u64 = 0;
-    let mut bad = BadUnitSet::new(pool_len);
+    let mut unit_evaluations: u64 = 0;
+    let mut memo = RowMemo::new(pool.len());
+    let mut bad = BadUnitSet::new(pool.len());
     let mut buffer = String::new();
 
-    for row in row_range {
-        // Cooperative budget check at the row boundary: a tripped token
-        // stops this worker's scan; the planner entry point discards the
-        // truncated outcome and returns the trip cause.
+    for row in rows {
         if let Some(token) = budget {
             if token.check().is_err() {
                 break;
             }
         }
-        source.begin_row(row);
+        memo.next_row();
         bad.next_row();
+        let source = pairs.source(row);
         let target = pairs.target(row);
 
         'transformations: for (t_idx, t) in transformations.iter().enumerate() {
@@ -995,15 +392,15 @@ fn coverage_scan<V: UnitVerdicts>(
             buffer.clear();
             let mut failed = false;
             for &unit in t.unit_ids() {
-                match source.verdict(unit, row) {
-                    Verdict::Good(out) => {
+                match memo.output(pool, unit, source, target, &mut unit_evaluations) {
+                    Some(out) => {
                         buffer.push_str(out);
                         if buffer.len() > target.len() {
                             failed = true;
                             break;
                         }
                     }
-                    Verdict::Bad => {
+                    None => {
                         // This unit can never appear in a transformation
                         // covering this row.
                         if use_cache {
@@ -1018,54 +415,17 @@ fn coverage_scan<V: UnitVerdicts>(
                 // Invariant is local (audited): `row` indexes the
                 // `PairSet`, admitted through `checked_row_count` in
                 // `PairSet::from_pairs` — the cast cannot truncate.
-                covered[t_idx].push(row as u32);
+                covered_rows[t_idx].push(row as u32);
             }
         }
     }
 
-    ScanResult {
-        covered,
+    CoverageOutcome {
+        covered_rows,
         trials,
         cache_hits,
-        evaluations: source.evaluations(),
-    }
-}
-
-fn coverage_chunk_interned(
-    pool: &UnitPool,
-    transformations: &[IdTransformation],
-    pairs: &PairSet,
-    use_cache: bool,
-) -> CoverageOutcome {
-    coverage_chunk_interned_budgeted(pool, transformations, pairs, use_cache, None)
-}
-
-/// The serial scan under an optional budget: a tripped token truncates the
-/// scan (the planner entry point discards the partial outcome).
-fn coverage_chunk_interned_budgeted(
-    pool: &UnitPool,
-    transformations: &[IdTransformation],
-    pairs: &PairSet,
-    use_cache: bool,
-    budget: Option<&BudgetToken>,
-) -> CoverageOutcome {
-    let rows = pairs.len();
-    let mut source = LazyVerdicts::new(pool, pairs);
-    let scan = coverage_scan(
-        &mut source,
-        transformations,
-        pairs,
-        0..rows,
-        use_cache,
-        pool.len(),
-        budget,
-    );
-    CoverageOutcome {
-        covered_rows: scan.covered,
-        trials: scan.trials,
-        cache_hits: scan.cache_hits,
-        potential_trials: transformations.len() as u64 * rows as u64,
-        unit_evaluations: scan.evaluations,
+        potential_trials,
+        unit_evaluations,
         apply_time: Duration::ZERO,
     }
 }
@@ -1082,64 +442,23 @@ pub mod reference {
     use super::CoverageOutcome;
     use crate::bitmap::RowBitmap;
     use crate::pair::PairSet;
-    use std::time::{Duration, Instant};
+    use std::time::Instant;
     use tjoin_text::FxHashSet;
     use tjoin_units::{Transformation, Unit};
 
-    /// Computes coverage with the pre-interning algorithm. Same contract and
-    /// thread-chunking as [`super::compute_coverage`]; `unit_evaluations`
+    /// Computes coverage with the pre-interning algorithm, single-threaded.
+    /// `covered_rows`, `trials`, `cache_hits` and `potential_trials` match
+    /// [`super::compute_coverage`] at any thread count; `unit_evaluations`
     /// counts every `output_on` call (one per unit application).
+    // The loop shape is kept verbatim from the pre-interning implementation
+    // (it IS the oracle); silence the style lint about indexed row loops.
+    #[allow(clippy::needless_range_loop)]
     pub fn compute_coverage_reference(
         transformations: &[Transformation],
         pairs: &PairSet,
         use_cache: bool,
-        threads: usize,
     ) -> CoverageOutcome {
         let start = Instant::now();
-        // Explicit degenerate path, mirroring `compute_coverage_planned`:
-        // empty inputs never reach the chunking arithmetic.
-        if transformations.is_empty() || pairs.is_empty() {
-            return CoverageOutcome {
-                covered_rows: vec![Vec::new(); transformations.len()],
-                apply_time: start.elapsed(),
-                ..CoverageOutcome::default()
-            };
-        }
-        let mut outcome = if threads <= 1 || transformations.len() < 256 {
-            coverage_chunk(transformations, pairs, use_cache)
-        } else {
-            let threads = threads.min(transformations.len());
-            let chunk_size = transformations.len().div_ceil(threads);
-            let chunks: Vec<&[Transformation]> = transformations.chunks(chunk_size).collect();
-            let results: Vec<CoverageOutcome> = std::thread::scope(|scope| {
-                let handles: Vec<_> = chunks
-                    .into_iter()
-                    .map(|chunk| scope.spawn(move || coverage_chunk(chunk, pairs, use_cache)))
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-            });
-            let mut merged = CoverageOutcome::default();
-            for r in results {
-                merged.covered_rows.extend(r.covered_rows);
-                merged.trials += r.trials;
-                merged.cache_hits += r.cache_hits;
-                merged.potential_trials += r.potential_trials;
-                merged.unit_evaluations += r.unit_evaluations;
-            }
-            merged
-        };
-        outcome.apply_time = start.elapsed();
-        outcome
-    }
-
-    // The loop shape is kept verbatim from the pre-interning implementation
-    // (it IS the oracle); silence the style lint about indexed row loops.
-    #[allow(clippy::needless_range_loop)]
-    fn coverage_chunk(
-        transformations: &[Transformation],
-        pairs: &PairSet,
-        use_cache: bool,
-    ) -> CoverageOutcome {
         let rows = pairs.len();
         let mut caches: Vec<FxHashSet<Unit>> = vec![FxHashSet::default(); rows];
         let mut covered_rows = Vec::with_capacity(transformations.len());
@@ -1205,7 +524,7 @@ pub mod reference {
             cache_hits,
             potential_trials: transformations.len() as u64 * rows as u64,
             unit_evaluations,
-            apply_time: Duration::ZERO,
+            apply_time: start.elapsed(),
         }
     }
 }
@@ -1214,7 +533,7 @@ pub mod reference {
 mod tests {
     use super::reference::compute_coverage_reference;
     use super::*;
-    use tjoin_text::NormalizeOptions;
+    use tjoin_text::{BudgetExceeded, NormalizeOptions, RunBudget};
     use tjoin_units::Unit;
 
     fn pairs(rows: &[(&str, &str)]) -> PairSet {
@@ -1238,7 +557,7 @@ mod tests {
         threads: usize,
     ) -> CoverageOutcome {
         let interned = compute_coverage(transformations, set, use_cache, threads);
-        let naive = compute_coverage_reference(transformations, set, use_cache, threads);
+        let naive = compute_coverage_reference(transformations, set, use_cache);
         assert_eq!(interned.covered_rows, naive.covered_rows);
         assert_eq!(interned.trials, naive.trials);
         assert_eq!(interned.cache_hits, naive.cache_hits);
@@ -1254,7 +573,7 @@ mod tests {
             ("rafiei, davood", "davood rafiei"), // different format
         ]);
         let out = coverage_checked(&[initial_last()], &set, true, 1);
-        assert_eq!(out.covered_rows_as_vecs(), vec![vec![0, 1]]);
+        assert_eq!(out.covered_rows, vec![vec![0, 1]]);
         assert_eq!(out.potential_trials, 3);
         assert!(out.trials <= 3);
     }
@@ -1282,7 +601,7 @@ mod tests {
         let t = Transformation::new(vec![Unit::substr(0, 5), Unit::substr(0, 5)]);
         let set = pairs(&[("abcdef", "abcde")]);
         let out = coverage_checked(&[t], &set, true, 1);
-        assert_eq!(out.covered_rows_as_vecs(), vec![Vec::<u32>::new()]);
+        assert_eq!(out.covered_rows, vec![Vec::<u32>::new()]);
     }
 
     #[test]
@@ -1295,29 +614,12 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential() {
-        // Build enough transformations to trigger the parallel path.
-        let mut ts = Vec::new();
-        for i in 0..300usize {
-            ts.push(Transformation::new(vec![
-                Unit::substr(i % 3, (i % 3) + 1),
-                Unit::literal(" x"),
-            ]));
-        }
-        let set = pairs(&[("abcdef", "a x"), ("bcdefg", "c x"), ("zzzzzz", "q x")]);
-        let seq = coverage_checked(&ts, &set, true, 1);
-        let par = coverage_checked(&ts, &set, true, 4);
-        assert_eq!(seq.covered_rows, par.covered_rows);
-        assert_eq!(seq.potential_trials, par.potential_trials);
-    }
-
-    #[test]
     fn covers_exact_equality_only() {
         // Output must equal the target exactly, not merely be a prefix.
         let t = Transformation::single(Unit::substr(0, 3));
         let set = pairs(&[("abcdef", "abcx"), ("abcdef", "abc")]);
         let out = coverage_checked(&[t], &set, true, 1);
-        assert_eq!(out.covered_rows_as_vecs(), vec![vec![1]]);
+        assert_eq!(out.covered_rows, vec![vec![1]]);
     }
 
     #[test]
@@ -1349,7 +651,7 @@ mod tests {
         // Without the cache every transformation is tried on every row, so
         // the memo bound is exercised hardest.
         let interned = compute_coverage(&ts, &set, false, 1);
-        let naive = compute_coverage_reference(&ts, &set, false, 1);
+        let naive = compute_coverage_reference(&ts, &set, false);
         assert_eq!(interned.covered_rows, naive.covered_rows);
         assert!(
             interned.unit_evaluations <= (3 * 4) as u64,
@@ -1362,6 +664,168 @@ mod tests {
             naive.unit_evaluations,
             interned.unit_evaluations
         );
+    }
+
+    fn intern(ts: &[Transformation]) -> (UnitPool, Vec<IdTransformation>) {
+        let mut pool = UnitPool::new();
+        let interned = ts
+            .iter()
+            .map(|t| {
+                IdTransformation::new(t.units().iter().map(|u| pool.intern(u.clone())).collect())
+            })
+            .collect();
+        (pool, interned)
+    }
+
+    fn owned(rows: &[(&str, &str)]) -> Vec<(String, String)> {
+        rows.iter().map(|&(s, t)| (s.to_owned(), t.to_owned())).collect()
+    }
+
+    /// One edge shape of the row chunking. With a `deadline`, the budget
+    /// must trip mid-scan and the run return `Err`.
+    struct EdgeCase {
+        name: &'static str,
+        transformations: Vec<Transformation>,
+        rows: Vec<(String, String)>,
+        deadline: Option<Duration>,
+    }
+
+    /// Every edge shape of the row chunking, at threads {1, 2, 3, 4, 7} and
+    /// cache on/off: the whole outcome but `apply_time` equals the serial
+    /// engine's, the serial engine equals the naive reference (and the
+    /// owned-transformation wrapper), and a budget that trips mid-scan
+    /// returns `Err` — never a partial outcome.
+    #[test]
+    fn edge_shapes_match_serial_at_every_thread_count() {
+        // 300 candidates: enough to chunk rows however few rows there are.
+        let many: Vec<Transformation> = (0..300usize)
+            .map(|i| {
+                Transformation::new(vec![Unit::substr(i % 3, i % 3 + 1), Unit::literal(" x")])
+            })
+            .collect();
+        // 256 candidates alternating between covering the even rows ("r")
+        // and the odd rows ("q") of `seam_rows`, so sparse lists cross every
+        // chunk boundary.
+        let alternating: Vec<Transformation> = (0..256)
+            .map(|i| {
+                Transformation::single(if i % 2 == 0 {
+                    Unit::substr(0, 1)
+                } else {
+                    Unit::literal("q")
+                })
+            })
+            .collect();
+        let seam_rows = |rows: usize| -> Vec<(String, String)> {
+            (0..rows)
+                .map(|i| (format!("r{i:03}"), if i % 2 == 0 { "r" } else { "q" }.to_owned()))
+                .collect()
+        };
+        let names = [("bowling, michael", "m bowling"), ("rafiei, davood", "rafiei")];
+        let mixed = vec![initial_last(), Transformation::single(Unit::split(',', 0))];
+        let case = |name, transformations, rows| EdgeCase {
+            name,
+            transformations,
+            rows,
+            deadline: None,
+        };
+        let cases = [
+            case("0 rows", mixed.clone(), Vec::new()),
+            case("0 candidates", Vec::new(), owned(&names)),
+            case("1 row", many.clone(), owned(&names[..1])),
+            case("few rows", mixed, owned(&names)),
+            case(
+                "rows < threads",
+                many.clone(),
+                owned(&[("abcdef", "a x"), ("bcdefg", "c x"), ("zzzzzz", "q x")]),
+            ),
+            // At 2 threads the chunk boundary lands on row 63, 64 and 65:
+            // on and around a `RowBitmap` word seam.
+            case("seam 63", alternating.clone(), seam_rows(126)),
+            case("seam 64", alternating.clone(), seam_rows(128)),
+            case("seam 65", alternating, seam_rows(130)),
+            EdgeCase {
+                name: "deadline trips mid-scan",
+                transformations: many,
+                rows: seam_rows(20_000),
+                deadline: Some(Duration::from_millis(1)),
+            },
+        ];
+
+        for case in &cases {
+            let set = PairSet::from_strings(&case.rows, &NormalizeOptions::none());
+            let (pool, interned) = intern(&case.transformations);
+            let run = |use_cache: bool, threads: usize, budget: Option<&BudgetToken>| {
+                compute_coverage_planned_budgeted(
+                    &pool,
+                    &interned,
+                    &set,
+                    use_cache,
+                    threads,
+                    CoverageAxis::Auto,
+                    budget,
+                )
+                .map(|outcome| CoverageOutcome { apply_time: Duration::ZERO, ..outcome })
+            };
+            let name = case.name;
+            if let Some(deadline) = case.deadline {
+                for threads in [1usize, 2, 3, 4, 7] {
+                    let token = RunBudget::unlimited().with_deadline(deadline).token();
+                    assert_eq!(
+                        run(true, threads, Some(&token)),
+                        Err(BudgetExceeded::Deadline),
+                        "{name}: threads={threads}"
+                    );
+                }
+                continue;
+            }
+            if name.starts_with("seam") {
+                let boundary = set.len() / 2;
+                assert_eq!(
+                    row_chunks(interned.len(), set.len(), 2),
+                    vec![0..boundary, boundary..set.len()],
+                    "{name}"
+                );
+            }
+            for use_cache in [true, false] {
+                let serial = run(use_cache, 1, None).expect("unbudgeted");
+                let reference =
+                    compute_coverage_reference(&case.transformations, &set, use_cache);
+                assert_eq!(serial.covered_rows, reference.covered_rows, "{name}");
+                assert_eq!(serial.trials, reference.trials, "{name}");
+                assert_eq!(serial.cache_hits, reference.cache_hits, "{name}");
+                assert_eq!(serial.potential_trials, reference.potential_trials, "{name}");
+                let wrapped = compute_coverage(&case.transformations, &set, use_cache, 1);
+                assert_eq!(CoverageOutcome { apply_time: Duration::ZERO, ..wrapped }, serial);
+                for threads in [2usize, 3, 4, 7] {
+                    let out = run(use_cache, threads, None).expect("unbudgeted");
+                    assert_eq!(out, serial, "{name}: threads={threads} cache={use_cache}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_chunks_tile_the_rows() {
+        // Small shapes stay in one chunk; otherwise min(threads, rows)
+        // non-empty ascending chunks, balanced to within one row.
+        assert_eq!(row_chunks(255, 255, 8), vec![0..255]);
+        assert_eq!(row_chunks(0, 0, 8), vec![0..0]);
+        assert_eq!(row_chunks(1000, 1000, 0), vec![0..1000]);
+        for (transformations, rows) in [(256usize, 1usize), (256, 3), (1, 256), (700, 1001)] {
+            for threads in [1usize, 2, 3, 4, 7, 64] {
+                let chunks = row_chunks(transformations, rows, threads);
+                assert_eq!(chunks.len(), threads.min(rows));
+                assert_eq!(chunks.first().map(|c| c.start), Some(0));
+                assert_eq!(chunks.last().map(|c| c.end), Some(rows));
+                for pair in chunks.windows(2) {
+                    assert_eq!(pair[0].end, pair[1].start);
+                }
+                let (min, max) = chunks.iter().fold((usize::MAX, 0), |(lo, hi), c| {
+                    (lo.min(c.len()), hi.max(c.len()))
+                });
+                assert!(min >= 1 && max - min <= 1, "{chunks:?}");
+            }
+        }
     }
 
     mod sparse_differential {
@@ -1412,40 +876,25 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(32))]
 
             /// The sparse-collection engine reports exactly the same sorted
-            /// row lists as the dense reference path, sequentially and with
-            /// 4-thread planning, cache on and off — and its pruning
-            /// statistics match the resolved plan's exact contract (serial
-            /// and row-axis plans: the serial reference; transformation-axis
-            /// plans: the reference summed over the plan's own chunks).
+            /// row lists and pruning statistics as the dense reference path,
+            /// at 1 and 4 threads, cache on and off.
             #[test]
             fn sparse_collection_matches_dense_reference(
                 ts in pooled_transformations(),
                 rows in random_rows(),
                 use_cache in prop_oneof![Just(true), Just(false)],
             ) {
-                use crate::coverage::plan::{plan_execution, CoverageAxis, ExecutionPlan};
-                let set = pairs_from(&rows);
-                let dense_serial = compute_coverage_reference(&ts, &set, use_cache, 1);
+                let set = PairSet::from_strings(&rows, &NormalizeOptions::none());
+                let dense = compute_coverage_reference(&ts, &set, use_cache);
                 for threads in [1usize, 4] {
                     let sparse = compute_coverage(&ts, &set, use_cache, threads);
                     prop_assert_eq!(
-                        &sparse.covered_rows, &dense_serial.covered_rows,
+                        &sparse.covered_rows, &dense.covered_rows,
                         "covered rows diverged (cache={}, threads={})", use_cache, threads
                     );
-                    let plan =
-                        plan_execution(ts.len(), set.len(), threads, CoverageAxis::Auto);
-                    let (expected_trials, expected_hits) = match plan {
-                        ExecutionPlan::Serial | ExecutionPlan::Rows { .. } => {
-                            (dense_serial.trials, dense_serial.cache_hits)
-                        }
-                        ExecutionPlan::Transformations { chunk_size, .. } => ts
-                            .chunks(chunk_size)
-                            .map(|c| compute_coverage_reference(c, &set, use_cache, 1))
-                            .fold((0, 0), |(t, h), r| (t + r.trials, h + r.cache_hits)),
-                    };
-                    prop_assert_eq!(sparse.trials, expected_trials);
-                    prop_assert_eq!(sparse.cache_hits, expected_hits);
-                    prop_assert_eq!(sparse.potential_trials, dense_serial.potential_trials);
+                    prop_assert_eq!(sparse.trials, dense.trials);
+                    prop_assert_eq!(sparse.cache_hits, dense.cache_hits);
+                    prop_assert_eq!(sparse.potential_trials, dense.potential_trials);
                     // Every sparse list must be strictly sorted — the
                     // contract `RowBitmap::from_sorted_rows` densifies under.
                     for list in &sparse.covered_rows {
@@ -1454,437 +903,5 @@ mod tests {
                 }
             }
         }
-
-        fn pairs_from(rows: &[(String, String)]) -> PairSet {
-            PairSet::from_strings(rows, &NormalizeOptions::none())
-        }
-    }
-
-    mod planner {
-        //! Edge-case unit tests for the execution planner: degenerate
-        //! shapes, threshold fallbacks, thread clamping, and the
-        //! worker/chunk arithmetic.
-
-        use crate::coverage::plan::*;
-
-        #[test]
-        fn degenerate_shapes_resolve_to_serial() {
-            for axis in [CoverageAxis::Auto, CoverageAxis::Transformations, CoverageAxis::Rows] {
-                // Either dimension empty: nothing to chunk.
-                assert_eq!(plan_execution(0, 100, 8, axis), ExecutionPlan::Serial);
-                assert_eq!(plan_execution(1000, 0, 8, axis), ExecutionPlan::Serial);
-                assert_eq!(plan_execution(0, 0, 8, axis), ExecutionPlan::Serial);
-                // One thread: nothing to parallelize.
-                assert_eq!(plan_execution(1000, 1000, 1, axis), ExecutionPlan::Serial);
-                assert_eq!(plan_execution(1000, 1000, 0, axis), ExecutionPlan::Serial);
-            }
-            // A one-long axis cannot be split, even when forced.
-            assert_eq!(
-                plan_execution(1, 1000, 4, CoverageAxis::Transformations),
-                ExecutionPlan::Serial
-            );
-            assert_eq!(plan_execution(1000, 1, 4, CoverageAxis::Rows), ExecutionPlan::Serial);
-        }
-
-        #[test]
-        fn auto_falls_back_to_serial_below_the_transformation_threshold() {
-            // The historical < 256 fallback: few candidates and few rows
-            // stay serial no matter the thread count.
-            assert_eq!(
-                plan_execution(MIN_AUTO_TRANSFORMATIONS - 1, 100, 8, CoverageAxis::Auto),
-                ExecutionPlan::Serial
-            );
-            // At the threshold the transformation axis kicks in.
-            assert_eq!(
-                plan_execution(256, 100, 4, CoverageAxis::Auto),
-                ExecutionPlan::Transformations { workers: 4, chunk_size: 64 }
-            );
-        }
-
-        #[test]
-        fn auto_picks_the_row_axis_for_wide_row_counts() {
-            // Few transformations, many rows: the GXJoin-style shape that
-            // used to collapse to serial now chunks rows.
-            assert_eq!(
-                plan_execution(64, 100_000, 4, CoverageAxis::Auto),
-                ExecutionPlan::Rows { workers: 4, chunk_size: 25_000 }
-            );
-            // Plentiful on both axes but more rows than candidates: rows.
-            assert_eq!(
-                plan_execution(300, 1_000, 2, CoverageAxis::Auto),
-                ExecutionPlan::Rows { workers: 2, chunk_size: 500 }
-            );
-            // More candidates than rows: transformations (the pre-planner
-            // default, preserving its exact stats).
-            assert_eq!(
-                plan_execution(1_000, 300, 2, CoverageAxis::Auto),
-                ExecutionPlan::Transformations { workers: 2, chunk_size: 500 }
-            );
-            // Rows below the auto threshold: serial.
-            assert_eq!(
-                plan_execution(64, MIN_AUTO_ROWS - 1, 4, CoverageAxis::Auto),
-                ExecutionPlan::Serial
-            );
-        }
-
-        #[test]
-        fn forced_axes_ignore_auto_thresholds() {
-            assert_eq!(
-                plan_execution(5, 3, 4, CoverageAxis::Transformations),
-                ExecutionPlan::Transformations { workers: 3, chunk_size: 2 }
-            );
-            assert_eq!(
-                plan_execution(5, 6, 2, CoverageAxis::Rows),
-                ExecutionPlan::Rows { workers: 2, chunk_size: 3 }
-            );
-        }
-
-        #[test]
-        fn workers_clamp_to_the_chunked_dimension() {
-            // Fewer rows than threads: one single-row chunk per row.
-            assert_eq!(
-                plan_execution(10, 3, 8, CoverageAxis::Rows),
-                ExecutionPlan::Rows { workers: 3, chunk_size: 1 }
-            );
-            assert_eq!(
-                plan_execution(2, 100, 16, CoverageAxis::Transformations),
-                ExecutionPlan::Transformations { workers: 2, chunk_size: 1 }
-            );
-        }
-
-        #[test]
-        fn chunk_arithmetic_exactly_tiles_the_dimension() {
-            // Across a sweep of shapes, the plan's workers × chunk_size
-            // tiles the chunked dimension: every chunk non-empty, no
-            // worker idle, the last chunk possibly short.
-            for dim in [2usize, 3, 5, 63, 64, 65, 100, 255, 256, 1000] {
-                for threads in [2usize, 3, 4, 7, 8, 64] {
-                    for (plan, chunked) in [
-                        (plan_execution(dim, 10, threads, CoverageAxis::Transformations), dim),
-                        (plan_execution(10_000, dim, threads, CoverageAxis::Rows), dim),
-                    ] {
-                        match plan {
-                            ExecutionPlan::Serial => assert!(
-                                threads.min(chunked) <= 1 || chunked.div_ceil(threads.min(chunked)) >= chunked,
-                                "unexpected serial at dim={chunked} threads={threads}"
-                            ),
-                            ExecutionPlan::Transformations { workers, chunk_size }
-                            | ExecutionPlan::Rows { workers, chunk_size } => {
-                                assert!(chunk_size >= 1);
-                                assert!(workers >= 2);
-                                assert_eq!(workers, chunked.div_ceil(chunk_size));
-                                assert!(workers <= threads);
-                                // No empty trailing chunk.
-                                assert!((workers - 1) * chunk_size < chunked);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn empty_transformation_list_is_explicit_in_both_engines() {
-        use crate::coverage::plan::CoverageAxis;
-        let set = pairs(&[("a", "b"), ("c", "d")]);
-        let pool = UnitPool::new();
-        for axis in [CoverageAxis::Auto, CoverageAxis::Transformations, CoverageAxis::Rows] {
-            for threads in [1usize, 4] {
-                let out = compute_coverage_planned(&pool, &[], &set, true, threads, axis);
-                assert!(out.covered_rows.is_empty());
-                assert_eq!(out.trials, 0);
-                assert_eq!(out.cache_hits, 0);
-                assert_eq!(out.potential_trials, 0);
-                assert_eq!(out.unit_evaluations, 0);
-            }
-        }
-        let reference = compute_coverage_reference(&[], &set, true, 4);
-        assert!(reference.covered_rows.is_empty());
-        assert_eq!(reference.potential_trials, 0);
-    }
-
-    #[test]
-    fn zero_rows_is_explicit_in_both_engines() {
-        use crate::coverage::plan::CoverageAxis;
-        let set = pairs(&[]);
-        let ts = vec![initial_last(), Transformation::single(Unit::split(',', 0))];
-        let mut pool = UnitPool::new();
-        let interned: Vec<IdTransformation> = ts
-            .iter()
-            .map(|t| {
-                IdTransformation::new(t.units().iter().map(|u| pool.intern(u.clone())).collect())
-            })
-            .collect();
-        for axis in [CoverageAxis::Auto, CoverageAxis::Transformations, CoverageAxis::Rows] {
-            for threads in [1usize, 4] {
-                let out = compute_coverage_planned(&pool, &interned, &set, true, threads, axis);
-                assert_eq!(out.covered_rows, vec![Vec::<u32>::new(); 2]);
-                assert_eq!(out.trials, 0);
-                assert_eq!(out.potential_trials, 0);
-                assert_eq!(out.unit_evaluations, 0);
-            }
-        }
-        let reference = compute_coverage_reference(&ts, &set, true, 4);
-        assert_eq!(reference.covered_rows, vec![Vec::<u32>::new(); 2]);
-        assert_eq!(reference.potential_trials, 0);
-    }
-
-    #[test]
-    fn single_row_runs_serial_under_every_axis() {
-        use crate::coverage::plan::CoverageAxis;
-        let set = pairs(&[("bowling, michael", "m bowling")]);
-        let ts = vec![initial_last(), Transformation::single(Unit::split(',', 0))];
-        let reference = compute_coverage_reference(&ts, &set, true, 1);
-        let mut pool = UnitPool::new();
-        let interned: Vec<IdTransformation> = ts
-            .iter()
-            .map(|t| {
-                IdTransformation::new(t.units().iter().map(|u| pool.intern(u.clone())).collect())
-            })
-            .collect();
-        // One row cannot chunk on the row axis; two transformations CAN
-        // chunk on the transformation axis. Either way every observable
-        // matches the serial reference.
-        for axis in [CoverageAxis::Auto, CoverageAxis::Transformations, CoverageAxis::Rows] {
-            let out = compute_coverage_planned(&pool, &interned, &set, true, 4, axis);
-            assert_eq!(out.covered_rows, reference.covered_rows, "axis={axis:?}");
-            assert_eq!(out.trials + out.cache_hits, out.potential_trials, "axis={axis:?}");
-            assert_eq!(out.potential_trials, reference.potential_trials);
-        }
-        // Forced row axis over one row resolves to serial: identical stats.
-        let out = compute_coverage_planned(&pool, &interned, &set, true, 4, CoverageAxis::Rows);
-        assert_eq!(out.trials, reference.trials);
-        assert_eq!(out.cache_hits, reference.cache_hits);
-    }
-
-    #[test]
-    fn row_chunk_boundary_straddling_a_bitmap_word() {
-        use crate::bitmap::RowBitmap;
-        use crate::coverage::plan::{plan_execution, CoverageAxis, ExecutionPlan};
-        // Two row chunks with the boundary landing exactly at row 63, 64,
-        // and 65 — on and around a RowBitmap word seam. Coverage alternates
-        // rows, so sparse lists cross the seam on both sides.
-        for rows in [126usize, 128, 130] {
-            let boundary = rows / 2;
-            assert_eq!(
-                plan_execution(2, rows, 2, CoverageAxis::Rows),
-                ExecutionPlan::Rows { workers: 2, chunk_size: boundary },
-                "rows={rows}"
-            );
-            let raw: Vec<(String, String)> = (0..rows)
-                .map(|i| {
-                    let target = if i % 2 == 0 { "r" } else { "q" };
-                    (format!("r{i:03}"), target.to_string())
-                })
-                .collect();
-            let set = PairSet::from_strings(&raw, &tjoin_text::NormalizeOptions::none());
-            // substr(0,1) emits "r": covers even rows. literal("q") covers
-            // odd rows.
-            let ts = vec![
-                Transformation::single(Unit::substr(0, 1)),
-                Transformation::single(Unit::literal("q")),
-            ];
-            let mut pool = UnitPool::new();
-            let interned: Vec<IdTransformation> = ts
-                .iter()
-                .map(|t| {
-                    IdTransformation::new(
-                        t.units().iter().map(|u| pool.intern(u.clone())).collect(),
-                    )
-                })
-                .collect();
-            let reference = compute_coverage_reference(&ts, &set, true, 1);
-            let out = compute_coverage_planned(&pool, &interned, &set, true, 2, CoverageAxis::Rows);
-            assert_eq!(out.covered_rows, reference.covered_rows, "rows={rows}");
-            // Row-axis trial/hit accounting matches the serial reference.
-            assert_eq!(out.trials, reference.trials, "rows={rows}");
-            assert_eq!(out.cache_hits, reference.cache_hits, "rows={rows}");
-            // The concatenated lists stay strictly sorted across the seam
-            // and densify into the same bitmaps as the reference's.
-            for (sparse, expect) in out.covered_rows.iter().zip(&reference.covered_rows) {
-                assert!(sparse.windows(2).all(|w| w[0] < w[1]));
-                assert_eq!(
-                    RowBitmap::from_sorted_rows(rows, sparse),
-                    RowBitmap::from_sorted_rows(rows, expect)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn row_axis_stats_match_serial_reference_at_any_thread_count() {
-        use crate::coverage::plan::CoverageAxis;
-        let bad_unit = Unit::literal("zzz");
-        let ts = vec![
-            Transformation::new(vec![bad_unit.clone(), Unit::substr(0, 1)]),
-            Transformation::new(vec![bad_unit, Unit::substr(0, 2)]),
-            Transformation::single(Unit::substr(0, 3)),
-            Transformation::single(Unit::split(',', 0)),
-        ];
-        let raw: Vec<(String, String)> = (0..23)
-            .map(|i| (format!("ab{i},cd"), if i % 3 == 0 { "abc".into() } else { format!("ab{i}") }))
-            .collect();
-        let set = PairSet::from_strings(&raw, &tjoin_text::NormalizeOptions::none());
-        let mut pool = UnitPool::new();
-        let interned: Vec<IdTransformation> = ts
-            .iter()
-            .map(|t| {
-                IdTransformation::new(t.units().iter().map(|u| pool.intern(u.clone())).collect())
-            })
-            .collect();
-        for use_cache in [true, false] {
-            let reference = compute_coverage_reference(&ts, &set, use_cache, 1);
-            for threads in [2usize, 3, 5, 8, 64] {
-                let out = compute_coverage_planned(
-                    &pool,
-                    &interned,
-                    &set,
-                    use_cache,
-                    threads,
-                    CoverageAxis::Rows,
-                );
-                assert_eq!(out.covered_rows, reference.covered_rows, "threads={threads}");
-                assert_eq!(out.trials, reference.trials, "threads={threads}");
-                assert_eq!(out.cache_hits, reference.cache_hits, "threads={threads}");
-                assert_eq!(out.potential_trials, reference.potential_trials);
-            }
-        }
-    }
-
-    #[test]
-    fn shared_memo_evaluations_exact_at_any_thread_count() {
-        use crate::coverage::plan::CoverageAxis;
-        // 300 candidates over a 4-unit pool: Auto goes parallel on the
-        // transformation axis; forcing rows exercises the other scan. In
-        // both cases the shared memo performs exactly
-        // rows × referenced-units evaluations — the ≤ rows × distinct-units
-        // acceptance bound — independent of thread count.
-        let units = [
-            Unit::substr(0, 1),
-            Unit::substr(0, 2),
-            Unit::split(',', 0),
-            Unit::literal("x"),
-        ];
-        let ts: Vec<Transformation> = (0..300)
-            .map(|i| {
-                Transformation::new(vec![
-                    units[i % 4].clone(),
-                    units[(i / 4) % 4].clone(),
-                ])
-            })
-            .collect();
-        let set = pairs(&[("ab,cd", "ab"), ("xy,zw", "xyx"), ("qq,rr", "q")]);
-        let mut pool = UnitPool::new();
-        let interned: Vec<IdTransformation> = ts
-            .iter()
-            .map(|t| {
-                IdTransformation::new(t.units().iter().map(|u| pool.intern(u.clone())).collect())
-            })
-            .collect();
-        let expected = (set.len() * pool.len()) as u64; // all 4 units referenced
-        for axis in [CoverageAxis::Transformations, CoverageAxis::Rows, CoverageAxis::Auto] {
-            for threads in [2usize, 4, 8] {
-                for use_cache in [true, false] {
-                    let out = compute_coverage_planned(
-                        &pool, &interned, &set, use_cache, threads, axis,
-                    );
-                    assert_eq!(
-                        out.unit_evaluations, expected,
-                        "axis={axis:?} threads={threads} cache={use_cache}"
-                    );
-                }
-            }
-        }
-        // The per-thread path retained for the bench pays more: each of the
-        // 4 workers lazily re-derives the shared units.
-        let per_thread = compute_coverage_interned_per_thread(&pool, &interned, &set, false, 4);
-        assert!(
-            per_thread.unit_evaluations > expected,
-            "per-thread memo should duplicate shared-unit work ({} vs {})",
-            per_thread.unit_evaluations,
-            expected
-        );
-    }
-
-    #[test]
-    fn over_budget_memo_falls_back_to_lazy_workers() {
-        use crate::coverage::plan::CoverageAxis;
-        // A one-entry budget forces the lazy per-worker fallback on every
-        // parallel plan: covered rows stay bit-identical, row-axis
-        // trial/hit/evaluation accounting stays bit-identical to serial,
-        // and transformation-axis accounting matches the per-chunk
-        // reference semantics (= the retained per-thread path).
-        let units = [
-            Unit::substr(0, 1),
-            Unit::substr(0, 2),
-            Unit::split(',', 0),
-            Unit::literal("x"),
-        ];
-        let ts: Vec<Transformation> = (0..300)
-            .map(|i| {
-                Transformation::new(vec![units[i % 4].clone(), units[(i / 4) % 4].clone()])
-            })
-            .collect();
-        let set = pairs(&[("ab,cd", "ab"), ("xy,zw", "xyx"), ("qq,rr", "q"), ("mm,nn", "mm")]);
-        let mut pool = UnitPool::new();
-        let interned: Vec<IdTransformation> = ts
-            .iter()
-            .map(|t| {
-                IdTransformation::new(t.units().iter().map(|u| pool.intern(u.clone())).collect())
-            })
-            .collect();
-        let serial = compute_coverage_reference(&ts, &set, true, 1);
-        for (axis, threads) in [
-            (CoverageAxis::Rows, 2usize),
-            (CoverageAxis::Rows, 4),
-            (CoverageAxis::Transformations, 4),
-        ] {
-            let tiny =
-                compute_coverage_planned_impl(&pool, &interned, &set, true, threads, axis, 1, None)
-                    .unwrap();
-            let roomy = compute_coverage_planned(&pool, &interned, &set, true, threads, axis);
-            assert_eq!(tiny.covered_rows, serial.covered_rows, "axis={axis:?}");
-            assert_eq!(tiny.covered_rows, roomy.covered_rows, "axis={axis:?}");
-            // Trials/hits are a property of the plan, not the memo mode.
-            assert_eq!(tiny.trials, roomy.trials, "axis={axis:?}");
-            assert_eq!(tiny.cache_hits, roomy.cache_hits, "axis={axis:?}");
-            if axis == CoverageAxis::Rows {
-                assert_eq!(tiny.trials, serial.trials);
-                assert_eq!(tiny.cache_hits, serial.cache_hits);
-                // Lazy row-partitioned evaluation is exactly the serial
-                // engine's lazy count.
-                let serial_interned = compute_coverage_interned(&pool, &interned, &set, true, 1);
-                assert_eq!(tiny.unit_evaluations, serial_interned.unit_evaluations);
-            }
-            // The lazy fallback still respects the memo bound.
-            assert!(tiny.unit_evaluations <= (set.len() * pool.len() * threads) as u64);
-        }
-        // The budget predicate itself: overflow-safe and monotone.
-        assert!(shared_memo_fits(0, 0, 0));
-        assert!(shared_memo_fits(4, 4, SHARED_MEMO_BUDGET_BYTES));
-        assert!(!shared_memo_fits(usize::MAX, 2, SHARED_MEMO_BUDGET_BYTES));
-        assert!(!shared_memo_fits(1 << 20, 1 << 20, SHARED_MEMO_BUDGET_BYTES));
-    }
-
-    #[test]
-    fn interned_entry_point_agrees_with_compat_wrapper() {
-        let mut pool = UnitPool::new();
-        let ts = vec![initial_last(), Transformation::single(Unit::split(',', 0))];
-        let interned: Vec<IdTransformation> = ts
-            .iter()
-            .map(|t| {
-                IdTransformation::new(t.units().iter().map(|u| pool.intern(u.clone())).collect())
-            })
-            .collect();
-        let set = pairs(&[
-            ("bowling, michael", "m bowling"),
-            ("rafiei, davood", "rafiei"),
-        ]);
-        let via_wrapper = compute_coverage(&ts, &set, true, 1);
-        let via_pool = compute_coverage_interned(&pool, &interned, &set, true, 1);
-        assert_eq!(via_wrapper.covered_rows, via_pool.covered_rows);
-        assert_eq!(via_wrapper.trials, via_pool.trials);
-        assert_eq!(via_wrapper.cache_hits, via_pool.cache_hits);
     }
 }

@@ -122,9 +122,7 @@ impl SynthesisEngine {
         }
 
         // Phase 4: coverage with eager filtering, on the interned candidates
-        // (no re-interning, no unit cloning). Parallel runs are planned: a
-        // shared unit-output memo, then a scan chunked along the axis the
-        // planner (or the `coverage_axis` knob) picks from the shape.
+        // (no re-interning, no unit cloning), row-chunked across threads.
         fault::fire(FaultSite::CoverageScan);
         let coverage = compute_coverage_planned_budgeted(
             &generation.pool,
@@ -353,8 +351,7 @@ mod tests {
             let pairs = PairSet::from_strings(&rows, &config.normalize);
             let generation = generate_transformations(&pairs, &config);
             let resolved: Vec<_> = generation.resolved().collect();
-            let reference =
-                compute_coverage_reference(&resolved, &pairs, config.unit_cache, threads);
+            let reference = compute_coverage_reference(&resolved, &pairs, config.unit_cache);
 
             let s = &result.stats;
             assert_eq!(s.generated_transformations, generation.generated);

@@ -61,36 +61,17 @@
 //!   the selection phase's set algebra wants, and results are moved (not
 //!   cloned) from coverage into selection.
 //!
-//! ## Planned parallel coverage
+//! ## Parallel coverage
 //!
-//! Parallel coverage ([`coverage::plan`]) is a two-phase *planned*
-//! execution. Phase 1 builds a **shared unit-output memo**: every distinct
-//! unit referenced by the candidate list is evaluated exactly once per row
-//! into a write-once table (built in parallel, sharded by unit-id range,
-//! then frozen), so scan workers share outputs instead of each lazily
-//! re-deriving them — `rows × referenced units` evaluations total at any
-//! thread count, where per-thread memos paid up to that *per worker*.
-//! Phase 2 chunks the coverage matrix along one of two axes: the
-//! **transformation axis** (each worker scans a candidate chunk over all
-//! rows) or the **row axis** (each worker scans all candidates over a
-//! contiguous row chunk, whose sorted per-candidate row lists concatenate
-//! trivially because chunks are disjoint and ordered). A small planner
-//! ([`coverage::plan::plan_execution`]) picks the axis from the
-//! transformations × rows shape — row chunking rescues the
-//! few-transformations × many-rows workloads (GXJoin-style generalized
-//! pattern pools) where transformation chunking degenerates — and the
-//! [`SynthesisConfig::coverage_axis`] knob ([`CoverageAxis`], default
-//! `Auto`) can force either axis.
-//!
-//! Stats semantics under the shared memo are exact, not best-effort:
-//! covered rows are bit-identical to the reference oracle under every
-//! plan; row-axis trial/cache-hit counts are bit-identical to the *serial*
-//! engine at any thread count (each row's transformation sequence runs in
-//! order, so the per-row incremental cache evolves identically);
-//! transformation-axis counts match the reference at the same thread count
-//! (the per-chunk cache-restart semantics of the pre-planner engine); and
-//! `unit_evaluations` is exactly `rows × referenced units` for shared-memo
-//! plans. See the [`coverage`] module docs for the full contract.
+//! Parallel coverage splits the rows into `min(threads, rows)` contiguous
+//! chunks, and each worker runs the serial scan over its chunk with its own
+//! lazy per-row unit memo and non-covering-unit cache; shapes with fewer
+//! than 256 candidates and fewer than 256 rows stay in one chunk. Row chunks
+//! suit the few-patterns × many-rows pools of GXJoin-style generalization as
+//! well as the many-candidates × few-rows pools of generation. Because the
+//! memo and the cache are per row and the chunks share no rows, covered
+//! rows, trials, cache hits and unit evaluations are identical at every
+//! thread count; see the [`coverage`] module docs.
 //!
 //! ## Lazy-greedy selection
 //!
@@ -148,7 +129,6 @@ pub mod unitgen;
 
 pub use bitmap::RowBitmap;
 pub use config::SynthesisConfig;
-pub use coverage::plan::CoverageAxis;
 pub use engine::{SynthesisEngine, SynthesisResult};
 pub use pair::{InputPair, PairSet};
 pub use sampling::{discovery_probability, SamplingAnalysis};

@@ -1,38 +1,27 @@
-//! Differential test suite for the planned parallel coverage engine: the
-//! full parallel matrix — {transformation-axis, row-axis, auto} × {1, 2, 4
-//! threads} × cache on/off — must produce covered rows (and therefore
-//! downstream selections) bit-identical to the naive oracle retained in
-//! `coverage::reference`, and trial/hit statistics exactly matching the
-//! redefined shared-memo semantics:
+//! Thread-invariance suite for parallel coverage: at every thread count in
+//! {1, 2, 3, 4, 7}, cache on and off, the whole `CoverageOutcome` (apply
+//! time aside) must equal the 1-thread outcome; the 1-thread outcome must
+//! match the naive oracle retained in `coverage::reference`; and the
+//! downstream lazy-greedy selection must match the full-rescan oracle
+//! `greedy_cover_reference`.
 //!
-//! * **Serial and row-axis plans**: `trials`/`cache_hits` bit-identical to
-//!   the serial reference — row chunks process each row's transformation
-//!   sequence in order, so the per-row incremental cache evolves exactly as
-//!   in the serial loop, at any thread count.
-//! * **Transformation-axis plans**: bit-identical to the reference run
-//!   serially over each candidate chunk and summed (the per-chunk
-//!   cache-restart semantics of the pre-planner engine).
-//! * **Every plan**: `trials + cache_hits == potential_trials`, and
-//!   `unit_evaluations <= rows × distinct units` (the shared-memo
-//!   acceptance bound; parallel plans meet it with equality over
-//!   *referenced* units).
-//!
-//! The `#[ignore]`d tests at the bottom are the slow large-matrix leg, run
-//! in CI via `cargo test -p tjoin-core -- --ignored`.
+//! Coverage splits the rows into contiguous chunks only for shapes with at
+//! least 256 candidates or 256 rows, so the generators straddle that line.
+//! The `#[ignore]`d test at the bottom is the slow large-shape leg, run in
+//! CI via `cargo test -p tjoin-core -- --ignored`.
 
 use proptest::prelude::*;
 use std::collections::HashSet;
+use std::time::Duration;
 use tjoin_core::cover::reference::greedy_cover_reference;
 use tjoin_core::cover::{lazy_greedy_cover, ScoredTransformation};
-use tjoin_core::coverage::plan::{plan_execution, CoverageAxis, ExecutionPlan};
 use tjoin_core::coverage::reference::compute_coverage_reference;
-use tjoin_core::coverage::{compute_coverage_planned, CoverageOutcome};
+use tjoin_core::coverage::{compute_coverage, CoverageOutcome};
 use tjoin_core::{PairSet, RowBitmap};
 use tjoin_text::NormalizeOptions;
-use tjoin_units::{IdTransformation, Transformation, TransformationSet, Unit, UnitPool};
+use tjoin_units::{Transformation, TransformationSet, Unit};
 
-const AXES: [CoverageAxis; 3] =
-    [CoverageAxis::Transformations, CoverageAxis::Rows, CoverageAxis::Auto];
+const THREADS: [usize; 5] = [1, 2, 3, 4, 7];
 
 fn any_unit() -> impl Strategy<Value = Unit> {
     let pos = || 0usize..10;
@@ -47,13 +36,15 @@ fn any_unit() -> impl Strategy<Value = Unit> {
 }
 
 /// Transformations drawn from a small shared unit pool, so the same units
-/// recur across candidates — the shape both the cache and the shared memo
-/// exploit. Includes empty pools (zero transformations) to cover the
-/// degenerate path.
+/// recur across candidates — the shape the per-row cache and memo exploit.
+/// Half the lists are short (including empty, the degenerate path), half
+/// hold at least 256 candidates, so rows are chunked across threads even
+/// when they are few.
 fn pooled_transformations() -> impl Strategy<Value = Vec<Transformation>> {
     (prop::collection::vec(any_unit(), 2..6), 0usize..300).prop_map(|(pool, picks)| {
         let n = pool.len();
-        (0..picks % 36)
+        let count = if picks % 2 == 0 { picks % 36 } else { 256 + picks % 48 };
+        (0..count)
             .map(|t| {
                 Transformation::new(
                     (0..t % 3 + 1).map(|j| pool[(t * 5 + j * 2 + picks) % n].clone()).collect(),
@@ -63,165 +54,82 @@ fn pooled_transformations() -> impl Strategy<Value = Vec<Transformation>> {
     })
 }
 
-/// Row sets large enough for row chunks to be non-trivial at 4 threads,
-/// including the empty set.
+/// Row sets from empty up to more rows than the largest thread count.
 fn random_rows() -> impl Strategy<Value = Vec<(String, String)>> {
     prop::collection::vec(("[a-z, -]{0,12}", "[a-z, -]{0,8}"), 0..24)
 }
 
-fn intern(ts: &[Transformation]) -> (UnitPool, Vec<IdTransformation>) {
-    let mut pool = UnitPool::new();
-    let interned = ts
-        .iter()
-        .map(|t| IdTransformation::new(t.units().iter().map(|u| pool.intern(u.clone())).collect()))
-        .collect();
-    (pool, interned)
-}
-
-/// The exact expected (trials, cache_hits) for a resolved plan, derived by
-/// running the naive reference with the plan's own chunking: serially for
-/// `Serial`/`Rows` plans (row chunks preserve per-row serial cache
-/// evolution), per candidate chunk for `Transformations` plans.
-fn expected_trial_stats(
-    plan: ExecutionPlan,
+/// Runs the downstream selection over per-candidate covered rows with
+/// `select` and renders the selected set for comparison.
+fn selection(
     ts: &[Transformation],
-    set: &PairSet,
-    use_cache: bool,
-    serial_reference: &CoverageOutcome,
-) -> (u64, u64) {
-    match plan {
-        ExecutionPlan::Serial | ExecutionPlan::Rows { .. } => {
-            (serial_reference.trials, serial_reference.cache_hits)
-        }
-        ExecutionPlan::Transformations { chunk_size, .. } => {
-            let (mut trials, mut hits) = (0u64, 0u64);
-            for chunk in ts.chunks(chunk_size) {
-                let r = compute_coverage_reference(chunk, set, use_cache, 1);
-                trials += r.trials;
-                hits += r.cache_hits;
-            }
-            (trials, hits)
-        }
-    }
-}
-
-/// Runs the downstream selection phase over a coverage outcome and renders
-/// the selected set for comparison.
-fn select(ts: &[Transformation], outcome: &CoverageOutcome, rows: usize) -> Vec<(String, Vec<u32>)> {
+    covered_rows: &[Vec<u32>],
+    rows: usize,
+    select: fn(Vec<ScoredTransformation>, usize) -> TransformationSet,
+) -> Vec<(String, Vec<u32>)> {
     let pool: Vec<ScoredTransformation> = ts
         .iter()
-        .zip(&outcome.covered_rows)
+        .zip(covered_rows)
         .map(|(t, covered)| ScoredTransformation {
             transformation: t.clone(),
             covered: RowBitmap::from_sorted_rows(rows, covered),
         })
         .collect();
-    render(&lazy_greedy_cover(pool, rows))
-}
-
-fn render(set: &TransformationSet) -> Vec<(String, Vec<u32>)> {
-    set.transformations
+    select(pool, rows)
+        .transformations
         .iter()
         .map(|t| (t.transformation.to_string(), t.covered_rows.clone()))
         .collect()
 }
 
-/// Asserts every configuration of the parallel matrix against the oracle.
-/// Returns the number of non-serial plans exercised (so callers can check
-/// the sweep actually hit parallel code).
-fn check_matrix(
-    ts: &[Transformation],
-    rows: &[(String, String)],
-    use_cache: bool,
-    threads_sweep: &[usize],
-) -> usize {
+fn timeless(outcome: CoverageOutcome) -> CoverageOutcome {
+    CoverageOutcome { apply_time: Duration::ZERO, ..outcome }
+}
+
+/// Asserts thread invariance, the serial oracle and the selection oracle
+/// for one input.
+fn check_threads(ts: &[Transformation], rows: &[(String, String)], use_cache: bool) {
     let set = PairSet::from_strings(rows, &NormalizeOptions::none());
-    let (pool, interned) = intern(ts);
+    let serial = timeless(compute_coverage(ts, &set, use_cache, 1));
+
+    let reference = compute_coverage_reference(ts, &set, use_cache);
+    assert_eq!(serial.covered_rows, reference.covered_rows, "cache={use_cache}");
+    assert_eq!(serial.trials, reference.trials, "cache={use_cache}");
+    assert_eq!(serial.cache_hits, reference.cache_hits, "cache={use_cache}");
+    assert_eq!(serial.potential_trials, reference.potential_trials);
+    assert_eq!(serial.trials + serial.cache_hits, serial.potential_trials);
     let distinct_units: HashSet<&Unit> = ts.iter().flat_map(|t| t.units()).collect();
-    let memo_bound = (set.len() * distinct_units.len()) as u64;
-    let serial_reference = compute_coverage_reference(ts, &set, use_cache, 1);
-    let oracle_selection = {
-        let pool: Vec<ScoredTransformation> = ts
-            .iter()
-            .zip(&serial_reference.covered_rows)
-            .map(|(t, covered)| ScoredTransformation {
-                transformation: t.clone(),
-                covered: RowBitmap::from_sorted_rows(set.len(), covered),
-            })
-            .collect();
-        render(&greedy_cover_reference(pool, set.len()))
-    };
-    let mut parallel_plans = 0;
+    assert!(serial.unit_evaluations <= (set.len() * distinct_units.len()) as u64);
+    assert_eq!(
+        selection(ts, &serial.covered_rows, set.len(), lazy_greedy_cover),
+        selection(ts, &reference.covered_rows, set.len(), greedy_cover_reference),
+        "selections diverged (cache={use_cache})"
+    );
 
-    for &axis in &AXES {
-        for &threads in threads_sweep {
-            let plan = plan_execution(interned.len(), set.len(), threads, axis);
-            if plan != ExecutionPlan::Serial {
-                parallel_plans += 1;
-            }
-            let out = compute_coverage_planned(&pool, &interned, &set, use_cache, threads, axis);
-
-            // Covered rows: bit-identical to the oracle under every plan.
-            assert_eq!(
-                out.covered_rows, serial_reference.covered_rows,
-                "covered rows diverged (axis={axis:?}, threads={threads}, cache={use_cache})"
-            );
-            // Sparse lists stay strictly sorted across chunk concatenation.
-            for list in &out.covered_rows {
-                assert!(list.windows(2).all(|w| w[0] < w[1]));
-            }
-
-            // Trials/hits: exactly the plan's redefined semantics.
-            let (expected_trials, expected_hits) =
-                expected_trial_stats(plan, ts, &set, use_cache, &serial_reference);
-            assert_eq!(
-                (out.trials, out.cache_hits),
-                (expected_trials, expected_hits),
-                "trial stats diverged (axis={axis:?}, threads={threads}, cache={use_cache}, plan={plan:?})"
-            );
-
-            // Plan-independent invariants.
-            assert_eq!(out.potential_trials, serial_reference.potential_trials);
-            assert_eq!(out.trials + out.cache_hits, out.potential_trials);
-            assert!(
-                out.unit_evaluations <= memo_bound,
-                "memo bound violated: {} > {} (axis={axis:?}, threads={threads})",
-                out.unit_evaluations,
-                memo_bound
-            );
-
-            // Selections downstream: the lazy-greedy cover over the planned
-            // outcome matches the full-rescan oracle over the reference's.
-            assert_eq!(
-                select(ts, &out, set.len()),
-                oracle_selection,
-                "selections diverged (axis={axis:?}, threads={threads}, cache={use_cache})"
-            );
-        }
+    for threads in &THREADS[1..] {
+        let out = timeless(compute_coverage(ts, &set, use_cache, *threads));
+        assert_eq!(out, serial, "threads={threads} cache={use_cache}");
     }
-    parallel_plans
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The fast leg of the matrix sweep: random pooled candidate lists and
-    /// row sets through every {axis} × {1, 2, 4 threads} × cache
-    /// configuration.
+    /// The fast leg: random pooled candidate lists and row sets at every
+    /// thread count, cache on and off.
     #[test]
-    fn parallel_matrix_matches_reference(
+    fn outcome_is_thread_invariant(
         ts in pooled_transformations(),
         rows in random_rows(),
         use_cache in prop_oneof![Just(true), Just(false)],
     ) {
-        check_matrix(&ts, &rows, use_cache, &[1, 2, 4]);
+        check_threads(&ts, &rows, use_cache);
     }
 }
 
 /// Deterministic workload shaped like generation output: a Cartesian
 /// product over a small unit vocabulary, with interleaved ordering so
-/// contiguous candidate chunks still share units (the shape the shared
-/// memo exists for).
+/// neighbouring candidates still share units.
 fn cartesian_workload(candidates: usize, stride: usize) -> Vec<Transformation> {
     let firsts: Vec<Unit> =
         (0..6).map(|k| Unit::split_substr(' ', 1, k % 3, k % 3 + 1)).collect();
@@ -251,30 +159,25 @@ fn name_rows(rows: usize) -> Vec<(String, String)> {
         .collect()
 }
 
-// --- Slow differential leg (CI: `cargo test -p tjoin-core -- --ignored`) ---
+// --- Slow leg (CI: `cargo test -p tjoin-core -- --ignored`) ---
 
-/// Large matrix sweep: enough candidates and rows that every axis plans
-/// parallel chunks (including uneven final chunks), swept across {axes} ×
-/// {1, 2, 4, 8 threads} × cache on/off. Deterministic, no shrinking needed
-/// at this size.
+/// Large shapes, each at least 256 on one side so every thread count
+/// above 1 chunks the rows (uneven final chunks included). Deterministic,
+/// no shrinking needed at this size.
 #[test]
-#[ignore = "slow large parallel-matrix differential sweep; run with -- --ignored"]
-fn parallel_matrix_matches_reference_at_scale() {
-    let mut parallel_plans = 0;
+#[ignore = "slow large-shape thread-invariance sweep; run with -- --ignored"]
+fn outcome_is_thread_invariant_at_scale() {
     for (candidates, rows) in [
-        (600usize, 400usize), // both axes plentiful
-        (64, 2_000),          // row-axis shape: few candidates, many rows
-        (700, 50),            // transformation-axis shape
-        (257, 129),           // prime-ish: uneven chunks on both axes
+        (600usize, 400usize), // both sides plentiful
+        (64, 2_000),          // few candidates, many rows (GXJoin-style pool)
+        (700, 50),            // many candidates, fewer rows
+        (700, 3),             // few rows, many candidates: rows < threads
+        (257, 129),           // prime-ish: uneven chunks
     ] {
         let ts = cartesian_workload(candidates, 7);
         let row_set = name_rows(rows);
         for use_cache in [true, false] {
-            parallel_plans += check_matrix(&ts, &row_set, use_cache, &[1, 2, 4, 8]);
+            check_threads(&ts, &row_set, use_cache);
         }
     }
-    assert!(
-        parallel_plans >= 64,
-        "sweep exercised only {parallel_plans} parallel plans"
-    );
 }

@@ -128,32 +128,6 @@ impl UnitPool {
             .map(|(i, u)| (UnitId(i as u32), u))
     }
 
-    /// The distinct unit ids referenced by `transformations`, in ascending
-    /// id order.
-    ///
-    /// This is the domain of the coverage phase's shared unit-output memo: a
-    /// pool may intern units that no surviving candidate references (e.g.
-    /// literals consumed by adjacent-literal merging), and evaluating those
-    /// would waste `rows` evaluations each. The ascending order makes the
-    /// memo's column assignment — and its unit-id-range sharding across
-    /// build threads — deterministic.
-    pub fn referenced_ids(&self, transformations: &[IdTransformation]) -> Vec<UnitId> {
-        let mut referenced = vec![false; self.units.len()];
-        for t in transformations {
-            for &id in t.unit_ids() {
-                referenced[id.index()] = true;
-            }
-        }
-        referenced
-            .iter()
-            .enumerate()
-            .filter(|&(_, &r)| r)
-            // Invariant is local (audited): same `intern`-checked bound as
-            // `iter` above — `i` stays inside the u32 id space.
-            .map(|(i, _)| UnitId(i as u32))
-            .collect()
-    }
-
     /// Materializes an ID transformation back into an owned
     /// [`Transformation`].
     pub fn resolve(&self, transformation: &IdTransformation) -> Transformation {
@@ -274,27 +248,6 @@ mod tests {
         assert!(!t1.is_all_literal(&pool));
         assert!(IdTransformation::new(vec![pool.intern(Unit::literal("y"))]).is_all_literal(&pool));
         assert!(!IdTransformation::new(vec![]).is_all_literal(&pool));
-    }
-
-    #[test]
-    fn referenced_ids_are_distinct_sorted_and_complete() {
-        let mut pool = UnitPool::new();
-        let a = pool.intern(Unit::substr(0, 1));
-        let b = pool.intern(Unit::literal("x"));
-        let unreferenced = pool.intern(Unit::split(',', 0));
-        let c = pool.intern(Unit::substr(1, 2));
-        // `c` and `a` recur across transformations; `unreferenced` is interned
-        // but never used.
-        let ts = vec![
-            IdTransformation::new(vec![c, a, c]),
-            IdTransformation::new(vec![a, b]),
-        ];
-        let ids = pool.referenced_ids(&ts);
-        assert_eq!(ids, vec![a, b, c]);
-        assert!(!ids.contains(&unreferenced));
-        assert!(pool.referenced_ids(&[]).is_empty());
-        // Empty transformations reference nothing.
-        assert!(pool.referenced_ids(&[IdTransformation::new(vec![])]).is_empty());
     }
 
     #[test]

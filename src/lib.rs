@@ -51,7 +51,7 @@ pub use tjoin_units as units;
 /// Commonly used types, importable with `use tabjoin::prelude::*`.
 pub mod prelude {
     pub use tjoin_baselines::{AutoFuzzyJoin, AutoFuzzyJoinConfig, AutoJoin, AutoJoinConfig};
-    pub use tjoin_core::{CoverageAxis, SynthesisConfig, SynthesisEngine, SynthesisResult};
+    pub use tjoin_core::{SynthesisConfig, SynthesisEngine, SynthesisResult};
     pub use tjoin_datasets::{
         BenchmarkKind, ColumnPair, DatasetError, RepositoryConfig, SyntheticConfig, Table,
         TablePair,
