@@ -1,4 +1,4 @@
-//! Repository-scale matching + join benchmark, tracking four claims in
+//! Repository-scale matching + join benchmark, tracking five claims in
 //! `BENCH_join.json` at the workspace root:
 //!
 //! * **Serial vs parallel matcher**: the planned parallel scan (shared
@@ -20,17 +20,11 @@
 //!   (normalizations saved, asserted thread-count-invariant) — on this
 //!   one-core box the wall-clock gap is scheduling noise, so the counters
 //!   are the tracked claim.
-//! * **Arena vs `Vec<String>` representation**: the per-call matcher over a
-//!   columnar `ArenaPair` (workers slicing one shared byte buffer) against
-//!   the retained `Vec<String>` per-call path, serial and at 4 threads, and
-//!   the arena-backed equi-join against the owned-string oracle. Outputs
-//!   asserted bit-identical; the ratios are tracked, pathology-only gated.
-//! * **Isolation overhead**: the unguarded per-pair pipeline against
-//!   `run_guarded` (per-phase `catch_unwind` containment) and against
-//!   `run_guarded` with a live unlimited budget token (admission charging +
-//!   cooperative checks). Outcomes asserted bit-identical; the ratios are
-//!   tracked, pathology-only gated — containment must stay effectively
-//!   free on the fault-free path.
+//! * **Budget overhead**: the per-pair pipeline (`run_guarded`, which
+//!   `run` is) without a budget against the same call with a live unlimited
+//!   budget token (admission charging + cooperative checks). Outcomes
+//!   asserted bit-identical; the ratio is tracked, pathology-only gated —
+//!   budgets must stay effectively free on the fault-free path.
 //!
 //! Outputs are asserted bit-identical across every leg before timing.
 
@@ -40,7 +34,7 @@ use tjoin_datasets::{ColumnPair, RepositoryConfig};
 use tjoin_join::reference::equi_join_reference;
 use tjoin_join::{BatchJoinRunner, JoinPipeline, JoinPipelineConfig};
 use tjoin_matching::reference::find_candidates_reference;
-use tjoin_matching::{NGramMatcher, NGramMatcherConfig};
+use tjoin_matching::{NGramMatcher, NGramMatcherConfig, RowMatch};
 use tjoin_text::RunBudget;
 use tjoin_units::{Transformation, Unit};
 
@@ -92,6 +86,11 @@ fn join_transformations() -> Vec<Transformation> {
     ]
 }
 
+/// The matcher's per-call scan (no corpus, no budget), which cannot abort.
+fn candidates(matcher: &NGramMatcher, pair: &ColumnPair) -> Vec<RowMatch> {
+    matcher.try_find_candidates(pair, None, None).expect("unbudgeted per-call scan")
+}
+
 fn bench_matcher(c: &mut Criterion) {
     let pair = matcher_pair(400);
     let serial = NGramMatcher::new(NGramMatcherConfig::default());
@@ -99,10 +98,10 @@ fn bench_matcher(c: &mut Criterion) {
     let mut group = c.benchmark_group("matcher_throughput");
     group.sample_size(10);
     group.bench_function("serial_400", |b| {
-        b.iter(|| black_box(serial.find_candidates(black_box(&pair))))
+        b.iter(|| black_box(candidates(&serial, black_box(&pair))))
     });
     group.bench_function("parallel_4t_400", |b| {
-        b.iter(|| black_box(parallel.find_candidates(black_box(&pair))))
+        b.iter(|| black_box(candidates(&parallel, black_box(&pair))))
     });
     group.finish();
 }
@@ -115,8 +114,8 @@ fn join_throughput_comparison(_c: &mut Criterion) {
     let reference_matches = find_candidates_reference(&m_config, &m_pair);
     let serial_matcher = NGramMatcher::new(m_config.clone());
     let parallel_matcher = NGramMatcher::new(m_config.clone().with_threads(THREADS));
-    assert_eq!(serial_matcher.find_candidates(&m_pair), reference_matches);
-    assert_eq!(parallel_matcher.find_candidates(&m_pair), reference_matches);
+    assert_eq!(candidates(&serial_matcher, &m_pair), reference_matches);
+    assert_eq!(candidates(&parallel_matcher, &m_pair), reference_matches);
     assert!(!reference_matches.is_empty());
 
     let samples = 7;
@@ -125,10 +124,10 @@ fn join_throughput_comparison(_c: &mut Criterion) {
             black_box(find_candidates_reference(&m_config, black_box(&m_pair)));
         });
     let m_serial_secs = time_seconds(samples, || {
-        black_box(serial_matcher.find_candidates(black_box(&m_pair)));
+        black_box(candidates(&serial_matcher, black_box(&m_pair)));
     });
     let m_parallel_secs = time_seconds(samples, || {
-        black_box(parallel_matcher.find_candidates(black_box(&m_pair)));
+        black_box(candidates(&parallel_matcher, black_box(&m_pair)));
     });
 
     // --- Leg 2: equi-join — reference vs fingerprint at 1 and 4 threads. ---
@@ -235,44 +234,21 @@ fn join_throughput_comparison(_c: &mut Criterion) {
         black_box(skew_runner.run(black_box(&skewed)));
     });
 
-    // --- Leg 5: arena vs Vec<String> representations on the hot path. ---
-    // Same matcher workload through the columnar arena: build once, then
-    // every scan slices the shared buffer instead of cloning cell strings.
-    let m_arena_pair = m_pair.to_arena().expect("bench columns fit u32 space");
-    assert_eq!(serial_matcher.find_candidates_arena(&m_arena_pair), reference_matches);
-    assert_eq!(parallel_matcher.find_candidates_arena(&m_arena_pair), reference_matches);
-    let arena_matcher_secs = time_seconds(samples, || {
-        black_box(serial_matcher.find_candidates_arena(black_box(&m_arena_pair)));
-    });
-    let arena_matcher_4t_secs = time_seconds(samples, || {
-        black_box(parallel_matcher.find_candidates_arena(black_box(&m_arena_pair)));
-    });
-    // The equi-join side needs no separate timing: leg 2's fingerprint join
-    // *is* the arena-backed path (normalization lands in shared arenas that
-    // the workers slice), and its `Vec<String>` comparator is the
-    // owned-string reference oracle timed alongside it.
-
-    // --- Leg 6: isolation overhead — unguarded vs guarded pipeline. ---
+    // --- Leg 5: budget overhead — no budget vs a live unlimited budget. ---
     let iso_pair = matcher_pair(400);
     let iso_pipeline = JoinPipeline::new(JoinPipelineConfig::paper_default());
     let iso_budget = RunBudget::unlimited()
         .with_row_cap(u64::MAX)
         .with_byte_cap(u64::MAX);
-    let iso_plain = iso_pipeline.run(&iso_pair);
-    for guarded in [
-        iso_pipeline.run_guarded(&iso_pair, None, None),
-        iso_pipeline.run_guarded(&iso_pair, None, Some(&iso_budget)),
-    ] {
-        assert!(guarded.status.is_ok(), "{:?}", guarded.status);
-        assert_eq!(guarded.outcome.predicted_pairs, iso_plain.predicted_pairs);
-        assert_eq!(guarded.outcome.metrics, iso_plain.metrics);
-        assert_eq!(guarded.outcome.candidate_pairs, iso_plain.candidate_pairs);
-    }
+    let iso_plain = iso_pipeline.run_guarded(&iso_pair, None, None);
+    let iso_budgeted = iso_pipeline.run_guarded(&iso_pair, None, Some(&iso_budget));
+    assert!(iso_plain.status.is_ok(), "{:?}", iso_plain.status);
+    assert!(iso_budgeted.status.is_ok(), "{:?}", iso_budgeted.status);
+    assert_eq!(iso_budgeted.outcome.predicted_pairs, iso_plain.outcome.predicted_pairs);
+    assert_eq!(iso_budgeted.outcome.metrics, iso_plain.outcome.metrics);
+    assert_eq!(iso_budgeted.outcome.candidate_pairs, iso_plain.outcome.candidate_pairs);
     let iso_samples = 5;
     let iso_plain_secs = time_seconds(iso_samples, || {
-        black_box(iso_pipeline.run(black_box(&iso_pair)));
-    });
-    let iso_guarded_secs = time_seconds(iso_samples, || {
         black_box(iso_pipeline.run_guarded(black_box(&iso_pair), None, None));
     });
     let iso_budgeted_secs = time_seconds(iso_samples, || {
@@ -285,12 +261,9 @@ fn join_throughput_comparison(_c: &mut Criterion) {
     let join_parallel_speedup = j_fingerprint_secs / j_fingerprint_4t_secs;
     let batch_speedup = b_serial_secs / b_parallel_secs;
     let skew_speedup = skew_static_secs / skew_stealing_secs;
-    let arena_matcher_relative = m_serial_secs / arena_matcher_secs;
-    let arena_matcher_parallel_relative = m_parallel_secs / arena_matcher_4t_secs;
-    let guarded_relative = iso_plain_secs / iso_guarded_secs;
     let budgeted_relative = iso_plain_secs / iso_budgeted_secs;
     let summary = format!(
-        "{{\n  \"benchmark\": \"join_throughput\",\n  \"threads\": {THREADS},\n  \"matcher\": {{\n    \"rows\": {matcher_rows},\n    \"samples\": {samples},\n    \"reference_median_seconds\": {m_reference_secs:.6},\n    \"fused_serial_median_seconds\": {m_serial_secs:.6},\n    \"parallel_median_seconds\": {m_parallel_secs:.6},\n    \"speedup_fused_vs_reference\": {matcher_fused_speedup:.2},\n    \"speedup_parallel_vs_fused_serial\": {matcher_parallel_speedup:.2},\n    \"candidates\": {},\n    \"outputs_bit_identical\": true\n  }},\n  \"equi_join\": {{\n    \"rows\": {join_rows},\n    \"transformations\": {},\n    \"samples\": {samples},\n    \"reference_median_seconds\": {j_reference_secs:.6},\n    \"fingerprint_median_seconds\": {j_fingerprint_secs:.6},\n    \"fingerprint_parallel_median_seconds\": {j_fingerprint_4t_secs:.6},\n    \"speedup_fingerprint_vs_reference\": {join_fingerprint_speedup:.2},\n    \"speedup_parallel_vs_serial_fingerprint\": {join_parallel_speedup:.2},\n    \"predicted_pairs\": {},\n    \"outputs_bit_identical\": true\n  }},\n  \"arena\": {{\n    \"matcher_rows\": {matcher_rows},\n    \"samples\": {samples},\n    \"vec_matcher_median_seconds\": {m_serial_secs:.6},\n    \"arena_matcher_median_seconds\": {arena_matcher_secs:.6},\n    \"vec_matcher_parallel_median_seconds\": {m_parallel_secs:.6},\n    \"arena_matcher_parallel_median_seconds\": {arena_matcher_4t_secs:.6},\n    \"relative_throughput_arena_vs_vec\": {arena_matcher_relative:.2},\n    \"relative_throughput_arena_vs_vec_parallel\": {arena_matcher_parallel_relative:.2},\n    \"equi_join_vec_reference_median_seconds\": {j_reference_secs:.6},\n    \"equi_join_arena_median_seconds\": {j_fingerprint_secs:.6},\n    \"speedup_arena_join_vs_vec_reference\": {join_fingerprint_speedup:.2},\n    \"outputs_bit_identical\": true\n  }},\n  \"batch\": {{\n    \"pairs\": {},\n    \"rows_per_pair\": 80,\n    \"samples\": {batch_samples},\n    \"budget_1_median_seconds\": {b_serial_secs:.6},\n    \"budget_4_median_seconds\": {b_parallel_secs:.6},\n    \"speedup_budget_4_vs_1\": {batch_speedup:.2},\n    \"joined_pairs\": {},\n    \"micro_f1\": {:.4},\n    \"macro_f1\": {:.4},\n    \"outcomes_bit_identical\": true\n  }},\n  \"batch_skew\": {{\n    \"pairs\": {},\n    \"rows_per_pair\": 50,\n    \"skew\": 8.0,\n    \"dominant_pair_rows\": {},\n    \"samples\": {skew_samples},\n    \"static_split_median_seconds\": {skew_static_secs:.6},\n    \"work_stealing_median_seconds\": {skew_stealing_secs:.6},\n    \"speedup_stealing_vs_static\": {skew_speedup:.2},\n    \"stolen_tasks\": {},\n    \"corpus_columns_interned\": {},\n    \"corpus_normalizations_saved\": {},\n    \"corpus_stats_reused\": {},\n    \"corpus_counts_thread_invariant\": true,\n    \"outcomes_bit_identical\": true\n  }},\n  \"isolation\": {{\n    \"rows\": 400,\n    \"samples\": {iso_samples},\n    \"unguarded_median_seconds\": {iso_plain_secs:.6},\n    \"guarded_median_seconds\": {iso_guarded_secs:.6},\n    \"guarded_budgeted_median_seconds\": {iso_budgeted_secs:.6},\n    \"relative_throughput_guarded\": {guarded_relative:.2},\n    \"relative_throughput_guarded_budgeted\": {budgeted_relative:.2},\n    \"outcomes_bit_identical\": true\n  }}\n}}\n",
+        "{{\n  \"benchmark\": \"join_throughput\",\n  \"threads\": {THREADS},\n  \"matcher\": {{\n    \"rows\": {matcher_rows},\n    \"samples\": {samples},\n    \"reference_median_seconds\": {m_reference_secs:.6},\n    \"fused_serial_median_seconds\": {m_serial_secs:.6},\n    \"parallel_median_seconds\": {m_parallel_secs:.6},\n    \"speedup_fused_vs_reference\": {matcher_fused_speedup:.2},\n    \"speedup_parallel_vs_fused_serial\": {matcher_parallel_speedup:.2},\n    \"candidates\": {},\n    \"outputs_bit_identical\": true\n  }},\n  \"equi_join\": {{\n    \"rows\": {join_rows},\n    \"transformations\": {},\n    \"samples\": {samples},\n    \"reference_median_seconds\": {j_reference_secs:.6},\n    \"fingerprint_median_seconds\": {j_fingerprint_secs:.6},\n    \"fingerprint_parallel_median_seconds\": {j_fingerprint_4t_secs:.6},\n    \"speedup_fingerprint_vs_reference\": {join_fingerprint_speedup:.2},\n    \"speedup_parallel_vs_serial_fingerprint\": {join_parallel_speedup:.2},\n    \"predicted_pairs\": {},\n    \"outputs_bit_identical\": true\n  }},\n  \"batch\": {{\n    \"pairs\": {},\n    \"rows_per_pair\": 80,\n    \"samples\": {batch_samples},\n    \"budget_1_median_seconds\": {b_serial_secs:.6},\n    \"budget_4_median_seconds\": {b_parallel_secs:.6},\n    \"speedup_budget_4_vs_1\": {batch_speedup:.2},\n    \"joined_pairs\": {},\n    \"micro_f1\": {:.4},\n    \"macro_f1\": {:.4},\n    \"outcomes_bit_identical\": true\n  }},\n  \"batch_skew\": {{\n    \"pairs\": {},\n    \"rows_per_pair\": 50,\n    \"skew\": 8.0,\n    \"dominant_pair_rows\": {},\n    \"samples\": {skew_samples},\n    \"static_split_median_seconds\": {skew_static_secs:.6},\n    \"work_stealing_median_seconds\": {skew_stealing_secs:.6},\n    \"speedup_stealing_vs_static\": {skew_speedup:.2},\n    \"stolen_tasks\": {},\n    \"corpus_columns_interned\": {},\n    \"corpus_normalizations_saved\": {},\n    \"corpus_stats_reused\": {},\n    \"corpus_counts_thread_invariant\": true,\n    \"outcomes_bit_identical\": true\n  }},\n  \"isolation\": {{\n    \"rows\": 400,\n    \"samples\": {iso_samples},\n    \"no_budget_median_seconds\": {iso_plain_secs:.6},\n    \"budgeted_median_seconds\": {iso_budgeted_secs:.6},\n    \"relative_throughput_budgeted\": {budgeted_relative:.2},\n    \"outcomes_bit_identical\": true\n  }}\n}}\n",
         reference_matches.len(),
         transformations.len(),
         reference_pairs.len(),
@@ -324,13 +297,8 @@ fn join_throughput_comparison(_c: &mut Criterion) {
         skew_corpus.normalizations_saved(),
     );
     println!(
-        "arena: matcher at {arena_matcher_relative:.2}x of the Vec<String> path serial \
-         ({m_serial_secs:.4}s -> {arena_matcher_secs:.4}s), \
-         {arena_matcher_parallel_relative:.2}x at {THREADS} threads"
-    );
-    println!(
-        "isolation: guarded at {guarded_relative:.2}x of unguarded throughput \
-         ({iso_plain_secs:.4}s -> {iso_guarded_secs:.4}s), budgeted at {budgeted_relative:.2}x"
+        "isolation: budgeted at {budgeted_relative:.2}x of unbudgeted throughput \
+         ({iso_plain_secs:.4}s -> {iso_budgeted_secs:.4}s)"
     );
     println!("summary written to {path}");
     // Hard gates are output identity (asserted above). Wall-clock ratios
@@ -355,14 +323,9 @@ fn join_throughput_comparison(_c: &mut Criterion) {
          skewed repository (one-core box — the scheduling win is multicore headroom)"
     );
     assert!(
-        arena_matcher_relative > 0.5 && arena_matcher_parallel_relative > 0.5,
-        "arena representation collapsed: serial at {arena_matcher_relative:.2}x, \
-         parallel at {arena_matcher_parallel_relative:.2}x of the Vec<String> path"
-    );
-    assert!(
-        guarded_relative > 0.5 && budgeted_relative > 0.5,
-        "fault isolation stopped being cheap: guarded at {guarded_relative:.2}x, \
-         budgeted at {budgeted_relative:.2}x of unguarded throughput"
+        budgeted_relative > 0.5,
+        "budgets stopped being cheap: budgeted at {budgeted_relative:.2}x of \
+         unbudgeted throughput"
     );
 }
 

@@ -26,7 +26,7 @@ fn bench_row_matching(c: &mut Criterion) {
         let pair = SyntheticConfig::synth(rows).generate(2).column_pair();
         let matcher = NGramMatcher::with_defaults();
         group.bench_with_input(BenchmarkId::from_parameter(rows), &rows, |b, _| {
-            b.iter(|| black_box(matcher.find_candidates(black_box(&pair))))
+            b.iter(|| black_box(matcher.try_find_candidates(black_box(&pair), None, None)))
         });
     }
     group.finish();
@@ -39,7 +39,7 @@ fn bench_open_data_matching(c: &mut Criterion) {
     let mut group = c.benchmark_group("row_matching_open_data");
     group.sample_size(10);
     group.bench_function("open_data_400_rows", |b| {
-        b.iter(|| black_box(matcher.find_candidates(black_box(&pair))))
+        b.iter(|| black_box(matcher.try_find_candidates(black_box(&pair), None, None)))
     });
     group.finish();
 }

@@ -18,7 +18,9 @@ use tjoin_matching::{golden_pairs, MatchingMode, NGramMatcher};
 /// pair under the given row-matching mode — the input to synthesis.
 pub fn candidate_value_pairs(pair: &ColumnPair, mode: MatchingMode) -> Vec<(String, String)> {
     match mode {
-        MatchingMode::NGram => NGramMatcher::with_defaults().candidate_value_pairs(pair),
+        MatchingMode::NGram => NGramMatcher::with_defaults()
+            .try_candidate_value_pairs(pair, None, None)
+            .expect("unbudgeted per-call matching cannot abort"),
         MatchingMode::Golden => golden_pairs(pair)
             .into_iter()
             .map(|(s, t)| {

@@ -37,7 +37,9 @@ pub fn compute(scale: Scale, seed: u64) -> Vec<Table1Row> {
             let mut p_sum = 0.0;
             let mut r_sum = 0.0;
             for pair in &instance.pairs {
-                let candidates = matcher.find_candidates(pair);
+                let candidates = matcher
+                    .try_find_candidates(pair, None, None)
+                    .expect("unbudgeted per-call matching cannot abort");
                 let metrics = evaluate_pairs(&candidates, &pair.golden);
                 found += metrics.candidates;
                 p_sum += metrics.precision;

@@ -43,9 +43,6 @@ pub enum DatasetError {
     /// A quoted field was never closed before the input ended (the
     /// truncated-file shape).
     UnterminatedQuote,
-    /// A column could not be materialized into a [`tjoin_text::ColumnArena`]
-    /// (it exceeds the `u32` row-id or byte-offset space).
-    Arena(tjoin_text::ArenaError),
 }
 
 impl fmt::Display for DatasetError {
@@ -60,7 +57,6 @@ impl fmt::Display for DatasetError {
                 write!(f, "record {record} has {found} fields, expected {expected}")
             }
             DatasetError::UnterminatedQuote => write!(f, "unterminated quoted field"),
-            DatasetError::Arena(e) => write!(f, "column does not fit arena storage: {e}"),
         }
     }
 }
@@ -77,12 +73,6 @@ impl std::error::Error for DatasetError {
 impl From<io::Error> for DatasetError {
     fn from(e: io::Error) -> Self {
         DatasetError::Io(e)
-    }
-}
-
-impl From<tjoin_text::ArenaError> for DatasetError {
-    fn from(e: tjoin_text::ArenaError) -> Self {
-        DatasetError::Arena(e)
     }
 }
 

@@ -39,7 +39,7 @@ pub use workload::{
     AppendStep, AppendWorkload, AppendWorkloadConfig, RequestWorkload, RequestWorkloadConfig,
 };
 pub use synthetic::{SyntheticConfig, SyntheticDataset};
-pub use table::{row_id, ArenaPair, ColumnPair, Table, TablePair};
+pub use table::{row_id, ColumnPair, Table, TablePair};
 
 /// The benchmark families evaluated in the paper (Table 1, 2, 3, 4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

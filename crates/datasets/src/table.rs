@@ -1,9 +1,7 @@
 //! Table and column-pair types shared across the workspace.
 
-use crate::io::DatasetError;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use tjoin_text::{CellText, ColumnArena};
 
 /// A named table: a header of column names plus rows of string cells.
 ///
@@ -65,19 +63,6 @@ impl Table {
     /// The values of column `idx` cloned into owned strings.
     pub fn column_owned(&self, idx: usize) -> Vec<String> {
         self.rows.iter().map(|r| r[idx].clone()).collect()
-    }
-
-    /// The values of column `idx` flattened into a [`ColumnArena`] — the
-    /// ingest step of the columnar hot path: the table's cells are copied
-    /// once into contiguous storage and everything downstream borrows
-    /// slices from it. Columns that exceed the arena's `u32` row/byte
-    /// capacity surface as [`DatasetError::Arena`].
-    pub fn column_arena(&self, idx: usize) -> Result<ColumnArena, DatasetError> {
-        let mut arena = ColumnArena::new();
-        for row in &self.rows {
-            arena.try_push(&row[idx])?;
-        }
-        Ok(arena)
     }
 
     /// Appends a row; panics when the arity does not match.
@@ -270,60 +255,6 @@ impl ColumnPair {
             .sum();
         total as f64 / n as f64
     }
-
-    /// Materializes both columns into [`ColumnArena`]s (the columnar hot
-    /// path's ingest step), preserving the golden mapping. Cell contents are
-    /// identical, so the arena pair interns to the same corpus entries as
-    /// this pair and the matcher produces bit-identical output on either.
-    pub fn to_arena(&self) -> Result<ArenaPair, DatasetError> {
-        Ok(ArenaPair {
-            name: self.name.clone(),
-            source: ColumnArena::try_from_cells(self.source.as_slice())?,
-            target: ColumnArena::try_from_cells(self.target.as_slice())?,
-            golden: self.golden.clone(),
-        })
-    }
-}
-
-/// A [`ColumnPair`] with both columns flattened into [`ColumnArena`]s — the
-/// columnar representation the matcher and join layers scan without cloning
-/// cells. Built at ingest via [`ColumnPair::to_arena`] (or directly from
-/// [`Table::column_arena`] columns); arena construction enforces the `u32`
-/// row-id space, so no separate `assert_row_indexable` is needed.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ArenaPair {
-    /// Identifier (usually inherited from the column pair).
-    pub name: String,
-    /// Source column values in arena storage.
-    pub source: ColumnArena,
-    /// Target column values in arena storage.
-    pub target: ColumnArena,
-    /// Ground-truth joinable row pairs `(source_row, target_row)`.
-    pub golden: Vec<(u32, u32)>,
-}
-
-impl ArenaPair {
-    /// Number of source rows.
-    pub fn source_len(&self) -> usize {
-        self.source.len()
-    }
-
-    /// Number of target rows.
-    pub fn target_len(&self) -> usize {
-        self.target.len()
-    }
-
-    /// Clones the arena cells back into a `Vec<String>`-backed
-    /// [`ColumnPair`] (the reference representation the differential suites
-    /// compare against).
-    pub fn to_column_pair(&self) -> ColumnPair {
-        ColumnPair {
-            name: self.name.clone(),
-            source: self.source.cells().map(str::to_owned).collect(),
-            target: self.target.cells().map(str::to_owned).collect(),
-            golden: self.golden.clone(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -435,32 +366,6 @@ mod tests {
     fn row_id_rejects_truncating_indices() {
         // No allocation needed: the helper takes the index, not a column.
         let _ = row_id(u32::MAX as usize + 1);
-    }
-
-    #[test]
-    fn table_column_arena_matches_column_owned() {
-        let t = sample_table();
-        let arena = t.column_arena(0).unwrap();
-        let owned = t.column_owned(0);
-        assert_eq!(arena.len(), owned.len());
-        for (row, cell) in owned.iter().enumerate() {
-            assert_eq!(arena.cell(row), cell, "row {row}");
-        }
-    }
-
-    #[test]
-    fn arena_pair_roundtrips_column_pair() {
-        let cp = ColumnPair::aligned(
-            "round",
-            vec!["Rafiei, Davood".into(), "αβγ".into(), String::new()],
-            vec!["D Rafiei".into(), "γβα".into(), "x".into()],
-        );
-        let ap = cp.to_arena().unwrap();
-        assert_eq!(ap.name, cp.name);
-        assert_eq!(ap.source_len(), cp.source_len());
-        assert_eq!(ap.target_len(), cp.target_len());
-        assert_eq!(ap.golden, cp.golden);
-        assert_eq!(ap.to_column_pair(), cp);
     }
 
     #[test]

@@ -474,77 +474,70 @@ impl BatchJoinRunner {
         // would not have given it to.
         let static_chunk = repository.len().div_ceil(workers);
 
-        let mut tasks_per_worker = vec![0usize; workers];
+        // The shared pair queue: an atomic cursor every worker claims the
+        // next task from. Results land in per-pair slots, so output order
+        // is input order no matter who ran what.
+        let next = AtomicUsize::new(0);
         let stolen = AtomicUsize::new(0);
-        let mut reports: Vec<PairJoinReport>;
-        if workers <= 1 {
-            // Serial fast path: one worker owns the whole queue.
-            reports = repository
-                .iter()
-                .enumerate()
-                .map(|(task, pair)| run_pair(task, pair))
-                .collect();
-            tasks_per_worker[0] = repository.len();
+        let slots: Vec<Mutex<Option<PairJoinReport>>> =
+            repository.iter().map(|_| Mutex::new(None)).collect();
+        // One worker's loop: drain the queue, returning the tasks executed.
+        let drain = |worker: usize| -> usize {
+            let mut executed = 0usize;
+            loop {
+                let task = next.fetch_add(1, Ordering::Relaxed);
+                if task >= repository.len() {
+                    return executed;
+                }
+                let report = run_pair(task, &repository[task]);
+                if let Some(plan) = plan {
+                    if plan.fault_for(task, FaultSite::SlotStore) == Some(FaultKind::PoisonLock) {
+                        fault::poison_mutex(&slots[task]);
+                    }
+                }
+                // A slot lock poisoned by an injected (or real) panic still
+                // stores and serves its report: the data is a plain
+                // `Option` with no invariant a panic could have broken.
+                *fault::lock_recover(&slots[task]) = Some(report);
+                executed += 1;
+                if task / static_chunk != worker {
+                    stolen.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        };
+        let tasks_per_worker: Vec<usize> = if workers == 1 {
+            // One worker drains the queue on the calling thread: no spawn.
+            vec![drain(0)]
         } else {
-            // The shared pair queue: an atomic cursor every worker claims
-            // the next task from. Results land in per-pair slots, so output
-            // order is input order no matter who ran what.
-            let next = AtomicUsize::new(0);
-            let slots: Vec<Mutex<Option<PairJoinReport>>> =
-                repository.iter().map(|_| Mutex::new(None)).collect();
             std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..workers)
                     .map(|worker| {
-                        let (next, slots, stolen, run_pair) = (&next, &slots, &stolen, &run_pair);
-                        scope.spawn(move || {
-                            let mut executed = 0usize;
-                            loop {
-                                let task = next.fetch_add(1, Ordering::Relaxed);
-                                if task >= repository.len() {
-                                    return executed;
-                                }
-                                let report = run_pair(task, &repository[task]);
-                                if let Some(plan) = plan {
-                                    if plan.fault_for(task, FaultSite::SlotStore)
-                                        == Some(FaultKind::PoisonLock)
-                                    {
-                                        fault::poison_mutex(&slots[task]);
-                                    }
-                                }
-                                // A slot lock poisoned by an injected (or
-                                // real) panic still stores and serves its
-                                // report: the data is a plain `Option` with
-                                // no invariant a panic could have broken.
-                                *fault::lock_recover(&slots[task]) = Some(report);
-                                executed += 1;
-                                if task / static_chunk != worker {
-                                    stolen.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
-                        })
+                        let drain = &drain;
+                        scope.spawn(move || drain(worker))
                     })
                     .collect();
-                for (worker, handle) in handles.into_iter().enumerate() {
-                    // Workers contain per-pair panics themselves; a panic
-                    // escaping one is a scheduler bug, re-raised verbatim.
-                    tasks_per_worker[worker] = handle
-                        .join()
-                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-                }
-            });
-            reports = Vec::with_capacity(repository.len());
-            for slot in slots {
+                // Workers contain per-pair panics themselves; a panic
+                // escaping one is a scheduler bug, re-raised verbatim.
+                handles
+                    .into_iter()
+                    .map(|handle| {
+                        handle.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+                    })
+                    .collect()
+            })
+        };
+        let reports: Vec<PairJoinReport> = slots
+            .into_iter()
+            .map(|slot| {
                 // Invariant is local (audited): the atomic cursor hands out
                 // every task index exactly once, each claimant fills its
                 // slot before returning, and worker panics were already
                 // re-raised above — so no slot can still be `None` here.
-                let report = slot
-                    .into_inner()
+                slot.into_inner()
                     .unwrap_or_else(|poisoned| poisoned.into_inner())
-                    .expect("every task executed");
-                reports.push(report);
-            }
-        }
+                    .expect("every task executed")
+            })
+            .collect();
 
         let metrics = aggregate(&reports);
         let mut scheduler_failures = scheduler_failures

@@ -7,6 +7,10 @@
 //!
 //! # The per-pair pipeline
 //!
+//! [`pipeline::JoinPipeline::run_guarded`] is the one phase sequence;
+//! [`pipeline::JoinPipeline::run`] is that call without a corpus or budget,
+//! and both batch drivers call it per pair:
+//!
 //! 1. find candidate joinable row pairs (the planned-parallel n-gram
 //!    matcher of `tjoin-matching`, or the golden mapping for oracle
 //!    experiments);
@@ -42,7 +46,8 @@
 //! of the pool the way the retained static chunk split
 //! ([`batch::BatchJoinRunner::run_static`], the differential oracle) does;
 //! each task's pipeline receives `threads / workers` inner threads, so the
-//! pool never exceeds the budget. All workers share one
+//! pool never exceeds the budget. A single worker runs the same queue loop
+//! on the calling thread, without spawning. All workers share one
 //! [`tjoin_text::GramCorpus`], so a column referenced by several pairs is
 //! normalized and gram-indexed once per repository. Per-pair
 //! [`JoinOutcome`]s aggregate into [`batch::RepositoryMetrics`] (micro /
@@ -73,9 +78,9 @@
 //!   yielding [`pipeline::PairStatus::TimedOut`] with the tripped axis.
 //!   Budgeted aborts are all-or-nothing: no truncated result is ever
 //!   reported as complete;
-//! * fault-free guarded runs are bit-identical to the unguarded pipeline —
-//!   the guarded path runs the same phase code, not a fork of it — and
-//!   per-status tallies land in [`batch::BatchFaultStats`].
+//! * a fault-free run's outcome does not depend on whether a corpus or a
+//!   live budget was passed, and per-status tallies land in
+//!   [`batch::BatchFaultStats`].
 //!
 //! The `fault-injection` feature compiles in the deterministic
 //! [`tjoin_text::FaultPlan`] harness

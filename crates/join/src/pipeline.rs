@@ -197,64 +197,24 @@ impl JoinPipeline {
         &self.config
     }
 
-    /// Runs the full pipeline on a column pair.
+    /// Runs the full pipeline on a column pair: [`Self::run_guarded`]
+    /// without a corpus or budget, with a contained phase failure re-raised
+    /// as a panic carrying the phase and the original message.
     pub fn run(&self, pair: &ColumnPair) -> JoinOutcome {
-        self.run_impl(pair, None)
-    }
-
-    /// Runs the full pipeline with the row-matching stage served from a
-    /// shared [`GramCorpus`] (see
-    /// [`NGramMatcher::find_candidates_in`]): the pair's columns are
-    /// interned once per repository instead of re-normalized and re-indexed
-    /// per call. The outcome is bit-identical to [`Self::run`] — only
-    /// wall-clock changes. Under [`RowMatchingStrategy::Golden`] the corpus
-    /// is unused.
-    pub fn run_with_corpus(&self, pair: &ColumnPair, corpus: &GramCorpus) -> JoinOutcome {
-        self.run_impl(pair, Some(corpus))
-    }
-
-    fn run_impl(&self, pair: &ColumnPair, corpus: Option<&GramCorpus>) -> JoinOutcome {
-        // 1. Row matching.
-        let match_start = Instant::now();
-        let candidate_values = self
-            .candidate_values(pair, corpus, None)
-            .unwrap_or_else(|abort| panic!("{abort}"));
-        let matching_time = match_start.elapsed();
-
-        // 2. Transformation discovery.
-        let synth_start = Instant::now();
-        let engine = SynthesisEngine::new(self.config.synthesis.clone());
-        let result = engine.discover_from_strings(&candidate_values);
-        let synthesis_time = synth_start.elapsed();
-
-        // 3. Support filtering.
-        let transformations = result.cover.filter_by_support(self.config.join_min_support);
-
-        // 4. Transformed equi-join.
-        let join_start = Instant::now();
-        let predicted_pairs = self.equi_join(
-            pair,
-            transformations.iter().map(|t| &t.transformation),
-        );
-        let join_time = join_start.elapsed();
-
-        // 5. Evaluation.
-        let metrics = evaluate_join(&predicted_pairs, &pair.golden);
-
-        JoinOutcome {
-            transformations,
-            predicted_pairs,
-            metrics,
-            candidate_pairs: candidate_values.len(),
-            matching_time,
-            synthesis_time,
-            join_time,
+        let guarded = self.run_guarded(pair, None, None);
+        match guarded.status {
+            PairStatus::Ok => guarded.outcome,
+            PairStatus::Failed(error) => panic!("{error}"),
+            // Invariant is local (audited): only a budget can time a pair
+            // out, and the budget is `None` on this path.
+            PairStatus::TimedOut { phase, exceeded } => {
+                unreachable!("unbudgeted pair timed out in {phase}: {exceeded}")
+            }
         }
     }
 
-    /// The matching stage shared by [`Self::run`] and [`Self::run_guarded`]:
-    /// candidate (source, target) value pairs under the configured strategy,
-    /// optionally corpus-served and budget-checked.
+    /// The matching phase: candidate (source, target) value pairs under the
+    /// configured strategy, optionally corpus-served and budget-checked.
     fn candidate_values(
         &self,
         pair: &ColumnPair,
@@ -300,9 +260,10 @@ impl JoinPipeline {
         }
     }
 
-    /// Runs the full pipeline with per-pair fault isolation and an optional
-    /// [`RunBudget`] — the batch layer's per-pair unit of graceful
-    /// degradation:
+    /// Runs the full pipeline — the one phase sequence every caller goes
+    /// through — with per-pair fault isolation, an optional shared
+    /// [`GramCorpus`] for the matcher, and an optional [`RunBudget`]. It is
+    /// the batch layer's per-pair unit of graceful degradation:
     ///
     /// * **Panic containment.** Each phase runs under `catch_unwind`; a
     ///   panicking phase (or a sticky shared-corpus build failure) yields
@@ -315,9 +276,9 @@ impl JoinPipeline {
     ///   selection, and join loop boundaries. A trip yields
     ///   [`PairStatus::TimedOut`] with the phase metrics completed so far.
     /// * **Fault-free equivalence.** When nothing fails and no budget trips,
-    ///   the outcome is bit-identical to [`Self::run`] /
-    ///   [`Self::run_with_corpus`] and the status is [`PairStatus::Ok`] —
-    ///   the guarded path runs the same phase code, not a fork of it.
+    ///   the status is [`PairStatus::Ok`] and the outcome is the same with
+    ///   or without a corpus or a live budget. [`Self::run`] is this call
+    ///   with neither.
     ///
     /// Panics originating *outside* the guarded phases (e.g. a misconfigured
     /// pipeline's validation assertions) still propagate; the batch runner
@@ -868,36 +829,26 @@ mod tests {
     }
 
     #[test]
-    fn guarded_run_matches_unguarded_when_fault_free() {
+    fn unlimited_budget_matches_no_budget() {
         let pair = staff_pair();
-        for threads in [1, 4] {
-            let pipeline =
-                JoinPipeline::new(JoinPipelineConfig::paper_default().with_threads(threads));
-            let plain = pipeline.run(&pair);
-            let guarded = pipeline.run_guarded(&pair, None, None);
-            assert_eq!(guarded.status, PairStatus::Ok);
-            assert_eq!(guarded.outcome.predicted_pairs, plain.predicted_pairs);
-            assert_eq!(guarded.outcome.metrics, plain.metrics);
-            assert_eq!(guarded.outcome.candidate_pairs, plain.candidate_pairs);
-            assert_eq!(
-                guarded.outcome.transformations.transformations,
-                plain.transformations.transformations
-            );
-        }
-    }
-
-    #[test]
-    fn guarded_run_with_unlimited_budget_matches_unguarded() {
-        let pair = staff_pair();
-        let pipeline = JoinPipeline::new(JoinPipelineConfig::paper_default().with_threads(4));
-        let plain = pipeline.run(&pair);
         let budget = RunBudget::unlimited()
             .with_byte_cap(u64::MAX)
             .with_row_cap(u64::MAX);
-        let guarded = pipeline.run_guarded(&pair, None, Some(&budget));
-        assert_eq!(guarded.status, PairStatus::Ok);
-        assert_eq!(guarded.outcome.predicted_pairs, plain.predicted_pairs);
-        assert_eq!(guarded.outcome.metrics, plain.metrics);
+        for threads in [1, 4] {
+            let pipeline =
+                JoinPipeline::new(JoinPipelineConfig::paper_default().with_threads(threads));
+            let plain = pipeline.run_guarded(&pair, None, None);
+            let budgeted = pipeline.run_guarded(&pair, None, Some(&budget));
+            assert_eq!(plain.status, PairStatus::Ok);
+            assert_eq!(budgeted.status, PairStatus::Ok);
+            assert_eq!(budgeted.outcome.predicted_pairs, plain.outcome.predicted_pairs);
+            assert_eq!(budgeted.outcome.metrics, plain.outcome.metrics);
+            assert_eq!(budgeted.outcome.candidate_pairs, plain.outcome.candidate_pairs);
+            assert_eq!(
+                budgeted.outcome.transformations.transformations,
+                plain.outcome.transformations.transformations
+            );
+        }
     }
 
     #[test]

@@ -1,18 +1,17 @@
-//! Acceptance gate for the columnar-arena hot path: matcher, equi-join, and
-//! batch outputs on arena-backed columns must be bit-identical — same pairs,
-//! same order — to the retained `Vec<String>` reference representation at
-//! {1, 2, 4} threads.
+//! Acceptance gate for the columnar-arena hot path: matcher and equi-join
+//! outputs, which scan columns normalized into arenas, must be
+//! bit-identical — same pairs, same order — to the retained `Vec<String>`
+//! reference oracles at {1, 2, 4} threads.
 //!
-//! Four legs:
+//! Three legs:
 //!
-//! * the per-call arena matcher (`find_candidates_arena`) vs
+//! * the matcher without a corpus (`try_find_candidates`, normalizing into
+//!   per-call arenas) vs
 //!   `tjoin_matching::reference::find_candidates_reference` on the same rows;
-//! * the corpus-backed arena matcher (`try_find_candidates_arena` against a
-//!   shared `GramCorpus`) vs the same oracle — and vs the `Vec<String>`
-//!   corpus path, which must intern to the same entries;
+//! * the matcher through a shared `GramCorpus` (the corpus's interned
+//!   arenas) vs the same oracle, with exact intern counters;
 //! * the arena-backed parallel equi-join vs
-//!   `tjoin_join::reference::equi_join_reference`;
-//! * the batch runner over pairs round-tripped through `ArenaPair`.
+//!   `tjoin_join::reference::equi_join_reference`.
 //!
 //! Row shapes reuse the differential-suite mix (multi-byte UTF-8, empties,
 //! sub-`n_min` rows, duplicate fan-out, exact copies, gibberish) — the
@@ -22,7 +21,7 @@
 use proptest::prelude::*;
 use tjoin_datasets::ColumnPair;
 use tjoin_join::reference::equi_join_reference;
-use tjoin_join::{BatchJoinRunner, JoinPipeline, JoinPipelineConfig};
+use tjoin_join::{JoinPipeline, JoinPipelineConfig};
 use tjoin_matching::reference::find_candidates_reference;
 use tjoin_matching::{NGramMatcher, NGramMatcherConfig};
 use tjoin_text::GramCorpus;
@@ -76,7 +75,7 @@ fn join_transformations() -> Vec<Transformation> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The per-call arena matcher is bit-identical to the size-major
+    /// The per-call matcher is bit-identical to the size-major
     /// `Vec<String>` oracle at every thread count.
     #[test]
     fn arena_matcher_matches_reference(
@@ -84,7 +83,6 @@ proptest! {
         cap_raw in 0usize..7,
     ) {
         let pair = build_pair(&specs);
-        let arena_pair = pair.to_arena().expect("test columns fit u32 space");
         let config = NGramMatcherConfig {
             max_matches_per_representative: (cap_raw > 0).then_some(cap_raw),
             ..NGramMatcherConfig::default()
@@ -92,34 +90,31 @@ proptest! {
         let oracle = find_candidates_reference(&config, &pair);
         for threads in [1usize, 2, 4] {
             let matcher = NGramMatcher::new(config.clone().with_threads(threads));
-            let found = matcher.find_candidates_arena(&arena_pair);
+            let found = matcher
+                .try_find_candidates(&pair, None, None)
+                .expect("unbudgeted per-call scan cannot abort");
             prop_assert_eq!(&found, &oracle, "arena matcher diverged at {} threads", threads);
         }
     }
 
-    /// The corpus-backed arena matcher equals the oracle AND the
-    /// `Vec<String>` corpus path: both representations of the same cells
-    /// intern to the same corpus entries and produce identical matches.
+    /// The corpus-served matcher equals the oracle, and interns each
+    /// distinct column exactly once.
     #[test]
-    fn corpus_arena_matcher_matches_reference_and_vec_path(
+    fn corpus_arena_matcher_matches_reference(
         specs in prop::collection::vec((0u8..9, 0u64..1_000_000), 0..20),
     ) {
         let pair = build_pair(&specs);
-        let arena_pair = pair.to_arena().expect("test columns fit u32 space");
         let config = NGramMatcherConfig::default();
         let oracle = find_candidates_reference(&config, &pair);
         for threads in [1usize, 2, 4] {
             let matcher = NGramMatcher::new(config.clone().with_threads(threads));
             let corpus = GramCorpus::new(config.normalize);
-            let via_vec = matcher.find_candidates_in(&pair, &corpus);
-            let via_arena = matcher
-                .try_find_candidates_arena(&arena_pair, Some(&corpus), None)
+            let found = matcher
+                .try_find_candidates(&pair, Some(&corpus), None)
                 .expect("corpus scan succeeds on test data");
-            prop_assert_eq!(&via_vec, &oracle, "vec corpus path diverged at {} threads", threads);
-            prop_assert_eq!(&via_arena, &oracle, "arena corpus path diverged at {} threads", threads);
-            // Same cells through both representations intern to the same
-            // entries: 4 lookups (vec + arena, source + target) against 1
-            // distinct column when source == target by content, else 2.
+            prop_assert_eq!(&found, &oracle, "corpus matcher diverged at {} threads", threads);
+            // 2 lookups (source + target) against 1 distinct column when
+            // source == target by content, else 2.
             let distinct = if tjoin_text::column_fingerprint(&pair.source)
                 == tjoin_text::column_fingerprint(&pair.target)
             {
@@ -129,21 +124,17 @@ proptest! {
             };
             let stats = corpus.stats();
             prop_assert_eq!(stats.columns_interned, distinct);
-            prop_assert_eq!(stats.column_hits, 4 - distinct);
+            prop_assert_eq!(stats.column_hits, 2 - distinct);
         }
     }
 
     /// The arena-backed parallel equi-join is bit-identical to the retained
-    /// owned-string-keyed oracle at every thread count, and `ArenaPair`
-    /// round-trips the column pair it was built from.
+    /// owned-string-keyed oracle at every thread count.
     #[test]
     fn arena_equi_join_matches_reference(
         specs in prop::collection::vec((0u8..9, 0u64..1_000_000), 0..32),
     ) {
         let pair = build_pair(&specs);
-        let arena_pair = pair.to_arena().expect("test columns fit u32 space");
-        prop_assert_eq!(&arena_pair.to_column_pair(), &pair);
-
         let transformations = join_transformations();
         let refs: Vec<&Transformation> = transformations.iter().collect();
         let base = JoinPipelineConfig::paper_default();
@@ -152,34 +143,6 @@ proptest! {
             let pipeline = JoinPipeline::new(base.clone().with_threads(threads));
             let predicted = pipeline.equi_join(&pair, refs.iter().copied());
             prop_assert_eq!(&predicted, &oracle, "equi-join diverged at {} threads", threads);
-        }
-    }
-
-    /// The batch runner over pairs round-tripped through `ArenaPair` is
-    /// thread-invariant and equal to the batch over the original pairs.
-    #[test]
-    fn batch_over_arena_roundtrip_matches_original(
-        specs in prop::collection::vec((0u8..9, 0u64..1_000_000), 1..12),
-    ) {
-        let pair = build_pair(&specs);
-        let roundtripped = pair.to_arena().expect("fits").to_column_pair();
-        let repository = vec![pair, roundtripped];
-        let config = JoinPipelineConfig::paper_default();
-        let baseline = BatchJoinRunner::new(config.clone(), 1).run(&repository);
-        prop_assert_eq!(
-            &baseline.reports[0].outcome.predicted_pairs,
-            &baseline.reports[1].outcome.predicted_pairs
-        );
-        prop_assert_eq!(&baseline.reports[0].outcome.metrics, &baseline.reports[1].outcome.metrics);
-        for threads in [2usize, 4] {
-            let parallel = BatchJoinRunner::new(config.clone(), threads).run(&repository);
-            for (serial, threaded) in baseline.reports.iter().zip(&parallel.reports) {
-                prop_assert_eq!(
-                    &serial.outcome.predicted_pairs, &threaded.outcome.predicted_pairs,
-                    "batch diverged at {} threads", threads
-                );
-                prop_assert_eq!(&serial.outcome.metrics, &threaded.outcome.metrics);
-            }
         }
     }
 }

@@ -14,10 +14,11 @@
 //!   `BatchJoinRunner::run_static` (per-call artifacts, contiguous up-front
 //!   chunks) — at any thread budget on either side.
 //! * **Corpus reuse never changes matches.** The matcher over a shared
-//!   `GramCorpus` (`find_candidates_in`) must be bit-identical — same
-//!   pairs, same order — to its per-call path and to the serial oracle
-//!   `find_candidates_reference`, and its intern/build counters must be
-//!   exact (one normalization per distinct column) and thread-invariant.
+//!   `GramCorpus` (`try_find_candidates` with a corpus) must be
+//!   bit-identical — same pairs, same order — to its per-call path and to
+//!   the serial oracle `find_candidates_reference`, and its intern/build
+//!   counters must be exact (one normalization per distinct column) and
+//!   thread-invariant.
 //!
 //! The `#[ignore]`d test at the bottom is the slow skewed repository-scale
 //! sweep, run in CI via `cargo test -q -p tjoin-join --release -- --ignored`
@@ -187,11 +188,11 @@ proptest! {
             for threads in [1usize, 2, 4] {
                 let matcher = NGramMatcher::new(config.clone().with_threads(threads));
                 prop_assert_eq!(
-                    &matcher.find_candidates_in(pair, &corpus), &oracle,
+                    &matcher.try_find_candidates(pair, Some(&corpus), None).unwrap(), &oracle,
                     "corpus matcher diverged on {} at {} threads", pair.name, threads
                 );
                 prop_assert_eq!(
-                    &matcher.find_candidates(pair), &oracle,
+                    &matcher.try_find_candidates(pair, None, None).unwrap(), &oracle,
                     "per-call matcher diverged on {}", pair.name
                 );
             }

@@ -252,7 +252,7 @@ fn poisoned_locks_recover_to_a_clean_run() {
         .inject(0, FaultSite::CorpusStatsBuild, FaultKind::PoisonLock)
         .inject(1, FaultSite::CorpusColumnBuild, FaultKind::PoisonLock)
         .inject(2, FaultSite::CorpusIndexBuild, FaultKind::PoisonLock);
-    for threads in [2usize, 4] {
+    for threads in [1usize, 2, 4] {
         let run = BatchJoinRunner::new(config.clone(), threads)
             .run_with_faults(&repository, &plan);
         assert_eq!(run.faults.failed_pairs, 0, "at {threads} threads");

@@ -103,7 +103,8 @@ proptest! {
         let oracle = find_candidates_reference(&config, &pair);
         for threads in [1usize, 2, 4] {
             let found = NGramMatcher::new(config.clone().with_threads(threads))
-                .find_candidates(&pair);
+                .try_find_candidates(&pair, None, None)
+                .unwrap();
             prop_assert_eq!(&found, &oracle, "matcher diverged at {} threads", threads);
         }
     }
@@ -200,7 +201,8 @@ fn large_repository_batch_sweep_matches_oracles() {
         let oracle_matches = find_candidates_reference(&matcher_config, pair);
         for threads in [2usize, 4] {
             let found = NGramMatcher::new(matcher_config.clone().with_threads(threads))
-                .find_candidates(pair);
+                .try_find_candidates(pair, None, None)
+                .unwrap();
             assert_eq!(found, oracle_matches, "matcher diverged on {}", pair.name);
         }
 

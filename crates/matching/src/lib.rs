@@ -14,17 +14,19 @@
 //!
 //! # Planned parallel matching
 //!
-//! [`ngram::NGramMatcher::find_candidates`] runs Algorithm 1 as a planned
-//! two-phase scan, following the house pattern of the synthesis core's
-//! parallel coverage engine:
+//! [`ngram::NGramMatcher::try_find_candidates`] runs Algorithm 1 as a
+//! planned two-phase scan, following the house pattern of the synthesis
+//! core's parallel coverage engine. It is the matcher's one production
+//! path: [`ngram::NGramMatcher::try_candidate_value_pairs`] only
+//! materializes its output as strings.
 //!
-//! 1. the shared read-only state — normalized columns, the two
-//!    [`tjoin_text::ColumnStats`] IRF sides, and the target
-//!    [`tjoin_text::NGramIndex`] — is built exactly once, independent of
-//!    thread count; at repository scale,
-//!    [`ngram::NGramMatcher::find_candidates_in`] serves that state from a
-//!    shared [`tjoin_text::GramCorpus`], so a column referenced by several
-//!    pairs is normalized and indexed once for the whole repository;
+//! 1. the shared read-only state — both columns normalized into
+//!    [`tjoin_text::ColumnArena`]s, the two [`tjoin_text::ColumnStats`] IRF
+//!    sides, and the target [`tjoin_text::NGramIndex`] — is built exactly
+//!    once, independent of thread count; at repository scale the caller
+//!    passes a shared [`tjoin_text::GramCorpus`] that serves that state,
+//!    so a column referenced by several pairs is normalized and indexed
+//!    once for the whole repository;
 //! 2. source rows are chunked across [`ngram::NGramMatcherConfig::threads`]
 //!    workers (the `SynthesisConfig::threads` convention), each scanning its
 //!    rows with per-size representative selection fused into one pass per
@@ -38,7 +40,8 @@
 //! in `crates/join/tests/proptest_join.rs` enforces.
 //!
 //! * [`ngram`] — the planned-parallel n-gram matcher and its configuration.
-//! * [`reference`] — the retained serial size-major oracle loop.
+//! * [`reference`] — the retained serial size-major oracle loop, the only
+//!   matcher code that still works on owned `Vec<String>` columns.
 //! * [`golden`] — the oracle matcher backed by a ground-truth mapping (the
 //!   paper's "golden row matching" rows in Tables 2 and 4).
 //! * [`metrics`] — precision / recall / F1 of a candidate pair set against

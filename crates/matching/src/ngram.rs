@@ -10,16 +10,19 @@
 //! # Execution plan
 //!
 //! The scan runs in two phases, mirroring the synthesis core's planned
-//! coverage execution (PR 3):
+//! coverage execution:
 //!
-//! 1. **Shared read-only state, built once.** Both columns are normalized,
-//!    then [`ColumnStats`] for the two IRF sides and the target
-//!    [`NGramIndex`] are constructed a single time and shared by every
-//!    worker — the expensive indexing work is independent of the thread
-//!    count. At repository scale, [`NGramMatcher::find_candidates_in`]
-//!    serves this state from a shared [`GramCorpus`] instead of rebuilding
-//!    it per call, so a column referenced by k pairs derives its
-//!    normalization, stats, and index exactly once.
+//! 1. **Shared read-only state, built once.** Both columns are normalized
+//!    into [`ColumnArena`]s, then [`ColumnStats`] for the two IRF sides and
+//!    the target [`NGramIndex`] are constructed a single time and shared by
+//!    every worker — the expensive indexing work is independent of the
+//!    thread count. At repository scale the caller passes a shared
+//!    [`GramCorpus`] that serves this state instead, so a column referenced
+//!    by k pairs derives its normalization, stats, and index exactly once.
+//!    Either way the same scan runs: [`NGramMatcher::try_find_candidates`]
+//!    is the matcher's one path, and
+//!    [`NGramMatcher::try_candidate_value_pairs`] only materializes its
+//!    output as strings.
 //! 2. **Row-chunked scan.** Source rows are split into contiguous chunks
 //!    across [`NGramMatcherConfig::threads`] workers (the same thread-budget
 //!    convention as `SynthesisConfig::threads`). Each worker scans its rows
@@ -40,11 +43,10 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use tjoin_datasets::{row_id, ArenaPair, ColumnPair};
+use tjoin_datasets::{row_id, ColumnPair};
 use tjoin_text::{
-    chunk_map_rows_budgeted, normalize_for_matching, ArenaError, BudgetExceeded, BudgetToken,
-    CellText, ColumnArena, ColumnStats, CorpusFailure, FxHashSet, GramCorpus, NGramIndex,
-    NormalizeOptions,
+    chunk_map_rows_budgeted, ArenaError, BudgetExceeded, BudgetToken, ColumnArena, ColumnStats,
+    CorpusFailure, FxHashSet, GramCorpus, NGramIndex, NormalizeOptions,
 };
 
 /// Why a fallible matcher call ([`NGramMatcher::try_find_candidates`])
@@ -134,6 +136,12 @@ pub struct RowMatch {
 /// order. Sizes appear in increasing order.
 type RowHits = Vec<(usize, Vec<u32>)>;
 
+/// The cooperative budget check between the matcher's build steps (`Ok`
+/// without a budget).
+fn check(budget: Option<&BudgetToken>) -> Result<(), MatchAbort> {
+    budget.map_or(Ok(()), |token| token.check().map_err(MatchAbort::from))
+}
+
 /// The representative-n-gram row matcher.
 #[derive(Debug, Clone)]
 pub struct NGramMatcher {
@@ -174,46 +182,25 @@ impl NGramMatcher {
     }
 
     /// Runs Algorithm 1: finds candidate joinable row pairs between the
-    /// source and target columns of `pair`, chunking source rows across the
-    /// configured worker threads (see the module docs; output is
-    /// bit-identical to [`crate::reference::find_candidates_reference`] at
-    /// any thread count).
-    pub fn find_candidates(&self, pair: &ColumnPair) -> Vec<RowMatch> {
-        // Invariant is local (audited): `MatchAbort` only arises from a
-        // tripped budget token or a sticky corpus failure, and both inputs
-        // are `None` on this line.
-        self.try_find_candidates(pair, None, None)
-            .expect("matching without a budget or corpus cannot abort")
-    }
-
-    /// [`Self::find_candidates`] over a shared [`GramCorpus`]: the pair's
-    /// columns are interned in (or served from) the corpus, so their
-    /// normalization, [`ColumnStats`], and [`NGramIndex`] are derived once
-    /// per *column* across the whole repository instead of once per call.
+    /// source and target columns of `pair` — the matcher's one scan path.
     ///
-    /// The corpus artifacts are pure functions of the same inputs the
-    /// per-call path uses, so output is bit-identical to
-    /// [`Self::find_candidates`] — and therefore to the reference oracle —
-    /// at any thread count (`crates/join/tests/proptest_batch.rs` enforces
-    /// both equalities). The corpus must normalize exactly as this matcher's
+    /// The scan's read-only artifacts (both normalized columns, the two
+    /// [`ColumnStats`] IRF sides and the target [`NGramIndex`]) are served
+    /// by `corpus` when one is given, so a column referenced by k pairs
+    /// derives them once per repository; without a corpus they are built
+    /// for this call, normalizing straight into a [`ColumnArena`]. Corpus
+    /// artifacts are pure functions of the same inputs, so the output is
+    /// bit-identical either way — and to
+    /// [`crate::reference::find_candidates_reference`] — at any thread
+    /// count. A corpus must normalize exactly as this matcher's
     /// configuration does.
-    pub fn find_candidates_in(&self, pair: &ColumnPair, corpus: &GramCorpus) -> Vec<RowMatch> {
-        self.try_find_candidates(pair, Some(corpus), None)
-            .unwrap_or_else(|abort| panic!("{abort}"))
-    }
-
-    /// The fallible core of [`Self::find_candidates`] /
-    /// [`Self::find_candidates_in`]: runs the same scan — bit-identically
-    /// when it completes — but aborts cleanly with a [`MatchAbort`] instead
-    /// of panicking or hanging when the pair's `budget` trips or a shared
-    /// `corpus` artifact has a sticky build failure. With `corpus = None`
-    /// the per-call artifacts are built directly; with `budget = None`
-    /// nothing is checked and `Ok` is guaranteed absent corpus failures.
     ///
-    /// The budget is checked between the expensive build steps (each
-    /// normalization pass, stats build, and index build) and cooperatively
-    /// inside the row scan, so a tripped deadline stops the pair within one
-    /// build step or row chunk.
+    /// Aborts cleanly with a [`MatchAbort`] instead of panicking or hanging
+    /// when the pair's `budget` trips or a `corpus` artifact has a sticky
+    /// build failure. The budget is checked between the build steps (each
+    /// normalization pass, the stats builds and the index build) and before
+    /// every scanned row, so a tripped deadline stops the pair within one
+    /// build step or row.
     pub fn try_find_candidates(
         &self,
         pair: &ColumnPair,
@@ -221,155 +208,65 @@ impl NGramMatcher {
         budget: Option<&BudgetToken>,
     ) -> Result<Vec<RowMatch>, MatchAbort> {
         pair.assert_row_indexable();
-        let check = |budget: Option<&BudgetToken>| -> Result<(), MatchAbort> {
-            match budget {
-                Some(token) => token.check().map_err(MatchAbort::from),
-                None => Ok(()),
-            }
-        };
         check(budget)?;
         let (n_min, n_max) = (self.config.n_min, self.config.n_max);
+        let (source, target) = (pair.source.as_slice(), pair.target.as_slice());
         if let Some(corpus) = corpus {
-            self.corpus_candidates(pair.source.as_slice(), pair.target.as_slice(), corpus, budget)
+            assert_eq!(
+                corpus.options(),
+                &self.config.normalize,
+                "corpus normalization differs from the matcher configuration"
+            );
+            let source = corpus.try_column_on(source)?;
+            check(budget)?;
+            let target = corpus.try_column_on(target)?;
+            check(budget)?;
+            let source_stats = source.try_stats(n_min, n_max)?;
+            let target_stats = target.try_stats(n_min, n_max)?;
+            check(budget)?;
+            let target_index = target.try_index(n_min, n_max)?;
+            check(budget)?;
+            self.scan_columns(source.normalized(), &source_stats, &target_stats, &target_index, budget)
         } else {
-            // Shared read-only scan state, built once for all workers:
-            // column statistics for IRF on both sides and the inverted
-            // index on the target column for the containment lookup. This
-            // Vec<String> path is the retained reference representation the
-            // arena differential suites compare against.
-            let source: Vec<String> = pair
-                .source
-                .iter()
-                .map(|v| normalize_for_matching(v, &self.config.normalize))
-                .collect();
-            check(budget)?;
-            let target: Vec<String> = pair
-                .target
-                .iter()
-                .map(|v| normalize_for_matching(v, &self.config.normalize))
-                .collect();
-            check(budget)?;
-            let source_stats = ColumnStats::build(&source, n_min, n_max);
-            let target_stats = ColumnStats::build(&target, n_min, n_max);
-            check(budget)?;
-            let target_index = NGramIndex::build(&target, n_min, n_max);
-            check(budget)?;
-            self.scan_columns(source.as_slice(), &source_stats, &target_stats, &target_index, budget)
-                .map_err(MatchAbort::from)
-        }
-    }
-
-    /// [`Self::try_find_candidates`] over an arena-backed pair: columns are
-    /// already in columnar storage, so the corpus interns them without a
-    /// `Vec<String>` detour and the per-call path normalizes straight into
-    /// a fresh arena. Output is bit-identical to the `Vec<String>` path on
-    /// the same cell contents at any thread count (the pair even interns to
-    /// the same corpus entries, since the content fingerprint is storage-
-    /// agnostic).
-    pub fn try_find_candidates_arena(
-        &self,
-        pair: &ArenaPair,
-        corpus: Option<&GramCorpus>,
-        budget: Option<&BudgetToken>,
-    ) -> Result<Vec<RowMatch>, MatchAbort> {
-        let check = |budget: Option<&BudgetToken>| -> Result<(), MatchAbort> {
-            match budget {
-                Some(token) => token.check().map_err(MatchAbort::from),
-                None => Ok(()),
-            }
-        };
-        check(budget)?;
-        let (n_min, n_max) = (self.config.n_min, self.config.n_max);
-        if let Some(corpus) = corpus {
-            self.corpus_candidates(&pair.source, &pair.target, corpus, budget)
-        } else {
-            let arena_abort = |e: ArenaError| {
-                MatchAbort::Corpus(CorpusFailure { artifact: "column", message: e.to_string() })
+            // A column past the arena's u32 capacity fails like the corpus
+            // build of the same artifact would.
+            let arena_abort = |artifact: &'static str, e: ArenaError| {
+                MatchAbort::Corpus(CorpusFailure { artifact, message: e.to_string() })
             };
-            let source = ColumnArena::try_normalized(&pair.source, &self.config.normalize)
-                .map_err(arena_abort)?;
+            let source = ColumnArena::try_normalized(source, &self.config.normalize)
+                .map_err(|e| arena_abort("column", e))?;
             check(budget)?;
-            let target = ColumnArena::try_normalized(&pair.target, &self.config.normalize)
-                .map_err(arena_abort)?;
+            let target = ColumnArena::try_normalized(target, &self.config.normalize)
+                .map_err(|e| arena_abort("column", e))?;
             check(budget)?;
             let source_stats = ColumnStats::build_on(&source, n_min, n_max);
             let target_stats = ColumnStats::build_on(&target, n_min, n_max);
             check(budget)?;
             let target_index = NGramIndex::try_build_on(&target, n_min, n_max)
-                .map_err(|e| MatchAbort::Corpus(CorpusFailure { artifact: "index", message: e.to_string() }))?;
+                .map_err(|e| arena_abort("index", e))?;
             check(budget)?;
             self.scan_columns(&source, &source_stats, &target_stats, &target_index, budget)
-                .map_err(MatchAbort::from)
         }
     }
 
-    /// Infallible [`Self::try_find_candidates_arena`] without a corpus or
-    /// budget (the arena counterpart of [`Self::find_candidates`]).
-    pub fn find_candidates_arena(&self, pair: &ArenaPair) -> Vec<RowMatch> {
-        self.try_find_candidates_arena(pair, None, None)
-            .unwrap_or_else(|abort| panic!("{abort}"))
-    }
-
-    /// The shared corpus-served scan: interns both raw columns (whatever
-    /// their storage), pulls the cached stats/index artifacts, and scans
-    /// the source column's normalized arena. Used by both the
-    /// `Vec<String>`-backed and arena-backed entry points — interning is by
-    /// cell content, so the two representations share entries.
-    fn corpus_candidates<S, T>(
+    /// The planned parallel scan over an already-normalized source arena
+    /// (the corpus's or a per-call one) and prebuilt gram artifacts.
+    /// Workers borrow cell slices out of the shared column; nothing is
+    /// cloned into the scan.
+    fn scan_columns(
         &self,
-        source_raw: &S,
-        target_raw: &T,
-        corpus: &GramCorpus,
-        budget: Option<&BudgetToken>,
-    ) -> Result<Vec<RowMatch>, MatchAbort>
-    where
-        S: CellText + ?Sized,
-        T: CellText + ?Sized,
-    {
-        assert_eq!(
-            corpus.options(),
-            &self.config.normalize,
-            "corpus normalization differs from the matcher configuration"
-        );
-        let check = |budget: Option<&BudgetToken>| -> Result<(), MatchAbort> {
-            match budget {
-                Some(token) => token.check().map_err(MatchAbort::from),
-                None => Ok(()),
-            }
-        };
-        let (n_min, n_max) = (self.config.n_min, self.config.n_max);
-        let source = corpus.try_column_on(source_raw)?;
-        check(budget)?;
-        let target = corpus.try_column_on(target_raw)?;
-        check(budget)?;
-        let source_stats = source.try_stats(n_min, n_max)?;
-        let target_stats = target.try_stats(n_min, n_max)?;
-        check(budget)?;
-        let target_index = target.try_index(n_min, n_max)?;
-        check(budget)?;
-        self.scan_columns(source.normalized(), &source_stats, &target_stats, &target_index, budget)
-            .map_err(MatchAbort::from)
-    }
-
-    /// The planned parallel scan over an already-normalized source column
-    /// (any [`CellText`] storage — the corpus's arena or a per-call
-    /// `Vec<String>`) and prebuilt gram artifacts — the shared core of
-    /// every matcher entry point. Workers borrow cell slices out of the
-    /// shared column; nothing is cloned into the scan.
-    fn scan_columns<C: CellText + ?Sized>(
-        &self,
-        source: &C,
+        source: &ColumnArena,
         source_stats: &ColumnStats,
         target_stats: &ColumnStats,
         target_index: &NGramIndex,
         budget: Option<&BudgetToken>,
-    ) -> Result<Vec<RowMatch>, BudgetExceeded> {
+    ) -> Result<Vec<RowMatch>, MatchAbort> {
         // Contiguous row chunks across the thread budget, concatenated in
         // order — the per-row sequence is the serial scan's at any budget.
         // The budget (deadline only; caps are charged at admission) is
         // checked before every row, aborting the whole scan on a trip.
         let per_row: Vec<RowHits> =
-            chunk_map_rows_budgeted(source.cell_count(), self.config.threads, budget, |row| {
+            chunk_map_rows_budgeted(source.len(), self.config.threads, budget, |row| {
                 self.scan_row(source.cell(row), source_stats, target_stats, target_index)
             })?;
 
@@ -447,27 +344,10 @@ impl NGramMatcher {
         hits
     }
 
-    /// Materializes candidate pairs as (source value, target value) strings —
-    /// the input format of the synthesis engine. Values are the *original*
-    /// (un-normalized) cell contents; the engine applies its own
-    /// normalization.
-    pub fn candidate_value_pairs(&self, pair: &ColumnPair) -> Vec<(String, String)> {
-        Self::materialize_pairs(pair, self.find_candidates(pair))
-    }
-
-    /// [`Self::candidate_value_pairs`] over a shared [`GramCorpus`] (see
-    /// [`Self::find_candidates_in`]).
-    pub fn candidate_value_pairs_in(
-        &self,
-        pair: &ColumnPair,
-        corpus: &GramCorpus,
-    ) -> Vec<(String, String)> {
-        Self::materialize_pairs(pair, self.find_candidates_in(pair, corpus))
-    }
-
-    /// Fallible [`Self::candidate_value_pairs`] /
-    /// [`Self::candidate_value_pairs_in`] over an optional corpus and
-    /// budget (see [`Self::try_find_candidates`]).
+    /// [`Self::try_find_candidates`] materialized as (source value, target
+    /// value) strings — the input format of the synthesis engine. Values are
+    /// the *original* (un-normalized) cell contents; the engine applies its
+    /// own normalization.
     pub fn try_candidate_value_pairs(
         &self,
         pair: &ColumnPair,
@@ -499,6 +379,20 @@ mod tests {
     use super::*;
     use crate::reference::find_candidates_reference;
 
+    /// The matcher without a corpus or budget, which cannot abort.
+    fn candidates(matcher: &NGramMatcher, pair: &ColumnPair) -> Vec<RowMatch> {
+        matcher.try_find_candidates(pair, None, None).unwrap()
+    }
+
+    /// The matcher through `corpus`, without a budget.
+    fn corpus_candidates(
+        matcher: &NGramMatcher,
+        pair: &ColumnPair,
+        corpus: &GramCorpus,
+    ) -> Vec<RowMatch> {
+        matcher.try_find_candidates(pair, Some(corpus), None).unwrap()
+    }
+
     fn staff_pair() -> ColumnPair {
         ColumnPair::aligned(
             "staff",
@@ -524,7 +418,7 @@ mod tests {
     #[test]
     fn finds_the_true_pairs_on_the_paper_example() {
         let matcher = NGramMatcher::with_defaults();
-        let found = matcher.find_candidates(&staff_pair());
+        let found = candidates(&matcher, &staff_pair());
         // Every golden pair must be among the candidates (high recall).
         for i in 0..6u32 {
             assert!(
@@ -554,7 +448,7 @@ mod tests {
             ],
         );
         let matcher = NGramMatcher::with_defaults();
-        let found = matcher.find_candidates(&pair);
+        let found = candidates(&matcher, &pair);
         let false_matches = found
             .iter()
             .filter(|m| m.source_row != m.target_row)
@@ -571,13 +465,13 @@ mod tests {
             vec!["cccccc".into(), "dddddd".into()],
         );
         let matcher = NGramMatcher::with_defaults();
-        assert!(matcher.find_candidates(&pair).is_empty());
+        assert!(candidates(&matcher, &pair).is_empty());
     }
 
     #[test]
     fn value_pairs_use_original_strings() {
         let matcher = NGramMatcher::with_defaults();
-        let values = matcher.candidate_value_pairs(&staff_pair());
+        let values = matcher.try_candidate_value_pairs(&staff_pair(), None, None).unwrap();
         assert!(values
             .iter()
             .any(|(s, t)| s == "Rafiei, Davood" && t == "D Rafiei"));
@@ -607,15 +501,15 @@ mod tests {
             max_matches_per_representative: Some(1),
             ..NGramMatcherConfig::default()
         });
-        assert!(capped.find_candidates(&pair).is_empty());
+        assert!(candidates(&capped, &pair).is_empty());
         let uncapped = NGramMatcher::with_defaults();
-        assert_eq!(uncapped.find_candidates(&pair).len(), 4);
+        assert_eq!(candidates(&uncapped, &pair).len(), 4);
     }
 
     #[test]
     fn duplicate_pairs_not_reported_twice() {
         let matcher = NGramMatcher::with_defaults();
-        let found = matcher.find_candidates(&staff_pair());
+        let found = candidates(&matcher, &staff_pair());
         let set: std::collections::HashSet<(u32, u32)> = found
             .iter()
             .map(|m| (m.source_row, m.target_row))
@@ -633,9 +527,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_scan_bit_identical_to_reference() {
-        // Enough rows that 2 and 4 workers chunk differently; duplicated
-        // and empty values exercise the dedup and short-row paths.
+    fn every_path_bit_identical_to_reference() {
+        // The one scan, per-call and corpus-served, at several thread
+        // counts, against the serial oracle. The synthetic pair has enough
+        // rows that 2 and 4 workers chunk differently; its duplicated and
+        // empty values exercise the dedup and short-row paths.
         let mut source: Vec<String> = Vec::new();
         let mut target: Vec<String> = Vec::new();
         for i in 0..37 {
@@ -646,19 +542,35 @@ mod tests {
         target.push("orphan value".into());
         source.push("ab".into()); // shorter than n_min = 4
         target.push("f00 lastname00".into()); // duplicate target value
-        let pair = ColumnPair::aligned("par", source, target);
+        let synthetic = ColumnPair::aligned("par", source, target);
 
         let config = NGramMatcherConfig::default();
-        let oracle = find_candidates_reference(&config, &pair);
-        for threads in [1usize, 2, 3, 4, 16] {
-            let matcher = NGramMatcher::new(config.clone().with_threads(threads));
-            assert_eq!(
-                matcher.find_candidates(&pair),
-                oracle,
-                "diverged at {threads} threads"
-            );
+        for pair in [staff_pair(), synthetic] {
+            let oracle = find_candidates_reference(&config, &pair);
+            assert!(!oracle.is_empty());
+            let corpus = GramCorpus::new(config.normalize);
+            for threads in [1usize, 2, 4] {
+                let matcher = NGramMatcher::new(config.clone().with_threads(threads));
+                assert_eq!(
+                    candidates(&matcher, &pair),
+                    oracle,
+                    "per-call path diverged on {} at {threads} threads",
+                    pair.name
+                );
+                assert_eq!(
+                    corpus_candidates(&matcher, &pair, &corpus),
+                    oracle,
+                    "corpus path diverged on {} at {threads} threads",
+                    pair.name
+                );
+            }
+            // Both columns interned once, served from cache afterwards.
+            let stats = corpus.stats();
+            assert_eq!(stats.columns_interned, 2);
+            assert_eq!(stats.column_hits, 4);
+            assert_eq!(stats.stats_built, 2);
+            assert_eq!(stats.indexes_built, 1);
         }
-        assert!(!oracle.is_empty());
     }
 
     #[test]
@@ -672,7 +584,7 @@ mod tests {
         for threads in [1usize, 4] {
             let matcher =
                 NGramMatcher::new(NGramMatcherConfig::default().with_threads(threads));
-            assert!(matcher.find_candidates(&pair).is_empty());
+            assert!(candidates(&matcher, &pair).is_empty());
         }
     }
 
@@ -687,7 +599,7 @@ mod tests {
         for threads in [1usize, 4] {
             let matcher =
                 NGramMatcher::new(NGramMatcherConfig::default().with_threads(threads));
-            assert!(matcher.find_candidates(&pair).is_empty());
+            assert!(candidates(&matcher, &pair).is_empty());
         }
     }
 
@@ -700,7 +612,7 @@ mod tests {
         );
         let config = NGramMatcherConfig::default(); // n_min = 4
         let oracle = find_candidates_reference(&config, &pair);
-        let found = NGramMatcher::new(config.clone().with_threads(4)).find_candidates(&pair);
+        let found = candidates(&NGramMatcher::new(config.clone().with_threads(4)), &pair);
         assert_eq!(found, oracle);
         // Only the one long row can produce a representative.
         assert!(found.iter().all(|m| m.source_row == 3));
@@ -724,33 +636,12 @@ mod tests {
         };
         let oracle = find_candidates_reference(&config, &pair);
         for threads in [1usize, 2, 4] {
-            let found = NGramMatcher::new(config.clone().with_threads(threads))
-                .find_candidates(&pair);
+            let found =
+                candidates(&NGramMatcher::new(config.clone().with_threads(threads)), &pair);
             assert_eq!(found, oracle);
             assert!(found.iter().all(|m| m.source_row == 1), "{found:?}");
             assert!(!found.is_empty());
         }
-    }
-
-    #[test]
-    fn corpus_scan_bit_identical_to_per_call_path() {
-        // The same pairs through a shared corpus and through the per-call
-        // path must match the reference exactly, at several thread counts.
-        let pair = staff_pair();
-        let config = NGramMatcherConfig::default();
-        let oracle = find_candidates_reference(&config, &pair);
-        let corpus = GramCorpus::new(config.normalize);
-        for threads in [1usize, 2, 4] {
-            let matcher = NGramMatcher::new(config.clone().with_threads(threads));
-            assert_eq!(matcher.find_candidates_in(&pair, &corpus), oracle);
-            assert_eq!(matcher.find_candidates(&pair), oracle);
-        }
-        // Both columns interned once, served from cache afterwards.
-        let stats = corpus.stats();
-        assert_eq!(stats.columns_interned, 2);
-        assert_eq!(stats.column_hits, 4);
-        assert_eq!(stats.stats_built, 2);
-        assert_eq!(stats.indexes_built, 1);
     }
 
     #[test]
@@ -774,8 +665,8 @@ mod tests {
         for (i, target) in targets.iter().enumerate() {
             let pair = ColumnPair::aligned(format!("shared-{i}"), shared_source.clone(), target.clone());
             assert_eq!(
-                matcher.find_candidates_in(&pair, &corpus),
-                matcher.find_candidates(&pair),
+                corpus_candidates(&matcher, &pair, &corpus),
+                candidates(&matcher, &pair),
                 "pair {i} diverged through the corpus"
             );
         }
@@ -793,35 +684,6 @@ mod tests {
     }
 
     #[test]
-    fn arena_pair_bit_identical_to_vec_pair() {
-        // The arena-backed entry points (per-call and corpus-served) must
-        // reproduce the Vec<String> path exactly — same pairs, same order —
-        // at every thread count.
-        let pair = staff_pair();
-        let arena = pair.to_arena().unwrap();
-        let config = NGramMatcherConfig::default();
-        let oracle = find_candidates_reference(&config, &pair);
-        let corpus = GramCorpus::new(config.normalize);
-        for threads in [1usize, 2, 4] {
-            let matcher = NGramMatcher::new(config.clone().with_threads(threads));
-            assert_eq!(
-                matcher.find_candidates_arena(&arena),
-                oracle,
-                "per-call arena path diverged at {threads} threads"
-            );
-            assert_eq!(
-                matcher.try_find_candidates_arena(&arena, Some(&corpus), None).unwrap(),
-                oracle,
-                "corpus arena path diverged at {threads} threads"
-            );
-        }
-        // Arena and Vec columns share corpus entries (content interning).
-        let matcher = NGramMatcher::new(config.clone());
-        assert_eq!(matcher.find_candidates_in(&pair, &corpus), oracle);
-        assert_eq!(corpus.stats().columns_interned, 2);
-    }
-
-    #[test]
     fn stats_built_once_per_interned_column_across_repeated_scans() {
         // Satellite regression (PR 4 caveat): repeated batch scans through
         // a corpus must NOT rebuild stats strings per call. The corpus
@@ -831,9 +693,9 @@ mod tests {
         let config = NGramMatcherConfig::default();
         let matcher = NGramMatcher::new(config.clone());
         let corpus = GramCorpus::new(config.normalize);
-        let first = matcher.find_candidates_in(&pair, &corpus);
+        let first = corpus_candidates(&matcher, &pair, &corpus);
         for round in 0..5 {
-            assert_eq!(matcher.find_candidates_in(&pair, &corpus), first, "round {round}");
+            assert_eq!(corpus_candidates(&matcher, &pair, &corpus), first, "round {round}");
         }
         let stats = corpus.stats();
         // 2 distinct columns → exactly 2 stats builds and 1 target index
@@ -853,7 +715,7 @@ mod tests {
     fn corpus_with_mismatched_normalization_rejected() {
         let corpus = GramCorpus::new(NormalizeOptions::none());
         let matcher = NGramMatcher::with_defaults(); // default normalize
-        let _ = matcher.find_candidates_in(&staff_pair(), &corpus);
+        let _ = corpus_candidates(&matcher, &staff_pair(), &corpus);
     }
 
     #[test]
@@ -868,7 +730,7 @@ mod tests {
         };
         let config = NGramMatcherConfig::default();
         let oracle = find_candidates_reference(&config, &pair);
-        let found = NGramMatcher::new(config.clone().with_threads(4)).find_candidates(&pair);
+        let found = candidates(&NGramMatcher::new(config.clone().with_threads(4)), &pair);
         assert_eq!(found, oracle);
         let targets: Vec<u32> = found.iter().map(|m| m.target_row).collect();
         assert_eq!(targets, vec![0, 1, 2]);
@@ -882,7 +744,7 @@ mod tests {
             let matcher = NGramMatcher::new(NGramMatcherConfig::default().with_threads(threads));
             assert_eq!(
                 matcher.try_find_candidates(&pair, None, Some(&budget)).unwrap(),
-                matcher.find_candidates(&pair),
+                candidates(&matcher, &pair),
                 "diverged at {threads} threads"
             );
         }

@@ -1,18 +1,18 @@
 //! The retained serial row-matching oracle.
 //!
-//! This is the pre-parallel `NGramMatcher::find_candidates` loop, kept
-//! verbatim as the differential oracle for the planned parallel scan in
-//! [`crate::ngram`]: size-major iteration (n-gram sizes outer, source rows
-//! inner), per-size re-extraction of the row's n-grams, and a global
-//! seen-set dedup in discovery order. The parallel matcher must produce
-//! bit-identical, identically ordered [`RowMatch`] output at any thread
-//! count; `crates/join/tests/proptest_join.rs` holds it to that.
+//! This is the pre-parallel matcher loop, kept verbatim as the
+//! differential oracle for the planned parallel scan in [`crate::ngram`]:
+//! size-major iteration (n-gram sizes outer, source rows inner), per-size
+//! re-extraction of the row's n-grams, and a global seen-set dedup in
+//! discovery order. It is also the one place the matcher still normalizes
+//! into owned `Vec<String>` columns. `NGramMatcher::try_find_candidates`
+//! must produce bit-identical, identically ordered [`RowMatch`] output at
+//! any thread count; `crates/join/tests/proptest_join.rs` holds it to that.
 //!
 //! The oracle deliberately re-derives every per-call artifact — it never
 //! reads a shared `GramCorpus` — so it also anchors the corpus-reuse
-//! differentials: `NGramMatcher::find_candidates_in` over interned columns
-//! must reproduce this function's output exactly
-//! (`crates/join/tests/proptest_batch.rs`).
+//! differentials: the matcher over interned columns must reproduce this
+//! function's output exactly (`crates/join/tests/proptest_batch.rs`).
 
 use crate::ngram::{NGramMatcherConfig, RowMatch};
 use tjoin_datasets::{row_id, ColumnPair};
@@ -96,7 +96,7 @@ mod tests {
         );
         let config = NGramMatcherConfig::default();
         let reference = find_candidates_reference(&config, &pair);
-        let production = NGramMatcher::new(config).find_candidates(&pair);
+        let production = NGramMatcher::new(config).try_find_candidates(&pair, None, None).unwrap();
         assert_eq!(reference, production);
         assert!(!reference.is_empty());
     }

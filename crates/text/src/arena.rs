@@ -26,11 +26,12 @@
 //!
 //! # Who builds arenas
 //!
-//! Ingest owns arena construction: `tjoin-datasets` materializes raw
-//! columns into arenas once (`ColumnPair::to_arena` / `Table::column_arena`
-//! there), and the corpus builds one *normalized* arena per interned column
-//! ([`try_push_normalized`] streams [`normalize_append`] straight into the
-//! buffer — no per-cell scratch `String`). Everything downstream — stats,
+//! Normalization owns arena construction: the corpus builds one
+//! *normalized* arena per interned column, and the per-call matcher and
+//! equi-join build one per column they scan ([`try_push_normalized`]
+//! streams [`normalize_append`] straight into the buffer — no per-cell
+//! scratch `String`). Raw cells stay in the dataset's `Vec<String>`
+//! columns, which implement [`CellText`] too. Everything downstream — stats,
 //! index, matcher scan, equi-join probes — borrows `&str` slices out of the
 //! arena and never copies cell text.
 //!

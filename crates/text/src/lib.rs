@@ -21,9 +21,9 @@
 //!   [`ArenaError`] (and as a sticky [`CorpusFailure`] when detected inside
 //!   a corpus build), never as a silently wrapped cast.
 //!
-//! **Ownership:** ingest builds arenas. `tjoin-datasets` materializes raw
-//! columns once (`ColumnPair::to_arena`), and [`GramCorpus`] builds the
-//! *normalized* arena for each interned column by streaming
+//! **Ownership:** normalization builds arenas. [`GramCorpus`] builds the
+//! *normalized* arena for each interned column, and the per-call matcher
+//! and equi-join build theirs the same way, by streaming
 //! [`normalize_append`] straight into the buffer — zero per-cell
 //! allocations. **Borrowing:** scan workers receive `&ColumnArena` (or any
 //! [`CellText`] implementor) and slice cells on demand; nothing on the hot

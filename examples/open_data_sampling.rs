@@ -24,7 +24,9 @@ fn main() {
 
     // Step 1: row matching — expect a huge candidate set with low precision.
     let matcher = NGramMatcher::with_defaults();
-    let candidates = matcher.find_candidates(&pair);
+    let candidates = matcher
+        .try_find_candidates(&pair, None, None)
+        .expect("matching without a budget or corpus cannot abort");
     let metrics = tabjoin::matching::evaluate_pairs(&candidates, &pair.golden);
     println!(
         "n-gram matching: {} candidate pairs, precision {:.3}, recall {:.3}",

@@ -54,7 +54,9 @@ fn main() {
 
     println!("== Step 1: candidate joinable row pairs (Algorithm 1) ==");
     let matcher = NGramMatcher::with_defaults();
-    let candidates = matcher.candidate_value_pairs(&columns);
+    let candidates = matcher
+        .try_candidate_value_pairs(&columns, None, None)
+        .expect("matching without a budget or corpus cannot abort");
     for (s, t) in &candidates {
         println!("  {s:<28} ~  {t}");
     }

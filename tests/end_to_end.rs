@@ -108,7 +108,7 @@ fn ngram_matching_feeds_synthesis() {
     let dataset = SyntheticConfig::synth(50).generate(19);
     let pair = dataset.column_pair();
     let matcher = NGramMatcher::with_defaults();
-    let candidates = matcher.find_candidates(&pair);
+    let candidates = matcher.try_find_candidates(&pair, None, None).unwrap();
     let metrics = tabjoin::matching::evaluate_pairs(&candidates, &pair.golden);
     assert!(metrics.recall > 0.7, "recall {:?}", metrics);
 
@@ -173,7 +173,7 @@ fn open_data_sampling_recovery() {
     // A scaled-down open-data pair: the generator keeps the skew at any size.
     let small = tabjoin::datasets::realistic::open_data(1, 500).column_pair();
     let matcher = NGramMatcher::with_defaults();
-    let candidates = matcher.find_candidates(&small);
+    let candidates = matcher.try_find_candidates(&small, None, None).unwrap();
     let metrics = tabjoin::matching::evaluate_pairs(&candidates, &small.golden);
     assert!(
         metrics.recall > 0.8,
