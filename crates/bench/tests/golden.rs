@@ -1,0 +1,41 @@
+//! Golden paper outputs: the quick-scale Table 1 and Table 4 reports, at the
+//! seed their binaries use, must render exactly as the files checked in under
+//! `tests/golden/`. Neither report has a timing column. Table 2 and Table 3
+//! are left out: their Auto-Join columns and `*` markers depend on a
+//! wall-clock budget, so two runs of the same code can differ.
+//!
+//! A change that moves one of these numbers on purpose regenerates the file
+//! from the binary (`cargo run --release -q -p tjoin-bench --bin table4 >
+//! crates/bench/tests/golden/table4.txt`) and says why in CHANGES.md.
+//!
+//! Slow in a debug build: run with `cargo test -p tjoin-bench --release --
+//! --ignored`.
+
+use tjoin_bench::experiments::{table1, table4};
+use tjoin_bench::Scale;
+
+/// The seed the `table1`..`table4` binaries pass.
+const SEED: u64 = 42;
+
+fn assert_golden(name: &str, rendered: &str) {
+    let path = format!("{}/tests/golden/{name}.txt", env!("CARGO_MANIFEST_DIR"));
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    // The binary prints the report plus one newline; either form matches.
+    assert_eq!(
+        rendered.trim_end(),
+        golden.trim_end(),
+        "{name} differs from {path}"
+    );
+}
+
+#[test]
+#[ignore = "runs the quick-scale Table 1 experiment; run with --release -- --ignored"]
+fn table1_matches_golden() {
+    assert_golden("table1", &table1::run(Scale::Quick, SEED).render());
+}
+
+#[test]
+#[ignore = "runs the quick-scale Table 4 experiment; run with --release -- --ignored"]
+fn table4_matches_golden() {
+    assert_golden("table4", &table4::run(Scale::Quick, SEED).render());
+}

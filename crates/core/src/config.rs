@@ -63,7 +63,7 @@ pub struct SynthesisConfig {
     /// No effect: the single-valued residue of the retired coverage-axis
     /// knob (see [`CoverageAxis`]).
     pub coverage_axis: CoverageAxis,
-    /// How many of the highest-coverage transformations to report.
+    /// No effect: the best transformation is the covering set's first pick.
     pub top_k: usize,
 }
 
@@ -158,7 +158,6 @@ impl SynthesisConfig {
         assert!(self.max_skeletons_per_row >= 1);
         assert!(self.max_units_per_placeholder >= 1);
         assert!(self.max_transformations_per_row >= 1);
-        assert!(self.top_k >= 1, "top_k must be >= 1");
         if let Some(s) = self.sample_size {
             assert!(s >= 2, "sample_size must be at least 2 (see Section 5.3)");
         }

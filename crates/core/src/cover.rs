@@ -1,5 +1,5 @@
-//! Solution assembly: top-k selection and greedy minimal set cover
-//! (Section 4.1.6 of the paper).
+//! Solution assembly: greedy minimal set cover (Section 4.1.6 of the paper),
+//! whose first pick is the single best transformation ("Top Cov.").
 //!
 //! Finding a minimal covering set of transformations is the classic set-cover
 //! problem (NP-complete); the greedy algorithm used here repeatedly selects
@@ -108,7 +108,9 @@ pub fn filter_candidates(
 }
 
 /// The `k` transformations with the largest coverage, ties broken toward
-/// fewer units and then lexicographically (for determinism).
+/// fewer units, then lexicographically, then by input order (stable sort).
+/// Off the engine path, whose best transformation is [`lazy_greedy_cover`]'s
+/// first pick; kept as that identity's oracle and for perfbench's trace.
 pub fn top_k(candidates: &[ScoredTransformation], k: usize) -> Vec<CoveredTransformation> {
     let mut sorted: Vec<&ScoredTransformation> = candidates.iter().collect();
     sorted.sort_by(|a, b| {

@@ -2,9 +2,7 @@
 
 use crate::bitmap::RowBitmap;
 use crate::config::SynthesisConfig;
-use crate::cover::{
-    lazy_greedy_cover_budgeted, min_rows_for_support, top_k, ScoredTransformation,
-};
+use crate::cover::{lazy_greedy_cover_budgeted, min_rows_for_support, ScoredTransformation};
 use crate::coverage::compute_coverage_planned_budgeted;
 use crate::generate::generate_transformations;
 use crate::pair::PairSet;
@@ -12,14 +10,14 @@ use crate::sampling::sample_indices;
 use crate::stats::{PhaseTimings, SynthesisStats};
 use std::time::Instant;
 use tjoin_text::{fault, BudgetExceeded, BudgetToken, FaultSite};
-use tjoin_units::{CoveredTransformation, TransformationSet};
+use tjoin_units::TransformationSet;
 
 /// The result of a synthesis run.
 #[derive(Debug, Clone)]
 pub struct SynthesisResult {
-    /// The `top_k` transformations by individual coverage ("Top Cov." view).
-    pub top: Vec<CoveredTransformation>,
-    /// The greedy minimal covering set ("Coverage" / "#Trans." view).
+    /// The greedy minimal covering set ("Coverage" / "#Trans." view). Its
+    /// first pick, [`TransformationSet::best`], is the single transformation
+    /// with the largest coverage ("Top Cov." view).
     pub cover: TransformationSet,
     /// Statistics and timings of the run.
     pub stats: SynthesisStats,
@@ -28,13 +26,7 @@ pub struct SynthesisResult {
 impl SynthesisResult {
     /// Coverage fraction of the single best transformation.
     pub fn top_coverage(&self) -> f64 {
-        if self.stats.pairs_used == 0 {
-            return 0.0;
-        }
-        self.top
-            .first()
-            .map(|t| t.coverage() as f64 / self.stats.pairs_used as f64)
-            .unwrap_or(0.0)
+        self.cover.top_coverage()
     }
 
     /// Coverage fraction of the covering set.
@@ -156,7 +148,8 @@ impl SynthesisEngine {
                 covered: RowBitmap::from_sorted_rows(rows_used, &rows),
             })
             .collect();
-        let top = top_k(&candidates, self.config.top_k);
+        // Free the now-dead id form so greedy's allocations can reuse it.
+        drop((generation.transformations, generation.pool));
         let cover = lazy_greedy_cover_budgeted(candidates, rows_used, budget)?;
         let cover_selection = select_start.elapsed();
 
@@ -177,7 +170,7 @@ impl SynthesisEngine {
             },
         };
 
-        Ok(SynthesisResult { top, cover, stats })
+        Ok(SynthesisResult { cover, stats })
     }
 }
 
@@ -208,7 +201,7 @@ mod tests {
         assert!((result.set_coverage() - 1.0).abs() < 1e-9);
         assert_eq!(result.cover.len(), 1, "cover: {}", result.cover);
         // The discovered rule must generalize to an unseen row.
-        let t = &result.top[0].transformation;
+        let t = &result.cover.best().unwrap().transformation;
         assert_eq!(
             t.apply("prus-czarnecki, andrzej").as_deref(),
             Some("a prus-czarnecki")
@@ -242,7 +235,7 @@ mod tests {
         ];
         let result = engine().discover_from_strings(&rows);
         assert!((result.set_coverage() - 1.0).abs() < 1e-9, "{}", result.cover);
-        let t = &result.top[0].transformation;
+        let t = &result.cover.best().unwrap().transformation;
         assert_eq!(t.apply("(825) 406-4565").as_deref(), Some("+1 825 406 4565"));
     }
 
@@ -275,7 +268,7 @@ mod tests {
         assert_eq!(result.stats.pairs_used, 20);
         assert!((result.top_coverage() - 1.0).abs() < 1e-9);
         // The rule discovered on the sample generalizes to the full input.
-        let t = &result.top[0].transformation;
+        let t = &result.cover.best().unwrap().transformation;
         assert_eq!(t.apply("user999, person").as_deref(), Some("p user999"));
     }
 
@@ -366,8 +359,8 @@ mod tests {
     fn empty_input_produces_empty_result() {
         let rows: Vec<(String, String)> = Vec::new();
         let result = engine().discover_from_strings(&rows);
-        assert!(result.top.is_empty());
         assert!(result.cover.is_empty());
+        assert!(result.cover.best().is_none());
         assert_eq!(result.top_coverage(), 0.0);
         assert_eq!(result.set_coverage(), 0.0);
     }

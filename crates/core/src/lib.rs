@@ -21,8 +21,8 @@
 //! 5. **Coverage with eager filtering** ([`coverage`]): every surviving
 //!    transformation is applied to every pair, skipping rows whose
 //!    non-covering-unit cache already rules the transformation out.
-//! 6. **Solution assembly** ([`cover`]): the top-k transformations by
-//!    coverage and a greedy minimal covering set (Section 4.1.6).
+//! 6. **Solution assembly** ([`cover`]): the greedy minimal covering set
+//!    (Section 4.1.6); its first pick is the "Top Cov." transformation.
 //!
 //! The [`engine::SynthesisEngine`] ties the phases together, records
 //! per-phase timings and pruning statistics ([`stats`]) used by the paper's
@@ -107,7 +107,7 @@
 //! let engine = SynthesisEngine::new(SynthesisConfig::default());
 //! let result = engine.discover_from_strings(&pairs);
 //! assert!(result.cover.set_coverage() >= 0.99);
-//! let best = result.top.first().expect("a transformation was found");
+//! let best = result.cover.best().expect("a transformation was found");
 //! assert_eq!(best.coverage(), 3);
 //! ```
 

@@ -20,7 +20,7 @@ pub struct PhaseTimings {
     pub duplicate_removal: Duration,
     /// Applying transformations to all rows ("Applying Trans.").
     pub applying_transformations: Duration,
-    /// Top-k / greedy-cover selection (small; not plotted by the paper).
+    /// Selection: support filter, densify and greedy cover (not plotted).
     pub cover_selection: Duration,
 }
 

@@ -6,12 +6,15 @@
 //! counts, overlapping coverage patterns, tie-heavy pools (identical gains,
 //! identical tie keys), and empty/full bitmaps.
 //!
+//! It also pins the identity the engine's "Top Cov." view rests on: the
+//! cover's first pick is `top_k(.., 1)`'s head, covered rows included.
+//!
 //! The `#[ignore]`d tests at the bottom are the slow large-pool leg of the
 //! suite, run in CI via `cargo test -p tjoin-core -- --ignored`.
 
 use proptest::prelude::*;
 use tjoin_core::cover::reference::greedy_cover_reference;
-use tjoin_core::cover::{filter_candidates, lazy_greedy_cover, ScoredTransformation};
+use tjoin_core::cover::{filter_candidates, lazy_greedy_cover, top_k, ScoredTransformation};
 use tjoin_core::RowBitmap;
 use tjoin_units::{Transformation, TransformationSet, Unit};
 
@@ -82,8 +85,25 @@ fn assert_identical(lazy: &TransformationSet, oracle: &TransformationSet) {
     assert_eq!(render(lazy), render(oracle), "selected sets diverged");
 }
 
+/// The engine's best transformation is the cover's first pick. Over the
+/// engine's domain (every candidate covers at least one row), round 0 of
+/// lazy greedy orders by (coverage, fewer units, rendering, input index),
+/// which is `top_k`'s stable-sort order, so the two heads are equal.
+fn check_first_pick(rows: usize, pool: Vec<ScoredTransformation>) {
+    let pool: Vec<ScoredTransformation> =
+        pool.into_iter().filter(|c| !c.covered.is_empty()).collect();
+    let top = top_k(&pool, 1);
+    let cover = lazy_greedy_cover(pool, rows);
+    assert_eq!(
+        cover.transformations.first(),
+        top.first(),
+        "first pick diverged from top_k"
+    );
+}
+
 fn check_pool(rows: usize, specs: &[(u8, u64)]) {
     let pool = build_pool(rows, specs);
+    check_first_pick(rows, pool.clone());
     let lazy = lazy_greedy_cover(pool.clone(), rows);
     let oracle = greedy_cover_reference(pool, rows);
     assert_identical(&lazy, &oracle);
@@ -143,6 +163,43 @@ proptest! {
         let oracle = greedy_cover_reference(filtered, rows);
         assert_identical(&lazy, &oracle);
     }
+}
+
+/// A first-round tie group far above the cover's intern threshold (256), so
+/// the interned rank decides the first pick, with exact duplicates of every
+/// rendering that cover different rows, so the input-order leg decides
+/// between them and shows in the covered rows.
+#[test]
+fn first_pick_matches_top_k_above_intern_threshold() {
+    let rows = 64usize;
+    // 600 one-unit candidates: every rendering repeats across the four
+    // equal-sized row blocks (gain 16 each), so all 600 tie on (gain, len).
+    let pool: Vec<ScoredTransformation> = (0..600u64)
+        .map(|i| ScoredTransformation {
+            transformation: transformation_from(12 * (i / 4 % 50)),
+            covered: RowBitmap::from_rows(
+                rows,
+                &(0..rows as u32)
+                    .filter(|r| u64::from(r % 4) == (i * 3 + i / 7) % 4)
+                    .collect::<Vec<_>>(),
+            ),
+        })
+        .collect();
+    assert!(pool
+        .iter()
+        .all(|c| c.transformation.len() == 1 && c.covered.count_ones() == 16));
+    let best = top_k(&pool, 1).remove(0);
+    let duplicates: Vec<&ScoredTransformation> = pool
+        .iter()
+        .filter(|c| c.transformation == best.transformation)
+        .collect();
+    assert!(
+        duplicates
+            .iter()
+            .any(|c| c.covered.to_vec() != best.covered_rows),
+        "the winning rendering must have duplicates covering other rows"
+    );
+    check_first_pick(rows, pool);
 }
 
 // --- Slow differential leg (CI: `cargo test -p tjoin-core -- --ignored`) ---

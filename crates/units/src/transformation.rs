@@ -5,6 +5,7 @@ use crate::charstr::CharStr;
 use crate::error::UnitError;
 use crate::unit::{Unit, UnitKind};
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
 use std::fmt;
 
 /// A transformation is a sequence of [`Unit`]s; applying it to an input
@@ -257,11 +258,13 @@ impl TransformationSet {
         covered.iter().filter(|c| **c).count() as f64 / self.total_pairs as f64
     }
 
-    /// The transformation with maximum coverage, if any.
+    /// The transformation with maximum coverage, if any; the first of tied
+    /// maxima. For a greedy covering set this is its first pick.
     pub fn best(&self) -> Option<&CoveredTransformation> {
+        // `min_by_key` keeps the first of equal keys (`max_by_key` the last).
         self.transformations
             .iter()
-            .max_by_key(|t| t.coverage())
+            .min_by_key(|t| Reverse(t.coverage()))
     }
 
     /// Drops transformations whose coverage fraction is below
@@ -422,6 +425,24 @@ mod tests {
         assert!((set.top_coverage() - 0.6).abs() < 1e-9);
         assert!((set.set_coverage() - 0.8).abs() < 1e-9);
         assert_eq!(set.best().unwrap().coverage(), 3);
+    }
+
+    #[test]
+    fn best_is_first_of_tied_maxima() {
+        let mk = |units: Vec<Unit>, rows: Vec<u32>| CoveredTransformation {
+            transformation: Transformation::new(units),
+            covered_rows: rows,
+        };
+        let first = mk(vec![Unit::substr(0, 1)], vec![0, 1]);
+        let set = TransformationSet {
+            transformations: vec![
+                mk(vec![Unit::literal("a")], vec![4]),
+                first.clone(),
+                mk(vec![Unit::substr(0, 2)], vec![2, 3]),
+            ],
+            total_pairs: 5,
+        };
+        assert_eq!(set.best(), Some(&first));
     }
 
     #[test]

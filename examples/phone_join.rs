@@ -42,7 +42,7 @@ fn main() {
 
     let engine = SynthesisEngine::new(SynthesisConfig::default());
     let result = engine.discover_from_strings(&discovery_rows);
-    let best = &result.top[0];
+    let best = result.cover.best().expect("a transformation was found");
     println!(
         "\nbest transformation (covers {}/{} rows):\n  {}",
         best.coverage(),

@@ -33,7 +33,7 @@
 //! let engine = SynthesisEngine::new(SynthesisConfig::default());
 //! let result = engine.discover_from_strings(&pairs);
 //! assert_eq!(result.cover.len(), 1);
-//! let rule = &result.top[0].transformation;
+//! let rule = &result.cover.best().expect("a rule was found").transformation;
 //! assert_eq!(rule.apply("nascimento, mario").as_deref(), Some("m nascimento"));
 //! ```
 
