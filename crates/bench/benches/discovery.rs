@@ -1,4 +1,4 @@
-//! Discovery benchmark, tracking the signature-shortlist claims in
+//! Discovery benchmark, tracking the anchor-prune claims in
 //! `BENCH_discovery.json` at the workspace root:
 //!
 //! * **Shortlist vs all-pairs**: a decoy-dominated 120-column repository
@@ -12,20 +12,13 @@
 //!   empty golden mapping, `tjoin_datasets::is_decoy`) become a measured
 //!   recall/precision benchmark — generator-label recall and decoy
 //!   precision land in the JSON instead of a zero-only gate.
-//! * **Index vs reference**: the inverted-index scorer over the full
-//!   120 × 120 column cross product against the brute-force pairwise
-//!   oracle, asserted bit-identical before timing.
-
-use std::sync::Arc;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use tjoin_bench::time_seconds;
 use tjoin_datasets::{is_decoy, RepositoryConfig};
-use tjoin_discovery::{corpus_signature, discover, discover_reference};
 use tjoin_join::{
     BatchJoinOutcome, BatchJoinRunner, DiscoveryConfig, JoinPipelineConfig,
 };
-use tjoin_text::{ColumnSignature, GramCorpus, NormalizeOptions};
 
 const THREADS: usize = 4;
 const PAIRS: usize = 60;
@@ -62,14 +55,12 @@ fn discovery_comparison(_c: &mut Criterion) {
     let joinable_pairs = repository.len() - decoys;
     let config = JoinPipelineConfig::paper_default();
     let runner = BatchJoinRunner::new(config.clone(), THREADS);
-    // `paper_default` keeps `min_anchor_overlap = 1`, the only setting with
-    // the recall-1.0 soundness guarantee: a pipeline-joinable pair can hinge
-    // on a single shared 4-gram, so any higher evidence floor can prune a
-    // pair the full pipeline would join (decoys included — the pipeline
-    // sometimes joins a decoy by accident, and the oracle gate below counts
-    // those too). Rows per column are sized so accidental single-gram
-    // collisions between unrelated columns stay rare enough for the ≥ 0.8
-    // pruning gate.
+    // A pipeline-joinable pair can hinge on a single shared 4-gram, so
+    // discovery prunes only pairs sharing none (decoys included — the
+    // pipeline sometimes joins a decoy by accident, and the oracle gate
+    // below counts those too). Rows per column are sized so accidental
+    // single-gram collisions between unrelated columns stay rare enough for
+    // the ≥ 0.8 pruning gate.
     let discovery = DiscoveryConfig::paper_default().with_threads(THREADS);
 
     // --- Identity and quality gates, before any timing. ---
@@ -121,21 +112,6 @@ fn discovery_comparison(_c: &mut Criterion) {
         "the shortlisted pairs must produce real predictions"
     );
 
-    // Index vs brute-force reference over the full column cross product.
-    let corpus = GramCorpus::new(NormalizeOptions::default());
-    let columns: Vec<Arc<ColumnSignature>> = repository
-        .iter()
-        .flat_map(|p| [&p.source, &p.target])
-        .map(|cells| corpus_signature(&corpus, cells, &discovery).expect("fault-free build"))
-        .collect();
-    let indexed = discover(&columns, &columns, &discovery);
-    assert_eq!(
-        indexed,
-        discover_reference(&columns, &columns, &discovery),
-        "indexed discovery diverged from the brute-force oracle"
-    );
-    let cross_ratio = indexed.pruning_ratio();
-
     // --- Timings. ---
     let samples = 5;
     let all_pairs_secs = time_seconds(samples, || {
@@ -144,17 +120,10 @@ fn discovery_comparison(_c: &mut Criterion) {
     let discover_secs = time_seconds(samples, || {
         black_box(runner.discover_and_run(black_box(&repository), &discovery));
     });
-    let index_secs = time_seconds(samples, || {
-        black_box(discover(black_box(&columns), black_box(&columns), &discovery));
-    });
-    let reference_secs = time_seconds(samples, || {
-        black_box(discover_reference(black_box(&columns), black_box(&columns), &discovery));
-    });
 
     let speedup = all_pairs_secs / discover_secs;
     let summary = format!(
-        "{{\n  \"benchmark\": \"discovery\",\n  \"threads\": {THREADS},\n  \"workload\": {{\n    \"tables\": {tables},\n    \"pairs\": {PAIRS},\n    \"rows_per_pair\": {ROWS},\n    \"decoy_fraction\": {DECOY_FRACTION},\n    \"decoy_pairs\": {decoys},\n    \"joinable_pairs\": {joinable_pairs}\n  }},\n  \"shortlist\": {{\n    \"min_anchor_overlap\": {},\n    \"retained\": {},\n    \"pruning_ratio\": {pruning_ratio:.4},\n    \"cross_product_pruning_ratio\": {cross_ratio:.4},\n    \"recall_vs_pipeline_oracle\": 1.0,\n    \"recall_vs_generator_labels\": {label_recall:.4},\n    \"decoy_precision\": {decoy_precision:.4},\n    \"outcomes_bit_identical\": true\n  }},\n  \"wall_clock\": {{\n    \"samples\": {samples},\n    \"all_pairs_median_seconds\": {all_pairs_secs:.6},\n    \"discover_and_run_median_seconds\": {discover_secs:.6},\n    \"speedup_discover_vs_all_pairs\": {speedup:.2},\n    \"index_cross_product_seconds\": {index_secs:.6},\n    \"reference_cross_product_seconds\": {reference_secs:.6}\n  }}\n}}\n",
-        discovery.min_anchor_overlap,
+        "{{\n  \"benchmark\": \"discovery\",\n  \"threads\": {THREADS},\n  \"workload\": {{\n    \"tables\": {tables},\n    \"pairs\": {PAIRS},\n    \"rows_per_pair\": {ROWS},\n    \"decoy_fraction\": {DECOY_FRACTION},\n    \"decoy_pairs\": {decoys},\n    \"joinable_pairs\": {joinable_pairs}\n  }},\n  \"shortlist\": {{\n    \"retained\": {},\n    \"pruning_ratio\": {pruning_ratio:.4},\n    \"recall_vs_pipeline_oracle\": 1.0,\n    \"recall_vs_generator_labels\": {label_recall:.4},\n    \"decoy_precision\": {decoy_precision:.4},\n    \"outcomes_bit_identical\": true\n  }},\n  \"wall_clock\": {{\n    \"samples\": {samples},\n    \"all_pairs_median_seconds\": {all_pairs_secs:.6},\n    \"discover_and_run_median_seconds\": {discover_secs:.6},\n    \"speedup_discover_vs_all_pairs\": {speedup:.2}\n  }}\n}}\n",
         retained.len(),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_discovery.json");

@@ -190,7 +190,7 @@ const INTERN_TIE_THRESHOLD: usize = 256;
 /// candidate in input order — exactly the rescan loop's order, so the result
 /// is bit-identical to [`reference::greedy_cover_reference`] (see the module
 /// docs for why stale heap entries cannot change the selection, and for the
-/// two tie-resolution regimes around [`INTERN_TIE_THRESHOLD`]). The
+/// two tie-resolution regimes around `INTERN_TIE_THRESHOLD`). The
 /// returned set lists each selected transformation with *all* rows it covers
 /// (not only the marginal ones), ordered by selection. Candidates are
 /// consumed: the winners' transformations move into the result set.

@@ -48,7 +48,7 @@
 //! *trials on the same row*, and those happen in transformation order in
 //! both orders, the reported `trials`, `cache_hits`, and covered rows are
 //! bit-identical to the naive transformation-major loop retained in
-//! [`reference`] — which still collects densely, making it the oracle for
+//! [`reference`](mod@reference) — which still collects densely, making it the oracle for
 //! the sparse collection as well.
 //!
 //! # Parallel execution

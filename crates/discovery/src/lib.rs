@@ -5,130 +5,64 @@
 //! it. The batch and serve layers are handed their [`ColumnPair`]s; a real
 //! data lake has thousands of tables, and the O(tables²) pair space is
 //! what every query hits first (QJoin frames this as transformation-aware
-//! discovery with learned budgets; this crate is the deterministic
-//! cost-guided first cut that keeps the repo's differential-oracle
-//! discipline).
+//! discovery with learned budgets; this crate is the deterministic first
+//! cut that keeps the repo's differential-oracle discipline).
 //!
-//! ## Signature layout
+//! ## The anchor prune, and why recall is 1.0 by construction
 //!
-//! Discovery reads one [`ColumnSignature`] per column, computed once into
-//! the shared [`GramCorpus`] (`CorpusColumn::try_signature`) next to the
-//! stats and index artifacts — a resident corpus (`tjoin-serve`) therefore
-//! serves **warm discovery near-free**. A signature is two things:
-//!
-//! * the exact, sorted **anchor set**: fingerprints of every gram of size
-//!   exactly `n_min` in the normalized column, and
-//! * fixed-width **one-permutation MinHash lanes** (`SIGNATURE_WIDTH` ×
-//!   u64, one `mix64` per distinct gram) over the full `[n_min, n_max]`
-//!   gram-fingerprint stream of the column's stats.
-//!
-//! ## Shortlist scoring, and why recall is 1.0 by construction
+//! Discovery reads one [`ColumnSignature`](tjoin_text::ColumnSignature)
+//! per column, computed once into the shared [`GramCorpus`]
+//! (`CorpusColumn::try_signature`) next to the stats and index artifacts —
+//! a resident corpus (`tjoin-serve`) therefore serves **warm discovery
+//! near-free**. A signature is the exact, sorted
+//! **anchor set** of the normalized column: fingerprints of every gram of
+//! size exactly `n_min`.
 //!
 //! The n-gram matcher can only pair rows through a shared gram with size
 //! in `[n_min, n_max]`, and any shared gram of length `n ≥ n_min` contains
 //! a shared length-`n_min` substring. So **a pair whose anchor sets are
-//! disjoint cannot produce a single candidate row match** — pruning on
-//! `shared_anchors < min_anchor_overlap` (default 1) is *sound*, not
-//! heuristic, and the differential suite proves shortlist recall 1.0
-//! against the brute-force all-pairs oracle. The MinHash lanes are used
-//! only to *order* the surviving candidates (estimated gram overlap,
-//! [`ColumnSignature::estimated_overlap`]) — a score can be wrong without
-//! costing recall. [`SignatureIndex`] inverts the anchor sets so candidate
-//! generation probes shared anchors instead of scoring the full cross
-//! product; a brute-force scorer ([`discover_reference`]) is retained as
-//! the oracle and the two are bit-identical.
-//!
-//! ## Budget semantics
-//!
-//! Discovery itself is cheap (signatures are one pass per distinct column,
-//! amortized by the corpus); the budgets bound what runs *after* it:
-//!
-//! * [`DiscoveryConfig::top_k`] caps how many shortlisted pairs the full
-//!   pipeline is spent on — pairs cut by the cap are reported as
-//!   budget-pruned, separately from the provably-unjoinable prunes,
-//!   because cutting them *can* cost recall (the cap is an explicit
-//!   cost/recall trade the caller opts into; the default `None` keeps the
-//!   recall guarantee).
-//! * Raising [`DiscoveryConfig::min_anchor_overlap`] above 1 demands more
-//!   shared evidence per pair — same trade, same reporting.
-//! * The per-pair `RunBudget` / work-stealing machinery of the batch
-//!   runner applies unchanged to the shortlisted pairs
-//!   (`BatchJoinRunner::discover_and_run` in `tjoin-join`).
-//!
-//! ## Determinism under ties
-//!
-//! MinHash overlap estimates are quantized (lane-agreement fractions), so
-//! score ties across *distinct* pairs are common, and a `top_k` cut
-//! through a tie group must not depend on the order the repository
-//! happened to arrive in. Every rank therefore orders by
-//! `(estimated_overlap desc, shared_anchors desc, content fingerprint
-//! asc, position asc)` — the fingerprint ([`PairCandidate::fingerprint`],
-//! a chain of both columns' content fingerprints) decides within tie
-//! groups by *content*, and the positional key only separates exact
-//! duplicate column pairs.
-//!
-//! ## Shortlist deltas (the append model)
-//!
-//! When a repository grows — rows appended to resident columns via
-//! `GramCorpus::append_column`, new pairs added at the end —
-//! [`shortlist_repository_delta`] re-signs **only** the changed and new
-//! pairs and carries every unchanged pair's recorded evidence forward
-//! from the previous [`RepositoryShortlist`] (budget-cut pairs keep their
-//! scores for exactly this reason). Unchanged pruned pairs stay pruned:
-//! anchor disjointness is a property of the columns, and the columns did
-//! not change. The re-rank and `top_k` cut run through the same serial
-//! pass as the full path, so the delta verdict is bit-identical to
-//! re-shortlisting the final repository from scratch — invalidation can
-//! never change results, only how much signing work was spent.
+//! disjoint cannot produce a single candidate row match** — pruning pairs
+//! with zero shared anchors is *sound*, not heuristic, and it is the only
+//! verdict discovery makes. Survivors run most-evidence-first, ordered by
+//! `(shared anchors desc, repository index asc)`; the order is exact, so
+//! it is deterministic and thread-invariant.
 //!
 //! ## Oracle discipline
 //!
-//! Three retained oracles lock the layer down differentially:
-//! [`discover_reference`] (brute-force pairwise anchor intersection, must
-//! be bit-identical to the indexed path), the small-scale brute-force
-//! all-pairs *pipeline* run (every pair the pipeline can join must be
-//! shortlisted — recall 1.0), and running the shortlist's pair list
-//! through the plain batch runner (end-to-end `discover_and_run` outcomes
-//! must be bit-identical to it). A column whose signature build fails is
-//! **conservatively retained** — discovery can only prune what it can
-//! prove, and a sticky corpus failure proves nothing.
+//! Three oracles lock the layer down differentially
+//! (`crates/join/tests/proptest_discovery.rs`): a naive prune oracle (a
+//! pair is pruned iff its columns' sets of normalized `n_min`-character
+//! substrings are disjoint — precision and recall of the prune), the
+//! small-scale brute-force all-pairs *pipeline* run (every pair the
+//! pipeline can join must be shortlisted — recall 1.0), and running the
+//! shortlist's pair list through the plain batch runner (end-to-end
+//! `discover_and_run` outcomes must be bit-identical to it). A column
+//! whose signature build fails is **conservatively retained** — discovery
+//! can only prune what it can prove, and a sticky corpus failure proves
+//! nothing.
 //!
-//! The anchor fingerprints feeding [`SignatureIndex`] carry the same
-//! debug-build shadow-map collision guard the `NGramIndex` posting keys
-//! use (`tjoin_text::CollisionGuard`, applied at signature build where the
-//! gram text is still in hand, with a forced-collision regression test).
+//! The anchor fingerprints carry the same debug-build shadow-map collision
+//! guard the `NGramIndex` posting keys use (`tjoin_text::CollisionGuard`,
+//! applied at signature build where the gram text is still in hand, with a
+//! forced-collision regression test).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 use tjoin_datasets::ColumnPair;
-use tjoin_text::{
-    chunk_map, fingerprint64_chain, ColumnSignature, CorpusFailure, FxHashMap, FxHashSet,
-    GramCorpus, NormalizeOptions,
-};
+use tjoin_text::{chunk_map, GramCorpus};
 
-/// Configuration of a discovery pass. `n_min`/`n_max`/`normalize` must
-/// match the matcher configuration the shortlisted pairs will run under —
-/// the recall guarantee is relative to *that* matcher's gram range
+/// Configuration of a discovery pass. `n_min` must match the matcher
+/// configuration the shortlisted pairs will run under — the recall
+/// guarantee is relative to *that* matcher's smallest gram
 /// (`BatchJoinRunner::discover_and_run` asserts the equality).
+/// Normalization is the corpus's own.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DiscoveryConfig {
     /// Smallest gram size of the matcher the shortlist feeds; also the
     /// anchor gram size.
     pub n_min: usize,
-    /// Largest gram size of the matcher the shortlist feeds.
-    pub n_max: usize,
-    /// Normalization applied before signing (must equal the matcher's).
-    pub normalize: NormalizeOptions,
-    /// Minimum shared anchors for a pair to survive. The default 1 is the
-    /// sound setting (recall 1.0); higher values trade recall for cost.
-    pub min_anchor_overlap: usize,
-    /// Optional cap on the shortlist length (best-scored pairs kept).
-    /// `None` (the default) keeps every survivor — the recall-preserving
-    /// setting; a cap is an explicit cost/recall trade.
-    pub top_k: Option<usize>,
     /// Worker threads for the signature-building pass (1 = sequential).
     /// Signatures are pure per-column functions, so output is
     /// bit-identical at any value.
@@ -137,20 +71,12 @@ pub struct DiscoveryConfig {
 
 impl Default for DiscoveryConfig {
     fn default() -> Self {
-        Self {
-            n_min: 4,
-            n_max: 20,
-            normalize: NormalizeOptions::default(),
-            min_anchor_overlap: 1,
-            top_k: None,
-            threads: 1,
-        }
+        Self { n_min: 4, threads: 1 }
     }
 }
 
 impl DiscoveryConfig {
-    /// The paper-default gram range (`n0 = 4`, `nmax = 20`) with the
-    /// recall-preserving pruning settings.
+    /// The paper-default anchor size (`n0 = 4`), one thread.
     pub fn paper_default() -> Self {
         Self::default()
     }
@@ -160,256 +86,21 @@ impl DiscoveryConfig {
         self.threads = threads.max(1);
         self
     }
-
-    /// Builder-style setter for the shortlist cap.
-    pub fn with_top_k(mut self, top_k: usize) -> Self {
-        self.top_k = Some(top_k);
-        self
-    }
-}
-
-/// A shortlisted source × target column combination with its evidence:
-/// the exact shared-anchor count (why it survived pruning — the
-/// explainability hook GXJoin argues for) and the MinHash overlap estimate
-/// (why it is ranked where it is).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PairCandidate {
-    /// Index into the source signature slice.
-    pub source: u32,
-    /// Index into the target signature slice.
-    pub target: u32,
-    /// Exact size of the anchor-set intersection (≥ the configured
-    /// minimum).
-    pub shared_anchors: usize,
-    /// MinHash-estimated shared distinct grams across the full size range
-    /// (the ranking score).
-    pub estimated_overlap: f64,
-    /// Content fingerprint of the pair (a chain of both columns'
-    /// [`ColumnSignature::content_fingerprint`]s) — the tie-break that
-    /// keeps `top_k` cuts deterministic under MinHash score ties: two
-    /// repositories holding the same columns cut the same *content*, no
-    /// matter how their pair lists are ordered.
-    pub fingerprint: u64,
-}
-
-/// The result of scoring a source × target signature cross product:
-/// surviving candidates in rank order plus the size of the space they were
-/// pruned from.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Shortlist {
-    /// Survivors, ordered by (estimated overlap desc, shared anchors desc,
-    /// (source, target) asc) — deterministic and thread-invariant.
-    pub candidates: Vec<PairCandidate>,
-    /// Total combinations considered (`sources × targets`).
-    pub considered: usize,
-}
-
-impl Shortlist {
-    /// Combinations pruned (provably-unjoinable plus any `top_k` cut).
-    pub fn pruned(&self) -> usize {
-        self.considered - self.candidates.len()
-    }
-
-    /// Fraction of the pair space pruned (0 when nothing was considered).
-    pub fn pruning_ratio(&self) -> f64 {
-        if self.considered == 0 {
-            return 0.0;
-        }
-        self.pruned() as f64 / self.considered as f64
-    }
-}
-
-/// Inverted index over anchor fingerprints: anchor → the (ascending)
-/// target-column ids whose signatures contain it. Probing a source
-/// signature walks its anchors' posting lists and counts hits per target —
-/// exactly the pairwise sorted-merge intersection [`discover_reference`]
-/// computes, reorganized so targets sharing nothing are never visited.
-///
-/// The index keys are the signature anchor fingerprints, which were
-/// checked against gram-text collisions by the debug shadow map at
-/// signature build time (see the crate docs) — the same guard discipline
-/// as the `NGramIndex` posting keys.
-#[derive(Debug, Default)]
-pub struct SignatureIndex {
-    postings: FxHashMap<u64, Vec<u32>>,
-    columns: usize,
-}
-
-impl SignatureIndex {
-    /// Builds the index over `targets`, identified by their slice position.
-    /// Posting lists are ascending by construction (columns are inserted
-    /// in order).
-    pub fn build(targets: &[Arc<ColumnSignature>]) -> Self {
-        let mut postings: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-        for (id, signature) in targets.iter().enumerate() {
-            // Column counts were checked at ingest (`assert_row_indexable`
-            // / `checked_row_count`); a repository of more than u32::MAX
-            // *columns* is far beyond that and cannot round-trip ids.
-            let id = u32::try_from(id).expect("more than u32::MAX target columns");
-            for &anchor in signature.anchors() {
-                postings.entry(anchor).or_default().push(id);
-            }
-        }
-        Self { postings, columns: targets.len() }
-    }
-
-    /// Number of indexed target columns.
-    pub fn columns(&self) -> usize {
-        self.columns
-    }
-
-    /// Number of distinct anchors indexed.
-    pub fn distinct_anchors(&self) -> usize {
-        self.postings.len()
-    }
-
-    /// Exact shared-anchor counts between `probe` and every indexed target
-    /// that shares at least one anchor, as `(target id, shared)` pairs in
-    /// ascending target order. Targets sharing nothing are absent — the
-    /// pruning this index exists for.
-    pub fn shared_anchor_counts(&self, probe: &ColumnSignature) -> Vec<(u32, usize)> {
-        let mut counts = vec![0usize; self.columns];
-        for anchor in probe.anchors() {
-            if let Some(targets) = self.postings.get(anchor) {
-                for &target in targets {
-                    counts[target as usize] += 1;
-                }
-            }
-        }
-        counts
-            .into_iter()
-            .enumerate()
-            .filter(|(_, shared)| *shared > 0)
-            .map(|(target, shared)| (target as u32, shared))
-            .collect()
-    }
-}
-
-/// Ranks candidates deterministically: estimated overlap descending, then
-/// shared anchors descending, then content fingerprint ascending, then
-/// (source, target) ascending. `f64` scores are compared by total order;
-/// every score is computed by the same pure expression on both discovery
-/// paths, so the rank is bit-identical between them and across thread
-/// counts. The fingerprint outranks the positional tie-break so a `top_k`
-/// cut through a group of MinHash ties selects by *content*, invariant
-/// under input reordering; positions only break exact-duplicate columns.
-fn rank(candidates: &mut Vec<PairCandidate>, top_k: Option<usize>) {
-    candidates.sort_by(|a, b| {
-        b.estimated_overlap
-            .total_cmp(&a.estimated_overlap)
-            .then(b.shared_anchors.cmp(&a.shared_anchors))
-            .then(a.fingerprint.cmp(&b.fingerprint))
-            .then(a.source.cmp(&b.source))
-            .then(a.target.cmp(&b.target))
-    });
-    if let Some(k) = top_k {
-        candidates.truncate(k);
-    }
-}
-
-/// The pair-level content fingerprint rank ties break on: a seeded,
-/// order-sensitive chain of both columns' content fingerprints. Seeding
-/// matters — a bare `chain(source, target)` XORs the inputs first, so
-/// every identical-column pair (`source == target`) would collapse to the
-/// single value `mix64(0)` and the tie-break would stop discriminating
-/// exactly where ties are densest.
-fn pair_fingerprint(source: &ColumnSignature, target: &ColumnSignature) -> u64 {
-    const PAIR_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
-    fingerprint64_chain(
-        fingerprint64_chain(PAIR_SEED, source.content_fingerprint()),
-        target.content_fingerprint(),
-    )
-}
-
-/// Prunes and ranks the `sources` × `targets` pair space through a
-/// [`SignatureIndex`] over the targets. Bit-identical to
-/// [`discover_reference`] (the retained brute-force oracle) by the
-/// differential suite; only wall-clock differs.
-pub fn discover(
-    sources: &[Arc<ColumnSignature>],
-    targets: &[Arc<ColumnSignature>],
-    config: &DiscoveryConfig,
-) -> Shortlist {
-    let index = SignatureIndex::build(targets);
-    let mut candidates = Vec::new();
-    for (source_id, source) in sources.iter().enumerate() {
-        let source_id = u32::try_from(source_id).expect("more than u32::MAX source columns");
-        for (target_id, shared) in index.shared_anchor_counts(source) {
-            if shared >= config.min_anchor_overlap.max(1) {
-                let target = &targets[target_id as usize];
-                candidates.push(PairCandidate {
-                    source: source_id,
-                    target: target_id,
-                    shared_anchors: shared,
-                    estimated_overlap: source.estimated_overlap(target),
-                    fingerprint: pair_fingerprint(source, target),
-                });
-            }
-        }
-    }
-    rank(&mut candidates, config.top_k);
-    Shortlist { candidates, considered: sources.len() * targets.len() }
-}
-
-/// The brute-force discovery oracle: every source × target combination
-/// scored by direct sorted-merge anchor intersection, no index. Retained
-/// as the differential reference for [`discover`].
-pub fn discover_reference(
-    sources: &[Arc<ColumnSignature>],
-    targets: &[Arc<ColumnSignature>],
-    config: &DiscoveryConfig,
-) -> Shortlist {
-    let mut candidates = Vec::new();
-    for (source_id, source) in sources.iter().enumerate() {
-        let source_id = u32::try_from(source_id).expect("more than u32::MAX source columns");
-        for (target_id, target) in targets.iter().enumerate() {
-            let shared = source.shared_anchors(target);
-            if shared >= config.min_anchor_overlap.max(1) {
-                candidates.push(PairCandidate {
-                    source: source_id,
-                    target: u32::try_from(target_id).expect("more than u32::MAX target columns"),
-                    shared_anchors: shared,
-                    estimated_overlap: source.estimated_overlap(target),
-                    fingerprint: pair_fingerprint(source, target),
-                });
-            }
-        }
-    }
-    rank(&mut candidates, config.top_k);
-    Shortlist { candidates, considered: sources.len() * targets.len() }
-}
-
-/// Interns `cells` into `corpus` and returns its cached discovery
-/// signature for the config's gram range — the per-column primitive both
-/// the repository shortlister and the bench's cross-product legs use.
-pub fn corpus_signature(
-    corpus: &GramCorpus,
-    cells: &[String],
-    config: &DiscoveryConfig,
-) -> Result<Arc<ColumnSignature>, CorpusFailure> {
-    corpus.try_column_on(cells)?.try_signature(config.n_min, config.n_max)
 }
 
 /// One retained entry of a [`RepositoryShortlist`]: the repository index
 /// and name of the surviving pair plus its evidence. `signature_failed`
 /// marks conservative retention — a sticky corpus failure on either column
-/// proves nothing, so the pair runs (and its evidence fields are zero).
-#[derive(Debug, Clone, PartialEq)]
+/// proves nothing, so the pair runs (and `shared_anchors` is zero).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScoredPair {
     /// Index into the repository slice the shortlist was built from.
     pub index: usize,
     /// The pair's name.
     pub name: String,
     /// Exact shared anchors between the pair's columns (0 when
-    /// `signature_failed`).
+    /// `signature_failed`) — why it survived.
     pub shared_anchors: usize,
-    /// MinHash-estimated shared distinct grams (0 when `signature_failed`).
-    pub estimated_overlap: f64,
-    /// Content fingerprint of the pair's two columns (see
-    /// [`PairCandidate::fingerprint`]; 0 when `signature_failed`) — the
-    /// rank tie-break, and the identity a [`shortlist_repository_delta`]
-    /// carry-forward preserves.
-    pub fingerprint: u64,
     /// True when a signature build failed and the pair was retained
     /// conservatively instead of scored.
     pub signature_failed: bool,
@@ -425,23 +116,19 @@ pub struct PrunedPair {
 }
 
 /// The discovery verdict over a repository's pair list: which pairs the
-/// full pipeline should be spent on (in rank order), which were provably
-/// pruned, and which a `top_k` budget cut.
-#[derive(Debug, Clone, PartialEq)]
+/// full pipeline should be spent on (in run order) and which were provably
+/// pruned.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RepositoryShortlist {
-    /// Retained pairs in run order: scored survivors ranked by (estimated
-    /// overlap desc, shared anchors desc, content fingerprint asc, index
-    /// asc), then conservatively retained signature-failure pairs in index
-    /// order.
+    /// Retained pairs in run order: survivors by (shared anchors desc,
+    /// index asc), then conservatively retained signature-failure pairs in
+    /// index order.
     pub ranked: Vec<ScoredPair>,
-    /// Pairs with fewer than `min_anchor_overlap` shared anchors — at the
-    /// default minimum of 1, *provably* unjoinable under the matcher the
-    /// config mirrors. In index order.
+    /// Pairs whose columns share no anchor — *provably* unjoinable under
+    /// the matcher the config mirrors. In index order.
     pub pruned: Vec<PrunedPair>,
-    /// Scored survivors cut by the `top_k` cap (empty without a cap) — a
-    /// budget decision, not a proof, reported separately. In rank order,
-    /// evidence kept: a later [`shortlist_repository_delta`] re-ranks these
-    /// against fresh scores without re-signing them.
+    /// Always empty: discovery makes no budget cuts. Kept only because the
+    /// repository benchmark reads it.
     pub pruned_by_budget: Vec<ScoredPair>,
     /// Repository size the shortlist was built from.
     pub considered: usize,
@@ -454,7 +141,7 @@ impl RepositoryShortlist {
         if self.considered == 0 {
             return 0.0;
         }
-        (self.pruned.len() + self.pruned_by_budget.len()) as f64 / self.considered as f64
+        self.pruned.len() as f64 / self.considered as f64
     }
 
     /// A shortlist that retains every pair unscored, in input order — the
@@ -469,8 +156,6 @@ impl RepositoryShortlist {
                     index,
                     name: pair.name.clone(),
                     shared_anchors: 0,
-                    estimated_overlap: 0.0,
-                    fingerprint: 0,
                     signature_failed: false,
                 })
                 .collect(),
@@ -481,218 +166,62 @@ impl RepositoryShortlist {
     }
 }
 
-/// Per-pair signature evidence, before the serial rank/prune pass.
-#[derive(Clone, Copy)]
-struct PairEvidence {
-    shared: usize,
-    overlap: f64,
-    fingerprint: u64,
-    failed: bool,
-}
-
-/// How one repository pair enters the rank/prune pass: freshly (or
-/// carried-forward) scored, or known-pruned from an unchanged previous
-/// verdict (evidence below the anchor minimum; its exact value no longer
-/// matters).
-enum PairDisposition {
-    Scored(PairEvidence),
-    StillPruned,
-}
-
-/// Signs one pair through the corpus and condenses the evidence. A
-/// signature failure on either column comes back `failed` (conservative
+/// Signs both columns of `pair` through `corpus` and counts their shared
+/// anchors; `None` when either signature build failed (conservative
 /// retention downstream).
-fn sign_pair(corpus: &GramCorpus, pair: &ColumnPair, config: &DiscoveryConfig) -> PairEvidence {
-    let scored = corpus_signature(corpus, &pair.source, config).and_then(|source| {
-        corpus_signature(corpus, &pair.target, config).map(|target| (source, target))
-    });
-    match scored {
-        Ok((source, target)) => PairEvidence {
-            shared: source.shared_anchors(&target),
-            overlap: source.estimated_overlap(&target),
-            fingerprint: pair_fingerprint(&source, &target),
-            failed: false,
-        },
-        Err(_) => PairEvidence { shared: 0, overlap: 0.0, fingerprint: 0, failed: true },
-    }
-}
-
-/// The serial classify → rank → cut pass shared by the full and delta
-/// shortlist paths — one implementation, so the delta path cannot drift
-/// from the oracle it must stay bit-identical to.
-fn assemble_shortlist(
-    repository: &[ColumnPair],
-    dispositions: Vec<PairDisposition>,
-    config: &DiscoveryConfig,
-) -> RepositoryShortlist {
-    let mut scored: Vec<ScoredPair> = Vec::new();
-    let mut retained_failures: Vec<ScoredPair> = Vec::new();
-    let mut pruned: Vec<PrunedPair> = Vec::new();
-    for (index, (pair, disposition)) in repository.iter().zip(dispositions).enumerate() {
-        let evidence = match disposition {
-            PairDisposition::Scored(evidence) => evidence,
-            PairDisposition::StillPruned => {
-                pruned.push(PrunedPair { index, name: pair.name.clone() });
-                continue;
-            }
-        };
-        let entry = ScoredPair {
-            index,
-            name: pair.name.clone(),
-            shared_anchors: evidence.shared,
-            estimated_overlap: evidence.overlap,
-            fingerprint: evidence.fingerprint,
-            signature_failed: evidence.failed,
-        };
-        if evidence.failed {
-            retained_failures.push(entry);
-        } else if evidence.shared >= config.min_anchor_overlap.max(1) {
-            scored.push(entry);
-        } else {
-            pruned.push(PrunedPair { index, name: pair.name.clone() });
-        }
-    }
-    scored.sort_by(|a, b| {
-        b.estimated_overlap
-            .total_cmp(&a.estimated_overlap)
-            .then(b.shared_anchors.cmp(&a.shared_anchors))
-            .then(a.fingerprint.cmp(&b.fingerprint))
-            .then(a.index.cmp(&b.index))
-    });
-    let mut pruned_by_budget = Vec::new();
-    if let Some(k) = config.top_k {
-        pruned_by_budget = scored.split_off(k.min(scored.len()));
-    }
-    scored.extend(retained_failures);
-    RepositoryShortlist {
-        ranked: scored,
-        pruned,
-        pruned_by_budget,
-        considered: repository.len(),
-    }
+fn shared_anchors(corpus: &GramCorpus, pair: &ColumnPair, n_min: usize) -> Option<usize> {
+    let sign = |cells: &[String]| corpus.try_column_on(cells)?.try_signature(n_min);
+    let source = sign(&pair.source).ok()?;
+    let target = sign(&pair.target).ok()?;
+    Some(source.shared_anchors(&target))
 }
 
 /// Shortlists a repository's pair list: signs every column through
 /// `corpus` (signature builds parallelized over `config.threads`; pure
 /// per-column work, so the result is thread-invariant), prunes pairs whose
-/// columns share fewer than `min_anchor_overlap` anchors, ranks the
-/// survivors, and applies the `top_k` budget. Signature failures retain
-/// conservatively (see [`ScoredPair::signature_failed`]).
+/// columns share no anchor, and orders the survivors by (shared anchors
+/// desc, index asc). Signature failures retain conservatively (see
+/// [`ScoredPair::signature_failed`]).
 pub fn shortlist_repository(
     repository: &[ColumnPair],
     corpus: &GramCorpus,
     config: &DiscoveryConfig,
 ) -> RepositoryShortlist {
-    assert_eq!(
-        corpus.options(),
-        &config.normalize,
-        "discovery corpus must normalize like the discovery config"
-    );
-    let dispositions: Vec<PairDisposition> =
-        chunk_map(repository, config.threads.max(1), |pair| {
-            PairDisposition::Scored(sign_pair(corpus, pair, config))
-        });
-    assemble_shortlist(repository, dispositions, config)
-}
-
-/// What changed since a previous [`RepositoryShortlist`] was taken: the
-/// verdict to carry forward plus the indices (into the *final* repository
-/// slice) of pairs whose columns gained rows. Indices at or beyond
-/// `previous.considered` are new pairs and are re-signed automatically —
-/// they do not need listing.
-#[derive(Debug, Clone, Copy)]
-pub struct ShortlistDelta<'a> {
-    /// The verdict over the repository before the appends.
-    pub previous: &'a RepositoryShortlist,
-    /// Indices of pairs whose source or target column changed.
-    pub changed: &'a [usize],
-}
-
-/// Re-shortlists `repository` after an append, re-signing **only** the
-/// changed and new pairs and carrying every unchanged pair's evidence
-/// forward from `delta.previous`:
-///
-/// * unchanged ranked / budget-cut pairs reuse their recorded
-///   (shared, overlap, fingerprint) — no corpus access at all;
-/// * unchanged *pruned* pairs stay pruned (their columns did not change,
-///   so the proof of anchor disjointness still holds);
-/// * unchanged signature-failure pairs stay conservatively retained (the
-///   failure is sticky in the corpus until evicted — exactly what a full
-///   re-run against the same corpus would see).
-///
-/// Re-ranking, re-pruning, and the `top_k` cut then run through the same
-/// serial pass as [`shortlist_repository`], so the result is
-/// **bit-identical** to a full shortlist of the final repository (same
-/// corpus, same config — the differential suite proves it); only the
-/// signing work is O(changed) instead of O(repository).
-///
-/// # Panics
-///
-/// Panics if `config` disagrees with the corpus's normalize options, or if
-/// an unchanged index is absent from every bucket of `delta.previous`
-/// (an incomplete `changed` list — the carry-forward would be unsound).
-pub fn shortlist_repository_delta(
-    repository: &[ColumnPair],
-    corpus: &GramCorpus,
-    config: &DiscoveryConfig,
-    delta: ShortlistDelta<'_>,
-) -> RepositoryShortlist {
-    assert_eq!(
-        corpus.options(),
-        &config.normalize,
-        "discovery corpus must normalize like the discovery config"
-    );
-    let changed: FxHashSet<usize> = delta.changed.iter().copied().collect();
-    let mut carried: FxHashMap<usize, PairEvidence> = FxHashMap::default();
-    for entry in delta.previous.ranked.iter().chain(&delta.previous.pruned_by_budget) {
-        carried.insert(
-            entry.index,
-            PairEvidence {
-                shared: entry.shared_anchors,
-                overlap: entry.estimated_overlap,
-                fingerprint: entry.fingerprint,
-                failed: entry.signature_failed,
-            },
-        );
-    }
-    let pruned_before: FxHashSet<usize> =
-        delta.previous.pruned.iter().map(|entry| entry.index).collect();
-
-    let dispositions: Vec<PairDisposition> = repository
-        .iter()
-        .enumerate()
-        .map(|(index, pair)| {
-            if changed.contains(&index) || index >= delta.previous.considered {
-                PairDisposition::Scored(sign_pair(corpus, pair, config))
-            } else if let Some(&evidence) = carried.get(&index) {
-                PairDisposition::Scored(evidence)
-            } else if pruned_before.contains(&index) {
-                PairDisposition::StillPruned
-            } else {
-                panic!(
-                    "shortlist delta: pair {index} is neither changed nor present \
-                     in the previous shortlist — incomplete changed list?"
-                );
+    let evidence = chunk_map(repository, config.threads.max(1), |pair| {
+        shared_anchors(corpus, pair, config.n_min)
+    });
+    let mut ranked: Vec<ScoredPair> = Vec::new();
+    let mut retained_failures: Vec<ScoredPair> = Vec::new();
+    let mut pruned: Vec<PrunedPair> = Vec::new();
+    for (index, (pair, shared)) in repository.iter().zip(evidence).enumerate() {
+        let name = pair.name.clone();
+        match shared {
+            None => retained_failures.push(ScoredPair {
+                index,
+                name,
+                shared_anchors: 0,
+                signature_failed: true,
+            }),
+            Some(0) => pruned.push(PrunedPair { index, name }),
+            Some(shared_anchors) => {
+                ranked.push(ScoredPair { index, name, shared_anchors, signature_failed: false })
             }
-        })
-        .collect();
-    assemble_shortlist(repository, dispositions, config)
+        }
+    }
+    ranked.sort_by(|a, b| b.shared_anchors.cmp(&a.shared_anchors).then(a.index.cmp(&b.index)));
+    ranked.extend(retained_failures);
+    RepositoryShortlist {
+        ranked,
+        pruned,
+        pruned_by_budget: Vec::new(),
+        considered: repository.len(),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tjoin_text::ColumnStats;
-
-    fn sig(rows: &[&str]) -> Arc<ColumnSignature> {
-        let rows: Vec<String> = rows.iter().map(|r| r.to_lowercase()).collect();
-        let stats = ColumnStats::build(&rows, 4, 8);
-        Arc::new(ColumnSignature::build(rows.as_slice(), &stats, 4))
-    }
-
-    fn cfg() -> DiscoveryConfig {
-        DiscoveryConfig { n_max: 8, ..DiscoveryConfig::default() }
-    }
+    use tjoin_text::NormalizeOptions;
 
     fn pair(name: &str, source: &[&str], target: &[&str]) -> ColumnPair {
         ColumnPair {
@@ -704,69 +233,6 @@ mod tests {
     }
 
     #[test]
-    fn index_matches_reference_on_a_mixed_repository() {
-        let sources = vec![
-            sig(&["davood rafiei", "mario nascimento"]),
-            sig(&["completely different content"]),
-            sig(&[]),
-        ];
-        let targets = vec![
-            sig(&["drafiei", "mnascimento"]),
-            sig(&["davood", "mario"]),
-            sig(&["zzzz yyyy xxxx"]),
-        ];
-        let fast = discover(&sources, &targets, &cfg());
-        let slow = discover_reference(&sources, &targets, &cfg());
-        assert_eq!(fast, slow);
-        assert_eq!(fast.considered, 9);
-        assert!(fast.pruned() > 0, "disjoint combos must be pruned");
-        for candidate in &fast.candidates {
-            assert!(candidate.shared_anchors >= 1);
-        }
-    }
-
-    #[test]
-    fn rank_is_deterministic_and_overlap_ordered() {
-        let sources = vec![sig(&["shared-anchor-text plus lots of extra grams here"])];
-        let targets = vec![
-            sig(&["shared-anchor-text plus lots of extra grams here"]),
-            sig(&["shared-anchor-text"]),
-        ];
-        let shortlist = discover(&sources, &targets, &cfg());
-        assert_eq!(shortlist.candidates.len(), 2);
-        // The identical column shares every gram; it must outrank the
-        // partial overlap.
-        assert_eq!(shortlist.candidates[0].target, 0);
-        assert!(
-            shortlist.candidates[0].estimated_overlap
-                >= shortlist.candidates[1].estimated_overlap
-        );
-    }
-
-    #[test]
-    fn top_k_caps_the_shortlist() {
-        let sources = vec![sig(&["aaaa bbbb cccc dddd"])];
-        let targets = vec![
-            sig(&["aaaa bbbb cccc dddd"]),
-            sig(&["aaaa bbbb"]),
-            sig(&["aaaa"]),
-        ];
-        let capped = discover(&sources, &targets, &cfg().with_top_k(1));
-        assert_eq!(capped.candidates.len(), 1);
-        assert_eq!(capped.candidates[0].target, 0);
-        assert_eq!(capped.pruned(), 2);
-    }
-
-    #[test]
-    fn empty_inputs_are_degenerate_not_fatal() {
-        let none: Vec<Arc<ColumnSignature>> = Vec::new();
-        let some = vec![sig(&["abcdef"])];
-        assert_eq!(discover(&none, &some, &cfg()).considered, 0);
-        assert_eq!(discover(&some, &none, &cfg()).candidates.len(), 0);
-        assert_eq!(discover(&none, &none, &cfg()).pruning_ratio(), 0.0);
-    }
-
-    #[test]
     fn shortlist_repository_prunes_disjoint_pairs_only() {
         let repository = vec![
             pair("joinable", &["davood rafiei"], &["drafiei"]),
@@ -774,16 +240,16 @@ mod tests {
             pair("identical", &["mario nascimento"], &["mario nascimento"]),
         ];
         let corpus = GramCorpus::new(NormalizeOptions::default());
-        let config = DiscoveryConfig { n_max: 20, ..DiscoveryConfig::default() };
+        let config = DiscoveryConfig::paper_default();
         let shortlist = shortlist_repository(&repository, &corpus, &config);
         assert_eq!(shortlist.considered, 3);
         assert_eq!(shortlist.pruned.len(), 1);
         assert_eq!(shortlist.pruned[0].name, "disjoint");
         assert!(shortlist.pruned_by_budget.is_empty());
         let names: Vec<&str> = shortlist.ranked.iter().map(|s| s.name.as_str()).collect();
-        // The identical pair shares everything and must outrank the
-        // partial-overlap pair.
+        // The identical pair shares more anchors and runs first.
         assert_eq!(names, vec!["identical", "joinable"]);
+        assert!(shortlist.ranked[0].shared_anchors > shortlist.ranked[1].shared_anchors);
         assert!((shortlist.pruning_ratio() - 1.0 / 3.0).abs() < 1e-12);
         // Thread-invariance of the signing pass.
         for threads in [2, 4] {
@@ -794,6 +260,32 @@ mod tests {
             );
             assert_eq!(threaded, shortlist);
         }
+    }
+
+    #[test]
+    fn equal_evidence_runs_in_index_order() {
+        let cells = ["abcdefgh-1", "abcdefgh-2", "abcdefgh-3"];
+        let repository: Vec<ColumnPair> = cells.iter().map(|c| pair(c, &[c], &[c])).collect();
+        let shortlist = shortlist_repository(
+            &repository,
+            &GramCorpus::new(NormalizeOptions::default()),
+            &DiscoveryConfig::paper_default(),
+        );
+        let indices: Vec<usize> = shortlist.ranked.iter().map(|entry| entry.index).collect();
+        assert_eq!(indices, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn empty_repository_is_degenerate_not_fatal() {
+        let corpus = GramCorpus::new(NormalizeOptions::default());
+        let shortlist = shortlist_repository(&[], &corpus, &DiscoveryConfig::paper_default());
+        assert_eq!(shortlist.considered, 0);
+        assert!(shortlist.ranked.is_empty() && shortlist.pruned.is_empty());
+        assert_eq!(shortlist.pruning_ratio(), 0.0);
+        // Empty columns share nothing and are pruned, not fatal.
+        let repository = vec![pair("empty", &[], &["abcdef"])];
+        let shortlist = shortlist_repository(&repository, &corpus, &DiscoveryConfig::default());
+        assert_eq!(shortlist.pruned.len(), 1);
     }
 
     #[test]
@@ -849,154 +341,6 @@ mod tests {
             &config,
         );
         assert_eq!(fresh.pruned.len(), 1);
-    }
-
-    #[test]
-    fn tie_heavy_top_k_cut_selects_by_content_not_position() {
-        // Four pairs of identical single-cell columns, all the same
-        // length: every pair scores overlap 1.0 with the same anchor
-        // count — a pure MinHash tie group. A top_k cut through it must
-        // select the same *content* no matter how the repository is
-        // ordered; before the fingerprint tie-break, the positional key
-        // made the cut an accident of input order.
-        let cells = ["abcdefgh-1", "abcdefgh-2", "abcdefgh-3", "abcdefgh-4"];
-        let forward: Vec<ColumnPair> =
-            cells.iter().map(|c| pair(c, &[c], &[c])).collect();
-        let reversed: Vec<ColumnPair> = forward.iter().rev().cloned().collect();
-        let config = DiscoveryConfig { n_max: 8, top_k: Some(2), ..DiscoveryConfig::default() };
-
-        let cut_names = |repo: &[ColumnPair]| -> Vec<String> {
-            let shortlist =
-                shortlist_repository(repo, &GramCorpus::new(NormalizeOptions::default()), &config);
-            assert_eq!(shortlist.ranked.len(), 2);
-            assert_eq!(shortlist.pruned_by_budget.len(), 2);
-            let scores: Vec<(f64, usize)> = shortlist
-                .ranked
-                .iter()
-                .chain(&shortlist.pruned_by_budget)
-                .map(|entry| (entry.estimated_overlap, entry.shared_anchors))
-                .collect();
-            assert!(scores.windows(2).all(|w| w[0] == w[1]), "all four pairs must tie");
-            let fingerprints: Vec<u64> =
-                shortlist.ranked.iter().map(|entry| entry.fingerprint).collect();
-            assert!(fingerprints.windows(2).all(|w| w[0] < w[1]), "ties order by fingerprint");
-            shortlist.ranked.iter().map(|entry| entry.name.clone()).collect()
-        };
-        assert_eq!(
-            cut_names(&forward),
-            cut_names(&reversed),
-            "a tie-group cut must be input-order invariant"
-        );
-    }
-
-    #[test]
-    fn tie_heavy_cross_product_cut_is_order_invariant() {
-        // Same property on the signature-level path: identical source and
-        // target sets in two orders, top_k smaller than the tie group.
-        let cells = ["abcdefgh-1", "abcdefgh-2", "abcdefgh-3"];
-        let forward: Vec<Arc<ColumnSignature>> = cells.iter().map(|c| sig(&[c])).collect();
-        let reversed: Vec<Arc<ColumnSignature>> = forward.iter().rev().cloned().collect();
-        let config = DiscoveryConfig { n_max: 8, top_k: Some(4), ..DiscoveryConfig::default() };
-        let fingerprints = |shortlist: &Shortlist| -> Vec<u64> {
-            shortlist.candidates.iter().map(|c| c.fingerprint).collect()
-        };
-        let fwd = discover(&forward, &forward, &config);
-        let rev = discover(&reversed, &reversed, &config);
-        assert_eq!(
-            fingerprints(&fwd),
-            fingerprints(&rev),
-            "the cut must keep the same pair content in both orders"
-        );
-        assert_eq!(fwd, discover_reference(&forward, &forward, &config));
-    }
-
-    #[test]
-    fn shortlist_delta_is_bit_identical_to_full_rebuild() {
-        let corpus = GramCorpus::new(NormalizeOptions::default());
-        let config = DiscoveryConfig { n_max: 8, ..DiscoveryConfig::default() };
-        let before = vec![
-            pair("joinable", &["davood rafiei", "mario nascimento"], &["drafiei"]),
-            pair("disjoint", &["aaaaaaaa"], &["bbbbbbbb"]),
-            pair("growing", &["michael bowling"], &["mbowling"]),
-        ];
-        let previous = shortlist_repository(&before, &corpus, &config);
-        assert_eq!(previous.pruned.len(), 1);
-
-        // Pair 2's source gains a row; a brand-new pair arrives at the end.
-        let mut after = before.clone();
-        after[2].source.push("denilson barbosa".to_string());
-        after.push(pair("new", &["jorg sander"], &["jsander"]));
-
-        let delta = shortlist_repository_delta(
-            &after,
-            &corpus,
-            &config,
-            ShortlistDelta { previous: &previous, changed: &[2] },
-        );
-        let full =
-            shortlist_repository(&after, &GramCorpus::new(NormalizeOptions::default()), &config);
-        assert_eq!(delta, full, "delta shortlist must equal a from-scratch rebuild");
-
-        // The carry-forward really skipped re-signing: only the changed
-        // pair's grown source and the new pair's two columns are signed
-        // beyond the first pass (the target of pair 2 is a cache hit).
-        let counters = corpus.stats();
-        assert_eq!(counters.signatures_built, 6 + 3, "6 cold columns + 3 delta builds");
-    }
-
-    #[test]
-    fn shortlist_delta_with_top_k_recuts_against_carried_scores() {
-        // A budget-cut pair must displace an unchanged ranked pair when an
-        // append raises its score past the leader's — which requires the
-        // cut list to carry its evidence forward and the leader's carried
-        // score to re-enter the same rank pass.
-        let corpus = GramCorpus::new(NormalizeOptions::default());
-        let config = DiscoveryConfig { n_max: 8, top_k: Some(1), ..DiscoveryConfig::default() };
-        let before = vec![
-            pair("leader", &["abcdefghij"], &["abcdefghij"]),
-            pair("runner-up", &["qrstuvwxyz"], &["qrstuvwx"]),
-        ];
-        let previous = shortlist_repository(&before, &corpus, &config);
-        assert_eq!(previous.ranked[0].name, "leader");
-        assert_eq!(previous.pruned_by_budget.len(), 1);
-        assert_eq!(previous.pruned_by_budget[0].name, "runner-up");
-
-        // Both runner-up columns gain a long shared row: its shared-gram
-        // estimate grows well past the unchanged leader's.
-        let mut after = before.clone();
-        after[1].source.push("0123456789012345".to_string());
-        after[1].target.push("0123456789012345".to_string());
-        let delta = shortlist_repository_delta(
-            &after,
-            &corpus,
-            &config,
-            ShortlistDelta { previous: &previous, changed: &[1] },
-        );
-        let full =
-            shortlist_repository(&after, &GramCorpus::new(NormalizeOptions::default()), &config);
-        assert_eq!(delta, full);
-        assert_eq!(delta.ranked[0].name, "runner-up", "the cut re-ranks on fresh scores");
-        assert_eq!(delta.pruned_by_budget[0].name, "leader", "the old leader is cut");
-    }
-
-    #[test]
-    #[should_panic(expected = "incomplete changed list")]
-    fn shortlist_delta_rejects_unaccounted_pairs() {
-        let corpus = GramCorpus::new(NormalizeOptions::default());
-        let config = DiscoveryConfig { n_max: 8, ..DiscoveryConfig::default() };
-        let repo = vec![pair("a", &["davood rafiei"], &["drafiei"])];
-        let previous = shortlist_repository(&repo, &corpus, &config);
-        // Lie about the previous verdict's coverage: a two-pair repository
-        // against a one-pair history with an empty changed list.
-        let bigger = vec![repo[0].clone(), pair("b", &["mario"], &["mario"])];
-        let mut previous = previous;
-        previous.considered = 2;
-        let _ = shortlist_repository_delta(
-            &bigger,
-            &corpus,
-            &config,
-            ShortlistDelta { previous: &previous, changed: &[] },
-        );
     }
 
     #[test]

@@ -70,24 +70,24 @@
 //!
 //! # Discovery-first runs
 //!
-//! [`BatchJoinRunner::discover_and_run`] puts the signature shortlister
-//! (`tjoin-discovery`) in front of the pipeline: every column is signed
-//! once into the run's gram corpus (the attached resident corpus when one
-//! exists — warm discovery is then served straight from cache), pairs
-//! whose anchor sets prove them unjoinable are pruned, and the existing
-//! work-stealing/budget machinery runs only the ranked survivors. The
-//! batch outcome is bit-identical to calling [`BatchJoinRunner::run`] on
-//! the shortlisted sublist directly (the discovery differential suite
-//! enforces this); under [`RowMatchingStrategy::Golden`] discovery proves
-//! nothing and every pair is retained.
+//! [`BatchJoinRunner::discover_and_run`] puts the anchor prune
+//! (`tjoin-discovery`) in front of the pipeline: every column's size-`n_min`
+//! anchor set is built once into the run's gram corpus (the attached
+//! resident corpus when one exists — warm discovery is then served
+//! straight from cache), pairs whose columns share no anchor are pruned,
+//! and the existing work-stealing/budget machinery runs only the
+//! survivors, most shared anchors first. The batch outcome is
+//! bit-identical to calling [`BatchJoinRunner::run`] on the shortlisted
+//! sublist directly (the discovery differential suite enforces this);
+//! under [`RowMatchingStrategy::Golden`] discovery proves nothing and every
+//! pair is retained.
 //!
 //! The `fault-injection` feature compiles in the deterministic
-//! [`FaultPlan`](tjoin_text::FaultPlan) harness
-//! ([`BatchJoinRunner::run_with_faults`]): named injection points keyed by
-//! (pair index, phase) drive the differential gate in
-//! `tests/proptest_faults.rs` — with K injected faults, every non-faulted
-//! pair stays bit-identical to the fault-free oracle and exactly the
-//! faulted pairs report non-[`Ok`](PairStatus::Ok) statuses.
+//! [`FaultPlan`] harness (`BatchJoinRunner::run_with_faults`): named
+//! injection points keyed by (pair index, phase) drive the differential
+//! gate in `tests/proptest_faults.rs` — with K injected faults, every
+//! non-faulted pair stays bit-identical to the fault-free oracle and
+//! exactly the faulted pairs report non-[`Ok`](PairStatus::Ok) statuses.
 
 use crate::evaluate::JoinMetrics;
 use crate::pipeline::{
@@ -224,8 +224,8 @@ pub struct BatchJoinOutcome {
 /// pair `shortlist.ranked[i]` names.
 #[derive(Debug, Clone)]
 pub struct DiscoveredBatchOutcome {
-    /// Which pairs ran, which were provably pruned, and which a `top_k`
-    /// budget cut (see [`RepositoryShortlist`]).
+    /// Which pairs ran and which were provably pruned (see
+    /// [`RepositoryShortlist`]).
     pub shortlist: RepositoryShortlist,
     /// The batch outcome over the shortlisted sublist, bit-identical to
     /// [`BatchJoinRunner::run`] on that sublist.
@@ -305,17 +305,18 @@ impl BatchJoinRunner {
     }
 
     /// Discovery-first run: signs every column of `repository` into the
-    /// run's corpus, prunes pairs whose anchor sets prove them unjoinable
-    /// (see the `tjoin-discovery` crate docs — recall 1.0 at the default
-    /// settings), and spends the full pipeline only on the ranked
-    /// shortlist under the runner's existing thread/`RunBudget` machinery.
-    /// The embedded [`BatchJoinOutcome`] is bit-identical to
-    /// [`Self::run`] over the shortlisted sublist.
+    /// run's corpus, prunes pairs whose columns share no anchor (see the
+    /// `tjoin-discovery` crate docs — recall 1.0 by construction), and
+    /// spends the full pipeline only on the shortlist under the runner's
+    /// existing thread/`RunBudget` machinery. The embedded
+    /// [`BatchJoinOutcome`] is bit-identical to [`Self::run`] over the
+    /// shortlisted sublist.
     ///
-    /// The discovery config's gram range and normalization must equal the
-    /// runner's matcher configuration — the recall guarantee is relative
-    /// to that matcher. Under [`RowMatchingStrategy::Golden`] (golden row
-    /// pairs need no shared text) every pair is retained unscored.
+    /// The discovery config's `n_min` must equal the runner's matcher
+    /// `n_min` — the recall guarantee is relative to that matcher; the
+    /// corpus it signs into normalizes like the matcher. Under
+    /// [`RowMatchingStrategy::Golden`] (golden row pairs need no shared
+    /// text) every pair is retained unscored.
     pub fn discover_and_run(
         &self,
         repository: &[ColumnPair],
@@ -331,13 +332,8 @@ impl BatchJoinRunner {
             }
         };
         assert_eq!(
-            (discovery.n_min, discovery.n_max),
-            (ngram.n_min, ngram.n_max),
-            "discovery gram range must equal the matcher's (the recall guarantee is relative to it)"
-        );
-        assert_eq!(
-            discovery.normalize, ngram.normalize,
-            "discovery must normalize like the matcher"
+            discovery.n_min, ngram.n_min,
+            "discovery n_min must equal the matcher's (the recall guarantee is relative to it)"
         );
         // Sign into the resident corpus when one is attached (warm
         // discovery is then a pure cache read); otherwise one owned corpus

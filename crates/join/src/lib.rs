@@ -84,7 +84,7 @@
 //!
 //! The `fault-injection` feature compiles in the deterministic
 //! [`tjoin_text::FaultPlan`] harness
-//! ([`batch::BatchJoinRunner::run_with_faults`]); `tests/proptest_faults.rs`
+//! (`BatchJoinRunner::run_with_faults`); `tests/proptest_faults.rs`
 //! proves that with K injected faults every non-faulted pair stays
 //! bit-identical to the fault-free oracle and exactly the faulted pairs
 //! report non-Ok statuses, across random repositories × {1, 2, 4} threads.
@@ -103,10 +103,7 @@ pub use batch::{
     DiscoveredBatchOutcome, PairJoinReport, RepositoryMetrics, SchedulerFailure,
 };
 pub use incremental::{AppendReport, IncrementalCoverage, IncrementalJoin, IncrementalJoinConfig};
-pub use tjoin_discovery::{
-    shortlist_repository_delta, DiscoveryConfig, PairCandidate, PrunedPair, RepositoryShortlist,
-    ScoredPair, ShortlistDelta,
-};
+pub use tjoin_discovery::{DiscoveryConfig, PrunedPair, RepositoryShortlist, ScoredPair};
 pub use evaluate::{evaluate_join, JoinMetrics};
 pub use pipeline::{
     GuardedJoinOutcome, JoinOutcome, JoinPipeline, JoinPipelineConfig, PairError, PairPhase,

@@ -1,30 +1,73 @@
-//! Differential suite for signature-shortlist discovery.
+//! Differential suite for anchor-prune discovery.
 //!
 //! Across random generated repositories (3–6 pairs × 8–16 rows) × decoy
 //! fractions {0, 0.25, 0.5, 0.75} × {1, 2, 4} threads (runner and
-//! signature-pass alike), three invariants are proven against retained
-//! oracles:
+//! signature-pass alike), four invariants are proven against oracles:
 //!
+//! * **The prune is exactly anchor disjointness.** A pair is pruned iff
+//!   the sets of normalized `n_min`-character substrings of its two
+//!   columns are disjoint — a naive `chars()`-window oracle, checked both
+//!   ways (no pair pruned that shares a substring, no pair run that shares
+//!   none), over the repository and every source × target re-pairing.
 //! * **Shortlist recall is 1.0.** Every pair the full brute-force
 //!   all-pairs batch run can join (non-empty predicted pairs) appears in
-//!   the shortlist — the anchor-pruning soundness argument of
-//!   `tjoin-discovery`, checked differentially rather than assumed.
-//! * **The shortlist is deterministic and thread-invariant.** The same
-//!   repository shortlists identically at every thread count and across
-//!   reruns — ranked order, pruned set, and budget cuts all equal.
+//!   the shortlist — the soundness argument of `tjoin-discovery`, checked
+//!   differentially rather than assumed.
+//! * **The shortlist is deterministic and thread-invariant**, with
+//!   survivors in `(shared anchors desc, index asc)` order.
 //! * **`discover_and_run` is the plain runner on the shortlist.** Its
 //!   batch outcome is bit-identical to `BatchJoinRunner::run` over the
-//!   ranked pair list, and the indexed signature scorer (`discover`) is
-//!   bit-identical to the brute-force pairwise oracle
-//!   (`discover_reference`) on the repository's column signatures.
+//!   ranked pair list.
 
 use proptest::prelude::*;
+use std::collections::HashSet;
 use tjoin_datasets::{ColumnPair, RepositoryConfig};
-use tjoin_discovery::{corpus_signature, discover, discover_reference};
+use tjoin_discovery::shortlist_repository;
 use tjoin_join::{
     BatchJoinOutcome, BatchJoinRunner, DiscoveryConfig, JoinPipelineConfig, RepositoryShortlist,
 };
-use tjoin_text::{GramCorpus, NormalizeOptions};
+use tjoin_text::{normalize_for_matching, GramCorpus, NormalizeOptions};
+
+/// The naive anchor set: every `n`-character window of every normalized
+/// cell, as text.
+fn substrings(cells: &[String], n: usize) -> HashSet<String> {
+    let options = NormalizeOptions::default();
+    let mut set = HashSet::new();
+    for cell in cells {
+        let chars: Vec<char> = normalize_for_matching(cell, &options).chars().collect();
+        for window in chars.windows(n) {
+            set.insert(window.iter().collect());
+        }
+    }
+    set
+}
+
+/// Asserts the shortlist is exactly the naive prune: pruned iff the two
+/// columns share no `n_min`-character substring, every survivor's
+/// `shared_anchors` is the size of that intersection, and survivors run in
+/// `(shared anchors desc, index asc)` order.
+fn assert_naive_prune(shortlist: &RepositoryShortlist, repository: &[ColumnPair], n_min: usize) {
+    assert_eq!(shortlist.considered, repository.len());
+    assert!(shortlist.pruned_by_budget.is_empty());
+    let pruned: HashSet<usize> = shortlist.pruned.iter().map(|entry| entry.index).collect();
+    let ranked: HashSet<usize> = shortlist.ranked.iter().map(|entry| entry.index).collect();
+    assert_eq!(pruned.len() + ranked.len(), repository.len(), "each pair has one verdict");
+    for (index, pair) in repository.iter().enumerate() {
+        let shared = substrings(&pair.source, n_min)
+            .intersection(&substrings(&pair.target, n_min))
+            .count();
+        assert_eq!(pruned.contains(&index), shared == 0, "verdict of pair {index}");
+        if let Some(entry) = shortlist.ranked.iter().find(|entry| entry.index == index) {
+            assert_eq!(entry.shared_anchors, shared, "shared anchors of pair {index}");
+        }
+    }
+    let order: Vec<(std::cmp::Reverse<usize>, usize)> = shortlist
+        .ranked
+        .iter()
+        .map(|entry| (std::cmp::Reverse(entry.shared_anchors), entry.index))
+        .collect();
+    assert!(order.windows(2).all(|w| w[0] < w[1]), "ranked order: {order:?}");
+}
 
 /// Asserts two batch outcomes carry identical results: same report order,
 /// same per-pair predicted pairs / metrics / candidate counts /
@@ -125,22 +168,24 @@ proptest! {
             }
         }
 
-        // The indexed scorer is bit-identical to the brute-force pairwise
-        // oracle on the repository's own column signatures.
+        // The prune is exactly naive n_min-substring disjointness, on the
+        // repository and on every source × target re-pairing of it.
+        let n_min = DiscoveryConfig::paper_default().n_min;
+        let shortlist = reference.expect("three thread counts ran");
+        assert_naive_prune(&shortlist, &repository, n_min);
+        let crossed: Vec<ColumnPair> = repository
+            .iter()
+            .flat_map(|s| {
+                repository.iter().map(move |t| ColumnPair {
+                    name: format!("{}→{}", s.name, t.name),
+                    source: s.source.clone(),
+                    target: t.target.clone(),
+                    golden: Vec::new(),
+                })
+            })
+            .collect();
         let corpus = GramCorpus::new(NormalizeOptions::default());
-        let discovery = DiscoveryConfig::paper_default();
-        let sources: Vec<_> = repository
-            .iter()
-            .map(|p| corpus_signature(&corpus, &p.source, &discovery).expect("fault-free build"))
-            .collect();
-        let targets: Vec<_> = repository
-            .iter()
-            .map(|p| corpus_signature(&corpus, &p.target, &discovery).expect("fault-free build"))
-            .collect();
-        prop_assert_eq!(
-            discover(&sources, &targets, &discovery),
-            discover_reference(&sources, &targets, &discovery),
-            "indexed discovery diverged from the brute-force oracle (seed {})", seed
-        );
+        let discovery = DiscoveryConfig::paper_default().with_threads(2);
+        assert_naive_prune(&shortlist_repository(&crossed, &corpus, &discovery), &crossed, n_min);
     }
 }

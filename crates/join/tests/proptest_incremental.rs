@@ -12,24 +12,17 @@
 //!   kept append yields exactly `join_with_transformations` with the
 //!   retained programs — and the maintained coverage state always matches
 //!   the from-scratch oracle either way.
-//! * [`shortlist_repository_delta`] over randomly grown repositories
-//!   (appends to existing pairs plus optionally a brand-new pair) equals a
-//!   full `shortlist_repository` of the final repository against the same
-//!   corpus.
 
 use proptest::prelude::*;
 use tjoin_core::coverage::compute_coverage;
 use tjoin_core::PairSet;
-use tjoin_datasets::{
-    joinable_rows, row_id, AppendWorkloadConfig, ColumnPair, RepositoryConfig,
-};
-use tjoin_discovery::{shortlist_repository, shortlist_repository_delta, ShortlistDelta};
+use tjoin_datasets::{AppendWorkloadConfig, RepositoryConfig};
 use tjoin_join::{
-    DiscoveryConfig, IncrementalCoverage, IncrementalJoin, IncrementalJoinConfig, JoinOutcome,
-    JoinPipeline, JoinPipelineConfig, RowMatchingStrategy,
+    IncrementalCoverage, IncrementalJoin, IncrementalJoinConfig, JoinOutcome, JoinPipeline,
+    JoinPipelineConfig, RowMatchingStrategy,
 };
 use tjoin_matching::golden_value_pairs;
-use tjoin_text::{GramCorpus, NormalizeOptions};
+use tjoin_text::NormalizeOptions;
 use tjoin_units::Transformation;
 
 fn golden_config(threads: usize) -> JoinPipelineConfig {
@@ -38,16 +31,6 @@ fn golden_config(threads: usize) -> JoinPipelineConfig {
         ..JoinPipelineConfig::default()
     }
     .with_threads(threads)
-}
-
-fn append_aligned(pair: &mut ColumnPair, rows: &[(String, String)]) {
-    for (source, target) in rows {
-        let s = row_id(pair.source.len());
-        let t = row_id(pair.target.len());
-        pair.source.push(source.clone());
-        pair.target.push(target.clone());
-        pair.golden.push((s, t));
-    }
 }
 
 fn assert_outcomes_identical(a: &JoinOutcome, b: &JoinOutcome, context: &str) {
@@ -193,57 +176,5 @@ proptest! {
                 seed
             );
         }
-    }
-
-    /// Shortlist deltas over a randomly grown repository equal a full
-    /// rebuild of the final repository against the same corpus.
-    #[test]
-    fn shortlist_delta_equals_full_rebuild(
-        seed in 0u64..1_000_000,
-        pairs in 3usize..6,
-        grow_mask in 0usize..8,
-        add_new_pair in 0usize..2,
-        top_k_choice in 0usize..3,
-    ) {
-        let repository_config = RepositoryConfig::new(pairs, 10).with_decoys(0.25);
-        let mut repository = repository_config.generate(seed);
-        let corpus = GramCorpus::new(NormalizeOptions::default());
-        let top_k = [None, Some(2), Some(3)][top_k_choice];
-        let mut config = DiscoveryConfig::paper_default();
-        config.top_k = top_k;
-        let previous = shortlist_repository(&repository, &corpus, &config);
-
-        // Grow a random subset of the joinable pairs.
-        let mut changed: Vec<usize> = Vec::new();
-        for (index, pair) in repository.iter_mut().enumerate() {
-            if grow_mask & (1 << (index % 3)) == 0 {
-                continue;
-            }
-            if let Some(rows) = joinable_rows(pair, 4, seed ^ (index as u64 + 1)) {
-                append_aligned(pair, &rows);
-                changed.push(index);
-            }
-        }
-        if add_new_pair == 1 {
-            // A brand-new pair beyond `previous.considered`: re-signed
-            // automatically, no changed-list entry needed.
-            let extra = repository_config.generate(seed ^ 0xABCD)[0].clone();
-            repository.push(extra);
-        }
-
-        let delta = shortlist_repository_delta(
-            &repository,
-            &corpus,
-            &config,
-            ShortlistDelta { previous: &previous, changed: &changed },
-        );
-        let full = shortlist_repository(&repository, &corpus, &config);
-        prop_assert_eq!(
-            delta,
-            full,
-            "delta shortlist diverged from full rebuild (seed {}, changed {:?})",
-            seed,
-            changed
-        );
     }
 }

@@ -40,7 +40,7 @@
 //! in `crates/join/tests/proptest_join.rs` enforces.
 //!
 //! * [`ngram`] — the planned-parallel n-gram matcher and its configuration.
-//! * [`reference`] — the retained serial size-major oracle loop, the only
+//! * [`reference`](mod@reference) — the retained serial size-major oracle loop, the only
 //!   matcher code that still works on owned `Vec<String>` columns.
 //! * [`golden`] — the oracle matcher backed by a ground-truth mapping (the
 //!   paper's "golden row matching" rows in Tables 2 and 4).

@@ -61,7 +61,7 @@
 //!
 //! Entry footprints are never remembered from admission time: artifacts
 //! built *after* a column became resident (an index requested later, a
-//! discovery signature, an append's carry-forward) grow the entry, so
+//! discovery anchor set, an append's carry-forward) grow the entry, so
 //! [`ResidentCorpus`] recomputes sizes at every enforcement point and
 //! trusts only the bytes [`GramCorpus::evict`] reports it actually freed.
 //!
@@ -880,12 +880,12 @@ mod tests {
         assert!(after_admission.bytes_resident <= budget, "arenas alone fit the budget");
         assert_eq!(after_admission.evictions, 0);
 
-        // Post-admission growth: stats + index + signature per column.
+        // Post-admission growth: index + signature per column.
         for pair in &repo {
             for column in [&pair.source, &pair.target] {
                 let entry = resident.corpus().column(column);
                 let _ = entry.index(4, 8);
-                let _ = entry.signature(4, 8);
+                let _ = entry.signature(4);
             }
         }
         assert!(

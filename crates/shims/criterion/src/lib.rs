@@ -7,7 +7,7 @@
 //!
 //! Measurement model: each benchmark is warmed up, the per-iteration cost is
 //! estimated, and then `sample_size` samples are taken, each timing a batch
-//! of iterations sized so one sample lasts roughly [`TARGET_SAMPLE_TIME`].
+//! of iterations sized so one sample lasts roughly `TARGET_SAMPLE_TIME`.
 //! The reported figures are the min / median / mean of the per-iteration
 //! sample times. There is no statistical outlier analysis, HTML report, or
 //! baseline comparison — swap the path dependency for real criterion when

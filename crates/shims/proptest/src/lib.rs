@@ -1,7 +1,7 @@
 //! Offline stand-in for the `proptest` crate.
 //!
 //! The build environment has no registry access, so this shim implements the
-//! subset of proptest the workspace uses: the [`Strategy`] trait with
+//! subset of proptest the workspace uses: the [`Strategy`](strategy::Strategy) trait with
 //! `prop_map`, integer-range / tuple / `Just` / union / collection
 //! strategies, a small regex-subset string generator
 //! ([`string::string_regex`] and `&str`-literal strategies), and the

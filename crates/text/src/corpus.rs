@@ -78,7 +78,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 /// The content fingerprint a corpus keys a column by: a length-seeded chain
-/// of every cell's [`fingerprint64`].
+/// of every cell's [`fingerprint64`](crate::fingerprint::fingerprint64).
 pub fn column_fingerprint(cells: &[String]) -> u64 {
     column_fingerprint_on(cells)
 }
@@ -268,7 +268,7 @@ pub struct CorpusStats {
     pub stats_attempts: usize,
     /// Total `NGramIndex` build attempts behind the resident entries.
     pub index_attempts: usize,
-    /// Distinct `(column, size-range)` `ColumnSignature`s built.
+    /// Distinct `(column, n_min)` `ColumnSignature`s built.
     pub signatures_built: usize,
     /// `signature()` calls served from cache.
     pub signature_hits: usize,
@@ -299,8 +299,9 @@ impl CorpusStats {
 }
 
 /// A per-size-range artifact cache: the built artifact or its sticky
-/// contained failure (plus its attempt count), keyed by `(n_min, n_max)`.
-type ArtifactCache<A> = FxHashMap<(usize, usize), Built<A>>;
+/// contained failure (plus its attempt count), keyed by `(n_min, n_max)`
+/// — or by `n_min` alone for signatures, which read no other size.
+type ArtifactCache<A, K = (usize, usize)> = FxHashMap<K, Built<A>>;
 
 /// One interned column: its normalized cells — flattened into a
 /// [`ColumnArena`] at build time — plus lazily built, cached gram artifacts
@@ -319,7 +320,7 @@ pub struct CorpusColumn {
     retry: CorpusRetryPolicy,
     stats: Mutex<ArtifactCache<ColumnStats>>,
     indexes: Mutex<ArtifactCache<NGramIndex>>,
-    signatures: Mutex<ArtifactCache<ColumnSignature>>,
+    signatures: Mutex<ArtifactCache<ColumnSignature, usize>>,
     stats_hits: AtomicUsize,
     index_hits: AtomicUsize,
     signature_hits: AtomicUsize,
@@ -443,38 +444,31 @@ impl CorpusColumn {
         self.try_index(n_min, n_max).unwrap_or_else(|failure| panic!("{failure}"))
     }
 
-    /// The column's discovery [`ColumnSignature`] over sizes
-    /// `n_min..=n_max` (anchors at size `n_min`), built on first request
-    /// and cached (exactly-once under concurrency), with the same
-    /// sticky-failure containment as [`Self::try_stats`]. The build reads
-    /// the column's cached stats — a sticky stats failure surfaces here as
-    /// the same typed failure instead of a fresh panic.
-    pub fn try_signature(
-        &self,
-        n_min: usize,
-        n_max: usize,
-    ) -> Result<Arc<ColumnSignature>, CorpusFailure> {
+    /// The column's discovery [`ColumnSignature`] with anchors of size
+    /// `n_min`, built on first request and cached (exactly-once under
+    /// concurrency), with the same sticky-failure containment as
+    /// [`Self::try_stats`].
+    pub fn try_signature(&self, n_min: usize) -> Result<Arc<ColumnSignature>, CorpusFailure> {
         if fault::should_poison(FaultSite::CorpusSignatureBuild) {
             fault::poison_mutex(&self.signatures);
         }
         let mut cache = fault::lock_recover(&self.signatures);
-        if let Some(entry) = cache.get(&(n_min, n_max)) {
+        if let Some(entry) = cache.get(&n_min) {
             self.signature_hits.fetch_add(1, Ordering::Relaxed);
             return entry.result.clone();
         }
         let (result, attempts) = build_with_retry(self.retry, "signature", || {
             fault::fire(FaultSite::CorpusSignatureBuild);
-            let stats = self.try_stats(n_min, n_max)?;
-            Ok(Arc::new(ColumnSignature::build(&self.normalized, &stats, n_min)))
+            Ok(Arc::new(ColumnSignature::build(&self.normalized, n_min)))
         });
-        cache.insert((n_min, n_max), Built { result: result.clone(), attempts });
+        cache.insert(n_min, Built { result: result.clone(), attempts });
         result
     }
 
     /// Infallible [`Self::try_signature`]: panics with the recorded
     /// failure's message when the entry is a sticky failure.
-    pub fn signature(&self, n_min: usize, n_max: usize) -> Arc<ColumnSignature> {
-        self.try_signature(n_min, n_max).unwrap_or_else(|failure| panic!("{failure}"))
+    pub fn signature(&self, n_min: usize) -> Arc<ColumnSignature> {
+        self.try_signature(n_min).unwrap_or_else(|failure| panic!("{failure}"))
     }
 }
 
@@ -792,7 +786,7 @@ impl GramCorpus {
         type Carried = (
             ArtifactCache<ColumnStats>,
             ArtifactCache<NGramIndex>,
-            ArtifactCache<ColumnSignature>,
+            ArtifactCache<ColumnSignature, usize>,
         );
         let carried: Result<Carried, _> = catch_unwind(AssertUnwindSafe(|| {
             fault::fire(FaultSite::CorpusAppend);
@@ -823,25 +817,14 @@ impl GramCorpus {
                     index_cache.insert(range, Built { result, attempts: 1 });
                 }
             }
-            let mut signature_cache: ArtifactCache<ColumnSignature> = FxHashMap::default();
-            for (&(n_min, n_max), built) in fault::lock_recover(&old.signatures).iter() {
+            let mut signature_cache: ArtifactCache<ColumnSignature, usize> =
+                FxHashMap::default();
+            for (&n_min, built) in fault::lock_recover(&old.signatures).iter() {
                 if let Ok(signature) = &built.result {
-                    // The signature fold needs the final column's stats for
-                    // this range; the signature build path always populates
-                    // the stats cache, so this is normally a lookup.
-                    let stats = match stats_cache
-                        .get(&(n_min, n_max))
-                        .and_then(|b| b.result.as_ref().ok())
-                    {
-                        Some(stats) => Arc::clone(stats),
-                        None => Arc::new(ColumnStats::build_on(&normalized, n_min, n_max)),
-                    };
                     let mut grown = ColumnSignature::clone(signature);
-                    grown.append_rows(&normalized, &stats, old_len, n_max);
-                    signature_cache.insert(
-                        (n_min, n_max),
-                        Built { result: Ok(Arc::new(grown)), attempts: 1 },
-                    );
+                    grown.append_rows(&normalized, old_len);
+                    signature_cache
+                        .insert(n_min, Built { result: Ok(Arc::new(grown)), attempts: 1 });
                 }
             }
             (stats_cache, index_cache, signature_cache)
@@ -997,20 +980,19 @@ mod tests {
         let corpus = GramCorpus::new(NormalizeOptions::default());
         let column = corpus.column(&col(&["Rafiei, Davood", "Bowling, Michael"]));
         let before = column.approximate_bytes();
-        let first = column.signature(4, 8);
-        let second = column.signature(4, 8);
+        let first = column.signature(4);
+        let second = column.signature(4);
         assert!(Arc::ptr_eq(&first, &second), "cached signature is shared");
-        let other_range = column.signature(5, 8);
-        assert!(!Arc::ptr_eq(&first, &other_range), "size ranges cache separately");
+        let other_size = column.signature(5);
+        assert!(!Arc::ptr_eq(&first, &other_size), "anchor sizes cache separately");
         let stats = corpus.stats();
         assert_eq!(stats.signatures_built, 2);
         assert_eq!(stats.signature_hits, 1);
         assert_eq!(stats.signatures_failed, 0);
         assert_eq!(stats.signature_attempts, 2);
-        // The signature build pulls the column's stats through the stats
-        // cache (one build per range), and the resident footprint grows by
-        // the cached signatures.
-        assert_eq!(stats.stats_built, 2);
+        // The signature build reads no stats, and the resident footprint
+        // grows by the cached signatures.
+        assert_eq!(stats.stats_built, 0);
         assert!(column.approximate_bytes() > before);
     }
 
@@ -1196,7 +1178,7 @@ mod tests {
         let old = corpus.column(&base);
         let _ = old.stats(4, 8);
         let _ = old.index(4, 8);
-        let _ = old.signature(4, 8);
+        let _ = old.signature(4);
         let old_generation = old.generation();
 
         let new_fp = corpus.append_column(old_fp, &delta).expect("append succeeds");
@@ -1212,7 +1194,7 @@ mod tests {
         assert_eq!(grown.normalized(), fresh.normalized());
         assert_eq!(*grown.stats(4, 8), *fresh.stats(4, 8));
         assert_eq!(*grown.index(4, 8), *fresh.index(4, 8));
-        assert_eq!(*grown.signature(4, 8), *fresh.signature(4, 8));
+        assert_eq!(*grown.signature(4), *fresh.signature(4));
 
         let stats = corpus.stats();
         assert_eq!(stats.appends, 1);

@@ -16,10 +16,8 @@
 //! with an exact string comparison after the fingerprint lookup.
 
 /// The splitmix64 finalizer: full-avalanche mixing of one 64-bit word.
-/// Crate-visible so the signature module can drive its one-permutation
-/// MinHash from the same mixer the fingerprints use.
 #[inline]
-pub(crate) fn mix64(mut z: u64) -> u64 {
+fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)

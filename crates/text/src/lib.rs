@@ -43,9 +43,8 @@
 //!   over only the new rows (the loop is row-independent);
 //! * [`NGramIndex::try_append_on`] pushes strictly-greater row ids, so
 //!   posting sortedness/uniqueness survive without a re-sort;
-//! * [`ColumnSignature::append_rows`] min-merges the new rows' gram
-//!   fingerprints into the MinHash lanes (idempotent, so re-folding old
-//!   grams is harmless) and unions the new anchors into the sorted set;
+//! * [`ColumnSignature::append_rows`] unions the new rows' anchors into
+//!   the sorted set;
 //! * [`fingerprint::ColumnFingerprint`] keeps the column content chain
 //!   *unfinished* (cell count folded in at the end, not the seed), so an
 //!   append continues the chain in O(delta) and finishes to exactly the
@@ -112,11 +111,10 @@
 //! * [`scoring`] — Inverse Row Frequency (IRF, Eq. 1) and the representative
 //!   score (Rscore, Eq. 2), fingerprint-keyed so stats builds allocate no
 //!   gram text.
-//! * [`signature`] — cheap per-column discovery signatures: fixed-width
-//!   MinHash lanes over the stats' gram-fingerprint stream (shortlist
-//!   *scoring*) plus the exact size-`n_min` anchor fingerprint set
-//!   (shortlist *pruning* — disjoint anchors prove zero candidate row
-//!   matches). Cached in the corpus next to stats/index.
+//! * [`signature`] — cheap per-column discovery signatures: the exact
+//!   size-`n_min` anchor fingerprint set (shortlist *pruning* — disjoint
+//!   anchors prove zero candidate row matches). Cached in the corpus next
+//!   to stats/index.
 //! * [`normalize`] — case/whitespace normalization applied before matching
 //!   (the paper ignores capitalization in its running examples):
 //!   [`normalize_for_matching`] is the per-call reference, and
@@ -158,5 +156,5 @@ pub use ngram::{
 pub use normalize::{normalize_append, normalize_for_matching, NormalizeOptions};
 pub use par::{chunk_map, chunk_map_budgeted, chunk_map_rows, chunk_map_rows_budgeted};
 pub use scoring::{irf, rscore, ColumnStats};
-pub use signature::{CollisionGuard, ColumnSignature, SIGNATURE_WIDTH};
+pub use signature::{CollisionGuard, ColumnSignature};
 pub use tokenize::{is_separator_char, tokenize_with_separators, Token, TokenKind};

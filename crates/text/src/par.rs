@@ -14,7 +14,7 @@
 //! `catch_unwind` above the map (the batch runner's per-pair containment)
 //! observes exactly the message the worker panicked with. The budgeted
 //! variant [`chunk_map_budgeted`] additionally checks a
-//! [`BudgetToken`](crate::budget::BudgetToken) before every item and
+//! [`BudgetToken`] before every item and
 //! aborts the whole map — discarding partial results, which keeps budgeted
 //! aborts all-or-nothing — once the token trips.
 

@@ -130,15 +130,6 @@ impl ColumnStats {
         self.row_frequency.len()
     }
 
-    /// The distinct gram fingerprints indexed by this stats map, in hash-map
-    /// (i.e. unspecified) order. Consumers needing determinism must fold the
-    /// stream through an order-independent reduction — the MinHash signature
-    /// build takes a per-lane minimum, so any iteration order produces the
-    /// same signature.
-    pub fn gram_fingerprints(&self) -> impl Iterator<Item = u64> + '_ {
-        self.row_frequency.keys().copied()
-    }
-
     /// Estimated memory footprint of the stats map: per entry, the 8-byte
     /// gram fingerprint, the 4-byte row count, and the same fixed hash-map
     /// overhead estimate [`crate::index::NGramIndex::approximate_bytes`]

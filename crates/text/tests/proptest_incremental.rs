@@ -73,7 +73,7 @@ proptest! {
         let mut arena = ColumnArena::try_from_cells(&prefix).expect("base arena");
         let mut stats = ColumnStats::build_on(&prefix, n_min, n_max);
         let mut index = NGramIndex::try_build_on(&prefix, n_min, n_max).expect("base index");
-        let mut signature = ColumnSignature::build(&prefix, &stats, n_min);
+        let mut signature = ColumnSignature::build(&prefix, n_min);
         let mut fingerprint = ColumnFingerprint::empty();
         for cell in &prefix {
             fingerprint.absorb(cell);
@@ -84,11 +84,9 @@ proptest! {
             prefix.extend(delta.iter().cloned());
 
             arena.append_rows(delta).expect("arena append");
-            // Stats first: the signature's append contract requires stats
-            // already covering the final column.
             stats.append_rows_on(&prefix, from_row, n_min, n_max);
             index.try_append_on(&prefix, from_row).expect("index append");
-            signature.append_rows(&prefix, &stats, from_row, n_max);
+            signature.append_rows(&prefix, from_row);
             for cell in delta {
                 fingerprint.absorb(cell);
             }
@@ -100,7 +98,7 @@ proptest! {
             let fresh_index =
                 NGramIndex::try_build_on(&prefix, n_min, n_max).expect("fresh index");
             prop_assert_eq!(&index, &fresh_index, "index diverged at row {}", from_row);
-            let fresh_signature = ColumnSignature::build(&prefix, &fresh_stats, n_min);
+            let fresh_signature = ColumnSignature::build(&prefix, n_min);
             prop_assert_eq!(
                 &signature, &fresh_signature,
                 "signature diverged at row {}", from_row
@@ -133,7 +131,7 @@ proptest! {
         let base = corpus.column(&prefix);
         // Warm every artifact so appends exercise carry-forward, not
         // rebuild-on-access.
-        let _ = (base.stats(n_min, n_max), base.index(n_min, n_max), base.signature(n_min, n_max));
+        let _ = (base.stats(n_min, n_max), base.index(n_min, n_max), base.signature(n_min));
         let mut fingerprint = tjoin_text::column_fingerprint(&prefix);
 
         for delta in &segments[1..] {
@@ -159,8 +157,8 @@ proptest! {
                 "corpus index diverged"
             );
             prop_assert_eq!(
-                &*grown.signature(n_min, n_max),
-                &*fresh.signature(n_min, n_max),
+                &*grown.signature(n_min),
+                &*fresh.signature(n_min),
                 "corpus signature diverged"
             );
         }

@@ -6,7 +6,7 @@ use std::fmt;
 ///
 /// Failure to apply is a normal, expected outcome during synthesis — the
 /// engine generates candidates from one row and probes them against others —
-/// so the hot-path API ([`crate::Unit::apply_to`]) returns `Option` rather
+/// so the hot-path API ([`crate::Unit::apply`]) returns `Option` rather
 /// than `Result`. `UnitError` exists for the diagnostic API
 /// ([`crate::Unit::try_apply_to`]) used by examples, tests, and the
 /// explain-style tooling where *why* a unit failed matters.
