@@ -1,16 +1,16 @@
 //! Repository-scale matching + join benchmark, tracking five claims in
 //! `BENCH_join.json` at the workspace root:
 //!
-//! * **Matcher identity**: the planned parallel scan (shared stats/index
-//!   built once, fused per-size representative selection, row chunks
-//!   across workers) is bit-identical to the retained size-major oracle
-//!   (`tjoin_matching::reference`) at 1 and 4 threads. The matcher is not
-//!   timed here: the repository benchmark (`perfbench/`) times it end to
-//!   end in every workload, where a ratio against the oracle on one
-//!   synthetic pair says nothing about the wall-clock that matters.
+//! * **Matcher identity**: the fused serial row scan (stats/index built
+//!   once, per-size representative selection in one pass per row) is
+//!   bit-identical to the retained size-major oracle
+//!   (`tjoin_matching::reference`). The matcher is not timed here: the
+//!   repository benchmark (`perfbench/`) times it end to end in every
+//!   workload, where a ratio against the oracle on one synthetic pair says
+//!   nothing about the wall-clock that matters.
 //! * **Reference vs fingerprint equi-join**: the owned-string-keyed oracle
 //!   (`tjoin_join::reference`) against the fingerprint join (normalize
-//!   once, u64 buckets, exact confirm) at 1 and 4 threads.
+//!   once, u64 buckets, exact confirm), identical output asserted.
 //! * **Batch runner throughput**: the heterogeneous generated repository
 //!   driven by the work-stealing `BatchJoinRunner` at thread budgets 1 and
 //!   4, with identical outcomes asserted.
@@ -18,9 +18,9 @@
 //!   dominant pair among small peers, the shape where the static chunk
 //!   split strands workers. Outcomes asserted identical both ways; the
 //!   JSON records the steal count and the shared-corpus counters
-//!   (normalizations saved, asserted thread-count-invariant) — on this
-//!   one-core box the wall-clock gap is scheduling noise, so the counters
-//!   are the tracked claim.
+//!   (normalizations saved, asserted thread-count-invariant). Neither
+//!   driver is timed: on a 2-vCPU box the stealing-vs-static ratio moved
+//!   with the run (0.86x measured), so the counters are the tracked claim.
 //! * **Budget overhead**: the per-pair pipeline (`run_guarded`, which
 //!   `run` is) without a budget against the same call with a live unlimited
 //!   budget token (admission charging + cooperative checks). Outcomes
@@ -92,47 +92,26 @@ fn candidates(matcher: &NGramMatcher, pair: &ColumnPair) -> Vec<RowMatch> {
     matcher.try_find_candidates(pair, None, None).expect("unbudgeted per-call scan")
 }
 
-fn bench_matcher(c: &mut Criterion) {
-    let pair = matcher_pair(400);
-    let serial = NGramMatcher::new(NGramMatcherConfig::default());
-    let parallel = NGramMatcher::new(NGramMatcherConfig::default().with_threads(THREADS));
-    let mut group = c.benchmark_group("matcher_throughput");
-    group.sample_size(10);
-    group.bench_function("serial_400", |b| {
-        b.iter(|| black_box(candidates(&serial, black_box(&pair))))
-    });
-    group.bench_function("parallel_4t_400", |b| {
-        b.iter(|| black_box(candidates(&parallel, black_box(&pair))))
-    });
-    group.finish();
-}
-
 fn join_throughput_comparison(_c: &mut Criterion) {
-    // --- Leg 1: matcher — fused serial and parallel vs the reference. ---
+    // --- Leg 1: matcher — the fused scan vs the reference. ---
     let matcher_rows = 1_000;
     let m_pair = matcher_pair(matcher_rows);
     let m_config = NGramMatcherConfig::default();
     let reference_matches = find_candidates_reference(&m_config, &m_pair);
-    let serial_matcher = NGramMatcher::new(m_config.clone());
-    let parallel_matcher = NGramMatcher::new(m_config.clone().with_threads(THREADS));
-    assert_eq!(candidates(&serial_matcher, &m_pair), reference_matches);
-    assert_eq!(candidates(&parallel_matcher, &m_pair), reference_matches);
+    assert_eq!(candidates(&NGramMatcher::new(m_config), &m_pair), reference_matches);
     assert!(!reference_matches.is_empty());
 
-    // --- Leg 2: equi-join — reference vs fingerprint at 1 and 4 threads. ---
+    // --- Leg 2: equi-join — reference vs fingerprint. ---
     let samples = 7;
     let join_rows = 20_000;
     let j_pair = join_pair(join_rows);
     let transformations = join_transformations();
     let refs: Vec<&Transformation> = transformations.iter().collect();
-    let config_1t = JoinPipelineConfig::paper_default();
-    let config_4t = JoinPipelineConfig::paper_default().with_threads(THREADS);
-    let pipeline_1t = JoinPipeline::new(config_1t.clone());
-    let pipeline_4t = JoinPipeline::new(config_4t);
+    let config = JoinPipelineConfig::paper_default();
+    let pipeline = JoinPipeline::new(config.clone());
     let reference_pairs =
-        equi_join_reference(&j_pair, refs.iter().copied(), &config_1t.synthesis.normalize);
-    assert_eq!(pipeline_1t.equi_join(&j_pair, refs.iter().copied()), reference_pairs);
-    assert_eq!(pipeline_4t.equi_join(&j_pair, refs.iter().copied()), reference_pairs);
+        equi_join_reference(&j_pair, refs.iter().copied(), &config.synthesis.normalize);
+    assert_eq!(pipeline.equi_join(&j_pair, refs.iter().copied()), reference_pairs);
     // The duplicated-target fan-out block must be present in the output:
     // source row 0 pairs with target rows 0 and 1.
     assert!(reference_pairs.len() >= join_rows);
@@ -142,14 +121,11 @@ fn join_throughput_comparison(_c: &mut Criterion) {
         black_box(equi_join_reference(
             black_box(&j_pair),
             refs.iter().copied(),
-            &config_1t.synthesis.normalize,
+            &config.synthesis.normalize,
         ));
     });
     let j_fingerprint_secs = time_seconds(samples, || {
-        black_box(pipeline_1t.equi_join(black_box(&j_pair), refs.iter().copied()));
-    });
-    let j_fingerprint_4t_secs = time_seconds(samples, || {
-        black_box(pipeline_4t.equi_join(black_box(&j_pair), refs.iter().copied()));
+        black_box(pipeline.equi_join(black_box(&j_pair), refs.iter().copied()));
     });
 
     // --- Leg 3: batch runner over the generated repository. ---
@@ -216,14 +192,6 @@ fn join_throughput_comparison(_c: &mut Criterion) {
         assert_eq!(other, skew_corpus, "corpus counters diverged at {threads} threads");
     }
 
-    let skew_samples = 3;
-    let skew_static_secs = time_seconds(skew_samples, || {
-        black_box(skew_runner.run_static(black_box(&skewed)));
-    });
-    let skew_stealing_secs = time_seconds(skew_samples, || {
-        black_box(skew_runner.run(black_box(&skewed)));
-    });
-
     // --- Leg 5: budget overhead — no budget vs a live unlimited budget. ---
     let iso_pair = matcher_pair(400);
     let iso_pipeline = JoinPipeline::new(JoinPipelineConfig::paper_default());
@@ -246,12 +214,10 @@ fn join_throughput_comparison(_c: &mut Criterion) {
     });
 
     let join_fingerprint_speedup = j_reference_secs / j_fingerprint_secs;
-    let join_parallel_speedup = j_fingerprint_secs / j_fingerprint_4t_secs;
     let batch_speedup = b_serial_secs / b_parallel_secs;
-    let skew_speedup = skew_static_secs / skew_stealing_secs;
     let budgeted_relative = iso_plain_secs / iso_budgeted_secs;
     let summary = format!(
-        "{{\n  \"benchmark\": \"join_throughput\",\n  \"threads\": {THREADS},\n  \"matcher\": {{\n    \"rows\": {matcher_rows},\n    \"candidates\": {},\n    \"outputs_bit_identical\": true\n  }},\n  \"equi_join\": {{\n    \"rows\": {join_rows},\n    \"transformations\": {},\n    \"samples\": {samples},\n    \"reference_median_seconds\": {j_reference_secs:.6},\n    \"fingerprint_median_seconds\": {j_fingerprint_secs:.6},\n    \"fingerprint_parallel_median_seconds\": {j_fingerprint_4t_secs:.6},\n    \"speedup_fingerprint_vs_reference\": {join_fingerprint_speedup:.2},\n    \"speedup_parallel_vs_serial_fingerprint\": {join_parallel_speedup:.2},\n    \"predicted_pairs\": {},\n    \"outputs_bit_identical\": true\n  }},\n  \"batch\": {{\n    \"pairs\": {},\n    \"rows_per_pair\": 80,\n    \"samples\": {batch_samples},\n    \"budget_1_median_seconds\": {b_serial_secs:.6},\n    \"budget_4_median_seconds\": {b_parallel_secs:.6},\n    \"speedup_budget_4_vs_1\": {batch_speedup:.2},\n    \"joined_pairs\": {},\n    \"micro_f1\": {:.4},\n    \"macro_f1\": {:.4},\n    \"outcomes_bit_identical\": true\n  }},\n  \"batch_skew\": {{\n    \"pairs\": {},\n    \"rows_per_pair\": 50,\n    \"skew\": 8.0,\n    \"dominant_pair_rows\": {},\n    \"samples\": {skew_samples},\n    \"static_split_median_seconds\": {skew_static_secs:.6},\n    \"work_stealing_median_seconds\": {skew_stealing_secs:.6},\n    \"speedup_stealing_vs_static\": {skew_speedup:.2},\n    \"stolen_tasks\": {},\n    \"corpus_columns_interned\": {},\n    \"corpus_normalizations_saved\": {},\n    \"corpus_stats_reused\": {},\n    \"corpus_counts_thread_invariant\": true,\n    \"outcomes_bit_identical\": true\n  }},\n  \"isolation\": {{\n    \"rows\": 400,\n    \"samples\": {iso_samples},\n    \"no_budget_median_seconds\": {iso_plain_secs:.6},\n    \"budgeted_median_seconds\": {iso_budgeted_secs:.6},\n    \"relative_throughput_budgeted\": {budgeted_relative:.2},\n    \"outcomes_bit_identical\": true\n  }}\n}}\n",
+        "{{\n  \"benchmark\": \"join_throughput\",\n  \"threads\": {THREADS},\n  \"matcher\": {{\n    \"rows\": {matcher_rows},\n    \"candidates\": {},\n    \"outputs_bit_identical\": true\n  }},\n  \"equi_join\": {{\n    \"rows\": {join_rows},\n    \"transformations\": {},\n    \"samples\": {samples},\n    \"reference_median_seconds\": {j_reference_secs:.6},\n    \"fingerprint_median_seconds\": {j_fingerprint_secs:.6},\n    \"speedup_fingerprint_vs_reference\": {join_fingerprint_speedup:.2},\n    \"predicted_pairs\": {},\n    \"outputs_bit_identical\": true\n  }},\n  \"batch\": {{\n    \"pairs\": {},\n    \"rows_per_pair\": 80,\n    \"samples\": {batch_samples},\n    \"budget_1_median_seconds\": {b_serial_secs:.6},\n    \"budget_4_median_seconds\": {b_parallel_secs:.6},\n    \"speedup_budget_4_vs_1\": {batch_speedup:.2},\n    \"joined_pairs\": {},\n    \"micro_f1\": {:.4},\n    \"macro_f1\": {:.4},\n    \"outcomes_bit_identical\": true\n  }},\n  \"batch_skew\": {{\n    \"pairs\": {},\n    \"rows_per_pair\": 50,\n    \"skew\": 8.0,\n    \"dominant_pair_rows\": {},\n    \"stolen_tasks\": {},\n    \"corpus_columns_interned\": {},\n    \"corpus_normalizations_saved\": {},\n    \"corpus_stats_reused\": {},\n    \"corpus_counts_thread_invariant\": true,\n    \"outcomes_bit_identical\": true\n  }},\n  \"isolation\": {{\n    \"rows\": 400,\n    \"samples\": {iso_samples},\n    \"no_budget_median_seconds\": {iso_plain_secs:.6},\n    \"budgeted_median_seconds\": {iso_budgeted_secs:.6},\n    \"relative_throughput_budgeted\": {budgeted_relative:.2},\n    \"outcomes_bit_identical\": true\n  }}\n}}\n",
         reference_matches.len(),
         transformations.len(),
         reference_pairs.len(),
@@ -270,12 +236,11 @@ fn join_throughput_comparison(_c: &mut Criterion) {
     std::fs::write(path, &summary).expect("write BENCH_join.json");
     println!(
         "equi_join: fingerprint {join_fingerprint_speedup:.2}x over reference \
-         ({j_reference_secs:.4}s -> {j_fingerprint_secs:.4}s), parallel {join_parallel_speedup:.2}x"
+         ({j_reference_secs:.4}s -> {j_fingerprint_secs:.4}s)"
     );
     println!("batch: budget 4 {batch_speedup:.2}x over budget 1 ({b_serial_secs:.4}s -> {b_parallel_secs:.4}s)");
     println!(
-        "batch_skew: stealing {skew_speedup:.2}x over static split \
-         ({skew_static_secs:.4}s -> {skew_stealing_secs:.4}s), {} stolen tasks, \
+        "batch_skew: stealing identical to static split, {} stolen tasks, \
          {} column normalizations saved by the corpus",
         skew_stealing.scheduler.stolen_tasks,
         skew_corpus.normalizations_saved(),
@@ -287,22 +252,16 @@ fn join_throughput_comparison(_c: &mut Criterion) {
     println!("summary written to {path}");
     // Hard gates are output identity (asserted above). Wall-clock ratios
     // are *tracked* in the JSON, not tightly gated: medians of 5-7 samples
-    // on a contended one-core CI runner shift by tens of percent, and this
-    // bench runs on every push — the asserts below only catch order-of-
-    // magnitude pathology (a leg collapsing to half speed or worse).
+    // on a contended 2-vCPU runner shift by tens of percent, and this bench
+    // runs on every push — the asserts below only catch order-of-magnitude
+    // pathology (a leg collapsing to half speed or worse).
     assert!(
         join_fingerprint_speedup > 0.5,
         "structural leg collapsed: fingerprint join {join_fingerprint_speedup:.2}x vs its reference"
     );
     assert!(
-        join_parallel_speedup > 0.5 && batch_speedup > 0.5,
-        "parallel legs collapsed: join {join_parallel_speedup:.2}x, batch {batch_speedup:.2}x \
-         (one-core box — thread wins are multicore headroom)"
-    );
-    assert!(
-        skew_speedup > 0.5,
-        "work stealing collapsed to {skew_speedup:.2}x of the static split on the \
-         skewed repository (one-core box — the scheduling win is multicore headroom)"
+        batch_speedup > 0.5,
+        "batch leg collapsed: budget 4 at {batch_speedup:.2}x of budget 1"
     );
     assert!(
         budgeted_relative > 0.5,
@@ -314,6 +273,6 @@ fn join_throughput_comparison(_c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_matcher, join_throughput_comparison
+    targets = join_throughput_comparison
 }
 criterion_main!(benches);

@@ -53,12 +53,11 @@ pub struct SynthesisConfig {
     /// Coverage splits the rows into contiguous chunks, one per worker; its
     /// outcome, counters included, is the same at every thread count.
     ///
-    /// This field is the workspace-wide thread-budget convention: the row
-    /// matcher (`NGramMatcherConfig::threads`), the join pipeline's
-    /// equi-join apply loop, and the batch join runner's shared budget all
-    /// follow the same semantics — results are bit-identical at any value,
-    /// only wall-clock changes. `JoinPipelineConfig::with_threads` applies
-    /// one budget across every stage.
+    /// Coverage is the only pipeline stage with an inner thread budget: the
+    /// row matcher and the equi-join are serial, and repository runs
+    /// parallelize across pairs instead. `JoinPipelineConfig::with_threads`
+    /// sets this field, and the batch join runner passes each pair
+    /// `threads / workers` of its budget here.
     pub threads: usize,
     /// No effect: the single-valued residue of the retired coverage-axis
     /// knob (see [`CoverageAxis`]).

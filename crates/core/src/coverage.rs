@@ -213,7 +213,7 @@ pub fn compute_coverage_planned_budgeted(
         outcome.unit_evaluations += scan.unit_evaluations;
     }
     // A tripped budget discards the (truncated) partial scan: budgeted
-    // aborts are all-or-nothing, like `chunk_map_budgeted`.
+    // aborts are all-or-nothing.
     if let Some(token) = budget {
         token.check()?;
     }

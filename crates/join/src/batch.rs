@@ -15,8 +15,9 @@
 //! skewed repository whose huge pair lands on one worker no longer strands
 //! the rest of the pool the way a static up-front chunk split does. Each
 //! task's pipeline receives an inner budget of `threads / workers` threads
-//! (at least 1) for its parallel stages (matcher row scan, synthesis
-//! coverage, equi-join apply), so workers × inner never exceeds the budget.
+//! (at least 1) for synthesis coverage, its one inner-parallel stage (the
+//! matcher and the equi-join are serial), so workers × inner never exceeds
+//! the budget.
 //! Under the n-gram strategy all workers share one [`GramCorpus`], so a
 //! column referenced by several pairs is normalized and indexed once per
 //! repository. By default the corpus lives for the whole run and is
@@ -36,8 +37,8 @@
 //! [`BatchJoinRunner::run_static`] is the pre-work-stealing driver, kept
 //! verbatim: pairs chunked contiguously across workers up front
 //! (`tjoin_text::chunk_map`), per-call matcher artifacts, no shared corpus.
-//! Because every stage of the per-pair pipeline is bit-identical at any
-//! thread count (see the pipeline and matcher module docs), both drivers
+//! Because the per-pair pipeline is bit-identical at any inner thread
+//! count (only coverage reads it; see the pipeline module docs), both drivers
 //! must produce exactly the same per-pair [`JoinOutcome`]s — same pairs,
 //! same order, same metrics — and the same [`RepositoryMetrics`] at any
 //! thread budget; only wall-clock (and the scheduling counters) may differ.
@@ -175,7 +176,9 @@ pub struct BatchSchedulerStats {
     /// Workers in the pool (`min(threads, pairs)`, at least 1).
     pub workers: usize,
     /// Inner thread budget each task's pipeline ran with
-    /// (`threads / workers`, at least 1) — workers × inner ≤ budget.
+    /// (`threads / workers`, at least 1) — workers × inner ≤ budget. Only
+    /// synthesis coverage reads it; the matcher and the equi-join are
+    /// serial.
     pub inner_threads: usize,
     /// Tasks each worker executed, by worker index. Under work stealing on
     /// a skewed repository this is *uneven by design* — fast workers drain

@@ -1,9 +1,9 @@
 //! # tjoin-join
 //!
 //! The end-to-end join layer (Sections 4.2 and 6.5 of the paper), built for
-//! repository-scale workloads: one column pair runs through the parallel
+//! repository-scale workloads: one column pair runs through the
 //! [`pipeline`], and a whole repository of pairs runs through the shared
-//! thread-budget [`batch`] driver.
+//! thread-budget [`batch`] driver, which parallelizes across pairs.
 //!
 //! # The per-pair pipeline
 //!
@@ -11,30 +11,29 @@
 //! [`pipeline::JoinPipeline::run`] is that call without a corpus or budget,
 //! and both batch drivers call it per pair:
 //!
-//! 1. find candidate joinable row pairs (the planned-parallel n-gram
-//!    matcher of `tjoin-matching`, or the golden mapping for oracle
-//!    experiments);
+//! 1. find candidate joinable row pairs (the n-gram matcher of
+//!    `tjoin-matching`, or the golden mapping for oracle experiments);
 //! 2. discover a transformation set over those pairs with the synthesis
 //!    engine (or a baseline);
 //! 3. keep transformations above a minimum support;
 //! 4. apply them to every source row and equi-join the transformed values
 //!    against the target column — a *fingerprint join*: both columns
 //!    normalized once, target rows bucketed by the 64-bit
-//!    [`tjoin_text::fingerprint64`] of their normalized value, probes
-//!    confirmed with an exact string comparison, and the apply loop chunked
-//!    over source-row ranges across `SynthesisConfig::threads` workers;
+//!    [`tjoin_text::fingerprint64`] of their normalized value, and probes
+//!    confirmed with an exact string comparison;
 //! 5. evaluate the predicted row pairs against the golden mapping
 //!    (precision / recall / F1 — Table 3).
 //!
 //! # Determinism and the reference oracles
 //!
-//! Every parallel stage is bit-identical at any thread count. The serial
-//! pre-parallel implementations are retained as differential oracles —
-//! [`reference::equi_join_reference`] here and
+//! Matching and the equi-join are serial; the pipeline's thread budget
+//! reaches only synthesis coverage, whose row chunks are bit-identical at
+//! any thread count. The original implementations are retained as
+//! differential oracles — [`reference::equi_join_reference`] here and
 //! `tjoin_matching::reference::find_candidates_reference` for the matcher —
 //! and `tests/proptest_join.rs` proves production output identical to them
-//! across random column pairs × {1, 2, 4} threads × both matching
-//! strategies.
+//! across random column pairs × both matching strategies, and the pipeline
+//! outcome identical at {1, 2, 4} threads.
 //!
 //! # Repository-scale batching
 //!
@@ -45,8 +44,8 @@
 //! cursor, so skewed repositories (one huge pair) no longer strand the rest
 //! of the pool the way the retained static chunk split
 //! ([`batch::BatchJoinRunner::run_static`], the differential oracle) does;
-//! each task's pipeline receives `threads / workers` inner threads, so the
-//! pool never exceeds the budget. A single worker runs the same queue loop
+//! each task's pipeline receives `threads / workers` inner threads (read
+//! only by synthesis coverage), so the pool never exceeds the budget. A single worker runs the same queue loop
 //! on the calling thread, without spawning. All workers share one
 //! [`tjoin_text::GramCorpus`], so a column referenced by several pairs is
 //! normalized and gram-indexed once per repository. Per-pair

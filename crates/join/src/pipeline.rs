@@ -1,16 +1,15 @@
 //! The end-to-end join pipeline.
 //!
-//! The transformed equi-join (step 4) runs as a planned parallel scan: both
-//! columns are normalized exactly once, the target column is indexed by the
-//! 64-bit [`fingerprint64`] of each normalized value (no owned-string keys),
-//! and the apply loop is chunked over contiguous source-row ranges across
-//! [`SynthesisConfig::threads`] workers. Probes confirm fingerprint hits
-//! with an exact string comparison, so a fingerprint collision can never
-//! produce a wrong pair. Predicted-pair dedup keys include the source row,
-//! making per-row probes independent; a transformation-major assembly
-//! reproduces the serial discovery order, so output is bit-identical at any
-//! thread count to the retained oracle
-//! [`crate::reference::equi_join_reference`].
+//! The transformed equi-join (step 4) normalizes both columns exactly once,
+//! indexes the target column by the 64-bit [`fingerprint64`] of each
+//! normalized value (no owned-string keys), and applies every
+//! transformation to every source row in the oracle's transformation-major
+//! order. Probes confirm fingerprint hits with an exact string comparison,
+//! so a fingerprint collision can never produce a wrong pair, and output is
+//! bit-identical to the retained oracle
+//! [`crate::reference::equi_join_reference`]. The join is serial: it is a
+//! small share of a pair's run, and repository workloads parallelize
+//! across pairs instead.
 
 use crate::evaluate::{evaluate_join, JoinMetrics};
 use serde::{Deserialize, Serialize};
@@ -21,8 +20,8 @@ use tjoin_core::{SynthesisConfig, SynthesisEngine};
 use tjoin_datasets::{row_id, ColumnPair};
 use tjoin_matching::{golden_pairs, MatchAbort, NGramMatcher, NGramMatcherConfig};
 use tjoin_text::{
-    chunk_map_rows_budgeted, fault, fingerprint64, BudgetExceeded, BudgetToken, CellText,
-    ColumnArena, FaultSite, FxHashMap, FxHashSet, GramCorpus, RunBudget,
+    fault, fingerprint64, BudgetExceeded, BudgetToken, CellText, ColumnArena, FaultSite,
+    FxHashMap, FxHashSet, GramCorpus, RunBudget,
 };
 use tjoin_units::{Transformation, TransformationSet};
 
@@ -65,16 +64,13 @@ impl JoinPipelineConfig {
         }
     }
 
-    /// Builder-style setter applying one thread budget to every parallel
-    /// stage of the pipeline: the row matcher's scan, the synthesis
-    /// coverage phase, and the equi-join apply loop. Results are
-    /// bit-identical at any value (only wall-clock changes).
+    /// Builder-style setter for the pipeline's thread budget, which only
+    /// the synthesis coverage phase reads (row chunks across
+    /// [`SynthesisConfig::threads`]); matching and the equi-join are
+    /// serial. Results are bit-identical at any value (only wall-clock
+    /// changes).
     pub fn with_threads(mut self, threads: usize) -> Self {
-        let threads = threads.max(1);
         self.synthesis = self.synthesis.with_threads(threads);
-        if let RowMatchingStrategy::NGram(cfg) = &mut self.matching {
-            cfg.threads = threads;
-        }
         self
     }
 }
@@ -432,10 +428,8 @@ impl JoinPipeline {
     /// pairs (many-to-many, as the paper assumes when the relationship is
     /// unspecified).
     ///
-    /// The apply loop is chunked over contiguous source-row ranges across
-    /// [`SynthesisConfig::threads`] workers; output is bit-identical (same
-    /// pairs, same order) to [`crate::reference::equi_join_reference`] at
-    /// any thread count — see the module docs.
+    /// Output is bit-identical (same pairs, same order) to
+    /// [`crate::reference::equi_join_reference`] — see the module docs.
     pub fn equi_join<'a, I>(&self, pair: &ColumnPair, transformations: I) -> Vec<(u32, u32)>
     where
         I: IntoIterator<Item = &'a Transformation>,
@@ -447,9 +441,8 @@ impl JoinPipeline {
             .expect("unbudgeted equi-join cannot abort")
     }
 
-    /// [`Self::equi_join`] with cooperative budget checks at the
-    /// transformation (serial path) and source-chunk (parallel path) loop
-    /// boundaries. With `budget == None` or a live token the result is
+    /// [`Self::equi_join`] with a cooperative budget check before each
+    /// transformation's pass over the source rows. With `budget == None` or a live token the result is
     /// bit-identical to [`Self::equi_join`]; a tripped token aborts
     /// all-or-nothing — no truncated pair list is ever returned.
     pub fn equi_join_budgeted<'a, I>(
@@ -470,18 +463,13 @@ impl JoinPipeline {
 
         // Normalize each column exactly once, streaming into a columnar
         // arena: one contiguous buffer per column instead of one String per
-        // cell, and probes compare against slices of it. Chunks normalize
-        // into per-worker arenas concatenated in chunk order, bit-identical
-        // to the serial append at any thread count. The u32 capacity check
-        // subsumes `assert_row_indexable`; exceeding it panics with the
-        // typed message (contained per-pair by `run_guarded`).
-        let threads = self.config.synthesis.threads;
-        let targets_normalized =
-            ColumnArena::try_normalized_parallel(pair.target.as_slice(), normalize, threads)
-                .unwrap_or_else(|e| panic!("{e}"));
-        let sources_normalized =
-            ColumnArena::try_normalized_parallel(pair.source.as_slice(), normalize, threads)
-                .unwrap_or_else(|e| panic!("{e}"));
+        // cell, and probes compare against slices of it. The u32 capacity
+        // check subsumes `assert_row_indexable`; exceeding it panics with
+        // the typed message (contained per-pair by `run_guarded`).
+        let targets_normalized = ColumnArena::try_normalized(pair.target.as_slice(), normalize)
+            .unwrap_or_else(|e| panic!("{e}"));
+        let sources_normalized = ColumnArena::try_normalized(pair.source.as_slice(), normalize)
+            .unwrap_or_else(|e| panic!("{e}"));
 
         // Fingerprint index over the target column: rows bucketed by the
         // 64-bit fingerprint of their normalized value, in ascending row
@@ -494,51 +482,18 @@ impl JoinPipeline {
                 .push(row_id(row));
         }
 
-        let workers = self
-            .config
-            .synthesis
-            .threads
-            .min(sources_normalized.len())
-            .max(1);
+        // The oracle's transformation-major loop with fingerprint probes.
         // Invariant is local (audited): every `as usize` on a target row id
-        // below (serial and parallel paths) widens a `u32` drawn from the
-        // target fingerprint index, which is built over `targets_normalized`
-        // itself after its row count passed `checked_row_count`.
-        if workers <= 1 {
-            // Serial fast path: the oracle's transformation-major loop with
-            // fingerprint probes — no per-row hit buffers or assembly pass.
-            // Emission order is the oracle's by construction; the parallel
-            // path below reproduces it via assembly, and the differential
-            // suite pins both to the oracle.
-            let mut predicted: Vec<(u32, u32)> = Vec::new();
-            let mut seen: FxHashSet<(u32, u32)> = FxHashSet::default();
-            for transformation in &transformations {
-                if let Some(token) = budget {
-                    token.check()?;
-                }
-                for (src_row, src_value) in sources_normalized.cells().enumerate() {
-                    let Some(out) = transformation.apply(src_value) else {
-                        continue;
-                    };
-                    let Some(rows) = target_index.get(&fingerprint64(&out)) else {
-                        continue;
-                    };
-                    for &tgt_row in rows {
-                        if targets_normalized.cell(tgt_row as usize) == out
-                            && seen.insert((row_id(src_row), tgt_row))
-                        {
-                            predicted.push((row_id(src_row), tgt_row));
-                        }
-                    }
-                }
+        // below widens a `u32` drawn from the target fingerprint index,
+        // which is built over `targets_normalized` itself after its row
+        // count passed `checked_row_count`.
+        let mut predicted: Vec<(u32, u32)> = Vec::new();
+        let mut seen: FxHashSet<(u32, u32)> = FxHashSet::default();
+        for transformation in &transformations {
+            if let Some(token) = budget {
+                token.check()?;
             }
-            return Ok(predicted);
-        }
-
-        let join_row = |src_value: &str| -> RowJoinHits {
-            let mut seen: FxHashSet<u32> = FxHashSet::default();
-            let mut hits: RowJoinHits = Vec::new();
-            for (t_idx, transformation) in transformations.iter().enumerate() {
+            for (src_row, src_value) in sources_normalized.cells().enumerate() {
                 let Some(out) = transformation.apply(src_value) else {
                     continue;
                 };
@@ -547,51 +502,18 @@ impl JoinPipeline {
                 };
                 // Exact-string confirm: a fingerprint collision bucket can
                 // hold rows of a different value; they are filtered here.
-                let new: Vec<u32> = rows
-                    .iter()
-                    .copied()
-                    .filter(|&r| targets_normalized.cell(r as usize) == out && seen.insert(r))
-                    .collect();
-                if !new.is_empty() {
-                    hits.push((t_idx, new));
-                }
-            }
-            hits
-        };
-
-        // Contiguous source-row chunks across the thread budget,
-        // concatenated in order — the serial per-row sequence. Workers
-        // index the shared source arena; no cell text crosses threads.
-        let per_row: Vec<RowJoinHits> =
-            chunk_map_rows_budgeted(sources_normalized.len(), workers, budget, |row| {
-                join_row(sources_normalized.cell(row))
-            })?;
-
-        // Assembly in the oracle's transformation-major order. Each row's
-        // hits are sorted by transformation index, so one cursor per row
-        // makes this linear in the output.
-        let mut cursors = vec![0usize; per_row.len()];
-        let mut predicted: Vec<(u32, u32)> = Vec::new();
-        for t_idx in 0..transformations.len() {
-            for (src_row, hits) in per_row.iter().enumerate() {
-                let cursor = &mut cursors[src_row];
-                if *cursor < hits.len() && hits[*cursor].0 == t_idx {
-                    let src = row_id(src_row);
-                    for &tgt_row in &hits[*cursor].1 {
-                        predicted.push((src, tgt_row));
+                for &tgt_row in rows {
+                    if targets_normalized.cell(tgt_row as usize) == out
+                        && seen.insert((row_id(src_row), tgt_row))
+                    {
+                        predicted.push((row_id(src_row), tgt_row));
                     }
-                    *cursor += 1;
                 }
             }
         }
         Ok(predicted)
     }
 }
-
-/// One source row's probe result: for each transformation index that
-/// predicted something new, the newly matched target rows in bucket order.
-/// Transformation indices appear in increasing order.
-type RowJoinHits = Vec<(usize, Vec<u32>)>;
 
 #[cfg(test)]
 mod tests {
@@ -722,9 +644,9 @@ mod tests {
 
     #[test]
     fn fingerprint_join_bit_identical_to_reference() {
-        // Enough rows for real chunking, duplicated target values for
-        // fan-out, and two transformations whose outputs overlap so the
-        // cross-transformation dedup is exercised.
+        // Duplicated target values for fan-out, and two transformations
+        // whose outputs overlap so the cross-transformation dedup is
+        // exercised.
         let mut source: Vec<String> = Vec::new();
         let mut target: Vec<String> = Vec::new();
         for i in 0..29 {
@@ -758,14 +680,7 @@ mod tests {
             [&t1, &t2],
             &base.synthesis.normalize,
         );
-        for threads in [1usize, 2, 3, 4, 16] {
-            let pipeline = JoinPipeline::new(base.clone().with_threads(threads));
-            assert_eq!(
-                pipeline.equi_join(&pair, [&t1, &t2]),
-                oracle,
-                "diverged at {threads} threads"
-            );
-        }
+        assert_eq!(JoinPipeline::new(base).equi_join(&pair, [&t1, &t2]), oracle);
         assert!(!oracle.is_empty());
     }
 
@@ -780,26 +695,23 @@ mod tests {
             golden: vec![(0, 0), (0, 1), (0, 2), (0, 3)],
         };
         let t = Transformation::single(Unit::split(',', 0));
-        for threads in [1usize, 4] {
-            let pipeline =
-                JoinPipeline::new(JoinPipelineConfig::paper_default().with_threads(threads));
-            let predicted = pipeline.equi_join(&pair, [&t]);
-            assert_eq!(predicted, vec![(0, 0), (0, 1), (0, 2), (0, 3)]);
-            assert_eq!(
-                predicted,
-                crate::reference::equi_join_reference(
-                    &pair,
-                    [&t],
-                    &pipeline.config().synthesis.normalize
-                )
-            );
-        }
+        let pipeline = JoinPipeline::new(JoinPipelineConfig::paper_default());
+        let predicted = pipeline.equi_join(&pair, [&t]);
+        assert_eq!(predicted, vec![(0, 0), (0, 1), (0, 2), (0, 3)]);
+        assert_eq!(
+            predicted,
+            crate::reference::equi_join_reference(
+                &pair,
+                [&t],
+                &pipeline.config().synthesis.normalize
+            )
+        );
     }
 
     #[test]
     fn empty_columns_join_to_nothing() {
         let t = Transformation::single(Unit::substr(0, 2));
-        let pipeline = JoinPipeline::new(JoinPipelineConfig::paper_default().with_threads(4));
+        let pipeline = JoinPipeline::new(JoinPipelineConfig::paper_default());
         let no_source = ColumnPair {
             name: "ns".into(),
             source: vec![],
@@ -819,13 +731,21 @@ mod tests {
 
     #[test]
     fn pipeline_outcome_thread_invariant() {
+        // The thread budget reaches coverage's row chunks only.
         let pair = staff_pair();
         let outcome_1 = JoinPipeline::new(JoinPipelineConfig::paper_default()).run(&pair);
-        let outcome_4 =
-            JoinPipeline::new(JoinPipelineConfig::paper_default().with_threads(4)).run(&pair);
-        assert_eq!(outcome_1.predicted_pairs, outcome_4.predicted_pairs);
-        assert_eq!(outcome_1.metrics, outcome_4.metrics);
-        assert_eq!(outcome_1.candidate_pairs, outcome_4.candidate_pairs);
+        for threads in [2, 4] {
+            let outcome = JoinPipeline::new(JoinPipelineConfig::paper_default().with_threads(threads))
+                .run(&pair);
+            assert_eq!(outcome_1.predicted_pairs, outcome.predicted_pairs, "at {threads} threads");
+            assert_eq!(outcome_1.metrics, outcome.metrics, "at {threads} threads");
+            assert_eq!(outcome_1.candidate_pairs, outcome.candidate_pairs, "at {threads} threads");
+            assert_eq!(
+                outcome_1.transformations.transformations,
+                outcome.transformations.transformations,
+                "at {threads} threads"
+            );
+        }
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! The retained serial equi-join oracle.
 //!
 //! This is the pre-fingerprint `JoinPipeline::equi_join` loop, kept
-//! verbatim as the differential oracle for the parallel fingerprint join in
+//! verbatim as the differential oracle for the fingerprint join in
 //! [`crate::pipeline`]: the target column hashed by owned normalized
 //! strings, a transformation-outer apply loop over all source rows, and a
 //! global seen-set dedup in discovery order. The production join must
-//! produce bit-identical, identically ordered predicted pairs at any
-//! thread count; `crates/join/tests/proptest_join.rs` holds it to that.
+//! produce bit-identical, identically ordered predicted pairs;
+//! `crates/join/tests/proptest_join.rs` holds it to that.
 
 use std::collections::HashMap;
 use tjoin_datasets::{row_id, ColumnPair};

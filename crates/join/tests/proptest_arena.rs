@@ -1,7 +1,7 @@
 //! Acceptance gate for the columnar-arena hot path: matcher and equi-join
 //! outputs, which scan columns normalized into arenas, must be
 //! bit-identical — same pairs, same order — to the retained `Vec<String>`
-//! reference oracles at {1, 2, 4} threads.
+//! reference oracles.
 //!
 //! Three legs:
 //!
@@ -10,7 +10,7 @@
 //!   `tjoin_matching::reference::find_candidates_reference` on the same rows;
 //! * the matcher through a shared `GramCorpus` (the corpus's interned
 //!   arenas) vs the same oracle, with exact intern counters;
-//! * the arena-backed parallel equi-join vs
+//! * the arena-backed equi-join vs
 //!   `tjoin_join::reference::equi_join_reference`.
 //!
 //! Row shapes reuse the differential-suite mix (multi-byte UTF-8, empties,
@@ -76,7 +76,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The per-call matcher is bit-identical to the size-major
-    /// `Vec<String>` oracle at every thread count.
+    /// `Vec<String>` oracle.
     #[test]
     fn arena_matcher_matches_reference(
         specs in prop::collection::vec((0u8..9, 0u64..1_000_000), 0..24),
@@ -87,14 +87,10 @@ proptest! {
             max_matches_per_representative: (cap_raw > 0).then_some(cap_raw),
             ..NGramMatcherConfig::default()
         };
-        let oracle = find_candidates_reference(&config, &pair);
-        for threads in [1usize, 2, 4] {
-            let matcher = NGramMatcher::new(config.clone().with_threads(threads));
-            let found = matcher
-                .try_find_candidates(&pair, None, None)
-                .expect("unbudgeted per-call scan cannot abort");
-            prop_assert_eq!(&found, &oracle, "arena matcher diverged at {} threads", threads);
-        }
+        let found = NGramMatcher::new(config.clone())
+            .try_find_candidates(&pair, None, None)
+            .expect("unbudgeted per-call scan cannot abort");
+        prop_assert_eq!(found, find_candidates_reference(&config, &pair));
     }
 
     /// The corpus-served matcher equals the oracle, and interns each
@@ -105,31 +101,27 @@ proptest! {
     ) {
         let pair = build_pair(&specs);
         let config = NGramMatcherConfig::default();
-        let oracle = find_candidates_reference(&config, &pair);
-        for threads in [1usize, 2, 4] {
-            let matcher = NGramMatcher::new(config.clone().with_threads(threads));
-            let corpus = GramCorpus::new(config.normalize);
-            let found = matcher
-                .try_find_candidates(&pair, Some(&corpus), None)
-                .expect("corpus scan succeeds on test data");
-            prop_assert_eq!(&found, &oracle, "corpus matcher diverged at {} threads", threads);
-            // 2 lookups (source + target) against 1 distinct column when
-            // source == target by content, else 2.
-            let distinct = if tjoin_text::column_fingerprint(&pair.source)
-                == tjoin_text::column_fingerprint(&pair.target)
-            {
-                1
-            } else {
-                2
-            };
-            let stats = corpus.stats();
-            prop_assert_eq!(stats.columns_interned, distinct);
-            prop_assert_eq!(stats.column_hits, 2 - distinct);
-        }
+        let corpus = GramCorpus::new(config.normalize);
+        let found = NGramMatcher::new(config.clone())
+            .try_find_candidates(&pair, Some(&corpus), None)
+            .expect("corpus scan succeeds on test data");
+        prop_assert_eq!(found, find_candidates_reference(&config, &pair));
+        // 2 lookups (source + target) against 1 distinct column when
+        // source == target by content, else 2.
+        let distinct = if tjoin_text::column_fingerprint(&pair.source)
+            == tjoin_text::column_fingerprint(&pair.target)
+        {
+            1
+        } else {
+            2
+        };
+        let stats = corpus.stats();
+        prop_assert_eq!(stats.columns_interned, distinct);
+        prop_assert_eq!(stats.column_hits, 2 - distinct);
     }
 
-    /// The arena-backed parallel equi-join is bit-identical to the retained
-    /// owned-string-keyed oracle at every thread count.
+    /// The arena-backed equi-join is bit-identical to the retained
+    /// owned-string-keyed oracle.
     #[test]
     fn arena_equi_join_matches_reference(
         specs in prop::collection::vec((0u8..9, 0u64..1_000_000), 0..32),
@@ -139,10 +131,7 @@ proptest! {
         let refs: Vec<&Transformation> = transformations.iter().collect();
         let base = JoinPipelineConfig::paper_default();
         let oracle = equi_join_reference(&pair, refs.iter().copied(), &base.synthesis.normalize);
-        for threads in [1usize, 2, 4] {
-            let pipeline = JoinPipeline::new(base.clone().with_threads(threads));
-            let predicted = pipeline.equi_join(&pair, refs.iter().copied());
-            prop_assert_eq!(&predicted, &oracle, "equi-join diverged at {} threads", threads);
-        }
+        let predicted = JoinPipeline::new(base).equi_join(&pair, refs.iter().copied());
+        prop_assert_eq!(predicted, oracle);
     }
 }

@@ -215,28 +215,38 @@ fn panic_sites_attribute_to_their_phase() {
 fn slow_phase_with_deadline_times_out_only_the_stalled_pair() {
     quiet_injected_panics();
     let repository = build_repository(&[5, 7], 4);
-    let plan = FaultPlan::new().inject(
-        0,
-        FaultSite::SynthesisPhase,
-        FaultKind::Slow(Duration::from_secs(2)),
-    );
-    let runner = BatchJoinRunner::new(JoinPipelineConfig::paper_default(), 2)
-        .with_budget(RunBudget::unlimited().with_deadline(Duration::from_millis(250)));
-    let run = runner.run_with_faults(&repository, &plan);
-    match run.reports[0].status {
-        PairStatus::TimedOut { phase, exceeded } => {
-            assert_eq!(phase, PairPhase::Synthesis);
-            assert_eq!(exceeded, tjoin_text::BudgetExceeded::Deadline);
+    // Each phase's own serial loop is what observes the trip: the matcher's
+    // build-step/row checks, the synthesis engine's coverage and selection
+    // checks, and the equi-join's per-transformation check.
+    for (site, phase) in [
+        (FaultSite::MatchPhase, PairPhase::Matching),
+        (FaultSite::SynthesisPhase, PairPhase::Synthesis),
+        (FaultSite::JoinPhase, PairPhase::Join),
+    ] {
+        let plan = FaultPlan::new().inject(0, site, FaultKind::Slow(Duration::from_secs(1)));
+        for threads in [1usize, 2] {
+            let context = format!("{site} at {threads} threads");
+            let runner = BatchJoinRunner::new(JoinPipelineConfig::paper_default(), threads)
+                .with_budget(RunBudget::unlimited().with_deadline(Duration::from_millis(250)));
+            let run = runner.run_with_faults(&repository, &plan);
+            match run.reports[0].status {
+                PairStatus::TimedOut { phase: observed, exceeded } => {
+                    assert_eq!(observed, phase, "{context}");
+                    assert_eq!(exceeded, tjoin_text::BudgetExceeded::Deadline, "{context}");
+                }
+                ref other => panic!("{context}: expected TimedOut, got {other:?}"),
+            }
+            // The stalled pair carries the phases it completed, nothing later.
+            let stalled = &run.reports[0].outcome;
+            assert_eq!(stalled.candidate_pairs > 0, phase != PairPhase::Matching, "{context}");
+            assert_eq!(!stalled.transformations.is_empty(), phase == PairPhase::Join, "{context}");
+            assert!(stalled.predicted_pairs.is_empty(), "{context}");
+            assert!(run.reports[1].status.is_ok(), "{context}");
+            assert!(run.reports[1].outcome.metrics.f1 > 0.8, "{context}");
+            assert_eq!(run.faults.timed_out_pairs, 1, "{context}");
+            assert_eq!(run.faults.ok_pairs, 1, "{context}");
         }
-        ref other => panic!("expected TimedOut, got {other:?}"),
     }
-    // The stalled pair still carries its completed matching phase.
-    assert!(run.reports[0].outcome.candidate_pairs > 0);
-    assert!(run.reports[0].outcome.predicted_pairs.is_empty());
-    assert!(run.reports[1].status.is_ok());
-    assert!(run.reports[1].outcome.metrics.f1 > 0.8);
-    assert_eq!(run.faults.timed_out_pairs, 1);
-    assert_eq!(run.faults.ok_pairs, 1);
 }
 
 /// Poisoned locks — report slots and every corpus cache — are recovered,

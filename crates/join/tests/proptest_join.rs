@@ -2,20 +2,20 @@
 //! and join layer.
 //!
 //! Three production paths are proven bit-identical — same pairs, same order,
-//! same metrics — to their retained serial oracles, across randomized
-//! column pairs × {1, 2, 4} threads × both matching strategies:
+//! same metrics — to their retained oracles, across randomized column
+//! pairs × both matching strategies:
 //!
-//! * the planned-parallel n-gram matcher vs
+//! * the fused n-gram matcher vs
 //!   `tjoin_matching::reference::find_candidates_reference`;
-//! * the parallel fingerprint equi-join vs
+//! * the fingerprint equi-join vs
 //!   `tjoin_join::reference::equi_join_reference`;
-//! * the full pipeline (and the batch runner over a generated repository)
-//!   vs its own single-threaded run.
+//! * the full pipeline at {2, 4} threads (and the batch runner over a
+//!   generated repository at {1, 4}) vs its own single-threaded run.
 //!
 //! Generated pairs mix coverable format-family rows with empty values,
 //! rows shorter than `n_min`, duplicated target values (many-to-many
 //! fan-out), exact source==target copies, and non-coverable gibberish —
-//! the shapes where chunk boundaries, dedup order, or fingerprint
+//! the shapes where coverage chunk boundaries, dedup order, or fingerprint
 //! confirmation could silently diverge.
 //!
 //! The `#[ignore]`d test at the bottom is the slow repository-scale sweep,
@@ -87,10 +87,10 @@ fn join_transformations() -> Vec<Transformation> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The planned parallel matcher is bit-identical to the retained
-    /// size-major oracle at every thread count.
+    /// The fused matcher is bit-identical to the retained size-major
+    /// oracle.
     #[test]
-    fn parallel_matcher_matches_reference(
+    fn matcher_matches_reference(
         specs in prop::collection::vec((0u8..8, 0u64..1_000_000), 0..24),
         cap_raw in 0usize..7,
     ) {
@@ -100,17 +100,14 @@ proptest! {
             max_matches_per_representative: (cap_raw > 0).then_some(cap_raw),
             ..NGramMatcherConfig::default()
         };
-        let oracle = find_candidates_reference(&config, &pair);
-        for threads in [1usize, 2, 4] {
-            let found = NGramMatcher::new(config.clone().with_threads(threads))
-                .try_find_candidates(&pair, None, None)
-                .unwrap();
-            prop_assert_eq!(&found, &oracle, "matcher diverged at {} threads", threads);
-        }
+        let found = NGramMatcher::new(config.clone())
+            .try_find_candidates(&pair, None, None)
+            .unwrap();
+        prop_assert_eq!(found, find_candidates_reference(&config, &pair));
     }
 
-    /// The parallel fingerprint equi-join is bit-identical to the retained
-    /// owned-string-keyed oracle at every thread count.
+    /// The fingerprint equi-join is bit-identical to the retained
+    /// owned-string-keyed oracle.
     #[test]
     fn fingerprint_equi_join_matches_reference(
         specs in prop::collection::vec((0u8..8, 0u64..1_000_000), 0..32),
@@ -120,11 +117,8 @@ proptest! {
         let refs: Vec<&Transformation> = transformations.iter().collect();
         let base = JoinPipelineConfig::paper_default();
         let oracle = equi_join_reference(&pair, refs.iter().copied(), &base.synthesis.normalize);
-        for threads in [1usize, 2, 4] {
-            let pipeline = JoinPipeline::new(base.clone().with_threads(threads));
-            let predicted = pipeline.equi_join(&pair, refs.iter().copied());
-            prop_assert_eq!(&predicted, &oracle, "equi-join diverged at {} threads", threads);
-        }
+        let predicted = JoinPipeline::new(base).equi_join(&pair, refs.iter().copied());
+        prop_assert_eq!(predicted, oracle);
     }
 
     /// The full pipeline — matching, synthesis, support filtering,
@@ -198,13 +192,15 @@ fn large_repository_batch_sweep_matches_oracles() {
 
         // Matcher oracle on the raw pair.
         let matcher_config = NGramMatcherConfig::default();
-        let oracle_matches = find_candidates_reference(&matcher_config, pair);
-        for threads in [2usize, 4] {
-            let found = NGramMatcher::new(matcher_config.clone().with_threads(threads))
-                .try_find_candidates(pair, None, None)
-                .unwrap();
-            assert_eq!(found, oracle_matches, "matcher diverged on {}", pair.name);
-        }
+        let found = NGramMatcher::new(matcher_config.clone())
+            .try_find_candidates(pair, None, None)
+            .unwrap();
+        assert_eq!(
+            found,
+            find_candidates_reference(&matcher_config, pair),
+            "matcher diverged on {}",
+            pair.name
+        );
 
         // Equi-join oracle over the discovered transformation set.
         let oracle_join = equi_join_reference(

@@ -12,34 +12,35 @@
 //! selected, and every target row containing a representative n-gram becomes
 //! a candidate pair (Algorithm 1).
 //!
-//! # Planned parallel matching
+//! # Matching plan
 //!
 //! [`ngram::NGramMatcher::try_find_candidates`] runs Algorithm 1 as a
-//! planned two-phase scan, following the house pattern of the synthesis
-//! core's parallel coverage engine. It is the matcher's one production
-//! path: [`ngram::NGramMatcher::try_candidate_value_pairs`] only
-//! materializes its output as strings.
+//! two-phase scan. It is the matcher's one production path:
+//! [`ngram::NGramMatcher::try_candidate_value_pairs`] only materializes its
+//! output as strings.
 //!
-//! 1. the shared read-only state — both columns normalized into
+//! 1. the read-only state — both columns normalized into
 //!    [`tjoin_text::ColumnArena`]s, the two [`tjoin_text::ColumnStats`] IRF
 //!    sides, and the target [`tjoin_text::NGramIndex`] — is built exactly
-//!    once, independent of thread count; at repository scale the caller
-//!    passes a shared [`tjoin_text::GramCorpus`] that serves that state,
-//!    so a column referenced by several pairs is normalized and indexed
-//!    once for the whole repository;
-//! 2. source rows are chunked across [`ngram::NGramMatcherConfig::threads`]
-//!    workers (the `SynthesisConfig::threads` convention), each scanning its
-//!    rows with per-size representative selection fused into one pass per
-//!    row (char boundaries computed once; no per-size re-extraction).
+//!    once; at repository scale the caller passes a shared
+//!    [`tjoin_text::GramCorpus`] that serves that state, so a column
+//!    referenced by several pairs is normalized and indexed once for the
+//!    whole repository;
+//! 2. source rows are scanned in order, with per-size representative
+//!    selection fused into one pass per row (char boundaries computed once;
+//!    no per-size re-extraction).
+//!
+//! The scan is serial. Repository workloads parallelize across column
+//! pairs instead (the batch runner's worker loop), where each task is a
+//! whole pipeline run rather than one row.
 //!
 //! Because candidate dedup keys include the source row, per-row scans are
 //! independent and a deterministic size-major assembly reproduces the
-//! serial discovery order exactly: output is **bit-identical at any thread
-//! count** to the retained oracle
-//! [`reference::find_candidates_reference`], which the differential suite
-//! in `crates/join/tests/proptest_join.rs` enforces.
+//! oracle's discovery order exactly: output is **bit-identical** to the
+//! retained oracle [`reference::find_candidates_reference`], which the
+//! differential suite in `crates/join/tests/proptest_join.rs` enforces.
 //!
-//! * [`ngram`] — the planned-parallel n-gram matcher and its configuration.
+//! * [`ngram`] — the n-gram matcher and its configuration.
 //! * [`reference`](mod@reference) — the retained serial size-major oracle loop, the only
 //!   matcher code that still works on owned `Vec<String>` columns.
 //! * [`golden`] — the oracle matcher backed by a ground-truth mapping (the

@@ -1,5 +1,4 @@
-//! The representative-n-gram row matcher (Algorithm 1 of the paper), as a
-//! planned parallel scan.
+//! The representative-n-gram row matcher (Algorithm 1 of the paper).
 //!
 //! For each source row and each n-gram size `n0 ≤ n ≤ nmax`, the n-gram with
 //! the highest Rscore (rare in both columns, equations 1–2) is the row's
@@ -9,44 +8,41 @@
 //!
 //! # Execution plan
 //!
-//! The scan runs in two phases, mirroring the synthesis core's planned
-//! coverage execution:
+//! The scan runs in two phases:
 //!
-//! 1. **Shared read-only state, built once.** Both columns are normalized
-//!    into [`ColumnArena`]s, then [`ColumnStats`] for the two IRF sides and
-//!    the target [`NGramIndex`] are constructed a single time and shared by
-//!    every worker — the expensive indexing work is independent of the
-//!    thread count. At repository scale the caller passes a shared
-//!    [`GramCorpus`] that serves this state instead, so a column referenced
-//!    by k pairs derives its normalization, stats, and index exactly once.
-//!    Either way the same scan runs: [`NGramMatcher::try_find_candidates`]
-//!    is the matcher's one path, and
-//!    [`NGramMatcher::try_candidate_value_pairs`] only materializes its
-//!    output as strings.
-//! 2. **Row-chunked scan.** Source rows are split into contiguous chunks
-//!    across [`NGramMatcherConfig::threads`] workers (the same thread-budget
-//!    convention as `SynthesisConfig::threads`). Each worker scans its rows
-//!    with per-size representative selection *fused into one pass per row*:
-//!    the row's char boundaries are computed once and every size slides a
-//!    window over them, instead of re-extracting (and re-allocating) the
-//!    n-gram list per size as the retained oracle does.
+//! 1. **Read-only state, built once.** Both columns are normalized into
+//!    [`ColumnArena`]s, then [`ColumnStats`] for the two IRF sides and the
+//!    target [`NGramIndex`] are constructed a single time. At repository
+//!    scale the caller passes a shared [`GramCorpus`] that serves this
+//!    state instead, so a column referenced by k pairs derives its
+//!    normalization, stats, and index exactly once. Either way the same
+//!    scan runs: [`NGramMatcher::try_find_candidates`] is the matcher's one
+//!    path, and [`NGramMatcher::try_candidate_value_pairs`] only
+//!    materializes its output as strings.
+//! 2. **Row scan.** Source rows are scanned in order, with per-size
+//!    representative selection *fused into one pass per row*: the row's
+//!    char boundaries are computed once and every size slides a window
+//!    over them, instead of re-extracting (and re-allocating) the n-gram
+//!    list per size as the retained oracle does. The scan is serial:
+//!    parallelism lives one level up, across column pairs (the batch
+//!    runner's worker loop), where the work per task is large enough to
+//!    pay for a thread.
 //!
 //! Determinism: candidate dedup keys are `(source_row, target_row)`, so the
 //! oracle's global seen-set only ever rejects repeats *within* a source row
-//! — per-row scans are independent. Each worker records, per row, the newly
+//! — per-row scans are independent. The scan records, per row, the newly
 //! matched target rows grouped by the size that found them; the final
 //! assembly emits them in the oracle's size-major order (sizes outer, rows
 //! inner). The output is therefore bit-identical to
 //! [`crate::reference::find_candidates_reference`] — same pairs, same order
-//! — at any thread count, which `crates/join/tests/proptest_join.rs`
-//! enforces differentially.
+//! — which `crates/join/tests/proptest_join.rs` enforces differentially.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use tjoin_datasets::{row_id, ColumnPair};
 use tjoin_text::{
-    chunk_map_rows_budgeted, ArenaError, BudgetExceeded, BudgetToken, ColumnArena, ColumnStats,
-    CorpusFailure, FxHashSet, GramCorpus, NGramIndex, NormalizeOptions,
+    ArenaError, BudgetExceeded, BudgetToken, ColumnArena, ColumnStats, CorpusFailure, FxHashSet,
+    GramCorpus, NGramIndex, NormalizeOptions,
 };
 
 /// Why a fallible matcher call ([`NGramMatcher::try_find_candidates`])
@@ -96,10 +92,6 @@ pub struct NGramMatcherConfig {
     /// (`None` = no cap). This is an engineering guard for pathological
     /// columns; the paper's experiments run uncapped.
     pub max_matches_per_representative: Option<usize>,
-    /// Number of worker threads for the row scan (1 = sequential) — the
-    /// workspace thread-budget convention shared with
-    /// `SynthesisConfig::threads`. Output is bit-identical at any value.
-    pub threads: usize,
 }
 
 impl Default for NGramMatcherConfig {
@@ -109,16 +101,7 @@ impl Default for NGramMatcherConfig {
             n_max: 20,
             normalize: NormalizeOptions::default(),
             max_matches_per_representative: None,
-            threads: 1,
         }
-    }
-}
-
-impl NGramMatcherConfig {
-    /// Builder-style setter for the thread count (clamped to at least one).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
     }
 }
 
@@ -191,9 +174,8 @@ impl NGramMatcher {
     /// for this call, normalizing straight into a [`ColumnArena`]. Corpus
     /// artifacts are pure functions of the same inputs, so the output is
     /// bit-identical either way — and to
-    /// [`crate::reference::find_candidates_reference`] — at any thread
-    /// count. A corpus must normalize exactly as this matcher's
-    /// configuration does.
+    /// [`crate::reference::find_candidates_reference`]. A corpus must
+    /// normalize exactly as this matcher's configuration does.
     ///
     /// Aborts cleanly with a [`MatchAbort`] instead of panicking or hanging
     /// when the pair's `budget` trips or a `corpus` artifact has a sticky
@@ -249,10 +231,9 @@ impl NGramMatcher {
         }
     }
 
-    /// The planned parallel scan over an already-normalized source arena
-    /// (the corpus's or a per-call one) and prebuilt gram artifacts.
-    /// Workers borrow cell slices out of the shared column; nothing is
-    /// cloned into the scan.
+    /// The row scan over an already-normalized source arena (the corpus's
+    /// or a per-call one) and prebuilt gram artifacts. Rows borrow cell
+    /// slices out of the column; nothing is cloned into the scan.
     fn scan_columns(
         &self,
         source: &ColumnArena,
@@ -261,14 +242,13 @@ impl NGramMatcher {
         target_index: &NGramIndex,
         budget: Option<&BudgetToken>,
     ) -> Result<Vec<RowMatch>, MatchAbort> {
-        // Contiguous row chunks across the thread budget, concatenated in
-        // order — the per-row sequence is the serial scan's at any budget.
         // The budget (deadline only; caps are charged at admission) is
         // checked before every row, aborting the whole scan on a trip.
-        let per_row: Vec<RowHits> =
-            chunk_map_rows_budgeted(source.len(), self.config.threads, budget, |row| {
-                self.scan_row(source.cell(row), source_stats, target_stats, target_index)
-            })?;
+        let mut per_row: Vec<RowHits> = Vec::with_capacity(source.len());
+        for row in 0..source.len() {
+            check(budget)?;
+            per_row.push(self.scan_row(source.cell(row), source_stats, target_stats, target_index));
+        }
 
         // Assembly in the oracle's size-major order. Each row's hits are
         // sorted by size, so one cursor per row makes this linear in the
@@ -528,10 +508,9 @@ mod tests {
 
     #[test]
     fn every_path_bit_identical_to_reference() {
-        // The one scan, per-call and corpus-served, at several thread
-        // counts, against the serial oracle. The synthetic pair has enough
-        // rows that 2 and 4 workers chunk differently; its duplicated and
-        // empty values exercise the dedup and short-row paths.
+        // The one scan, per-call and corpus-served (cold, then from cache),
+        // against the oracle. The synthetic pair's duplicated and empty
+        // values exercise the dedup and short-row paths.
         let mut source: Vec<String> = Vec::new();
         let mut target: Vec<String> = Vec::new();
         for i in 0..37 {
@@ -545,22 +524,17 @@ mod tests {
         let synthetic = ColumnPair::aligned("par", source, target);
 
         let config = NGramMatcherConfig::default();
+        let matcher = NGramMatcher::new(config.clone());
         for pair in [staff_pair(), synthetic] {
             let oracle = find_candidates_reference(&config, &pair);
             assert!(!oracle.is_empty());
+            assert_eq!(candidates(&matcher, &pair), oracle, "per-call path diverged on {}", pair.name);
             let corpus = GramCorpus::new(config.normalize);
-            for threads in [1usize, 2, 4] {
-                let matcher = NGramMatcher::new(config.clone().with_threads(threads));
-                assert_eq!(
-                    candidates(&matcher, &pair),
-                    oracle,
-                    "per-call path diverged on {} at {threads} threads",
-                    pair.name
-                );
+            for round in 0..3 {
                 assert_eq!(
                     corpus_candidates(&matcher, &pair, &corpus),
                     oracle,
-                    "corpus path diverged on {} at {threads} threads",
+                    "corpus path diverged on {} in round {round}",
                     pair.name
                 );
             }
@@ -581,11 +555,7 @@ mod tests {
             target: vec!["abcd".into(), "efgh".into()],
             golden: vec![],
         };
-        for threads in [1usize, 4] {
-            let matcher =
-                NGramMatcher::new(NGramMatcherConfig::default().with_threads(threads));
-            assert!(candidates(&matcher, &pair).is_empty());
-        }
+        assert!(candidates(&NGramMatcher::with_defaults(), &pair).is_empty());
     }
 
     #[test]
@@ -596,11 +566,7 @@ mod tests {
             target: vec![],
             golden: vec![],
         };
-        for threads in [1usize, 4] {
-            let matcher =
-                NGramMatcher::new(NGramMatcherConfig::default().with_threads(threads));
-            assert!(candidates(&matcher, &pair).is_empty());
-        }
+        assert!(candidates(&NGramMatcher::with_defaults(), &pair).is_empty());
     }
 
     #[test]
@@ -612,7 +578,7 @@ mod tests {
         );
         let config = NGramMatcherConfig::default(); // n_min = 4
         let oracle = find_candidates_reference(&config, &pair);
-        let found = candidates(&NGramMatcher::new(config.clone().with_threads(4)), &pair);
+        let found = candidates(&NGramMatcher::new(config.clone()), &pair);
         assert_eq!(found, oracle);
         // Only the one long row can produce a representative.
         assert!(found.iter().all(|m| m.source_row == 3));
@@ -635,13 +601,10 @@ mod tests {
             ..NGramMatcherConfig::default()
         };
         let oracle = find_candidates_reference(&config, &pair);
-        for threads in [1usize, 2, 4] {
-            let found =
-                candidates(&NGramMatcher::new(config.clone().with_threads(threads)), &pair);
-            assert_eq!(found, oracle);
-            assert!(found.iter().all(|m| m.source_row == 1), "{found:?}");
-            assert!(!found.is_empty());
-        }
+        let found = candidates(&NGramMatcher::new(config), &pair);
+        assert_eq!(found, oracle);
+        assert!(found.iter().all(|m| m.source_row == 1), "{found:?}");
+        assert!(!found.is_empty());
     }
 
     #[test]
@@ -730,7 +693,7 @@ mod tests {
         };
         let config = NGramMatcherConfig::default();
         let oracle = find_candidates_reference(&config, &pair);
-        let found = candidates(&NGramMatcher::new(config.clone().with_threads(4)), &pair);
+        let found = candidates(&NGramMatcher::new(config.clone()), &pair);
         assert_eq!(found, oracle);
         let targets: Vec<u32> = found.iter().map(|m| m.target_row).collect();
         assert_eq!(targets, vec![0, 1, 2]);
@@ -740,14 +703,11 @@ mod tests {
     fn live_budget_is_bit_identical_to_unbudgeted() {
         let pair = staff_pair();
         let budget = tjoin_text::RunBudget::unlimited().token();
-        for threads in [1usize, 2, 4] {
-            let matcher = NGramMatcher::new(NGramMatcherConfig::default().with_threads(threads));
-            assert_eq!(
-                matcher.try_find_candidates(&pair, None, Some(&budget)).unwrap(),
-                candidates(&matcher, &pair),
-                "diverged at {threads} threads"
-            );
-        }
+        let matcher = NGramMatcher::with_defaults();
+        assert_eq!(
+            matcher.try_find_candidates(&pair, None, Some(&budget)).unwrap(),
+            candidates(&matcher, &pair)
+        );
     }
 
     #[test]
@@ -756,7 +716,7 @@ mod tests {
         let budget = tjoin_text::RunBudget::unlimited()
             .with_deadline(std::time::Duration::ZERO)
             .token();
-        let matcher = NGramMatcher::new(NGramMatcherConfig::default().with_threads(2));
+        let matcher = NGramMatcher::with_defaults();
         assert_eq!(
             matcher.try_find_candidates(&pair, None, Some(&budget)),
             Err(MatchAbort::Budget(tjoin_text::BudgetExceeded::Deadline))

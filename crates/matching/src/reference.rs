@@ -1,13 +1,13 @@
 //! The retained serial row-matching oracle.
 //!
-//! This is the pre-parallel matcher loop, kept verbatim as the
-//! differential oracle for the planned parallel scan in [`crate::ngram`]:
+//! This is the original matcher loop, kept verbatim as the differential
+//! oracle for the fused row scan in [`crate::ngram`]:
 //! size-major iteration (n-gram sizes outer, source rows inner), per-size
 //! re-extraction of the row's n-grams, and a global seen-set dedup in
 //! discovery order. It is also the one place the matcher still normalizes
 //! into owned `Vec<String>` columns. `NGramMatcher::try_find_candidates`
-//! must produce bit-identical, identically ordered [`RowMatch`] output at
-//! any thread count; `crates/join/tests/proptest_join.rs` holds it to that.
+//! must produce bit-identical, identically ordered [`RowMatch`] output;
+//! `crates/join/tests/proptest_join.rs` holds it to that.
 //!
 //! The oracle deliberately re-derives every per-call artifact — it never
 //! reads a shared `GramCorpus` — so it also anchors the corpus-reuse
@@ -19,9 +19,6 @@ use tjoin_datasets::{row_id, ColumnPair};
 use tjoin_text::{char_ngrams, normalize_for_matching, ColumnStats, FxHashSet, NGramIndex};
 
 /// Runs Algorithm 1 with the naive size-major loop (the retained oracle).
-///
-/// The `threads` field of the configuration is ignored: the oracle is
-/// always serial.
 pub fn find_candidates_reference(config: &NGramMatcherConfig, pair: &ColumnPair) -> Vec<RowMatch> {
     pair.assert_row_indexable();
     let source: Vec<String> = pair
@@ -99,23 +96,5 @@ mod tests {
         let production = NGramMatcher::new(config).try_find_candidates(&pair, None, None).unwrap();
         assert_eq!(reference, production);
         assert!(!reference.is_empty());
-    }
-
-    #[test]
-    fn oracle_ignores_thread_count() {
-        let pair = ColumnPair::aligned(
-            "t",
-            vec!["abcd efgh".into(), "ijkl mnop".into()],
-            vec!["abcd".into(), "ijkl".into()],
-        );
-        let serial = find_candidates_reference(&NGramMatcherConfig::default(), &pair);
-        let threaded = find_candidates_reference(
-            &NGramMatcherConfig {
-                threads: 4,
-                ..NGramMatcherConfig::default()
-            },
-            &pair,
-        );
-        assert_eq!(serial, threaded);
     }
 }

@@ -274,29 +274,6 @@ impl ColumnArena {
         Ok(arena)
     }
 
-    /// Appends every cell of `other` to `self`, preserving cell order — the
-    /// concatenation step of [`Self::try_normalized_parallel`]. Both
-    /// capacity invariants are checked *before* any copying, so on error
-    /// `self` is unchanged.
-    pub fn try_append_arena(&mut self, other: &ColumnArena) -> Result<(), ArenaError> {
-        let rows = self
-            .len()
-            .checked_add(other.len())
-            .ok_or(ArenaError::RowCountOverflow { rows: usize::MAX })?;
-        checked_row_count(rows)?;
-        let base = self.text.len();
-        let total = base
-            .checked_add(other.text.len())
-            .ok_or(ArenaError::ByteOffsetOverflow { bytes: usize::MAX })?;
-        if u32::try_from(total).is_err() {
-            return Err(ArenaError::ByteOffsetOverflow { bytes: total });
-        }
-        self.text.push_str(&other.text);
-        // Skip other.offsets[0] (always 0); shift the rest past our buffer.
-        self.offsets.extend(other.offsets[1..].iter().map(|&end| base as u32 + end));
-        Ok(())
-    }
-
     /// Appends every cell of `rows` (verbatim) at the end of the column —
     /// the ingest step of an **incremental append**. All-or-nothing: both
     /// capacity invariants are checked over the whole delta *before* any
@@ -322,68 +299,6 @@ impl ColumnArena {
             self.try_push(rows.cell(row))?;
         }
         Ok(())
-    }
-
-    /// [`Self::try_normalized`] across `workers` threads: rows are split
-    /// into contiguous chunks (the same geometry as the matcher's
-    /// row-partitioned scans — `ceil(rows / workers)` rows per chunk),
-    /// each chunk normalizes into its own arena, and the per-worker arenas
-    /// are concatenated **in chunk order**, so the result is bit-identical
-    /// to the serial append at any worker count. This restores the
-    /// multicore normalization the arena refactor traded away (the
-    /// equi-join used to normalize columns in parallel before columns
-    /// moved into one streaming arena pass).
-    ///
-    /// Any per-chunk failure — or a capacity overflow surfacing only at
-    /// concatenation — falls back to the serial [`Self::try_normalized`],
-    /// so the returned value *and* the returned error are exactly what the
-    /// serial pass produces for these inputs.
-    pub fn try_normalized_parallel<C: CellText + ?Sized>(
-        cells: &C,
-        options: &NormalizeOptions,
-        workers: usize,
-    ) -> Result<Self, ArenaError> {
-        let rows = cells.cell_count();
-        let workers = workers.min(rows).max(1);
-        if workers <= 1 {
-            return Self::try_normalized(cells, options);
-        }
-        checked_row_count(rows)?; // reject over-large columns before spawning
-        let chunk_size = rows.div_ceil(workers);
-        let chunks: Vec<Result<ColumnArena, ArenaError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..rows)
-                .step_by(chunk_size)
-                .map(|start| {
-                    let end = (start + chunk_size).min(rows);
-                    scope.spawn(move || {
-                        let mut arena = ColumnArena::new();
-                        arena.offsets.reserve(end - start);
-                        for row in start..end {
-                            arena.try_push_normalized(cells.cell(row), options)?;
-                        }
-                        Ok(arena)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| {
-                    handle.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-                })
-                .collect()
-        });
-        let mut merged = Self::new();
-        merged.offsets.reserve(rows);
-        for chunk in &chunks {
-            let appended = match chunk {
-                Ok(chunk) => merged.try_append_arena(chunk),
-                Err(_) => return Self::try_normalized(cells, options),
-            };
-            if appended.is_err() {
-                return Self::try_normalized(cells, options);
-            }
-        }
-        Ok(merged)
     }
 
     /// Number of cells.
@@ -590,7 +505,7 @@ mod tests {
         let left = ColumnArena::from_cells(vec!["ab".to_string(), String::new()].as_slice());
         let right = ColumnArena::from_cells(vec!["αβ".to_string(), "cd".to_string()].as_slice());
         let mut merged = left.clone();
-        merged.try_append_arena(&right).unwrap();
+        merged.append_rows(&right).unwrap();
         assert_eq!(
             merged,
             ColumnArena::from_cells(
@@ -600,7 +515,7 @@ mod tests {
         );
         // Appending an empty arena is the identity.
         let before = merged.clone();
-        merged.try_append_arena(&ColumnArena::new()).unwrap();
+        merged.append_rows(&ColumnArena::new()).unwrap();
         assert_eq!(merged, before);
     }
 
@@ -642,49 +557,6 @@ mod tests {
             Err(ArenaError::RowCountOverflow { rows: u32::MAX as usize + 1 })
         );
         assert_eq!(arena, before, "failed append must leave the arena unchanged");
-    }
-
-    #[test]
-    fn parallel_normalization_is_bit_identical_to_serial() {
-        use crate::normalize::NormalizeOptions;
-        let cells: Vec<String> = (0..97)
-            .map(|i| match i % 5 {
-                0 => format!("  Name-{i:03},   SPACED "),
-                1 => String::new(),
-                2 => format!("ΟΔΥΣΣΕΥΣ-{i}"), // final-sigma lowercase context
-                3 => format!("mixed\tWS\n {i}"),
-                _ => format!("plain{i}"),
-            })
-            .collect();
-        let options = NormalizeOptions::default();
-        let serial = ColumnArena::try_normalized(cells.as_slice(), &options).unwrap();
-        // Worker counts spanning even splits, ragged tails, and more
-        // workers than rows.
-        for workers in [1, 2, 4, 7, 128] {
-            let parallel =
-                ColumnArena::try_normalized_parallel(cells.as_slice(), &options, workers).unwrap();
-            assert_eq!(parallel, serial, "workers={workers}");
-        }
-        let empty =
-            ColumnArena::try_normalized_parallel(&Vec::<String>::new(), &options, 4).unwrap();
-        assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn parallel_normalization_rejects_huge_columns_like_serial() {
-        struct Huge;
-        impl CellText for Huge {
-            fn cell_count(&self) -> usize {
-                u32::MAX as usize + 1
-            }
-            fn cell(&self, _row: usize) -> &str {
-                unreachable!("over-large column must be rejected before any cell read")
-            }
-        }
-        assert_eq!(
-            ColumnArena::try_normalized_parallel(&Huge, &NormalizeOptions::default(), 4),
-            Err(ArenaError::RowCountOverflow { rows: u32::MAX as usize + 1 })
-        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Per-run cost budgets: a configuration ([`RunBudget`]) plus a cheap
 //! atomic cancellation token ([`BudgetToken`]) threaded through the
-//! pipeline's existing chunk boundaries.
+//! pipeline's existing loop boundaries.
 //!
 //! The paper's repository workloads are adversarially heterogeneous: one
 //! pathological column pair can dominate a batch run's wall-clock. A
@@ -9,7 +9,7 @@
 //!
 //! * **wall-clock deadline** — checked cooperatively at loop boundaries
 //!   (the matcher's row scan, the coverage scan's row loop, the selection
-//!   heap's pop loop, the equi-join apply loop);
+//!   heap's pop loop, the equi-join's per-transformation loop);
 //! * **row cap / byte cap** — deterministic *admission* limits charged once
 //!   with the pair's size, so an oversized pair is rejected identically on
 //!   every run and at every thread count.

@@ -776,7 +776,7 @@ impl GramCorpus {
             .map_err(|e| CorpusFailure::from_arena("append", e))?;
         let mut normalized = old.normalized.clone();
         normalized
-            .try_append_arena(&delta_arena)
+            .append_rows(&delta_arena)
             .map_err(|e| CorpusFailure::from_arena("append", e))?;
         // Carry every cached artifact forward incrementally. A panic here
         // (injected or real) must not leave a half-updated cache: the whole

@@ -5,7 +5,7 @@
 //! around one storage idea: **a column is a [`ColumnArena`]** — its cells
 //! flattened into a single contiguous UTF-8 buffer plus a `u32` end-offset
 //! per cell — and everything downstream (normalization, fingerprints, gram
-//! iteration, stats, the inverted index, the corpus, the parallel scans)
+//! iteration, stats, the inverted index, the corpus, the row scans)
 //! operates on `&str` slices borrowed out of that buffer.
 //!
 //! ## The arena layout and its invariants
@@ -25,12 +25,12 @@
 //! *normalized* arena for each interned column, and the per-call matcher
 //! and equi-join build theirs the same way, by streaming
 //! [`normalize_append`] straight into the buffer — zero per-cell
-//! allocations. **Borrowing:** scan workers receive `&ColumnArena` (or any
+//! allocations. **Borrowing:** scans receive `&ColumnArena` (or any
 //! [`CellText`] implementor) and slice cells on demand; nothing on the hot
 //! path clones cell text. The `Vec<String>` representation is retained as
 //! the differential reference — `&[String]` implements [`CellText`] too,
 //! and the proptest suites assert the two representations produce
-//! bit-identical matcher/join output at any thread count.
+//! bit-identical matcher/join output.
 //!
 //! ## The append / invalidation model
 //!
@@ -96,14 +96,15 @@
 //!   for `Vec<String>` and arena inputs) with per-size-range
 //!   `ColumnStats`/`NGramIndex` caching, so pairs sharing a column never
 //!   re-derive its grams.
-//! * [`par`] — the deterministic chunked parallel map shared by the
-//!   matcher's row scan, the equi-join apply loop, and the batch runner;
-//!   the index-range core ([`chunk_map_rows`]) serves arena columns with
-//!   the same chunk geometry as the slice form.
+//! * [`par`] — the deterministic chunked parallel map over items (column
+//!   pairs) shared by the batch runner's static-split oracle and
+//!   discovery's signature pass; [`chunk_map_rows`] is its index-range
+//!   core. The matcher's row scan and the equi-join are serial.
 //! * [`budget`] — per-run cost budgets: a wall-clock deadline plus
 //!   deterministic row/byte admission caps, carried as a cheap atomic
-//!   cancellation token checked at the pipeline's existing chunk
-//!   boundaries. Overruns degrade the one pair, never the process.
+//!   cancellation token checked at the pipeline's loop boundaries
+//!   (matcher rows, coverage rows, join transformations). Overruns degrade
+//!   the one pair, never the process.
 //! * [`fault`] — panic-containment helpers (payload-preserving messages,
 //!   poison-recovering locks) plus the deterministic fault-injection
 //!   harness (`FaultPlan`, cfg-gated under `feature = "fault-injection"`)
@@ -154,7 +155,7 @@ pub use ngram::{
     ngram_containment, ngram_jaccard,
 };
 pub use normalize::{normalize_append, normalize_for_matching, NormalizeOptions};
-pub use par::{chunk_map, chunk_map_budgeted, chunk_map_rows, chunk_map_rows_budgeted};
+pub use par::{chunk_map, chunk_map_rows};
 pub use scoring::{irf, rscore, ColumnStats};
 pub use signature::{CollisionGuard, ColumnSignature};
 pub use tokenize::{is_separator_char, tokenize_with_separators, Token, TokenKind};

@@ -1,24 +1,19 @@
 //! Deterministic chunked parallel mapping.
 //!
-//! The matching and join layers parallelize the same way: split a slice
-//! into contiguous chunks across a worker budget, map every item, and
-//! concatenate the per-chunk results *in chunk order* — so the output is
-//! exactly the serial `items.iter().map(f).collect()` regardless of the
-//! worker count, and per-item results can be reassembled deterministically
-//! by the caller. This module holds that pattern once; the
+//! Work that parallelizes across *items* — column pairs in the batch
+//! runner's static-split oracle and in discovery's signature pass — splits
+//! a slice into contiguous chunks across a worker budget, maps every item,
+//! and concatenates the per-chunk results *in chunk order*, so the output
+//! is exactly the serial `items.iter().map(f).collect()` regardless of the
+//! worker count. This module holds that pattern once; the
 //! in-order-concatenation invariant every differential oracle suite leans
-//! on lives here instead of being re-rolled per call site.
+//! on lives here instead of being re-rolled per call site. (The row matcher
+//! and the equi-join are serial; coverage chunks its rows itself.)
 //!
 //! Worker panics re-raise in the caller via
 //! [`std::panic::resume_unwind`] with the *original payload*, so a
 //! `catch_unwind` above the map (the batch runner's per-pair containment)
-//! observes exactly the message the worker panicked with. The budgeted
-//! variant [`chunk_map_budgeted`] additionally checks a
-//! [`BudgetToken`] before every item and
-//! aborts the whole map — discarding partial results, which keeps budgeted
-//! aborts all-or-nothing — once the token trips.
-
-use crate::budget::{BudgetExceeded, BudgetToken};
+//! observes exactly the message the worker panicked with.
 
 /// Maps `f` over the row indices `0..rows` using up to `workers` scoped
 /// threads (one contiguous index range per worker), returning results in
@@ -80,92 +75,9 @@ where
     chunk_map_rows(items.len(), workers, |i| f(&items[i]))
 }
 
-/// [`chunk_map`] under a cooperative budget: every worker checks `budget`
-/// before each item and the whole map returns `Err` — with no partial
-/// results — once the token trips. With `budget = None` this is exactly
-/// [`chunk_map`].
-///
-/// The `Ok` output is bit-identical to [`chunk_map`] at any worker count;
-/// the only budget axis that can trip *mid-map* is the wall-clock deadline
-/// (row/byte charges happen at pipeline admission), so deterministic
-/// cap-based aborts never depend on chunk boundaries.
-pub fn chunk_map_budgeted<T, R, F>(
-    items: &[T],
-    workers: usize,
-    budget: Option<&BudgetToken>,
-    f: F,
-) -> Result<Vec<R>, BudgetExceeded>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    chunk_map_rows_budgeted(items.len(), workers, budget, |i| f(&items[i]))
-}
-
-/// [`chunk_map_rows`] under a cooperative budget — the index-range core of
-/// [`chunk_map_budgeted`], with the same all-or-nothing abort semantics.
-pub fn chunk_map_rows_budgeted<R, F>(
-    rows: usize,
-    workers: usize,
-    budget: Option<&BudgetToken>,
-    f: F,
-) -> Result<Vec<R>, BudgetExceeded>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let Some(budget) = budget else {
-        return Ok(chunk_map_rows(rows, workers, f));
-    };
-    let workers = workers.min(rows).max(1);
-    if workers <= 1 {
-        let mut out = Vec::with_capacity(rows);
-        for row in 0..rows {
-            budget.check()?;
-            out.push(f(row));
-        }
-        return Ok(out);
-    }
-    let chunk_size = rows.div_ceil(workers);
-    let f = &f;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..rows)
-            .step_by(chunk_size)
-            .map(|start| {
-                let end = (start + chunk_size).min(rows);
-                scope.spawn(move || -> Result<Vec<R>, BudgetExceeded> {
-                    let mut out = Vec::with_capacity(end - start);
-                    for row in start..end {
-                        budget.check()?;
-                        out.push(f(row));
-                    }
-                    Ok(out)
-                })
-            })
-            .collect();
-        let mut results = Vec::with_capacity(rows);
-        let mut aborted = None;
-        for handle in handles {
-            match handle.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)) {
-                Ok(chunk) => results.extend(chunk),
-                // The token's first recorded cause is shared, so every
-                // tripped worker reports the same value.
-                Err(cause) => aborted = Some(cause),
-            }
-        }
-        match aborted {
-            Some(cause) => Err(cause),
-            None => Ok(results),
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::budget::RunBudget;
-    use std::time::Duration;
 
     #[test]
     fn matches_serial_map_at_any_budget() {
@@ -229,12 +141,6 @@ mod tests {
                 expected,
                 "rows form diverged at {workers} workers"
             );
-            assert_eq!(
-                chunk_map_rows_budgeted(items.len(), workers, None, |i| u64::from(items[i]) * 3)
-                    .unwrap(),
-                expected,
-                "budgeted rows form diverged at {workers} workers"
-            );
         }
         assert!(chunk_map_rows(0, 4, |i| i).is_empty());
     }
@@ -260,43 +166,6 @@ mod tests {
                 arena.cell(row).chars().rev().collect::<String>()
             });
             assert_eq!(via_arena, expected, "diverged at {workers} workers");
-        }
-    }
-
-    #[test]
-    fn budgeted_map_without_budget_matches_plain() {
-        let items: Vec<u32> = (0..57).collect();
-        for workers in [1usize, 3, 8] {
-            assert_eq!(
-                chunk_map_budgeted(&items, workers, None, |&x| x * 2).unwrap(),
-                chunk_map(&items, workers, |&x| x * 2)
-            );
-        }
-    }
-
-    #[test]
-    fn budgeted_map_with_live_token_is_identical() {
-        let items: Vec<u32> = (0..57).collect();
-        let budget = RunBudget::unlimited().token();
-        for workers in [1usize, 3, 8] {
-            assert_eq!(
-                chunk_map_budgeted(&items, workers, Some(&budget), |&x| x * 2).unwrap(),
-                chunk_map(&items, workers, |&x| x * 2),
-                "diverged at {workers} workers"
-            );
-        }
-    }
-
-    #[test]
-    fn tripped_token_aborts_map_at_any_worker_count() {
-        let items: Vec<u32> = (0..57).collect();
-        let budget = RunBudget::unlimited().with_deadline(Duration::ZERO).token();
-        for workers in [1usize, 2, 8] {
-            assert_eq!(
-                chunk_map_budgeted(&items, workers, Some(&budget), |&x| x).unwrap_err(),
-                BudgetExceeded::Deadline,
-                "at {workers} workers"
-            );
         }
     }
 }

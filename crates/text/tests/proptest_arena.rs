@@ -112,33 +112,6 @@ proptest! {
         }
     }
 
-    /// Chunked per-worker normalization concatenated in chunk order is
-    /// bit-identical — cells, offsets, fingerprint — to the serial streaming
-    /// append, at every worker count and flag combination (the multicore
-    /// equi-join normalization restored by the serve PR).
-    #[test]
-    fn parallel_normalization_matches_serial(
-        specs in prop::collection::vec((0u8..10, 0u64..1_000_000), 0..24),
-    ) {
-        let cells = build_cells(&specs);
-        for options in FLAG_COMBOS {
-            let serial = ColumnArena::try_normalized(&cells, &options)
-                .expect("test columns fit u32 space");
-            for workers in [1usize, 2, 3, 4] {
-                let parallel = ColumnArena::try_normalized_parallel(&cells, &options, workers)
-                    .expect("test columns fit u32 space");
-                prop_assert_eq!(
-                    &parallel, &serial,
-                    "parallel normalization diverged at {} workers under {:?}",
-                    workers, options
-                );
-                prop_assert_eq!(
-                    parallel.content_fingerprint(), serial.content_fingerprint()
-                );
-            }
-        }
-    }
-
     /// The fused gram stream over arena cells equals the per-size reference
     /// over the `Vec<String>` cells — same grams, same order.
     #[test]
