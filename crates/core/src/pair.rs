@@ -25,12 +25,11 @@ impl InputPair {
 
 /// The prepared set of input pairs: normalized values plus per-row
 /// character-indexed views of the source (the hot structure for unit
-/// application) and character counts of the target.
+/// application).
 #[derive(Debug, Clone)]
 pub struct PairSet {
     pairs: Vec<InputPair>,
     sources: Vec<CharStr>,
-    target_char_lens: Vec<usize>,
 }
 
 impl PairSet {
@@ -56,12 +55,7 @@ impl PairSet {
             panic!("pair set exceeds the u32 row-id space: {e}");
         }
         let sources = pairs.iter().map(|p| CharStr::new(p.source.clone())).collect();
-        let target_char_lens = pairs.iter().map(|p| p.target.chars().count()).collect();
-        Self {
-            pairs,
-            sources,
-            target_char_lens,
-        }
+        Self { pairs, sources }
     }
 
     /// Number of pairs.
@@ -87,11 +81,6 @@ impl PairSet {
     /// The target string at `idx`.
     pub fn target(&self, idx: usize) -> &str {
         &self.pairs[idx].target
-    }
-
-    /// Character length of the target at `idx`.
-    pub fn target_char_len(&self, idx: usize) -> usize {
-        self.target_char_lens[idx]
     }
 
     /// Iterates over the pairs.
@@ -147,7 +136,6 @@ mod tests {
         assert!(!set.is_empty());
         assert_eq!(set.target(0), "d rafiei");
         assert_eq!(set.source(1).as_str(), "bowling, michael");
-        assert_eq!(set.target_char_len(0), 8);
         assert!(set.average_value_length() > 0.0);
         assert_eq!(set.iter().count(), 2);
     }

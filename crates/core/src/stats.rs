@@ -33,18 +33,6 @@ impl PhaseTimings {
             + self.applying_transformations
             + self.cover_selection
     }
-
-    /// Element-wise sum (used when aggregating over many table pairs).
-    pub fn merged_with(&self, other: &PhaseTimings) -> PhaseTimings {
-        PhaseTimings {
-            placeholder_generation: self.placeholder_generation + other.placeholder_generation,
-            unit_extraction: self.unit_extraction + other.unit_extraction,
-            duplicate_removal: self.duplicate_removal + other.duplicate_removal,
-            applying_transformations: self.applying_transformations
-                + other.applying_transformations,
-            cover_selection: self.cover_selection + other.cover_selection,
-        }
-    }
 }
 
 impl fmt::Display for PhaseTimings {
@@ -158,7 +146,7 @@ mod tests {
     }
 
     #[test]
-    fn timings_total_and_merge() {
+    fn timings_total() {
         let a = PhaseTimings {
             placeholder_generation: Duration::from_millis(10),
             unit_extraction: Duration::from_millis(20),
@@ -167,8 +155,6 @@ mod tests {
             cover_selection: Duration::from_millis(5),
         };
         assert_eq!(a.total(), Duration::from_millis(105));
-        let b = a.merged_with(&a);
-        assert_eq!(b.total(), Duration::from_millis(210));
     }
 
     #[test]

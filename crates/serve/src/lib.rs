@@ -61,20 +61,9 @@
 //!
 //! Entry footprints are never remembered from admission time: artifacts
 //! built *after* a column became resident (an index requested later, a
-//! discovery anchor set, an append's carry-forward) grow the entry, so
-//! [`ResidentCorpus`] recomputes sizes at every enforcement point and
-//! trusts only the bytes [`GramCorpus::evict`] reports it actually freed.
-//!
-//! # Appends
-//!
-//! [`ResidentCorpus::append_column`] grows a resident column in place:
-//! the corpus carries every cached artifact forward incrementally
-//! (bit-identical to re-interning the final column — see the `tjoin-text`
-//! crate docs), the cache entry re-keys to the grown column's fingerprint
-//! with its LRU metadata transferred, and the byte budget is re-enforced
-//! immediately — an append is a release boundary. Columns pinned by a
-//! queued request refuse to append, because the queued request reserved
-//! the old content.
+//! discovery anchor set) grow the entry, so [`ResidentCorpus`] recomputes
+//! sizes at every enforcement point and trusts only the bytes
+//! [`GramCorpus::evict`] reports it actually freed.
 //!
 //! # Admission
 //!
@@ -116,9 +105,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use tjoin_datasets::ColumnPair;
 use tjoin_join::{BatchJoinOutcome, BatchJoinRunner, JoinPipelineConfig, RowMatchingStrategy};
-use tjoin_text::{
-    column_fingerprint, CorpusFailure, CorpusRetryPolicy, GramCorpus, NormalizeOptions, ServeStats,
-};
+use tjoin_text::{column_fingerprint, CorpusRetryPolicy, GramCorpus, NormalizeOptions, ServeStats};
 
 /// Recovers a lock whether or not a holder panicked (cache metadata stays
 /// consistent because every mutation completes before the guard drops).
@@ -235,7 +222,9 @@ impl Reservation {
 
 /// The resident corpus cache: one shared [`GramCorpus`] plus the
 /// byte-budgeted LRU metadata that decides what stays resident between
-/// runs (see the crate docs for the full invariants).
+/// runs (see the crate docs for the full invariants). Entries enter when a
+/// run interns a column and leave only by eviction; a resident entry's
+/// cells never change, so its fingerprint stays its key.
 #[derive(Debug)]
 pub struct ResidentCorpus {
     corpus: Arc<GramCorpus>,
@@ -387,55 +376,6 @@ impl ResidentCorpus {
         outcome
     }
 
-    /// Appends `delta`'s rows to the resident column keyed by
-    /// `fingerprint`, re-keying the cache entry to the grown column's
-    /// content fingerprint (returned). The corpus carries every cached
-    /// artifact forward incrementally ([`GramCorpus::append_column`] — the
-    /// grown entry is bit-identical to re-interning the final column from
-    /// scratch), the old entry is evicted, its LRU metadata transfers to
-    /// the new key with a fresh touch, and the byte budget is re-enforced
-    /// with the grown entry's **recomputed** footprint — an append is a
-    /// release boundary, so the hard-budget invariant holds right here,
-    /// not at the next request.
-    ///
-    /// Columns pinned by a queued request refuse to append (typed
-    /// [`CorpusFailure`], artifact `"append"`): the queued request reserved
-    /// the *old* content, and swapping it out from under the FIFO would
-    /// make results depend on append timing. Drain the queue first.
-    pub fn append_column<C: tjoin_text::CellText + ?Sized>(
-        &self,
-        fingerprint: u64,
-        delta: &C,
-    ) -> Result<u64, CorpusFailure> {
-        let mut state = lock(&self.state);
-        let state = &mut *state;
-        if let Some(meta) = state.entries.get(&fingerprint) {
-            if meta.pinned > 0 {
-                return Err(CorpusFailure {
-                    artifact: "append",
-                    message: format!(
-                        "column {fingerprint:#x} is pinned by {} queued reference(s)",
-                        meta.pinned
-                    ),
-                });
-            }
-        }
-        let new_fingerprint = self.corpus.append_column(fingerprint, delta)?;
-        if new_fingerprint != fingerprint {
-            // The grown column superseded the old entry; nothing queued
-            // references it (the pin check above), so reclaim it now.
-            if self.corpus.evict(fingerprint).is_some() {
-                state.totals.evictions += 1;
-            }
-            let mut meta = state.entries.remove(&fingerprint).unwrap_or_default();
-            state.clock += 1;
-            meta.last_touch = state.clock;
-            state.entries.insert(new_fingerprint, meta);
-        }
-        self.evict_to_budget(state);
-        Ok(new_fingerprint)
-    }
-
     /// A point-in-time counter snapshot (no release; `queue_depth` 0).
     pub fn stats(&self) -> ServeStats {
         let state = lock(&self.state);
@@ -457,8 +397,8 @@ impl ResidentCorpus {
     /// until resident bytes fit the budget (see the crate docs).
     ///
     /// Entry sizes are **recomputed here**, not remembered from admission:
-    /// artifacts built after a column became resident (indexes, signatures,
-    /// append carry-forwards) grow its footprint, and an admission-time
+    /// artifacts built after a column became resident (indexes, signatures)
+    /// grow its footprint, and an admission-time
     /// size would understate both what is resident and what eviction
     /// frees. Each successful eviction subtracts the bytes [`GramCorpus::
     /// evict`] *actually* reclaimed, and the loop re-snapshots until a
@@ -904,132 +844,6 @@ mod tests {
             budget
         );
         assert!(stats.evictions > 0, "the grown entries forced evictions");
-    }
-
-    #[test]
-    fn append_rekeys_the_entry_and_transfers_metadata() {
-        let resident = ResidentCorpus::new(NormalizeOptions::default(), ServeConfig::default());
-        let base: Vec<String> = vec!["Rafiei, Davood".into(), "Bowling, Michael".into()];
-        let delta: Vec<String> = vec!["Nascimento, Mario".into()];
-        let mut final_cells = base.clone();
-        final_cells.extend(delta.iter().cloned());
-        let old_fp = column_fingerprint(&base);
-        let entry = resident.corpus().column(&base);
-        let _ = entry.stats(4, 8);
-        let _ = entry.index(4, 8);
-
-        let new_fp = resident.append_column(old_fp, &delta).expect("append succeeds");
-        assert_eq!(new_fp, column_fingerprint(&final_cells));
-        assert!(!resident.corpus().contains(old_fp), "the old entry was reclaimed");
-        assert!(resident.corpus().contains(new_fp));
-        assert_eq!(resident.stats().evictions, 1, "re-keying evicts the superseded entry");
-
-        // The grown entry serves exactly what a fresh intern of the final
-        // column serves (carry-forward, not rebuild).
-        let fresh = ResidentCorpus::new(NormalizeOptions::default(), ServeConfig::default());
-        let oracle = fresh.corpus().column(&final_cells);
-        let grown = resident.corpus().column(&final_cells);
-        assert_eq!(*grown.stats(4, 8), *oracle.stats(4, 8));
-        assert_eq!(*grown.index(4, 8), *oracle.index(4, 8));
-        assert_eq!(resident.corpus().stats().appends, 1);
-
-        // Appending to the old key again is a typed error: the entry moved.
-        let err = resident.append_column(old_fp, &delta).expect_err("old key is gone");
-        assert_eq!(err.artifact, "append");
-    }
-
-    #[test]
-    fn append_refuses_pinned_columns() {
-        let service = JoinService::new(
-            JoinPipelineConfig::default(),
-            2,
-            ServeConfig::default(),
-        );
-        let repo = small_repo(91);
-        let pinned_fp = column_fingerprint(&repo[0].source);
-        service.submit(repo.clone()).expect("admitted");
-
-        let delta: Vec<String> = vec!["late arrival".into()];
-        let err = service
-            .resident()
-            .append_column(pinned_fp, &delta)
-            .expect_err("a queued request pins its columns against appends");
-        assert_eq!(err.artifact, "append");
-        assert!(err.message.contains("pinned"), "unexpected message: {}", err.message);
-
-        // Drained, the pin drops and the append proceeds.
-        service.drain();
-        let new_fp = service
-            .resident()
-            .append_column(pinned_fp, &delta)
-            .expect("unpinned column appends");
-        let mut final_cells = repo[0].source.clone();
-        final_cells.extend(delta);
-        assert_eq!(new_fp, column_fingerprint(&final_cells));
-    }
-
-    #[test]
-    fn append_heavy_workload_never_exceeds_hard_budget() {
-        // Regression for stale byte accounting: appends grow an entry's
-        // footprint (arena + carried stats/index/signature) well past its
-        // admission-time size. Every append re-enforces the budget with
-        // recomputed sizes, so resident bytes stay under the hard cap
-        // after every single step.
-        let base: Vec<String> = (0..8).map(|i| format!("seed row number {i:04}")).collect();
-        let probe = ResidentCorpus::new(NormalizeOptions::default(), ServeConfig::default());
-        let probe_entry = probe.corpus().column(&base);
-        let _ = probe_entry.stats(4, 8);
-        let _ = probe_entry.index(4, 8);
-        let budget = probe.corpus().resident_bytes() * 3;
-
-        let resident = ResidentCorpus::new(
-            NormalizeOptions::default(),
-            ServeConfig {
-                byte_budget: Some(budget),
-                ..ServeConfig::default()
-            },
-        );
-        let entry = resident.corpus().column(&base);
-        let _ = entry.stats(4, 8);
-        let _ = entry.index(4, 8);
-
-        let mut cells = base;
-        let mut fingerprint = column_fingerprint(&cells);
-        for step in 0..32 {
-            let delta: Vec<String> =
-                (0..8).map(|i| format!("appended row {step:04}-{i:04}")).collect();
-            cells.extend(delta.iter().cloned());
-            match resident.append_column(fingerprint, &delta) {
-                Ok(new_fp) => {
-                    fingerprint = new_fp;
-                    assert_eq!(fingerprint, column_fingerprint(&cells));
-                }
-                // The grown entry outgrew the whole budget and was evicted
-                // at a previous append boundary ("no resident entry");
-                // re-intern the accumulated column and keep appending —
-                // the budget must hold regardless.
-                Err(err) => {
-                    assert_eq!(err.artifact, "append");
-                    fingerprint = column_fingerprint(&cells);
-                    let entry = resident.corpus().column(&cells);
-                    let _ = entry.stats(4, 8);
-                    let mut boundary = resident.reserve(&[]);
-                    resident.begin(&mut boundary);
-                    resident.release(boundary);
-                }
-            }
-            assert!(
-                resident.corpus().resident_bytes() <= budget,
-                "budget overshot after append {}: {} > {}",
-                step,
-                resident.corpus().resident_bytes(),
-                budget
-            );
-        }
-        assert!(
-            resident.stats().evictions > 0,
-            "a tripled-footprint budget must evict under 32 growth steps"
-        );
     }
 
     #[test]

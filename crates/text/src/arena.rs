@@ -274,33 +274,6 @@ impl ColumnArena {
         Ok(arena)
     }
 
-    /// Appends every cell of `rows` (verbatim) at the end of the column —
-    /// the ingest step of an **incremental append**. All-or-nothing: both
-    /// capacity invariants are checked over the whole delta *before* any
-    /// copying, so on error the arena is unchanged. The result is
-    /// bit-identical to building a fresh arena over the concatenated cells
-    /// (which `tests/proptest_incremental.rs` proves differentially).
-    pub fn append_rows<C: CellText + ?Sized>(&mut self, rows: &C) -> Result<(), ArenaError> {
-        let total_rows = self
-            .len()
-            .checked_add(rows.cell_count())
-            .ok_or(ArenaError::RowCountOverflow { rows: usize::MAX })?;
-        checked_row_count(total_rows)?;
-        let mut total = self.text.len();
-        for row in 0..rows.cell_count() {
-            total = total
-                .checked_add(rows.cell(row).len())
-                .ok_or(ArenaError::ByteOffsetOverflow { bytes: usize::MAX })?;
-        }
-        if u32::try_from(total).is_err() {
-            return Err(ArenaError::ByteOffsetOverflow { bytes: total });
-        }
-        for row in 0..rows.cell_count() {
-            self.try_push(rows.cell(row))?;
-        }
-        Ok(())
-    }
-
     /// Number of cells.
     pub fn len(&self) -> usize {
         self.offsets.len() - 1
@@ -498,65 +471,6 @@ mod tests {
         let second = ColumnArena::from_cells(&first);
         assert_eq!(first, second);
         assert_eq!(first.content_fingerprint(), second.content_fingerprint());
-    }
-
-    #[test]
-    fn append_arena_preserves_cells_and_offsets() {
-        let left = ColumnArena::from_cells(vec!["ab".to_string(), String::new()].as_slice());
-        let right = ColumnArena::from_cells(vec!["αβ".to_string(), "cd".to_string()].as_slice());
-        let mut merged = left.clone();
-        merged.append_rows(&right).unwrap();
-        assert_eq!(
-            merged,
-            ColumnArena::from_cells(
-                vec!["ab".to_string(), String::new(), "αβ".to_string(), "cd".to_string()]
-                    .as_slice()
-            )
-        );
-        // Appending an empty arena is the identity.
-        let before = merged.clone();
-        merged.append_rows(&ColumnArena::new()).unwrap();
-        assert_eq!(merged, before);
-    }
-
-    #[test]
-    fn append_rows_matches_fresh_build() {
-        let mut grown = ColumnArena::from_cells(vec!["ab".to_string(), String::new()].as_slice());
-        grown.append_rows(["αβ", "cd"].as_slice()).unwrap();
-        grown.append_rows(Vec::<String>::new().as_slice()).unwrap(); // empty delta: identity
-        grown.append_rows([""].as_slice()).unwrap();
-        let fresh = ColumnArena::from_cells(
-            vec![
-                "ab".to_string(),
-                String::new(),
-                "αβ".to_string(),
-                "cd".to_string(),
-                String::new(),
-            ]
-            .as_slice(),
-        );
-        assert_eq!(grown, fresh);
-        assert_eq!(grown.content_fingerprint(), fresh.content_fingerprint());
-    }
-
-    #[test]
-    fn append_rows_rejects_overflow_without_mutating() {
-        struct Huge;
-        impl CellText for Huge {
-            fn cell_count(&self) -> usize {
-                u32::MAX as usize
-            }
-            fn cell(&self, _row: usize) -> &str {
-                unreachable!("over-large delta must be rejected before any cell read")
-            }
-        }
-        let mut arena = ColumnArena::from_cells(vec!["ab".to_string()].as_slice());
-        let before = arena.clone();
-        assert_eq!(
-            arena.append_rows(&Huge),
-            Err(ArenaError::RowCountOverflow { rows: u32::MAX as usize + 1 })
-        );
-        assert_eq!(arena, before, "failed append must leave the arena unchanged");
     }
 
     #[test]

@@ -55,10 +55,6 @@ pub enum FaultSite {
     /// Inside a corpus `ColumnSignature` build (also the poison point of the
     /// per-column signature cache lock).
     CorpusSignatureBuild,
-    /// Inside `GramCorpus::append_column`'s artifact carry-forward: a panic
-    /// here degrades the appended entry to rebuild-on-next-access (empty
-    /// artifact caches) — never silently stale artifacts.
-    CorpusAppend,
     /// Entry of the synthesis phase (pipeline phase 2).
     SynthesisPhase,
     /// Entry of the synthesis coverage scan.
@@ -150,23 +146,6 @@ impl FaultPlan {
             .iter()
             .find(|f| f.pair == pair && f.site == site)
             .map(|f| f.kind)
-    }
-
-    /// The distinct pair indices the plan touches, ascending.
-    pub fn faulted_pairs(&self) -> Vec<usize> {
-        let mut pairs: Vec<usize> = self.faults.iter().map(|f| f.pair).collect();
-        pairs.sort_unstable();
-        pairs.dedup();
-        pairs
-    }
-
-    /// The distinct pair indices carrying a fault of `kind`, ascending.
-    pub fn pairs_with_kind(&self, kind: FaultKind) -> Vec<usize> {
-        let mut pairs: Vec<usize> =
-            self.faults.iter().filter(|f| f.kind == kind).map(|f| f.pair).collect();
-        pairs.sort_unstable();
-        pairs.dedup();
-        pairs
     }
 
     /// Number of registered faults.
@@ -344,7 +323,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn plan_lookup_and_pair_listing() {
+    fn plan_lookup() {
         let plan = FaultPlan::new()
             .inject(3, FaultSite::MatchPhase, FaultKind::Panic)
             .inject(1, FaultSite::JoinPhase, FaultKind::PoisonLock)
@@ -352,8 +331,6 @@ mod tests {
         assert_eq!(plan.fault_for(3, FaultSite::MatchPhase), Some(FaultKind::Panic));
         assert_eq!(plan.fault_for(3, FaultSite::JoinPhase), None);
         assert_eq!(plan.fault_for(0, FaultSite::MatchPhase), None);
-        assert_eq!(plan.faulted_pairs(), vec![1, 3]);
-        assert_eq!(plan.pairs_with_kind(FaultKind::Panic), vec![3]);
         assert_eq!(plan.len(), 3);
         assert!(!plan.is_empty());
         assert!(FaultPlan::new().is_empty());

@@ -34,58 +34,35 @@ pub fn fingerprint64_chain(acc: u64, next: u64) -> u64 {
     mix64(acc ^ next)
 }
 
-/// An **appendable** column content fingerprint: the order-sensitive chain
-/// of per-cell [`fingerprint64`]s plus the cell count, folded together only
-/// at [`Self::finish`]. Because the count is absorbed at the *end* (not in
-/// the seed), the running state after absorbing rows `0..k` is exactly the
-/// prefix state a fresh fold over the final column passes through — which
-/// is what makes incremental corpus appends produce **bit-identical** keys
-/// to a from-scratch fingerprint of the final column. The finished value is
-/// still both order- and length-sensitive: two columns collide only if the
-/// 64-bit chain does.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ColumnFingerprint {
+/// The column content fingerprint behind
+/// [`column_fingerprint_on`](crate::corpus::column_fingerprint_on): the
+/// order-sensitive chain of per-cell [`fingerprint64`]s, mixed with the cell
+/// count at [`Self::finish`]. Both order- and length-sensitive: two columns
+/// collide only if the 64-bit chain does.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ColumnFingerprint {
     chain: u64,
     count: u64,
 }
 
 impl ColumnFingerprint {
     /// The fingerprint state of an empty column.
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         Self { chain: 0x9E37_79B9_7F4A_7C15, count: 0 }
     }
 
-    /// Absorbs one more cell (appended at the end of the column).
+    /// Absorbs the next cell of the column.
     #[inline]
-    pub fn absorb(&mut self, cell: &str) {
-        self.absorb_fingerprint(fingerprint64(cell));
-    }
-
-    /// Absorbs a cell already reduced to its [`fingerprint64`].
-    #[inline]
-    pub fn absorb_fingerprint(&mut self, fingerprint: u64) {
-        self.chain = fingerprint64_chain(self.chain, fingerprint);
+    pub(crate) fn absorb(&mut self, cell: &str) {
+        self.chain = fingerprint64_chain(self.chain, fingerprint64(cell));
         self.count += 1;
     }
 
-    /// Cells absorbed so far.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
     /// The finished column fingerprint: the chain mixed with the cell
-    /// count. Non-destructive — more cells can be absorbed afterwards and
-    /// `finish` called again (the corpus re-keys an entry per append this
-    /// way).
+    /// count.
     #[inline]
-    pub fn finish(&self) -> u64 {
+    pub(crate) fn finish(&self) -> u64 {
         fingerprint64_chain(self.chain, self.count)
-    }
-}
-
-impl Default for ColumnFingerprint {
-    fn default() -> Self {
-        Self::empty()
     }
 }
 
@@ -142,29 +119,6 @@ mod tests {
         assert_ne!(fp(&["a", "b"]), fp(&["b", "a"]));
         assert_ne!(fp(&["a"]), fp(&["a", "a"]));
         assert_ne!(fp(&["x", ""]), fp(&["", "x"]));
-    }
-
-    #[test]
-    fn column_fingerprint_appends_are_prefix_consistent() {
-        // The running state after absorbing a prefix, then the suffix, must
-        // equal one pass over the whole column — the invariant incremental
-        // corpus appends rely on.
-        let cells = ["alpha", "beta", "", "gamma delta", "ε"];
-        for split in 0..=cells.len() {
-            let mut incremental = ColumnFingerprint::empty();
-            for cell in &cells[..split] {
-                incremental.absorb(cell);
-            }
-            for cell in &cells[split..] {
-                incremental.absorb(cell);
-            }
-            let mut batch = ColumnFingerprint::empty();
-            for cell in &cells {
-                batch.absorb(cell);
-            }
-            assert_eq!(incremental, batch);
-            assert_eq!(incremental.finish(), batch.finish());
-        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! Posting lists are keyed by a 64-bit fingerprint of the gram rather than
 //! an owned `String`: index construction stores one `u64` per distinct gram
 //! instead of allocating each gram's text, and lookups hash the query gram
-//! without materializing it. A debug-build shadow map verifies the
+//! without materializing it. A debug-build [`CollisionGuard`] verifies the
 //! fingerprints never collide on the indexed corpus (at 64 bits, a corpus
 //! would need billions of distinct grams before collisions become likely).
 
@@ -16,6 +16,7 @@ use crate::arena::{checked_row_count, ArenaError, CellText};
 use crate::fingerprint::fingerprint64;
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::ngram::for_each_ngram_in_sizes;
+use crate::signature::CollisionGuard;
 use serde::{Deserialize, Serialize};
 
 /// An inverted index from character n-grams (sizes `n_min..=n_max`) to the
@@ -58,24 +59,14 @@ impl NGramIndex {
         // index below `rows_u32` fits losslessly in the posting entries.
         let rows_u32 = checked_row_count(column.cell_count())?;
         let mut postings: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-        // Debug-build shadow map fingerprint → first gram text seen, used to
-        // assert fingerprints are collision-free on the indexed corpus.
-        #[cfg(debug_assertions)]
-        let mut shadow: FxHashMap<u64, String> = FxHashMap::default();
+        let mut guard = CollisionGuard::new();
         let mut seen: FxHashSet<u64> = FxHashSet::default();
         for row_id in 0..rows_u32 {
             let row = column.cell(row_id as usize);
             seen.clear();
             for_each_ngram_in_sizes(row, n_min, n_max, &mut |g| {
                 let key = fingerprint64(g);
-                #[cfg(debug_assertions)]
-                {
-                    let prev = shadow.entry(key).or_insert_with(|| g.to_owned());
-                    debug_assert_eq!(
-                        prev, g,
-                        "gram fingerprint collision: {prev:?} vs {g:?} both hash to {key:#x}"
-                    );
-                }
+                guard.check(key, g);
                 if seen.insert(key) {
                     postings.entry(key).or_default().push(row_id);
                 }
@@ -94,56 +85,6 @@ impl NGramIndex {
             rows: rows_u32 as usize,
             postings,
         })
-    }
-
-    /// Extends the index with the rows `from_row..` of `column` — the
-    /// **incremental append** path. `self` must have been built (with the
-    /// same size range) over exactly `column`'s first `from_row` cells;
-    /// `column` is the *final* column. Every new row id is strictly greater
-    /// than every indexed id, so per-list sortedness and uniqueness are
-    /// preserved by plain pushes — no re-sort — and the result is
-    /// **bit-identical** to a fresh [`Self::try_build_on`] over the final
-    /// column (the differential proptest suite enforces this). A capacity
-    /// overflow is rejected up front with the same typed error a fresh
-    /// build on the final column would return, leaving `self` unchanged.
-    pub fn try_append_on<C: CellText + ?Sized>(
-        &mut self,
-        column: &C,
-        from_row: usize,
-    ) -> Result<(), ArenaError> {
-        assert_eq!(
-            self.rows, from_row,
-            "try_append_on: index covers {} rows but the delta starts at row {from_row}",
-            self.rows
-        );
-        let rows_u32 = checked_row_count(column.cell_count())?;
-        // Invariant is local (audited): `from_row == self.rows`, and
-        // `self.rows` was itself produced by a `checked_row_count` in the
-        // constructor (or a previous append), so the cast is lossless.
-        let from_u32 = checked_row_count(from_row)?;
-        #[cfg(debug_assertions)]
-        let mut shadow: FxHashMap<u64, String> = FxHashMap::default();
-        let mut seen: FxHashSet<u64> = FxHashSet::default();
-        for row_id in from_u32..rows_u32 {
-            let row = column.cell(row_id as usize);
-            seen.clear();
-            for_each_ngram_in_sizes(row, self.n_min, self.n_max, &mut |g| {
-                let key = fingerprint64(g);
-                #[cfg(debug_assertions)]
-                {
-                    let prev = shadow.entry(key).or_insert_with(|| g.to_owned());
-                    debug_assert_eq!(
-                        prev, g,
-                        "gram fingerprint collision: {prev:?} vs {g:?} both hash to {key:#x}"
-                    );
-                }
-                if seen.insert(key) {
-                    self.postings.entry(key).or_default().push(row_id);
-                }
-            });
-        }
-        self.rows = rows_u32 as usize;
-        Ok(())
     }
 
     /// The n-gram size range `(n_min, n_max)` the index covers.
@@ -302,24 +243,6 @@ mod tests {
     }
 
     #[test]
-    fn appended_index_matches_fresh_build() {
-        let final_rows = ["drafiei@ualberta.ca", "mario@ualberta.ca", "abab", "", "drafiei"];
-        for split in 0..=final_rows.len() {
-            let mut grown = NGramIndex::build(&final_rows[..split], 2, 5);
-            grown.try_append_on(final_rows.as_slice(), split).unwrap();
-            let fresh = NGramIndex::build(&final_rows, 2, 5);
-            assert_eq!(grown, fresh, "split at {split}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "delta starts at row")]
-    fn appended_index_rejects_row_mismatch() {
-        let mut idx = NGramIndex::build(&["ab"], 2, 2);
-        idx.try_append_on(["ab", "cd", "ef"].as_slice(), 2).unwrap();
-    }
-
-    #[test]
     fn memory_estimate_positive() {
         let idx = NGramIndex::build(&["abcdef"], 2, 3);
         assert!(idx.approximate_bytes() > 0);
@@ -339,7 +262,7 @@ mod tests {
 
     #[test]
     fn large_corpus_has_no_fingerprint_collisions() {
-        // The debug-build shadow map asserts on collision during build; this
+        // The debug-build collision guard asserts on collision during build; this
         // exercises it over a larger distinct-gram population.
         let rows: Vec<String> = (0..500).map(|i| format!("value-{i:04}-suffix")).collect();
         let idx = NGramIndex::build(&rows, 3, 9);

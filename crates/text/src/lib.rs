@@ -32,43 +32,6 @@
 //! and the proptest suites assert the two representations produce
 //! bit-identical matcher/join output.
 //!
-//! ## The append / invalidation model
-//!
-//! Real repositories grow: rows append, sources refresh. Rather than
-//! invalidate-and-rebuild, every text artifact is **appendable**, each with
-//! its from-scratch build retained as the differential oracle:
-//!
-//! * [`ColumnArena::append_rows`] grows the arena all-or-nothing;
-//! * [`ColumnStats::append_rows_on`] replays the per-row counting loop
-//!   over only the new rows (the loop is row-independent);
-//! * [`NGramIndex::try_append_on`] pushes strictly-greater row ids, so
-//!   posting sortedness/uniqueness survive without a re-sort;
-//! * [`ColumnSignature::append_rows`] unions the new rows' anchors into
-//!   the sorted set;
-//! * [`fingerprint::ColumnFingerprint`] keeps the column content chain
-//!   *unfinished* (cell count folded in at the end, not the seed), so an
-//!   append continues the chain in O(delta) and finishes to exactly the
-//!   fingerprint a fresh pass over the final column produces.
-//!
-//! [`GramCorpus::append_column`] composes these: it interns the grown
-//! column as a **new entry** (keyed by the final content fingerprint, under
-//! a fresh strictly-greater generation — the same generation counter
-//! evict-then-rebuild draws from) and carries every cached artifact forward
-//! incrementally. The contract, proven by `tests/proptest_incremental.rs`:
-//!
-//! * **Bit-identical (logical state):** the grown arena, stats, index,
-//!   signature, and fingerprint equal a fresh build over the final column,
-//!   exactly — not approximately. Anything derived from them (coverage,
-//!   discovery shortlists, join outcomes) inherits this.
-//! * **Physical, not logical:** generation tags, hit/attempt counters, and
-//!   `CorpusStats::appends*` describe *how* state was produced and differ
-//!   between the incremental and rebuild paths by design.
-//! * **Degraded, never stale:** a panic during the carry-forward (the
-//!   [`FaultSite::CorpusAppend`] injection point) interns the grown entry
-//!   with *empty* artifact caches — the next access rebuilds from the
-//!   correct grown arena. A typed capacity error surfaces exactly as the
-//!   fresh build of the final column would record it.
-//!
 //! ## Modules
 //!
 //! * [`arena`] — the [`ColumnArena`] itself, the [`CellText`] abstraction
@@ -147,7 +110,7 @@ pub use corpus::{
     CorpusStats, GramCorpus, ServeStats,
 };
 pub use fault::{FaultKind, FaultPlan, FaultSite};
-pub use fingerprint::{fingerprint64, fingerprint64_chain, ColumnFingerprint};
+pub use fingerprint::{fingerprint64, fingerprint64_chain};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use index::NGramIndex;
 pub use ngram::{

@@ -14,6 +14,7 @@ use crate::arena::CellText;
 use crate::fingerprint::fingerprint64;
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::ngram::for_each_ngram_in_sizes;
+use crate::signature::CollisionGuard;
 use serde::{Deserialize, Serialize};
 
 /// Per-column n-gram statistics: for each n-gram (of any size in the indexed
@@ -22,9 +23,8 @@ use serde::{Deserialize, Serialize};
 /// Frequencies are keyed by the gram's 64-bit [`fingerprint64`] instead of an
 /// owned `String`: a stats build allocates no gram text at all — grams stream
 /// out of the column (arena or `Vec<String>` alike) as borrowed slices and
-/// only their fingerprints are stored. A debug-build shadow map asserts the
-/// fingerprints never collide on the indexed corpus, the same guard the
-/// inverted index uses.
+/// only their fingerprints are stored. A [`CollisionGuard`] asserts (in
+/// debug builds) that the fingerprints never collide on the indexed corpus.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ColumnStats {
     /// Number of rows in the column.
@@ -44,23 +44,14 @@ impl ColumnStats {
     /// path; behaviour is identical for identical cell contents.
     pub fn build_on<C: CellText + ?Sized>(column: &C, n_min: usize, n_max: usize) -> Self {
         let mut row_frequency: FxHashMap<u64, u32> = FxHashMap::default();
-        // Debug-build fingerprint → first gram text, asserting no collisions.
-        #[cfg(debug_assertions)]
-        let mut shadow: FxHashMap<u64, String> = FxHashMap::default();
+        let mut guard = CollisionGuard::new();
         let mut seen: FxHashSet<u64> = FxHashSet::default();
         for row in 0..column.cell_count() {
             let row = column.cell(row);
             seen.clear();
             for_each_ngram_in_sizes(row, n_min, n_max, &mut |g| {
                 let key = fingerprint64(g);
-                #[cfg(debug_assertions)]
-                {
-                    let prev = shadow.entry(key).or_insert_with(|| g.to_owned());
-                    debug_assert_eq!(
-                        prev, g,
-                        "gram fingerprint collision: {prev:?} vs {g:?} both hash to {key:#x}"
-                    );
-                }
+                guard.check(key, g);
                 if seen.insert(key) {
                     *row_frequency.entry(key).or_insert(0) += 1;
                 }
@@ -70,51 +61,6 @@ impl ColumnStats {
             row_count: column.cell_count(),
             row_frequency,
         }
-    }
-
-    /// Folds the rows `from_row..` of `column` into existing statistics —
-    /// the **incremental append** path. `self` must have been built (with
-    /// the same `n_min`/`n_max`) over exactly `column`'s first `from_row`
-    /// cells; `column` is the *final* column (old rows plus the appended
-    /// delta). Because the per-row counting loop is row-independent (each
-    /// row contributes its distinct grams once, regardless of other rows),
-    /// replaying it over only the new rows leaves the stats **bit-identical**
-    /// to a fresh [`Self::build_on`] over the final column — which the
-    /// differential proptest suite enforces.
-    pub fn append_rows_on<C: CellText + ?Sized>(
-        &mut self,
-        column: &C,
-        from_row: usize,
-        n_min: usize,
-        n_max: usize,
-    ) {
-        assert_eq!(
-            self.row_count, from_row,
-            "append_rows_on: stats cover {} rows but the delta starts at row {from_row}",
-            self.row_count
-        );
-        #[cfg(debug_assertions)]
-        let mut shadow: FxHashMap<u64, String> = FxHashMap::default();
-        let mut seen: FxHashSet<u64> = FxHashSet::default();
-        for row in from_row..column.cell_count() {
-            let row = column.cell(row);
-            seen.clear();
-            for_each_ngram_in_sizes(row, n_min, n_max, &mut |g| {
-                let key = fingerprint64(g);
-                #[cfg(debug_assertions)]
-                {
-                    let prev = shadow.entry(key).or_insert_with(|| g.to_owned());
-                    debug_assert_eq!(
-                        prev, g,
-                        "gram fingerprint collision: {prev:?} vs {g:?} both hash to {key:#x}"
-                    );
-                }
-                if seen.insert(key) {
-                    *self.row_frequency.entry(key).or_insert(0) += 1;
-                }
-            });
-        }
-        self.row_count = column.cell_count();
     }
 
     /// Number of rows containing `gram` (0 when unseen).
@@ -239,24 +185,6 @@ mod tests {
         // eviction bookkeeping relies on this being deterministic).
         let again = ColumnStats::build(&["abcdefgh", "ijklmnop"], 2, 4);
         assert_eq!(large.approximate_bytes(), again.approximate_bytes());
-    }
-
-    #[test]
-    fn appended_stats_match_fresh_build() {
-        let final_rows = ["rafiei davood", "nascimento mario", "drafiei", "", "mario n"];
-        for split in 0..=final_rows.len() {
-            let mut grown = ColumnStats::build(&final_rows[..split], 2, 4);
-            grown.append_rows_on(final_rows.as_slice(), split, 2, 4);
-            let fresh = ColumnStats::build(&final_rows, 2, 4);
-            assert_eq!(grown, fresh, "split at {split}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "delta starts at row")]
-    fn appended_stats_reject_row_mismatch() {
-        let mut stats = ColumnStats::build(&["ab"], 2, 2);
-        stats.append_rows_on(["ab", "cd", "ef"].as_slice(), 2, 2, 2);
     }
 
     #[test]

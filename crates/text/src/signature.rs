@@ -23,18 +23,16 @@
 
 use crate::arena::CellText;
 use crate::fingerprint::fingerprint64;
-use crate::fxhash::FxHashSet;
 use crate::ngram::for_each_ngram_in_sizes;
 
 #[cfg(debug_assertions)]
 use crate::fxhash::FxHashMap;
 
 /// Debug-build shadow map asserting that distinct gram texts never share a
-/// fingerprint — the same guard [`ColumnStats`](crate::scoring::ColumnStats)
-/// and `NGramIndex` builds
-/// carry, factored out so the signature build (and its forced-collision
-/// regression test) can use it directly. Release builds compile it to
-/// nothing.
+/// fingerprint — the one collision check of every fingerprint-keyed gram
+/// build: [`ColumnStats`](crate::scoring::ColumnStats),
+/// [`NGramIndex`](crate::index::NGramIndex) and [`ColumnSignature`].
+/// Release builds compile it to nothing.
 #[derive(Debug, Default)]
 pub struct CollisionGuard {
     #[cfg(debug_assertions)]
@@ -83,42 +81,23 @@ impl ColumnSignature {
     /// Builds the signature of a normalized `column` with anchors of size
     /// `n_min`.
     pub fn build<C: CellText + ?Sized>(column: &C, n_min: usize) -> Self {
-        let mut signature = Self { anchors: Vec::new(), anchor_size: n_min, row_count: 0 };
-        signature.append_rows(column, 0);
-        signature
-    }
-
-    /// Folds the rows `from_row..` of `column` into the signature — the
-    /// **incremental append** path. `self` must cover exactly `column`'s
-    /// first `from_row` cells. The anchor merge is a sorted-set union, so
-    /// the appended signature is **bit-identical** to a fresh
-    /// [`Self::build`] over the final column (the differential proptest
-    /// suite enforces this).
-    pub fn append_rows<C: CellText + ?Sized>(&mut self, column: &C, from_row: usize) {
-        assert_eq!(
-            self.row_count, from_row,
-            "append_rows: signature covers {} rows but the delta starts at row {from_row}",
-            self.row_count
-        );
         let mut guard = CollisionGuard::new();
-        let mut new_anchors: FxHashSet<u64> = FxHashSet::default();
-        let size = self.anchor_size;
-        for cell in from_row..column.cell_count() {
+        let mut anchors: Vec<u64> = Vec::new();
+        for cell in column.cells() {
             // Gram sizes are in characters, so the size filter must come
             // from the extraction range, not the gram's byte length.
-            for_each_ngram_in_sizes(column.cell(cell), size, size, &mut |g| {
+            for_each_ngram_in_sizes(cell, n_min, n_min, &mut |g| {
                 let key = fingerprint64(g);
                 guard.check(key, g);
-                if self.anchors.binary_search(&key).is_err() {
-                    new_anchors.insert(key);
-                }
+                anchors.push(key);
             });
         }
-        if !new_anchors.is_empty() {
-            self.anchors.extend(new_anchors);
-            self.anchors.sort_unstable();
-        }
-        self.row_count = column.cell_count();
+        anchors.sort_unstable();
+        anchors.dedup();
+        // Resident signatures are charged by `len` (`approximate_bytes`),
+        // so drop the capacity the duplicate grams took.
+        anchors.shrink_to_fit();
+        Self { anchors, anchor_size: n_min, row_count: column.cell_count() }
     }
 
     /// The sorted anchor fingerprint set (size-`n_min` grams).
@@ -235,16 +214,6 @@ mod tests {
         let large = sig(&["abcdefghijklmnopqrstuvwxyz"], 4);
         assert!(large.approximate_bytes() > small.approximate_bytes());
         assert!(small.approximate_bytes() >= std::mem::size_of::<ColumnSignature>());
-    }
-
-    #[test]
-    fn appended_signature_matches_fresh_build() {
-        let final_rows = ["davood rafiei", "mario nascimento", "αβγδε ζη", "", "rafiei d"];
-        for split in 0..=final_rows.len() {
-            let mut grown = ColumnSignature::build(&final_rows[..split], 4);
-            grown.append_rows(final_rows.as_slice(), split);
-            assert_eq!(grown, sig(&final_rows, 4), "split at {split}");
-        }
     }
 
     #[cfg(debug_assertions)]
