@@ -140,11 +140,6 @@ impl AutoJoin {
         Self { config }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &AutoJoinConfig {
-        &self.config
-    }
-
     /// Runs Auto-Join over raw (source, target) pairs.
     pub fn discover<S: AsRef<str>, T: AsRef<str>>(&self, raw: &[(S, T)]) -> AutoJoinResult {
         let start = Instant::now();

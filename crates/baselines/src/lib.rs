@@ -2,10 +2,6 @@
 //!
 //! The baselines the paper compares against, implemented from scratch:
 //!
-//! * [`naive`] — the brute-force enumeration of Section 3.1: every unit with
-//!   every parameter assignment, composed into transformations, each
-//!   evaluated against every pair. Exponential; only usable on tiny inputs
-//!   and provided to make the cost argument concrete.
 //! * [`autojoin`] — Auto-Join (Zhu et al., VLDB 2017; Section 3.2 of the
 //!   paper): sample small subsets of the input, and for each subset run a
 //!   recursive best-first search that picks the unit covering the largest
@@ -22,8 +18,6 @@
 
 pub mod autofuzzyjoin;
 pub mod autojoin;
-pub mod naive;
 
 pub use autofuzzyjoin::{AutoFuzzyJoin, AutoFuzzyJoinConfig};
 pub use autojoin::{AutoJoin, AutoJoinConfig, AutoJoinResult};
-pub use naive::{NaiveSynthesis, NaiveSynthesisConfig};

@@ -11,9 +11,9 @@
 //! * **Work saved, counted**: on fresh runners, the target n-gram indexes
 //!   the matcher builds under `discover_and_run` must be strictly fewer
 //!   than under the all-pairs run (hard gate), since a pruned pair never
-//!   builds one. The two wall-clock medians and their ratio are recorded
-//!   ungated: discovery saved only ~7 % of wall-clock here, a margin a
-//!   strict timing gate over 5 samples can lose to noise.
+//!   builds one. The two wall-clock medians are recorded ungated. Their
+//!   ratio is not recorded: it read 1.00–1.30 across runs of unchanged
+//!   code, so it measured noise, not discovery.
 //! * **Decoy quality**: the repository generator's decoys (ground truth:
 //!   empty golden mapping, `tjoin_datasets::is_decoy`) become a measured
 //!   recall/precision benchmark — generator-label recall and decoy
@@ -135,16 +135,15 @@ fn discovery_comparison(_c: &mut Criterion) {
         black_box(runner.discover_and_run(black_box(&repository), &discovery));
     });
 
-    let speedup = all_pairs_secs / discover_secs;
     let summary = format!(
-        "{{\n  \"benchmark\": \"discovery\",\n  \"threads\": {THREADS},\n  \"workload\": {{\n    \"tables\": {tables},\n    \"pairs\": {PAIRS},\n    \"rows_per_pair\": {ROWS},\n    \"decoy_fraction\": {DECOY_FRACTION},\n    \"decoy_pairs\": {decoys},\n    \"joinable_pairs\": {joinable_pairs}\n  }},\n  \"shortlist\": {{\n    \"retained\": {},\n    \"pruning_ratio\": {pruning_ratio:.4},\n    \"recall_vs_pipeline_oracle\": 1.0,\n    \"recall_vs_generator_labels\": {label_recall:.4},\n    \"decoy_precision\": {decoy_precision:.4},\n    \"outcomes_bit_identical\": true\n  }},\n  \"work\": {{\n    \"all_pairs_indexes_built\": {all_pairs_indexes},\n    \"discover_and_run_indexes_built\": {discover_indexes}\n  }},\n  \"wall_clock\": {{\n    \"samples\": {samples},\n    \"all_pairs_median_seconds\": {all_pairs_secs:.6},\n    \"discover_and_run_median_seconds\": {discover_secs:.6},\n    \"speedup_discover_vs_all_pairs\": {speedup:.2}\n  }}\n}}\n",
+        "{{\n  \"benchmark\": \"discovery\",\n  \"threads\": {THREADS},\n  \"workload\": {{\n    \"tables\": {tables},\n    \"pairs\": {PAIRS},\n    \"rows_per_pair\": {ROWS},\n    \"decoy_fraction\": {DECOY_FRACTION},\n    \"decoy_pairs\": {decoys},\n    \"joinable_pairs\": {joinable_pairs}\n  }},\n  \"shortlist\": {{\n    \"retained\": {},\n    \"pruning_ratio\": {pruning_ratio:.4},\n    \"recall_vs_pipeline_oracle\": 1.0,\n    \"recall_vs_generator_labels\": {label_recall:.4},\n    \"decoy_precision\": {decoy_precision:.4},\n    \"outcomes_bit_identical\": true\n  }},\n  \"work\": {{\n    \"all_pairs_indexes_built\": {all_pairs_indexes},\n    \"discover_and_run_indexes_built\": {discover_indexes}\n  }},\n  \"wall_clock\": {{\n    \"samples\": {samples},\n    \"all_pairs_median_seconds\": {all_pairs_secs:.6},\n    \"discover_and_run_median_seconds\": {discover_secs:.6}\n  }}\n}}\n",
         retained.len(),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_discovery.json");
     std::fs::write(path, &summary).expect("write BENCH_discovery.json");
     println!(
         "discovery: shortlist pruned {pruning_ratio:.2} of {PAIRS} pairs, \
-         discover_and_run {speedup:.2}x over all-pairs ({all_pairs_secs:.4}s -> {discover_secs:.4}s), \
+         all-pairs {all_pairs_secs:.4}s vs discover_and_run {discover_secs:.4}s, \
          target indexes built {all_pairs_indexes} -> {discover_indexes}, \
          decoy precision {decoy_precision:.2}"
     );

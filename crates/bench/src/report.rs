@@ -44,7 +44,8 @@ impl Report {
     }
 
     /// Number of data rows so far.
-    pub fn row_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn row_count(&self) -> usize {
         self.rows.len()
     }
 

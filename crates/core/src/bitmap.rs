@@ -49,11 +49,6 @@ impl RowBitmap {
         Self::from_rows(rows, indices)
     }
 
-    /// The row capacity.
-    pub fn capacity(&self) -> usize {
-        self.rows
-    }
-
     /// Sets the bit for `row`.
     #[inline]
     pub fn insert(&mut self, row: usize) {
@@ -62,8 +57,8 @@ impl RowBitmap {
     }
 
     /// Whether `row`'s bit is set.
-    #[inline]
-    pub fn contains(&self, row: usize) -> bool {
+    #[cfg(test)]
+    fn contains(&self, row: usize) -> bool {
         self.words
             .get(row / 64)
             .is_some_and(|w| w & (1u64 << (row % 64)) != 0)
@@ -75,11 +70,12 @@ impl RowBitmap {
     }
 
     /// Whether no bit is set.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
         self.words.iter().all(|&w| w == 0)
     }
 
-    /// Whether every bit in `0..capacity()` is set.
+    /// Whether every row's bit is set.
     pub fn is_full(&self) -> bool {
         self.count_ones() == self.rows
     }
@@ -101,11 +97,6 @@ impl RowBitmap {
         for (a, &b) in self.words.iter_mut().zip(&other.words) {
             *a |= b;
         }
-    }
-
-    /// Clears all bits, keeping the capacity.
-    pub fn clear(&mut self) {
-        self.words.fill(0);
     }
 
     /// Iterates over set rows in increasing order.
@@ -156,7 +147,7 @@ mod tests {
         let rows = vec![3u32, 17, 64, 99];
         let b = RowBitmap::from_rows(100, &rows);
         assert_eq!(b.to_vec(), rows);
-        assert_eq!(b.capacity(), 100);
+        assert_eq!(b.rows, 100);
     }
 
     #[test]
@@ -173,9 +164,6 @@ mod tests {
         acc.union_with(&RowBitmap::from_rows(70, &[0, 69]));
         acc.union_with(&RowBitmap::from_rows(70, &[1, 69]));
         assert_eq!(acc.to_vec(), vec![0, 1, 69]);
-        acc.clear();
-        assert!(acc.is_empty());
-        assert_eq!(acc.capacity(), 70);
     }
 
     #[test]
@@ -206,7 +194,7 @@ mod tests {
             let dense = RowBitmap::from_rows(rows, &indices);
             assert_eq!(sparse, dense, "rows={rows}");
             assert_eq!(sparse.to_vec(), indices, "rows={rows}");
-            assert_eq!(sparse.capacity(), rows);
+            assert_eq!(sparse.rows, rows);
         }
     }
 
@@ -224,7 +212,7 @@ mod tests {
         // Empty list, non-empty capacity.
         let empty = RowBitmap::from_sorted_rows(65, &[]);
         assert!(empty.is_empty());
-        assert_eq!(empty.capacity(), 65);
+        assert_eq!(empty.rows, 65);
 
         // Zero-capacity round trip.
         let zero = RowBitmap::from_sorted_rows(0, &[]);

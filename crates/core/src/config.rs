@@ -98,27 +98,11 @@ impl SynthesisConfig {
         }
     }
 
-    /// The configuration the paper uses for Open data: a ≤ 3000-pair sample
-    /// and a 1 % support threshold.
-    pub fn open_data() -> Self {
-        Self {
-            sample_size: Some(3000),
-            min_support: 0.01,
-            ..Self::default()
-        }
-    }
-
     /// Disables both pruning strategies (for the ablation experiments of
     /// Section 6.6 / Figure 3).
     pub fn without_pruning(mut self) -> Self {
         self.deduplicate = false;
         self.unit_cache = false;
-        self
-    }
-
-    /// Builder-style setter for the placeholder bound.
-    pub fn with_max_placeholders(mut self, p: usize) -> Self {
-        self.max_placeholders = p;
         self
     }
 
@@ -184,9 +168,6 @@ mod tests {
     #[test]
     fn presets() {
         assert_eq!(SynthesisConfig::spreadsheet().max_placeholders, 4);
-        let od = SynthesisConfig::open_data();
-        assert_eq!(od.sample_size, Some(3000));
-        assert!((od.min_support - 0.01).abs() < 1e-12);
         let ablate = SynthesisConfig::default().without_pruning();
         assert!(!ablate.deduplicate && !ablate.unit_cache);
     }
@@ -194,11 +175,9 @@ mod tests {
     #[test]
     fn builders() {
         let c = SynthesisConfig::default()
-            .with_max_placeholders(2)
             .with_sample(100, 7)
             .with_min_support(0.05)
             .with_threads(0);
-        assert_eq!(c.max_placeholders, 2);
         assert_eq!(c.sample_size, Some(100));
         assert_eq!(c.sample_seed, 7);
         assert_eq!(c.threads, 1); // clamped to at least one
@@ -208,7 +187,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "max_placeholders")]
     fn invalid_placeholders_rejected() {
-        SynthesisConfig::default().with_max_placeholders(0).validate();
+        SynthesisConfig { max_placeholders: 0, ..SynthesisConfig::default() }.validate();
     }
 
     #[test]

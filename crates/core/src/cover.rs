@@ -82,29 +82,10 @@ impl ScoredTransformation {
 /// The minimum covered-row count implied by a `min_support` fraction over
 /// `total_rows` (never below 1: zero-coverage candidates are always dropped).
 ///
-/// Shared by [`filter_candidates`] and the engine's sparse pre-densification
-/// filter so both apply the identical threshold.
+/// The engine's selection filter applies it to the sparse coverage lists
+/// before densification, together with the single-row all-literal rule.
 pub fn min_rows_for_support(total_rows: usize, min_support: f64) -> usize {
     ((min_support * total_rows as f64).ceil() as usize).max(1)
-}
-
-/// Drops transformations whose coverage is below `min_support` (a fraction of
-/// `total_rows`) or that consist solely of literals while covering a single
-/// row (such candidates are target values copied verbatim and never
-/// generalize).
-pub fn filter_candidates(
-    candidates: Vec<ScoredTransformation>,
-    total_rows: usize,
-    min_support: f64,
-) -> Vec<ScoredTransformation> {
-    let min_rows = min_rows_for_support(total_rows, min_support);
-    candidates
-        .into_iter()
-        .filter(|c| {
-            let coverage = c.coverage();
-            coverage >= min_rows && !(c.transformation.is_all_literal() && coverage <= 1)
-        })
-        .collect()
 }
 
 /// The `k` transformations with the largest coverage, ties broken toward
@@ -708,20 +689,5 @@ mod tests {
         let a = scored(vec![Unit::substr(0, 1)], vec![0]);
         assert_eq!(top_k(&[a], 10).len(), 1);
         assert!(top_k(&[], 10).is_empty());
-    }
-
-    #[test]
-    fn filter_by_support_and_literal_rule() {
-        let lit_single = scored_sized(vec![Unit::literal("abc")], 10, vec![0]);
-        let lit_double = scored_sized(vec![Unit::literal("abc")], 10, vec![0, 1]);
-        let real = scored_sized(vec![Unit::substr(0, 1)], 10, vec![0]);
-        let empty = scored_sized(vec![Unit::substr(5, 9)], 10, vec![]);
-        let kept = filter_candidates(vec![lit_single, lit_double, real, empty], 10, 0.0);
-        // The single-row all-literal and the empty-coverage candidates drop out.
-        assert_eq!(kept.len(), 2);
-        // A 20% support threshold over 10 rows requires 2 covered rows.
-        let kept = filter_candidates(kept, 10, 0.2);
-        assert_eq!(kept.len(), 1);
-        assert_eq!(kept[0].covered.to_vec(), vec![0, 1]);
     }
 }

@@ -51,11 +51,6 @@ impl SynthesisEngine {
         Self { config }
     }
 
-    /// The engine's configuration.
-    pub fn config(&self) -> &SynthesisConfig {
-        &self.config
-    }
-
     /// Runs synthesis on raw (source, target) string pairs.
     pub fn discover_from_strings<S: AsRef<str>, T: AsRef<str>>(
         &self,
@@ -287,6 +282,46 @@ mod tests {
         }
     }
 
+    /// The selection filter runs inline in `discover`: a candidate needs
+    /// `min_rows_for_support` covered rows, and an all-literal candidate
+    /// needs two.
+    #[test]
+    fn selection_filter_cases_through_discover() {
+        let discover = |rows: &[(&str, &str)], min_support: f64| {
+            let config = SynthesisConfig::default().with_min_support(min_support);
+            let pairs = PairSet::from_strings(rows, &config.normalize);
+            SynthesisEngine::new(config).discover(&pairs)
+        };
+        let covered = |result: &SynthesisResult| -> Vec<Vec<u32>> {
+            result.cover.iter().map(|t| t.covered_rows.clone()).collect()
+        };
+
+        // "xyz" shares no text with "abc", so only the literal "xyz" yields
+        // it. On a single row it is a copied value and is dropped.
+        let single = discover(&[("abc", "xyz"), ("def ghi", "ghi")], 0.0);
+        assert_eq!(covered(&single), vec![vec![1]], "{}", single.cover);
+        assert!(single.cover.iter().all(|t| !t.transformation.is_all_literal()));
+
+        // The same literal on two rows generalizes and is kept.
+        let double = discover(&[("abc", "xyz"), ("def", "xyz")], 0.0);
+        assert_eq!(covered(&double), vec![vec![0, 1]], "{}", double.cover);
+        assert!(double.cover.best().unwrap().transformation.is_all_literal());
+
+        // "stu" is Substr(2, 5) of its row only. Without a support floor
+        // it is covered; a 0.5 floor over 3 rows needs 2 rows and cuts it.
+        let rows = [("ab cd", "cd"), ("ef gh", "gh"), ("qrstuv", "stu")];
+        let loose = discover(&rows, 0.0);
+        assert!((loose.set_coverage() - 1.0).abs() < 1e-9, "{}", loose.cover);
+        let strict = discover(&rows, 0.5);
+        assert!((strict.set_coverage() - 2.0 / 3.0).abs() < 1e-9, "{}", strict.cover);
+        assert!(strict.cover.iter().all(|t| t.coverage() >= 2));
+
+        // An empty target yields no candidate that covers a row: the
+        // one-row floor drops them before greedy, and the cover is empty.
+        let empty = discover(&[("abc", ""), ("def", "")], 0.0);
+        assert!(empty.cover.is_empty(), "{}", empty.cover);
+    }
+
     #[test]
     fn pruning_toggles_do_not_change_coverage() {
         let rows = vec![
@@ -318,7 +353,7 @@ mod tests {
             s.transformations_to_try * s.pairs_used as u64
         );
         assert!(s.coverage_trials + s.cache_hits <= s.potential_trials);
-        assert!(s.total_time() > std::time::Duration::ZERO);
+        assert!(s.timings.total() > std::time::Duration::ZERO);
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::skeleton::{enumerate_skeletons, Segment};
 use crate::unitgen::candidate_unit_ids;
 use std::time::{Duration, Instant};
 use tjoin_text::FxHashSet;
-use tjoin_units::{IdTransformation, Transformation, UnitId, UnitPool};
+use tjoin_units::{IdTransformation, UnitId, UnitPool};
 
 /// Output of the generation phase.
 #[derive(Debug, Clone)]
@@ -48,23 +48,10 @@ pub struct GenerationOutcome {
 }
 
 impl GenerationOutcome {
-    /// Fraction of generated transformations that were duplicates.
-    pub fn duplicate_ratio(&self) -> f64 {
-        if self.generated == 0 {
-            0.0
-        } else {
-            1.0 - self.unique as f64 / self.generated as f64
-        }
-    }
-
-    /// Materializes the candidate at `idx` as an owned [`Transformation`].
-    pub fn resolve(&self, idx: usize) -> Transformation {
-        self.pool.resolve(&self.transformations[idx])
-    }
-
-    /// Iterates over all candidates as owned [`Transformation`]s (mainly for
-    /// tests and reports; the hot path stays on ids).
-    pub fn resolved(&self) -> impl Iterator<Item = Transformation> + '_ {
+    /// Iterates over all candidates as owned transformations (the hot path
+    /// stays on ids).
+    #[cfg(test)]
+    pub(crate) fn resolved(&self) -> impl Iterator<Item = tjoin_units::Transformation> + '_ {
         self.transformations.iter().map(|t| self.pool.resolve(t))
     }
 }
@@ -194,6 +181,7 @@ pub fn generate_transformations(pairs: &PairSet, config: &SynthesisConfig) -> Ge
 mod tests {
     use super::*;
     use tjoin_text::NormalizeOptions;
+    use tjoin_units::Transformation;
 
     fn pairs(rows: &[(&str, &str)]) -> PairSet {
         PairSet::from_strings(rows, &NormalizeOptions::none())
@@ -231,9 +219,7 @@ mod tests {
         assert!(with_dedup.transformations.len() <= without.transformations.len());
         // Without deduplication everything generated is evaluated.
         assert_eq!(without.unique, without.generated);
-        assert_eq!(without.duplicate_ratio(), 0.0);
         assert!(with_dedup.unique <= without.unique);
-        assert!(with_dedup.duplicate_ratio() >= 0.0);
         assert_eq!(
             with_dedup.transformations.len() as u64,
             with_dedup.unique
@@ -273,7 +259,6 @@ mod tests {
         assert_eq!(out.generated, 0);
         assert!(out.transformations.is_empty());
         assert!(out.pool.is_empty());
-        assert_eq!(out.duplicate_ratio(), 0.0);
     }
 
     #[test]

@@ -68,11 +68,6 @@ impl PairSet {
         self.pairs.is_empty()
     }
 
-    /// The pair at `idx`.
-    pub fn pair(&self, idx: usize) -> &InputPair {
-        &self.pairs[idx]
-    }
-
     /// The prepared source view at `idx`.
     pub fn source(&self, idx: usize) -> &CharStr {
         &self.sources[idx]
@@ -81,25 +76,6 @@ impl PairSet {
     /// The target string at `idx`.
     pub fn target(&self, idx: usize) -> &str {
         &self.pairs[idx].target
-    }
-
-    /// Iterates over the pairs.
-    pub fn iter(&self) -> impl Iterator<Item = &InputPair> {
-        self.pairs.iter()
-    }
-
-    /// Average character length across source and target values (used in
-    /// experiment reports).
-    pub fn average_value_length(&self) -> f64 {
-        if self.pairs.is_empty() {
-            return 0.0;
-        }
-        let total: usize = self
-            .pairs
-            .iter()
-            .map(|p| p.source.chars().count() + p.target.chars().count())
-            .sum();
-        total as f64 / (2 * self.pairs.len()) as f64
     }
 
     /// A new pair set containing only the rows at `indices` (used by
@@ -136,8 +112,6 @@ mod tests {
         assert!(!set.is_empty());
         assert_eq!(set.target(0), "d rafiei");
         assert_eq!(set.source(1).as_str(), "bowling, michael");
-        assert!(set.average_value_length() > 0.0);
-        assert_eq!(set.iter().count(), 2);
     }
 
     #[test]
@@ -148,14 +122,13 @@ mod tests {
         );
         let sub = set.subset(&[2, 0, 99]);
         assert_eq!(sub.len(), 2);
-        assert_eq!(sub.pair(0).source, "c");
-        assert_eq!(sub.pair(1).source, "a");
+        assert_eq!(sub.pairs[0].source, "c");
+        assert_eq!(sub.pairs[1].source, "a");
     }
 
     #[test]
     fn empty_set() {
         let set = PairSet::from_pairs(vec![]);
         assert!(set.is_empty());
-        assert_eq!(set.average_value_length(), 0.0);
     }
 }

@@ -91,11 +91,6 @@ impl SynthesisStats {
             self.cache_hits as f64 / self.potential_trials as f64
         }
     }
-
-    /// Total synthesis wall-clock time.
-    pub fn total_time(&self) -> Duration {
-        self.timings.total()
-    }
 }
 
 impl fmt::Display for SynthesisStats {
@@ -129,7 +124,7 @@ mod tests {
         let s = SynthesisStats::default();
         assert_eq!(s.duplicate_ratio(), 0.0);
         assert_eq!(s.cache_hit_ratio(), 0.0);
-        assert_eq!(s.total_time(), Duration::ZERO);
+        assert_eq!(s.timings.total(), Duration::ZERO);
     }
 
     #[test]

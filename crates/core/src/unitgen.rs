@@ -12,22 +12,6 @@ use crate::placeholder::Placeholder;
 use tjoin_text::FxHashSet;
 use tjoin_units::{CharStr, Unit, UnitId, UnitKind, UnitPool};
 
-/// Candidate units that replace `placeholder`, resolved to owned values.
-///
-/// Compatibility wrapper over [`candidate_unit_ids`] (the generation phase
-/// works on interned ids); mainly useful in tests and baselines.
-pub fn candidate_units(
-    placeholder: &Placeholder,
-    source: &CharStr,
-    config: &SynthesisConfig,
-) -> Vec<Unit> {
-    let mut pool = UnitPool::new();
-    candidate_unit_ids(placeholder, source, config, &mut pool)
-        .into_iter()
-        .map(|id| pool.get(id).clone())
-        .collect()
-}
-
 /// Candidate units that replace `placeholder`, i.e. that produce exactly the
 /// placeholder text when applied to `source`, interned into `pool`.
 ///
@@ -182,6 +166,19 @@ pub fn candidate_unit_ids(
 mod tests {
     use super::*;
     use crate::placeholder::maximal_placeholders;
+
+    /// The candidate units of `placeholder`, resolved to owned values.
+    fn candidate_units(
+        placeholder: &Placeholder,
+        source: &CharStr,
+        config: &SynthesisConfig,
+    ) -> Vec<Unit> {
+        let mut pool = UnitPool::new();
+        candidate_unit_ids(placeholder, source, config, &mut pool)
+            .into_iter()
+            .map(|id| pool.get(id).clone())
+            .collect()
+    }
 
     fn placeholder_for(source: &str, target: &str, text: &str) -> (CharStr, Placeholder) {
         let src = CharStr::new(source);

@@ -14,7 +14,7 @@
 
 use proptest::prelude::*;
 use tjoin_core::cover::reference::greedy_cover_reference;
-use tjoin_core::cover::{filter_candidates, lazy_greedy_cover, top_k, ScoredTransformation};
+use tjoin_core::cover::{lazy_greedy_cover, min_rows_for_support, top_k, ScoredTransformation};
 use tjoin_core::RowBitmap;
 use tjoin_units::{Transformation, TransformationSet, Unit};
 
@@ -91,7 +91,7 @@ fn assert_identical(lazy: &TransformationSet, oracle: &TransformationSet) {
 /// which is `top_k`'s stable-sort order, so the two heads are equal.
 fn check_first_pick(rows: usize, pool: Vec<ScoredTransformation>) {
     let pool: Vec<ScoredTransformation> =
-        pool.into_iter().filter(|c| !c.covered.is_empty()).collect();
+        pool.into_iter().filter(|c| c.covered.count_ones() > 0).collect();
     let top = top_k(&pool, 1);
     let cover = lazy_greedy_cover(pool, rows);
     assert_eq!(
@@ -149,8 +149,9 @@ proptest! {
         }
     }
 
-    /// End-of-pipeline composition: the support filter feeding either cover
-    /// implementation yields identical results (the engine's wiring).
+    /// End-of-pipeline composition: pools cut by the engine's selection
+    /// rule (support floor, single-row all-literal drop) select identically
+    /// in either cover implementation.
     #[test]
     fn filtered_pools_select_identically(
         rows in 1usize..50,
@@ -158,7 +159,14 @@ proptest! {
         support_pct in 0usize..30,
     ) {
         let pool = build_pool(rows, &specs);
-        let filtered = filter_candidates(pool, rows, support_pct as f64 / 100.0);
+        let min_rows = min_rows_for_support(rows, support_pct as f64 / 100.0);
+        let filtered: Vec<ScoredTransformation> = pool
+            .into_iter()
+            .filter(|c| {
+                let coverage = c.covered.count_ones();
+                coverage >= min_rows && !(coverage <= 1 && c.transformation.is_all_literal())
+            })
+            .collect();
         let lazy = lazy_greedy_cover(filtered.clone(), rows);
         let oracle = greedy_cover_reference(filtered, rows);
         assert_identical(&lazy, &oracle);

@@ -1,10 +1,11 @@
-//! Minimal CSV/TSV reading and writing for [`Table`]s.
+//! Minimal CSV reading for [`Table`]s: the way to load one's own tables.
 //!
 //! The workspace keeps to the approved offline dependency set, so this is a
-//! small RFC-4180-style implementation (quoted fields, embedded quotes
-//! doubled, embedded newlines inside quotes) rather than a `csv` crate
-//! dependency. It is sufficient for loading user-provided table pairs into
-//! the join pipeline and for persisting experiment outputs.
+//! small RFC-4180-style reader (quoted fields, embedded quotes doubled,
+//! embedded newlines inside quotes) rather than a `csv` crate dependency.
+//! `examples/csv_join.rs` is the user path: it reads two CSV files with
+//! [`read_csv_file`], picks the join columns by header name with
+//! [`Table::column_index`] and joins them with the pipeline.
 //!
 //! All loaders are total over malformed input: truncated files, ragged
 //! rows, unterminated quotes, and non-UTF-8 bytes surface as typed
@@ -13,7 +14,6 @@
 
 use crate::table::Table;
 use std::fmt;
-use std::fmt::Write as _;
 use std::fs;
 use std::io;
 use std::path::Path;
@@ -81,17 +81,7 @@ impl From<io::Error> for DatasetError {
 /// Returns an error when records have inconsistent arity or a quoted field is
 /// left unterminated.
 pub fn parse_csv(name: &str, text: &str) -> Result<Table, DatasetError> {
-    parse_delimited(name, text, ',')
-}
-
-/// Parses TSV text into a [`Table`] (tab delimiter, same quoting rules).
-pub fn parse_tsv(name: &str, text: &str) -> Result<Table, DatasetError> {
-    parse_delimited(name, text, '\t')
-}
-
-/// Parses delimiter-separated text with RFC-4180 quoting.
-pub fn parse_delimited(name: &str, text: &str, delim: char) -> Result<Table, DatasetError> {
-    let records = parse_records(text, delim)?;
+    let records = parse_records(text)?;
     let mut iter = records.into_iter();
     let header = iter.next().ok_or(DatasetError::Empty)?;
     let mut table = Table::new(name, header);
@@ -108,7 +98,7 @@ pub fn parse_delimited(name: &str, text: &str, delim: char) -> Result<Table, Dat
     Ok(table)
 }
 
-fn parse_records(text: &str, delim: char) -> Result<Vec<Vec<String>>, DatasetError> {
+fn parse_records(text: &str) -> Result<Vec<Vec<String>>, DatasetError> {
     let mut records = Vec::new();
     let mut record: Vec<String> = Vec::new();
     let mut field = String::new();
@@ -131,7 +121,7 @@ fn parse_records(text: &str, delim: char) -> Result<Vec<Vec<String>>, DatasetErr
             }
         } else if c == '"' && field.is_empty() {
             in_quotes = true;
-        } else if c == delim {
+        } else if c == ',' {
             record.push(std::mem::take(&mut field));
         } else if c == '\r' {
             // swallow; handled with the following \n (or ignored)
@@ -152,40 +142,6 @@ fn parse_records(text: &str, delim: char) -> Result<Vec<Vec<String>>, DatasetErr
     Ok(records)
 }
 
-/// Serializes a [`Table`] to CSV text (header + rows).
-pub fn to_csv(table: &Table) -> String {
-    to_delimited(table, ',')
-}
-
-/// Serializes a [`Table`] to TSV text.
-pub fn to_tsv(table: &Table) -> String {
-    to_delimited(table, '\t')
-}
-
-fn to_delimited(table: &Table, delim: char) -> String {
-    let mut out = String::new();
-    write_record(&mut out, &table.columns, delim);
-    for row in &table.rows {
-        write_record(&mut out, row, delim);
-    }
-    out
-}
-
-fn write_record(out: &mut String, fields: &[String], delim: char) {
-    for (i, f) in fields.iter().enumerate() {
-        if i > 0 {
-            out.push(delim);
-        }
-        if f.contains(delim) || f.contains('"') || f.contains('\n') {
-            let escaped = f.replace('"', "\"\"");
-            let _ = write!(out, "\"{escaped}\"");
-        } else {
-            out.push_str(f);
-        }
-    }
-    out.push('\n');
-}
-
 /// Reads a CSV file from disk into a [`Table`] named after the file stem.
 /// Non-UTF-8 bytes surface as [`DatasetError::InvalidUtf8`] (with the
 /// offset of the first bad byte) instead of a generic read failure.
@@ -201,11 +157,6 @@ pub fn read_csv_file(path: impl AsRef<Path>) -> Result<Table, DatasetError> {
         .unwrap_or("table")
         .to_owned();
     parse_csv(&name, &text)
-}
-
-/// Writes a [`Table`] to a CSV file.
-pub fn write_csv_file(table: &Table, path: impl AsRef<Path>) -> io::Result<()> {
-    fs::write(path, to_csv(table))
 }
 
 #[cfg(test)]
@@ -300,36 +251,15 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_csv() {
-        let mut t = Table::new("rt", vec!["name".into(), "note".into()]);
-        t.push_row(vec!["Rafiei, Davood".into(), "said \"hi\"".into()]);
-        t.push_row(vec!["plain".into(), "multi\nline".into()]);
-        let text = to_csv(&t);
-        let parsed = parse_csv("rt", &text).unwrap();
-        assert_eq!(parsed.columns, t.columns);
-        assert_eq!(parsed.rows, t.rows);
-    }
-
-    #[test]
-    fn round_trip_tsv() {
-        let mut t = Table::new("rt", vec!["a".into(), "b".into()]);
-        t.push_row(vec!["x\ty".into(), "z".into()]);
-        let text = to_tsv(&t);
-        let parsed = parse_tsv("rt", &text).unwrap();
-        assert_eq!(parsed.rows, t.rows);
-    }
-
-    #[test]
-    fn file_round_trip() {
+    fn file_read_names_table_after_stem() {
         let dir = std::env::temp_dir().join("tjoin-io-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("table.csv");
-        let mut t = Table::new("table", vec!["a".into()]);
-        t.push_row(vec!["v1".into()]);
-        write_csv_file(&t, &path).unwrap();
+        std::fs::write(&path, "name,note\n\"Rafiei, Davood\",\"said \"\"hi\"\"\"\nplain,v1\n").unwrap();
         let back = read_csv_file(&path).unwrap();
         assert_eq!(back.name, "table");
-        assert_eq!(back.rows, t.rows);
+        assert_eq!(back.columns, vec!["name", "note"]);
+        assert_eq!(back.rows, vec![vec!["Rafiei, Davood", "said \"hi\""], vec!["plain", "v1"]]);
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -20,7 +20,8 @@
 //!   repeat requests) for the resident-corpus serving layer (`tjoin-serve`).
 //! * [`corpus`] — small embedded word lists (names, departments, streets)
 //!   used by the realistic generators.
-//! * [`io`] — minimal CSV/TSV reading and writing for the table types.
+//! * [`io`] — minimal CSV reading for the table types (loading one's own
+//!   tables; see `examples/csv_join.rs`).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -244,7 +244,7 @@ mod tests {
         let pairs = spreadsheet(2);
         let avg: f64 = pairs
             .iter()
-            .map(|p| p.average_join_value_length())
+            .map(|p| p.column_pair().average_value_length())
             .sum::<f64>()
             / pairs.len() as f64;
         assert!(avg < 30.0, "avg join value length {avg}");

@@ -463,7 +463,7 @@ mod tests {
         let pairs = web_tables(5);
         let avg: f64 = pairs
             .iter()
-            .map(|p| p.average_join_value_length())
+            .map(|p| p.column_pair().average_value_length())
             .sum::<f64>()
             / pairs.len() as f64;
         assert!((12.0..=45.0).contains(&avg), "avg join length {avg}");

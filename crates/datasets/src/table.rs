@@ -56,7 +56,8 @@ impl Table {
     }
 
     /// The values of column `idx` as a vector of string slices.
-    pub fn column(&self, idx: usize) -> Vec<&str> {
+    #[cfg(test)]
+    pub(crate) fn column(&self, idx: usize) -> Vec<&str> {
         self.rows.iter().map(|r| r[idx].as_str()).collect()
     }
 
@@ -75,15 +76,6 @@ impl Table {
             self.columns.len()
         );
         self.rows.push(row);
-    }
-
-    /// Average character length of the values in column `idx`.
-    pub fn average_value_length(&self, idx: usize) -> f64 {
-        if self.rows.is_empty() {
-            return 0.0;
-        }
-        let total: usize = self.rows.iter().map(|r| r[idx].chars().count()).sum();
-        total as f64 / self.rows.len() as f64
     }
 }
 
@@ -129,14 +121,6 @@ impl TablePair {
             target: self.target.column_owned(self.target_join_column),
             golden: self.golden_pairs.clone(),
         }
-    }
-
-    /// Average character length of the two join columns combined (the
-    /// "Avg Len." statistic of Table 1 in the paper).
-    pub fn average_join_value_length(&self) -> f64 {
-        let a = self.source.average_value_length(self.source_join_column);
-        let b = self.target.average_value_length(self.target_join_column);
-        (a + b) / 2.0
     }
 }
 
@@ -287,14 +271,6 @@ mod tests {
     }
 
     #[test]
-    fn average_length() {
-        let t = Table::single_column("x", "c", vec!["ab".into(), "abcd".into()]);
-        assert!((t.average_value_length(0) - 3.0).abs() < 1e-12);
-        let empty = Table::new("e", vec!["c".into()]);
-        assert_eq!(empty.average_value_length(0), 0.0);
-    }
-
-    #[test]
     fn single_column_constructor() {
         let t = Table::single_column("emails", "Email", vec!["a@x".into()]);
         assert_eq!(t.column_count(), 1);
@@ -331,7 +307,7 @@ mod tests {
         assert_eq!(cp.source_len(), 2);
         assert_eq!(cp.target_len(), 2);
         assert_eq!(cp.golden_values()[0], ("Rafiei, Davood", "D Rafiei"));
-        assert!(pair.average_join_value_length() > 0.0);
+        assert!(cp.average_value_length() > 0.0);
     }
 
     #[test]

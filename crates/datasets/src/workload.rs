@@ -57,16 +57,6 @@ pub struct RequestWorkload {
 }
 
 impl RequestWorkloadConfig {
-    /// Convenience constructor for the common (distinct, requests) shape
-    /// with the default repository shape.
-    pub fn new(distinct: usize, requests: usize) -> Self {
-        Self {
-            distinct,
-            requests,
-            ..Self::default()
-        }
-    }
-
     /// Generates the workload deterministically from `seed`.
     ///
     /// Repository `i` is generated from `seed + i`, so two workloads
@@ -149,16 +139,6 @@ pub struct AppendWorkload {
 }
 
 impl AppendWorkloadConfig {
-    /// Convenience constructor for the common (appends, rows) shape with
-    /// the default repository shape.
-    pub fn new(appends: usize, rows_per_append: usize) -> Self {
-        Self {
-            appends,
-            rows_per_append,
-            ..Self::default()
-        }
-    }
-
     /// Generates the workload deterministically from `seed`.
     ///
     /// Appends target only joinable pairs (decoys have no format family to
@@ -200,16 +180,24 @@ impl AppendWorkloadConfig {
 mod tests {
     use super::*;
 
+    fn request_config(distinct: usize, requests: usize) -> RequestWorkloadConfig {
+        RequestWorkloadConfig { distinct, requests, ..RequestWorkloadConfig::default() }
+    }
+
+    fn append_config(appends: usize, rows_per_append: usize) -> AppendWorkloadConfig {
+        AppendWorkloadConfig { appends, rows_per_append, ..AppendWorkloadConfig::default() }
+    }
+
     #[test]
     fn deterministic_per_seed() {
-        let config = RequestWorkloadConfig::new(3, 20);
+        let config = request_config(3, 20);
         assert_eq!(config.generate(7), config.generate(7));
         assert_ne!(config.generate(7).sequence, config.generate(8).sequence);
     }
 
     #[test]
     fn repositories_are_content_distinct() {
-        let w = RequestWorkloadConfig::new(3, 4).generate(1);
+        let w = request_config(3, 4).generate(1);
         assert_eq!(w.repositories.len(), 3);
         assert_ne!(w.repositories[0], w.repositories[1]);
         assert_ne!(w.repositories[1], w.repositories[2]);
@@ -217,7 +205,7 @@ mod tests {
 
     #[test]
     fn sequence_is_hot_skewed_and_in_range() {
-        let w = RequestWorkloadConfig::new(4, 200).generate(2);
+        let w = request_config(4, 200).generate(2);
         assert_eq!(w.sequence.len(), 200);
         assert_eq!(w.sequence[0], 0, "first request must cold-miss the hot repository");
         assert!(w.sequence.iter().all(|&i| i < 4));
@@ -233,8 +221,8 @@ mod tests {
 
     #[test]
     fn shared_seed_shares_repository_content() {
-        let small = RequestWorkloadConfig::new(2, 4).generate(5);
-        let large = RequestWorkloadConfig::new(4, 4).generate(5);
+        let small = request_config(2, 4).generate(5);
+        let large = request_config(4, 4).generate(5);
         assert_eq!(small.repositories[0], large.repositories[0]);
         assert_eq!(small.repositories[1], large.repositories[1]);
     }
@@ -242,12 +230,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one repository")]
     fn zero_distinct_rejected() {
-        let _ = RequestWorkloadConfig::new(0, 4).generate(0);
+        let _ = request_config(0, 4).generate(0);
     }
 
     #[test]
     fn append_workload_deterministic_per_seed() {
-        let config = AppendWorkloadConfig::new(6, 5);
+        let config = append_config(6, 5);
         assert_eq!(config.generate(3), config.generate(3));
         assert_ne!(config.generate(3).steps, config.generate(4).steps);
     }
@@ -281,7 +269,7 @@ mod tests {
 
     #[test]
     fn appended_rows_share_the_pair_family() {
-        let w = AppendWorkloadConfig::new(4, 6).generate(5);
+        let w = append_config(4, 6).generate(5);
         // Distinct steps against the same pair append distinct content.
         let hot: Vec<&AppendStep> =
             w.steps.iter().filter(|s| s.pair == w.steps[0].pair).collect();

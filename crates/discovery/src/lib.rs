@@ -42,9 +42,10 @@
 //! nothing.
 //!
 //! The anchor fingerprints carry the same debug-build shadow-map collision
-//! guard the `NGramIndex` posting keys use (`tjoin_text::CollisionGuard`,
-//! applied at signature build where the gram text is still in hand, with a
-//! forced-collision regression test).
+//! guard the `NGramIndex` posting keys use
+//! (`tjoin_text::signature::CollisionGuard`, applied at signature build
+//! where the gram text is still in hand, with a forced-collision regression
+//! test).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

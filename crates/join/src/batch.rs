@@ -285,11 +285,6 @@ impl BatchJoinRunner {
         self
     }
 
-    /// The shared thread budget.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// The worker count and per-task inner thread budget the runner derives
     /// from its budget for a repository of `pairs` pairs.
     fn split(&self, pairs: usize) -> (usize, usize) {
@@ -973,7 +968,7 @@ mod tests {
 
     #[test]
     fn thread_budget_clamped() {
-        assert_eq!(BatchJoinRunner::new(JoinPipelineConfig::paper_default(), 0).threads(), 1);
+        assert_eq!(BatchJoinRunner::new(JoinPipelineConfig::paper_default(), 0).threads, 1);
     }
 
     #[test]

@@ -41,8 +41,8 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use tjoin_datasets::{row_id, ColumnPair};
 use tjoin_text::{
-    ArenaError, BudgetExceeded, BudgetToken, ColumnArena, ColumnStats, CorpusFailure, FxHashSet,
-    GramCorpus, NGramIndex, NormalizeOptions,
+    rscore, ArenaError, BudgetExceeded, BudgetToken, ColumnArena, ColumnStats, CorpusFailure,
+    FxHashSet, GramCorpus, NGramIndex, NormalizeOptions,
 };
 
 /// Why a fallible matcher call ([`NGramMatcher::try_find_candidates`])
@@ -143,25 +143,6 @@ impl NGramMatcher {
     /// `nmax = 20`).
     pub fn with_defaults() -> Self {
         Self::new(NGramMatcherConfig::default())
-    }
-
-    /// The matcher configuration.
-    pub fn config(&self) -> &NGramMatcherConfig {
-        &self.config
-    }
-
-    /// Chooses which column should be treated as the source: the paper tags
-    /// the more informative column — approximated by the longer average value
-    /// length — as the source. Returns `true` when the pair's columns should
-    /// be swapped (i.e. the target column is the more informative one).
-    pub fn should_swap(pair: &ColumnPair) -> bool {
-        let avg = |col: &[String]| {
-            if col.is_empty() {
-                return 0.0;
-            }
-            col.iter().map(|v| v.chars().count()).sum::<usize>() as f64 / col.len() as f64
-        };
-        avg(&pair.target) > avg(&pair.source)
     }
 
     /// Runs Algorithm 1: finds candidate joinable row pairs between the
@@ -300,7 +281,7 @@ impl NGramMatcher {
             let mut best: Option<(&str, f64)> = None;
             for i in 0..=chars - n {
                 let g = &row[boundaries[i]..boundaries[i + n]];
-                let score = source_stats.irf(g) * target_stats.irf(g);
+                let score = rscore(g, source_stats, target_stats);
                 if score <= 0.0 {
                     continue;
                 }
@@ -455,17 +436,6 @@ mod tests {
         assert!(values
             .iter()
             .any(|(s, t)| s == "Rafiei, Davood" && t == "D Rafiei"));
-    }
-
-    #[test]
-    fn should_swap_picks_longer_column_as_source() {
-        let pair = ColumnPair::aligned(
-            "x",
-            vec!["ab".into(), "cd".into()],
-            vec!["a much longer descriptive value".into(), "another long one".into()],
-        );
-        assert!(NGramMatcher::should_swap(&pair));
-        assert!(!NGramMatcher::should_swap(&staff_pair()));
     }
 
     #[test]

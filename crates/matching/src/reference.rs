@@ -16,7 +16,7 @@
 
 use crate::ngram::{NGramMatcherConfig, RowMatch};
 use tjoin_datasets::{row_id, ColumnPair};
-use tjoin_text::{char_ngrams, normalize_for_matching, ColumnStats, FxHashSet, NGramIndex};
+use tjoin_text::{char_ngrams, normalize_for_matching, rscore, ColumnStats, FxHashSet, NGramIndex};
 
 /// Runs Algorithm 1 with the naive size-major loop (the retained oracle).
 pub fn find_candidates_reference(config: &NGramMatcherConfig, pair: &ColumnPair) -> Vec<RowMatch> {
@@ -50,7 +50,7 @@ pub fn find_candidates_reference(config: &NGramMatcherConfig, pair: &ColumnPair)
             // argmax Rscore over the row's n-grams of this size.
             let mut best: Option<(&str, f64)> = None;
             for g in grams {
-                let score = source_stats.irf(g) * target_stats.irf(g);
+                let score = rscore(g, &source_stats, &target_stats);
                 if score <= 0.0 {
                     continue;
                 }
@@ -93,7 +93,9 @@ mod tests {
         );
         let config = NGramMatcherConfig::default();
         let reference = find_candidates_reference(&config, &pair);
-        let production = NGramMatcher::new(config).try_find_candidates(&pair, None, None).unwrap();
+        let production = NGramMatcher::new(config)
+            .try_find_candidates(&pair, None, None)
+            .unwrap();
         assert_eq!(reference, production);
         assert!(!reference.is_empty());
     }

@@ -213,13 +213,6 @@ pub struct Reservation {
     begun: bool,
 }
 
-impl Reservation {
-    /// Number of distinct columns this request references.
-    pub fn distinct_columns(&self) -> usize {
-        self.fingerprints.len()
-    }
-}
-
 /// The resident corpus cache: one shared [`GramCorpus`] plus the
 /// byte-budgeted LRU metadata that decides what stays resident between
 /// runs (see the crate docs for the full invariants). Entries enter when a
@@ -254,11 +247,6 @@ impl ResidentCorpus {
     /// next to this cache's [`ServeStats`]).
     pub fn corpus(&self) -> &GramCorpus {
         &self.corpus
-    }
-
-    /// The configured byte budget.
-    pub fn byte_budget(&self) -> Option<usize> {
-        self.byte_budget
     }
 
     /// Phase 1 (admission): fingerprint-pre-scans `repository`, pins every
@@ -361,19 +349,6 @@ impl ResidentCorpus {
             meta.pinned > 0 || meta.pending_builds > 0 || corpus.contains(fingerprint)
         });
         self.snapshot(state)
-    }
-
-    /// Runs `repository` through `runner` with the full reserve → begin →
-    /// release cycle and stamps the release snapshot onto the outcome. The
-    /// runner must share this cache's corpus
-    /// (`runner.with_corpus(resident.shared())`) for residency to have any
-    /// effect; the runner asserts the normalize options agree.
-    pub fn run(&self, runner: &BatchJoinRunner, repository: &[ColumnPair]) -> BatchJoinOutcome {
-        let mut reservation = self.reserve(repository);
-        self.begin(&mut reservation);
-        let mut outcome = runner.run(repository);
-        outcome.serve = Some(self.release(reservation));
-        outcome
     }
 
     /// A point-in-time counter snapshot (no release; `queue_depth` 0).
@@ -493,11 +468,6 @@ impl JoinService {
         &self.resident
     }
 
-    /// The shared runner every request runs through.
-    pub fn runner(&self) -> &BatchJoinRunner {
-        &self.runner
-    }
-
     /// Admits `repository`, pinning its columns and queueing it FIFO.
     /// Returns the request's ticket, or [`AdmissionError::QueueFull`] —
     /// without touching the cache — when the queue is at capacity.
@@ -563,6 +533,22 @@ mod tests {
     use super::*;
     use tjoin_datasets::RepositoryConfig;
 
+    /// Runs `repository` through `runner` with the full reserve → begin →
+    /// release cycle and stamps the release snapshot onto the outcome. The
+    /// runner must share the cache's corpus for residency to have any
+    /// effect.
+    fn run_cycle(
+        resident: &ResidentCorpus,
+        runner: &BatchJoinRunner,
+        repository: &[ColumnPair],
+    ) -> BatchJoinOutcome {
+        let mut reservation = resident.reserve(repository);
+        resident.begin(&mut reservation);
+        let mut outcome = runner.run(repository);
+        outcome.serve = Some(resident.release(reservation));
+        outcome
+    }
+
     fn assert_outcomes_identical(a: &BatchJoinOutcome, b: &BatchJoinOutcome, context: &str) {
         assert_eq!(a.reports.len(), b.reports.len(), "{context}: report count");
         assert_eq!(a.faults, b.faults, "{context}: fault tallies");
@@ -591,7 +577,7 @@ mod tests {
             BatchJoinRunner::new(JoinPipelineConfig::default(), 2).with_corpus(resident.shared());
         let repo = small_repo(21);
 
-        let cold = resident.run(&runner, &repo);
+        let cold = run_cycle(&resident, &runner, &repo);
         let cold_stats = cold.serve.expect("serve stats stamped");
         assert_eq!(cold_stats.hits, 0);
         assert_eq!(cold_stats.misses, 6, "3 pairs x 2 distinct columns");
@@ -599,7 +585,7 @@ mod tests {
         assert_eq!(cold_stats.evictions, 0);
         assert!(cold_stats.bytes_resident > 0);
 
-        let warm = resident.run(&runner, &repo);
+        let warm = run_cycle(&resident, &runner, &repo);
         let warm_stats = warm.serve.expect("serve stats stamped");
         assert_outcomes_identical(&cold, &warm, "warm vs cold");
         assert_eq!(warm_stats.hits, 6, "every column resident on the second run");
@@ -624,8 +610,8 @@ mod tests {
             BatchJoinRunner::new(JoinPipelineConfig::default(), 2).with_corpus(budgeted.shared());
         for seed in [1, 2, 1, 3, 1] {
             let repo = small_repo(seed);
-            let free = unbounded.run(&free_runner, &repo);
-            let tight = budgeted.run(&tight_runner, &repo);
+            let free = run_cycle(&unbounded, &free_runner, &repo);
+            let tight = run_cycle(&budgeted, &tight_runner, &repo);
             assert_outcomes_identical(&free, &tight, "eviction must not change results");
             let stats = tight.serve.expect("serve stats stamped");
             assert!(
@@ -649,7 +635,7 @@ mod tests {
         let probe = ResidentCorpus::new(NormalizeOptions::default(), ServeConfig::default());
         let probe_runner =
             BatchJoinRunner::new(JoinPipelineConfig::default(), 1).with_corpus(probe.shared());
-        probe.run(&probe_runner, &hot);
+        run_cycle(&probe, &probe_runner, &hot);
         let budget = probe.stats().bytes_resident * 3 / 2;
 
         let resident = ResidentCorpus::new(
@@ -661,11 +647,11 @@ mod tests {
         );
         let runner =
             BatchJoinRunner::new(JoinPipelineConfig::default(), 1).with_corpus(resident.shared());
-        resident.run(&runner, &hot);
-        let second = resident.run(&runner, &hot).serve.expect("serve stats stamped");
+        run_cycle(&resident, &runner, &hot);
+        let second = run_cycle(&resident, &runner, &hot).serve.expect("serve stats stamped");
         assert_eq!(second.hits, 6, "warm rerun marks the hot columns ever-hit");
-        resident.run(&runner, &cold);
-        let fourth = resident.run(&runner, &hot).serve.expect("serve stats stamped");
+        run_cycle(&resident, &runner, &cold);
+        let fourth = run_cycle(&resident, &runner, &hot).serve.expect("serve stats stamped");
         assert_eq!(
             fourth.hits,
             12,
@@ -746,7 +732,7 @@ mod tests {
             BatchJoinRunner::new(JoinPipelineConfig::default(), 2).with_corpus(resident.shared());
         let repo = small_repo(51);
         let mut reservation = resident.reserve(&repo);
-        assert_eq!(reservation.distinct_columns(), 6);
+        assert_eq!(reservation.fingerprints.len(), 6);
         resident.begin(&mut reservation);
         runner.run(&repo);
         resident.release(reservation);
@@ -755,7 +741,7 @@ mod tests {
         // only the two genuinely new columns.
         let mut overlap = small_repo(52);
         overlap[0] = repo[0].clone();
-        let warm = resident.run(&runner, &overlap).serve.expect("stamped");
+        let warm = run_cycle(&resident, &runner, &overlap).serve.expect("stamped");
         assert_eq!(warm.hits, 2, "the shared pair's two columns hit");
         assert_eq!(warm.misses, 6 + 4, "lifetime misses: first repo + two new pairs");
     }

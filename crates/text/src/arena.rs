@@ -293,32 +293,10 @@ impl ColumnArena {
         &self.text[start..end]
     }
 
-    /// The whole concatenated buffer.
-    pub fn as_str(&self) -> &str {
-        &self.text
-    }
-
-    /// The end-offset array (`len() + 1` entries, starting at 0).
-    pub fn offsets(&self) -> &[u32] {
-        &self.offsets
-    }
-
-    /// Total cell text bytes.
-    pub fn total_bytes(&self) -> usize {
-        self.text.len()
-    }
-
     /// Estimated memory footprint (text buffer + offset array), used by
     /// scalability reporting.
     pub fn approximate_bytes(&self) -> usize {
         self.text.len() + self.offsets.len() * std::mem::size_of::<u32>()
-    }
-
-    /// The column's content fingerprint — identical to
-    /// [`crate::corpus::column_fingerprint`] over the same cell contents,
-    /// whatever the storage representation.
-    pub fn content_fingerprint(&self) -> u64 {
-        crate::corpus::column_fingerprint_on(self)
     }
 }
 
@@ -335,6 +313,7 @@ impl CellText for ColumnArena {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::corpus::column_fingerprint_on;
 
     #[test]
     fn roundtrips_cells_verbatim() {
@@ -347,9 +326,9 @@ mod tests {
         assert_eq!(arena.cell(2), "αβγ");
         let collected: Vec<&str> = arena.cells().collect();
         assert_eq!(collected, vec!["Rafiei, Davood", "", "αβγ"]);
-        assert_eq!(arena.total_bytes(), "Rafiei, Davood".len() + "αβγ".len());
-        assert_eq!(arena.offsets().first(), Some(&0));
-        assert_eq!(*arena.offsets().last().unwrap() as usize, arena.total_bytes());
+        assert_eq!(arena.text.len(), "Rafiei, Davood".len() + "αβγ".len());
+        assert_eq!(arena.offsets.first(), Some(&0));
+        assert_eq!(*arena.offsets.last().unwrap() as usize, arena.text.len());
     }
 
     #[test]
@@ -358,17 +337,17 @@ mod tests {
         assert_eq!(empty.len(), 0);
         assert!(empty.is_empty());
         assert_eq!(empty.cells().count(), 0);
-        assert_eq!(empty.total_bytes(), 0);
+        assert_eq!(empty.text.len(), 0);
 
         // A column of only empty cells is NOT the empty column: it has
         // cells, they are all "".
         let blanks = ColumnArena::from_cells(vec![String::new(); 4].as_slice());
         assert_eq!(blanks.len(), 4);
-        assert_eq!(blanks.total_bytes(), 0);
+        assert_eq!(blanks.text.len(), 0);
         for row in 0..4 {
             assert_eq!(blanks.cell(row), "");
         }
-        assert_ne!(empty.content_fingerprint(), blanks.content_fingerprint());
+        assert_ne!(column_fingerprint_on(&empty), column_fingerprint_on(&blanks));
     }
 
     #[test]
@@ -379,14 +358,14 @@ mod tests {
         let cells: Vec<String> =
             vec!["abcd".into(), "efgh".into(), "".into(), "ijkl".into(), "m".into()];
         let arena = ColumnArena::from_cells(cells.as_slice());
-        assert_eq!(arena.offsets(), &[0, 4, 8, 8, 12, 13]);
+        assert_eq!(arena.offsets, &[0, 4, 8, 8, 12, 13]);
         for (row, cell) in cells.iter().enumerate() {
             assert_eq!(arena.cell(row), cell, "row {row}");
         }
         // Multi-byte variant: "αβ" is 4 bytes, so the seam is also a char
         // boundary exactly at a word multiple.
         let uni = ColumnArena::from_cells(vec!["αβ".to_string(), "γδ".to_string()].as_slice());
-        assert_eq!(uni.offsets(), &[0, 4, 8]);
+        assert_eq!(uni.offsets, &[0, 4, 8]);
         assert_eq!(uni.cell(0), "αβ");
         assert_eq!(uni.cell(1), "γδ");
     }
@@ -470,7 +449,7 @@ mod tests {
         let first = ColumnArena::from_cells(cells.as_slice());
         let second = ColumnArena::from_cells(&first);
         assert_eq!(first, second);
-        assert_eq!(first.content_fingerprint(), second.content_fingerprint());
+        assert_eq!(column_fingerprint_on(&first), column_fingerprint_on(&second));
     }
 
     #[test]

@@ -171,11 +171,6 @@ impl BudgetToken {
         }
         Ok(())
     }
-
-    /// The tripped cause, if any ([`Self::check`] as an `Option`).
-    pub fn exceeded(&self) -> Option<BudgetExceeded> {
-        self.check().err()
-    }
 }
 
 #[cfg(test)]
@@ -188,7 +183,7 @@ mod tests {
         assert_eq!(token.check(), Ok(()));
         assert_eq!(token.charge_rows(1_000_000), Ok(()));
         assert_eq!(token.charge_bytes(usize::MAX / 2), Ok(()));
-        assert_eq!(token.exceeded(), None);
+        assert_eq!(token.check(), Ok(()));
     }
 
     #[test]
@@ -199,7 +194,7 @@ mod tests {
         // Sticky: every later check reports the same first cause.
         assert_eq!(token.check(), Err(BudgetExceeded::Rows));
         assert_eq!(token.charge_bytes(1), Err(BudgetExceeded::Rows));
-        assert_eq!(token.exceeded(), Some(BudgetExceeded::Rows));
+        assert_eq!(token.check(), Err(BudgetExceeded::Rows));
     }
 
     #[test]

@@ -22,17 +22,6 @@ pub struct CommonMatch {
     pub source_positions: Vec<usize>,
 }
 
-impl CommonMatch {
-    /// Character length of the matched block.
-    pub fn len(&self) -> usize {
-        self.target_end - self.target_start
-    }
-
-    /// Whether the block is empty (never produced by the detector).
-    pub fn is_empty(&self) -> bool {
-        self.target_end == self.target_start
-    }
-}
 
 /// Finds, for every target position, the length of the longest substring of
 /// the target starting there that also occurs in the source, and keeps the
@@ -188,8 +177,7 @@ mod tests {
         let m = common_substring_matches("abab", "ab");
         assert_eq!(m.len(), 1);
         assert_eq!(m[0].source_positions, vec![0, 2]);
-        assert_eq!(m[0].len(), 2);
-        assert!(!m[0].is_empty());
+        assert_eq!((m[0].target_start, m[0].target_end), (0, 2));
     }
 
     #[test]

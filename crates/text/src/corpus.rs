@@ -46,15 +46,12 @@
 //!   [`CorpusStats`].
 //! * **Entries are evictable, for the serving layer.** A long-lived corpus
 //!   (the `tjoin-serve` resident cache) needs to bound memory:
-//!   [`GramCorpus::resident_entries`] / [`GramCorpus::entry_bytes`] expose
-//!   per-fingerprint byte accounting (arena bytes + offsets + stats maps +
-//!   index postings via the `approximate_bytes` family), and
-//!   [`GramCorpus::evict`] removes a completed entry so a later request
-//!   re-interns it. Each built column carries a monotonically increasing
-//!   [`CorpusColumn::generation`] tag, so "this entry was rebuilt after an
-//!   eviction" is observable. Eviction can never change results — every
-//!   artifact is a pure function of the cells, the options, and the size
-//!   range — only counters and wall-clock.
+//!   [`GramCorpus::resident_entries`] exposes per-fingerprint byte
+//!   accounting (arena bytes + offsets + stats maps + index postings via
+//!   the `approximate_bytes` family), and [`GramCorpus::evict`] removes a
+//!   completed entry so a later request re-interns it. Eviction can never
+//!   change results — every artifact is a pure function of the cells, the
+//!   options, and the size range — only counters and wall-clock.
 //!
 //! Everything a corpus serves is a pure function of the column's cells, the
 //! corpus's [`NormalizeOptions`], and the requested size range — the same
@@ -73,7 +70,7 @@ use crate::scoring::ColumnStats;
 use crate::signature::ColumnSignature;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
@@ -270,11 +267,6 @@ impl CorpusStats {
     pub fn normalizations_saved(&self) -> usize {
         self.column_hits
     }
-
-    /// Total sticky build failures across all artifact kinds.
-    pub fn total_failures(&self) -> usize {
-        self.columns_failed + self.stats_failed + self.indexes_failed + self.signatures_failed
-    }
 }
 
 /// A per-size-range artifact cache: the built artifact or its sticky
@@ -290,7 +282,6 @@ type ArtifactCache<A, K = (usize, usize)> = FxHashMap<K, Built<A>>;
 #[derive(Debug)]
 pub struct CorpusColumn {
     normalized: ColumnArena,
-    generation: u64,
     retry: CorpusRetryPolicy,
     stats: Mutex<ArtifactCache<ColumnStats>>,
     indexes: Mutex<ArtifactCache<NGramIndex>>,
@@ -305,11 +296,9 @@ impl CorpusColumn {
         raw: &C,
         options: &NormalizeOptions,
         retry: CorpusRetryPolicy,
-        generation: u64,
     ) -> Result<Self, ArenaError> {
         Ok(Self {
             normalized: ColumnArena::try_normalized(raw, options)?,
-            generation,
             retry,
             stats: Mutex::new(FxHashMap::default()),
             indexes: Mutex::new(FxHashMap::default()),
@@ -323,14 +312,6 @@ impl CorpusColumn {
     /// The column's normalized cells, in row order, as a shared arena.
     pub fn normalized(&self) -> &ColumnArena {
         &self.normalized
-    }
-
-    /// The corpus-unique, monotonically increasing build generation of this
-    /// entry: a column re-interned after an eviction carries a strictly
-    /// greater generation than the evicted build, which is how cache-layer
-    /// tests prove "this is a rebuild, not the old entry".
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// Estimated resident memory of this entry: the normalized arena (text
@@ -379,13 +360,6 @@ impl CorpusColumn {
         });
         cache.insert((n_min, n_max), Built { result: result.clone(), attempts });
         result
-    }
-
-    /// Infallible [`Self::try_stats`]: panics with the recorded failure's
-    /// message when the entry is a sticky failure (callers that need
-    /// containment use `try_stats`).
-    pub fn stats(&self, n_min: usize, n_max: usize) -> Arc<ColumnStats> {
-        self.try_stats(n_min, n_max).unwrap_or_else(|failure| panic!("{failure}"))
     }
 
     /// The column's inverted [`NGramIndex`] over sizes `n_min..=n_max`,
@@ -465,9 +439,6 @@ pub struct GramCorpus {
     retry: CorpusRetryPolicy,
     columns: Mutex<FxHashMap<u64, Arc<ColumnCell>>>,
     column_hits: AtomicUsize,
-    /// Build-generation counter: every column build attempt draws a fresh,
-    /// strictly increasing tag (see [`CorpusColumn::generation`]).
-    generations: AtomicU64,
     /// Debug-build collision check: the raw cells behind every fingerprint,
     /// compared on each cache hit. At 64 chained bits a repository would
     /// need billions of distinct columns before a collision becomes likely;
@@ -492,7 +463,6 @@ impl GramCorpus {
             retry,
             columns: Mutex::new(FxHashMap::default()),
             column_hits: AtomicUsize::new(0),
-            generations: AtomicU64::new(0),
             #[cfg(debug_assertions)]
             shadow: Mutex::new(FxHashMap::default()),
         }
@@ -501,11 +471,6 @@ impl GramCorpus {
     /// The normalization this corpus applies to every interned column.
     pub fn options(&self) -> &NormalizeOptions {
         &self.options
-    }
-
-    /// The retry policy every lazy build of this corpus runs under.
-    pub fn retry_policy(&self) -> CorpusRetryPolicy {
-        self.retry
     }
 
     /// Interns `raw` (keyed by [`column_fingerprint`]) and returns its
@@ -563,11 +528,7 @@ impl GramCorpus {
             built = true;
             let (result, attempts) = build_with_retry(self.retry, "column", || {
                 fault::fire(FaultSite::CorpusColumnBuild);
-                // Each attempt draws a fresh generation; the successful
-                // attempt's tag is the one the entry keeps. Uniqueness and
-                // monotonicity — not density — are the contract.
-                let generation = self.generations.fetch_add(1, Ordering::Relaxed);
-                CorpusColumn::build(raw, &self.options, self.retry, generation)
+                CorpusColumn::build(raw, &self.options, self.retry)
                     .map(Arc::new)
                     .map_err(|e| CorpusFailure::from_arena("column", e))
             });
@@ -624,18 +585,6 @@ impl GramCorpus {
         self.resident_entries().iter().map(|&(_, bytes)| bytes).sum()
     }
 
-    /// The approximate byte footprint of the built entry for `fingerprint`,
-    /// or `None` when the fingerprint is absent, still building, or a
-    /// sticky failure.
-    pub fn entry_bytes(&self, fingerprint: u64) -> Option<usize> {
-        let columns = fault::lock_recover(&self.columns);
-        let built = columns.get(&fingerprint)?.get()?;
-        match &built.result {
-            Ok(column) => Some(column.approximate_bytes()),
-            Err(_) => None,
-        }
-    }
-
     /// Whether a *completed, successfully built* entry for `fingerprint` is
     /// resident (the serving layer's hit test).
     pub fn contains(&self, fingerprint: u64) -> bool {
@@ -653,9 +602,8 @@ impl GramCorpus {
     /// still in flight** (an in-flight cell is owned by the builder racer;
     /// evicting it would re-introduce the duplicated-build race interning
     /// exists to prevent). A later request for the same content re-interns
-    /// and rebuilds under a fresh, strictly greater generation; because
-    /// every artifact is a pure function of cells/options/range, eviction
-    /// never changes results.
+    /// and rebuilds it; because every artifact is a pure function of
+    /// cells/options/range, eviction never changes results.
     pub fn evict(&self, fingerprint: u64) -> Option<usize> {
         let mut columns = fault::lock_recover(&self.columns);
         let freed = match columns.get(&fingerprint) {
@@ -768,7 +716,9 @@ mod tests {
         assert_eq!(stats.columns_interned, 1);
         assert_eq!(stats.column_hits, 1);
         assert_eq!(stats.normalizations_saved(), 1);
-        assert_eq!(stats.total_failures(), 0);
+        let failed =
+            stats.columns_failed + stats.stats_failed + stats.indexes_failed + stats.signatures_failed;
+        assert_eq!(failed, 0);
     }
 
     #[test]
@@ -850,10 +800,10 @@ mod tests {
     fn stats_and_index_cached_per_size_range() {
         let corpus = GramCorpus::new(NormalizeOptions::default());
         let entry = corpus.column(&col(&["abcdef", "abcxyz"]));
-        let s1 = entry.stats(2, 4);
-        let s2 = entry.stats(2, 4);
+        let s1 = entry.try_stats(2, 4).unwrap();
+        let s2 = entry.try_stats(2, 4).unwrap();
         assert!(Arc::ptr_eq(&s1, &s2));
-        let s3 = entry.stats(3, 5); // different range: a different artifact
+        let s3 = entry.try_stats(3, 5).unwrap(); // different range: a different artifact
         assert!(!Arc::ptr_eq(&s1, &s3));
         let i1 = entry.index(2, 4);
         let i2 = entry.index(2, 4);
@@ -865,8 +815,7 @@ mod tests {
         assert_eq!(stats.index_hits, 1);
         // The cached artifacts equal a direct per-call build.
         let direct = ColumnStats::build_on(entry.normalized(), 2, 4);
-        assert_eq!(s1.row_count, direct.row_count);
-        assert_eq!(s1.distinct_ngrams(), direct.distinct_ngrams());
+        assert_eq!(*s1, direct);
         assert_eq!(i1.rows_containing("abc"), &[0, 1]);
     }
 
@@ -878,7 +827,7 @@ mod tests {
             for _ in 0..8 {
                 scope.spawn(|| {
                     let entry = corpus.column(&shared);
-                    let _ = entry.stats(4, 8);
+                    let _ = entry.try_stats(4, 8).unwrap();
                     let _ = entry.index(4, 8);
                 });
             }
@@ -896,8 +845,8 @@ mod tests {
         let corpus = GramCorpus::new(NormalizeOptions::default());
         let entry = corpus.column(&[]);
         assert!(entry.normalized().is_empty());
-        assert_eq!(entry.stats(4, 20).row_count, 0);
-        assert_eq!(entry.index(4, 20).row_count(), 0);
+        assert_eq!(entry.try_stats(4, 20).unwrap().row_count, 0);
+        assert_eq!(*entry.index(4, 20), NGramIndex::build(&[] as &[&str], 4, 20));
         // Empty and single-empty-cell columns are distinct contents.
         let single_empty = corpus.column(&col(&[""]));
         assert!(!Arc::ptr_eq(&entry, &single_empty));
@@ -921,27 +870,25 @@ mod tests {
         let entry = corpus.column(&raw);
         let base = entry.approximate_bytes();
         assert!(base >= entry.normalized().approximate_bytes());
-        let _ = entry.stats(2, 4);
+        let _ = entry.try_stats(2, 4).unwrap();
         let with_stats = entry.approximate_bytes();
         assert!(with_stats > base);
         let _ = entry.index(2, 4);
         let with_index = entry.approximate_bytes();
         assert!(with_index > with_stats);
         // The corpus-level accounting sees the same footprint.
-        assert_eq!(corpus.entry_bytes(fp), Some(with_index));
         assert_eq!(corpus.resident_entries(), vec![(fp, with_index)]);
         assert_eq!(corpus.resident_bytes(), with_index);
-        assert_eq!(corpus.entry_bytes(fp ^ 1), None);
     }
 
     #[test]
-    fn evict_then_reintern_bumps_generation() {
+    fn evict_then_reintern_rebuilds() {
         let corpus = GramCorpus::new(NormalizeOptions::default());
         let a = col(&["alpha", "beta"]);
         let b = col(&["gamma"]);
         let fp_a = column_fingerprint(&a);
         let first = corpus.column(&a);
-        let stats = first.stats(4, 20);
+        let stats = first.try_stats(4, 20).unwrap();
         let index = first.index(4, 20);
         let signature = first.signature(4);
         let kept = corpus.column(&b);
@@ -949,17 +896,16 @@ mod tests {
         let freed = corpus.evict(fp_a).expect("completed entry evicts");
         assert!(freed > 0);
         assert!(!corpus.contains(fp_a));
-        assert_eq!(corpus.entry_bytes(fp_a), None);
+        assert!(corpus.resident_entries().iter().all(|&(fp, _)| fp != fp_a));
         assert_eq!(corpus.evict(fp_a), None); // already gone
         assert_eq!(corpus.column_count(), 1);
         // Unrelated entries are untouched.
         assert!(Arc::ptr_eq(&kept, &corpus.column(&b)));
-        // Re-interning rebuilds: a fresh entry under a strictly greater
-        // generation, with identical content (eviction never changes what
-        // a corpus serves, only when it is built).
+        // Re-interning rebuilds: a fresh entry with identical content
+        // (eviction never changes what a corpus serves, only when it is
+        // built).
         let second = corpus.column(&a);
         assert!(!Arc::ptr_eq(&first, &second));
-        assert!(second.generation() > first.generation());
         assert_eq!(first.normalized(), second.normalized());
         // The stats snapshot covers resident entries only: the evicted
         // artifacts left it, and the rebuilt ones enter it as fresh builds.
@@ -969,7 +915,7 @@ mod tests {
         assert_eq!(built(evicted), (0, 0, 0));
         // Every artifact is a pure function of the cells: the rebuilt
         // entry serves exactly what the evicted one served.
-        assert_eq!(*second.stats(4, 20), *stats);
+        assert_eq!(*second.try_stats(4, 20).unwrap(), *stats);
         assert_eq!(*second.index(4, 20), *index);
         assert_eq!(*second.signature(4), *signature);
         let rebuilt = corpus.stats();
@@ -980,10 +926,9 @@ mod tests {
     #[test]
     fn attempts_counters_match_builds_without_faults() {
         let corpus = GramCorpus::new(NormalizeOptions::default());
-        assert_eq!(corpus.retry_policy(), CorpusRetryPolicy::default());
         let entry = corpus.column(&col(&["abcdef", "abcxyz"]));
-        let _ = entry.stats(2, 4);
-        let _ = entry.stats(3, 5);
+        let _ = entry.try_stats(2, 4).unwrap();
+        let _ = entry.try_stats(3, 5).unwrap();
         let _ = entry.index(2, 4);
         let stats = corpus.stats();
         assert_eq!(stats.column_attempts, 1);
@@ -1073,7 +1018,7 @@ mod tests {
         );
         let entry = corpus.column(&col(&["abcdef"]));
         let index = fault::with_pair_scope(&plan, 0, || entry.try_index(2, 3)).unwrap();
-        assert_eq!(index.row_count(), 1);
+        assert_eq!(index.rows_containing("abc"), &[0]);
         // Slowness is not failure: one attempt, nothing retried.
         assert_eq!(corpus.stats().index_attempts, 1);
     }
@@ -1084,18 +1029,20 @@ mod tests {
         // normally: lock_recover must serve consistent cached state.
         let corpus = GramCorpus::new(NormalizeOptions::default());
         let entry = corpus.column(&col(&["abcdef", "abcxyz"]));
-        let before = entry.stats(2, 4);
+        let before = entry.try_stats(2, 4).unwrap();
         fault::poison_mutex(&corpus.columns);
         fault::poison_mutex(&entry.stats);
         fault::poison_mutex(&entry.indexes);
         let again = corpus.column(&col(&["abcdef", "abcxyz"]));
         assert!(Arc::ptr_eq(&entry, &again));
-        assert!(Arc::ptr_eq(&before, &again.stats(2, 4)));
+        assert!(Arc::ptr_eq(&before, &again.try_stats(2, 4).unwrap()));
         let _ = again.index(2, 4);
         let stats = corpus.stats();
         assert_eq!(stats.columns_interned, 1);
         assert_eq!(stats.stats_built, 1);
         assert_eq!(stats.indexes_built, 1);
-        assert_eq!(stats.total_failures(), 0);
+        let failed =
+            stats.columns_failed + stats.stats_failed + stats.indexes_failed + stats.signatures_failed;
+        assert_eq!(failed, 0);
     }
 }

@@ -148,11 +148,6 @@ impl FaultPlan {
             .map(|f| f.kind)
     }
 
-    /// Number of registered faults.
-    pub fn len(&self) -> usize {
-        self.faults.len()
-    }
-
     /// Whether the plan is empty.
     pub fn is_empty(&self) -> bool {
         self.faults.is_empty()
@@ -331,7 +326,7 @@ mod tests {
         assert_eq!(plan.fault_for(3, FaultSite::MatchPhase), Some(FaultKind::Panic));
         assert_eq!(plan.fault_for(3, FaultSite::JoinPhase), None);
         assert_eq!(plan.fault_for(0, FaultSite::MatchPhase), None);
-        assert_eq!(plan.len(), 3);
+        assert_eq!(plan.faults.len(), 3);
         assert!(!plan.is_empty());
         assert!(FaultPlan::new().is_empty());
     }

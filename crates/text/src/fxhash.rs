@@ -90,16 +90,15 @@ pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 /// A `HashSet` keyed with the Fx hasher.
 pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 
-/// Hashes a single value with the Fx hasher (convenience for fingerprinting).
-pub fn fx_hash_one<T: std::hash::Hash>(value: &T) -> u64 {
-    let mut h = FxHasher::default();
-    value.hash(&mut h);
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn fx_hash_one<T: std::hash::Hash>(value: &T) -> u64 {
+        let mut h = FxHasher::default();
+        value.hash(&mut h);
+        h.finish()
+    }
 
     #[test]
     fn deterministic() {

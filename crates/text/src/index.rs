@@ -23,9 +23,6 @@ use serde::{Deserialize, Serialize};
 /// ids of the rows containing them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NGramIndex {
-    n_min: usize,
-    n_max: usize,
-    rows: usize,
     postings: FxHashMap<u64, Vec<u32>>,
 }
 
@@ -79,27 +76,7 @@ impl NGramIndex {
             list.sort_unstable();
             list.dedup();
         }
-        Ok(Self {
-            n_min,
-            n_max,
-            rows: rows_u32 as usize,
-            postings,
-        })
-    }
-
-    /// The n-gram size range `(n_min, n_max)` the index covers.
-    pub fn size_range(&self) -> (usize, usize) {
-        (self.n_min, self.n_max)
-    }
-
-    /// Number of indexed rows.
-    pub fn row_count(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of distinct n-grams indexed.
-    pub fn distinct_ngrams(&self) -> usize {
-        self.postings.len()
+        Ok(Self { postings })
     }
 
     /// The sorted ids of rows containing `gram`; empty when unseen.
@@ -108,16 +85,6 @@ impl NGramIndex {
             .get(&fingerprint64(gram))
             .map(Vec::as_slice)
             .unwrap_or(&[])
-    }
-
-    /// Number of rows containing `gram` (the denominator of IRF).
-    pub fn row_frequency(&self, gram: &str) -> usize {
-        self.rows_containing(gram).len()
-    }
-
-    /// IRF of `gram` over the indexed column (equation 1 of the paper).
-    pub fn irf(&self, gram: &str) -> f64 {
-        crate::scoring::irf(self.row_frequency(gram))
     }
 
     /// Ids of rows containing *any* of the given grams (deduplicated, sorted).
@@ -152,8 +119,6 @@ mod tests {
     fn build_and_lookup() {
         let rows = vec!["drafiei@ualberta.ca", "mario.nascimento@ualberta.ca"];
         let idx = NGramIndex::build(&rows, 4, 8);
-        assert_eq!(idx.row_count(), 2);
-        assert_eq!(idx.size_range(), (4, 8));
         assert_eq!(idx.rows_containing("rafi"), &[0]);
         assert_eq!(idx.rows_containing("ualberta"), &[0, 1]);
         assert_eq!(idx.rows_containing("zzzz"), &[] as &[u32]);
@@ -164,15 +129,6 @@ mod tests {
         let rows = vec!["abab"];
         let idx = NGramIndex::build(&rows, 2, 2);
         assert_eq!(idx.rows_containing("ab"), &[0]);
-    }
-
-    #[test]
-    fn irf_from_index() {
-        let rows = vec!["abcd", "abef", "xyzw"];
-        let idx = NGramIndex::build(&rows, 2, 2);
-        assert!((idx.irf("ab") - 0.5).abs() < 1e-12);
-        assert!((idx.irf("xy") - 1.0).abs() < 1e-12);
-        assert_eq!(idx.irf("qq"), 0.0);
     }
 
     #[test]
@@ -190,7 +146,7 @@ mod tests {
         let idx = NGramIndex::build(&rows, 1, 10);
         assert_eq!(idx.rows_containing("ab"), &[0]);
         assert_eq!(idx.rows_containing("a"), &[0]);
-        assert_eq!(idx.distinct_ngrams(), 3); // "a", "b", "ab"
+        assert_eq!(idx.postings.len(), 3); // "a", "b", "ab"
     }
 
     #[test]
@@ -235,8 +191,7 @@ mod tests {
         let arena = ColumnArena::from_cells(rows.as_slice());
         let from_slice = NGramIndex::build(&rows, 3, 6);
         let from_arena = NGramIndex::try_build_on(&arena, 3, 6).unwrap();
-        assert_eq!(from_slice.row_count(), from_arena.row_count());
-        assert_eq!(from_slice.distinct_ngrams(), from_arena.distinct_ngrams());
+        assert_eq!(from_slice, from_arena);
         for g in ["raf", "ualber", "mario", "@ua"] {
             assert_eq!(from_slice.rows_containing(g), from_arena.rows_containing(g), "gram {g:?}");
         }
@@ -254,7 +209,7 @@ mod tests {
         // the fingerprint mixes in the gram's byte length.
         let rows = vec!["aaaa"];
         let idx = NGramIndex::build(&rows, 1, 4);
-        assert_eq!(idx.distinct_ngrams(), 4); // "a", "aa", "aaa", "aaaa"
+        assert_eq!(idx.postings.len(), 4); // "a", "aa", "aaa", "aaaa"
         for g in ["a", "aa", "aaa", "aaaa"] {
             assert_eq!(idx.rows_containing(g), &[0], "gram {g:?}");
         }
@@ -266,7 +221,7 @@ mod tests {
         // exercises it over a larger distinct-gram population.
         let rows: Vec<String> = (0..500).map(|i| format!("value-{i:04}-suffix")).collect();
         let idx = NGramIndex::build(&rows, 3, 9);
-        assert!(idx.distinct_ngrams() > 3_000);
+        assert!(idx.postings.len() > 3_000);
         assert_eq!(idx.rows_containing("0042"), &[42]);
     }
 }

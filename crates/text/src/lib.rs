@@ -113,12 +113,9 @@ pub use fault::{FaultKind, FaultPlan, FaultSite};
 pub use fingerprint::{fingerprint64, fingerprint64_chain};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use index::NGramIndex;
-pub use ngram::{
-    char_ngrams, char_ngrams_in_range, count_distinct_ngrams, for_each_ngram_in_sizes,
-    ngram_containment, ngram_jaccard,
-};
+pub use ngram::{char_ngrams, for_each_ngram_in_sizes, ngram_containment, ngram_jaccard};
 pub use normalize::{normalize_append, normalize_for_matching, NormalizeOptions};
 pub use par::{chunk_map, chunk_map_rows};
 pub use scoring::{irf, rscore, ColumnStats};
-pub use signature::{CollisionGuard, ColumnSignature};
+pub use signature::ColumnSignature;
 pub use tokenize::{is_separator_char, tokenize_with_separators, Token, TokenKind};

@@ -35,20 +35,6 @@ pub fn char_ngrams(text: &str, n: usize) -> Vec<&str> {
         .collect()
 }
 
-/// All character n-grams with sizes in `[n_min, n_max]` (inclusive), each
-/// paired with its size. Sizes larger than the string are skipped.
-pub fn char_ngrams_in_range(text: &str, n_min: usize, n_max: usize) -> Vec<(usize, &str)> {
-    let mut out = Vec::new();
-    for n in n_min..=n_max {
-        let grams = char_ngrams(text, n);
-        if grams.is_empty() && n > n_min {
-            break; // larger sizes will also be empty
-        }
-        out.extend(grams.into_iter().map(|g| (n, g)));
-    }
-    out
-}
-
 /// Calls `f` with every n-gram of `text` for sizes `n_min..=n_max`, size-
 /// major and in occurrence order within each size — the same stream
 /// [`char_ngrams`] yields per size, but with the char-boundary pass done
@@ -83,11 +69,6 @@ pub fn for_each_ngram_in_sizes<'t>(
 /// The set of *distinct* n-grams of length `n`.
 pub fn distinct_char_ngrams(text: &str, n: usize) -> FxHashSet<&str> {
     char_ngrams(text, n).into_iter().collect()
-}
-
-/// Number of distinct n-grams of length `n` in `text`.
-pub fn count_distinct_ngrams(text: &str, n: usize) -> usize {
-    distinct_char_ngrams(text, n).len()
 }
 
 /// Jaccard similarity of the distinct n-gram sets of two strings; used by the
@@ -138,14 +119,6 @@ mod tests {
     }
 
     #[test]
-    fn ngrams_in_range() {
-        let grams = char_ngrams_in_range("abc", 2, 4);
-        assert_eq!(grams, vec![(2, "ab"), (2, "bc"), (3, "abc")]);
-        // n_min larger than the string yields nothing.
-        assert!(char_ngrams_in_range("ab", 3, 5).is_empty());
-    }
-
-    #[test]
     fn fused_stream_matches_per_size_reference() {
         for text in ["", "a", "héllo", "abcdef", "αβγδ"] {
             for (n_min, n_max) in [(0, 3), (1, 1), (1, 4), (2, 10), (4, 2)] {
@@ -166,10 +139,10 @@ mod tests {
 
     #[test]
     fn distinct_counts() {
-        assert_eq!(count_distinct_ngrams("aaaa", 1), 1);
-        assert_eq!(count_distinct_ngrams("aaaa", 2), 1);
-        assert_eq!(count_distinct_ngrams("abab", 2), 2);
-        assert_eq!(count_distinct_ngrams("", 2), 0);
+        assert_eq!(distinct_char_ngrams("aaaa", 1).len(), 1);
+        assert_eq!(distinct_char_ngrams("aaaa", 2).len(), 1);
+        assert_eq!(distinct_char_ngrams("abab", 2).len(), 2);
+        assert_eq!(distinct_char_ngrams("", 2).len(), 0);
     }
 
     #[test]

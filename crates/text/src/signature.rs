@@ -73,8 +73,6 @@ pub struct ColumnSignature {
     anchors: Vec<u64>,
     /// The anchor gram size (the matcher's `n_min`).
     anchor_size: usize,
-    /// Row count of the signed column.
-    row_count: usize,
 }
 
 impl ColumnSignature {
@@ -97,22 +95,7 @@ impl ColumnSignature {
         // Resident signatures are charged by `len` (`approximate_bytes`),
         // so drop the capacity the duplicate grams took.
         anchors.shrink_to_fit();
-        Self { anchors, anchor_size: n_min, row_count: column.cell_count() }
-    }
-
-    /// The sorted anchor fingerprint set (size-`n_min` grams).
-    pub fn anchors(&self) -> &[u64] {
-        &self.anchors
-    }
-
-    /// The anchor gram size this signature was built with.
-    pub fn anchor_size(&self) -> usize {
-        self.anchor_size
-    }
-
-    /// Row count of the signed column.
-    pub fn row_count(&self) -> usize {
-        self.row_count
+        Self { anchors, anchor_size: n_min }
     }
 
     /// Exact size of the anchor intersection with `other` (linear merge
@@ -160,9 +143,8 @@ mod tests {
         let a = sig(&["davood rafiei", "mario nascimento"], 4);
         let b = sig(&["davood rafiei", "mario nascimento"], 4);
         assert_eq!(a, b);
-        assert_eq!(a.shared_anchors(&b), a.anchors().len());
-        assert!(a.anchors().windows(2).all(|w| w[0] < w[1]), "sorted, deduped");
-        assert_eq!(a.row_count(), 2);
+        assert_eq!(a.shared_anchors(&b), a.anchors.len());
+        assert!(a.anchors.windows(2).all(|w| w[0] < w[1]), "sorted, deduped");
     }
 
     #[test]
@@ -188,7 +170,7 @@ mod tests {
     fn empty_columns_have_no_anchors() {
         let empty = sig(&[], 4);
         let other = sig(&["abcdef"], 4);
-        assert_eq!(empty.anchors().len(), 0);
+        assert_eq!(empty.anchors.len(), 0);
         assert_eq!(empty.shared_anchors(&other), 0);
         assert_eq!(empty.shared_anchors(&empty), 0);
     }
@@ -205,7 +187,7 @@ mod tests {
     #[test]
     fn rows_shorter_than_anchor_size_contribute_no_anchors() {
         let s = sig(&["abc", "ab"], 4);
-        assert_eq!(s.anchors().len(), 0);
+        assert_eq!(s.anchors.len(), 0);
     }
 
     #[test]

@@ -41,13 +41,6 @@ pub struct Token {
     pub end: usize,
 }
 
-impl Token {
-    /// Character length of the token.
-    pub fn char_len(&self) -> usize {
-        self.end - self.start
-    }
-}
-
 /// Tokenizes `text` into alternating word and separator tokens covering the
 /// whole string. Concatenating the token texts reproduces `text` exactly.
 ///
@@ -101,22 +94,6 @@ pub fn tokenize_with_separators(text: &str) -> Vec<Token> {
     tokens
 }
 
-/// The word tokens only (separators dropped).
-pub fn word_tokens(text: &str) -> Vec<Token> {
-    tokenize_with_separators(text)
-        .into_iter()
-        .filter(|t| t.kind == TokenKind::Word)
-        .collect()
-}
-
-/// Character positions (0-based) of every separator character in `text`.
-pub fn separator_positions(text: &str) -> Vec<usize> {
-    text.chars()
-        .enumerate()
-        .filter_map(|(i, c)| is_separator_char(c).then_some(i))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,7 +128,7 @@ mod tests {
             let mut pos = 0;
             for t in &toks {
                 assert_eq!(t.start, pos);
-                assert_eq!(t.char_len(), t.text.chars().count());
+                assert_eq!(t.end - t.start, t.text.chars().count());
                 pos = t.end;
             }
             assert_eq!(pos, s.chars().count());
@@ -167,21 +144,6 @@ mod tests {
             vec![TokenKind::Word, TokenKind::Separator, TokenKind::Word]
         );
         assert_eq!(toks[1].text, ", ");
-    }
-
-    #[test]
-    fn word_tokens_only() {
-        let words: Vec<String> = word_tokens("Rafiei, Davood CS (2000)")
-            .into_iter()
-            .map(|t| t.text)
-            .collect();
-        assert_eq!(words, vec!["Rafiei", "Davood", "CS", "2000"]);
-    }
-
-    #[test]
-    fn separator_positions_basic() {
-        assert_eq!(separator_positions("a,b c"), vec![1, 3]);
-        assert_eq!(separator_positions("abc"), Vec::<usize>::new());
     }
 
     #[test]

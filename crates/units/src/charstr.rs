@@ -104,14 +104,6 @@ impl CharStr {
         self.text.chars()
     }
 
-    /// Character positions (0-based) at which `delim` occurs.
-    pub fn delimiter_positions(&self, delim: char) -> Vec<usize> {
-        self.chars()
-            .enumerate()
-            .filter_map(|(i, c)| (c == delim).then_some(i))
-            .collect()
-    }
-
     /// Splits on a single delimiter character and returns the pieces as
     /// character ranges (delimiters excluded). Mirrors `str::split`: `n`
     /// delimiters yield `n + 1` pieces, some possibly empty.
@@ -161,18 +153,6 @@ impl CharStr {
             byte_pos = self.offsets[char_idx + 1] as usize;
         }
         out
-    }
-
-    /// Whether `needle` occurs anywhere in the string.
-    #[inline]
-    pub fn contains(&self, needle: &str) -> bool {
-        self.text.contains(needle)
-    }
-
-    /// Whether the character `c` occurs anywhere in the string.
-    #[inline]
-    pub fn contains_char(&self, c: char) -> bool {
-        self.text.contains(c)
     }
 }
 
@@ -285,13 +265,6 @@ mod tests {
             .map(|r| s.slice_range(r).unwrap())
             .collect();
         assert_eq!(pieces, vec!["a", "b", "c", "d"]);
-    }
-
-    #[test]
-    fn delimiter_positions() {
-        let s = CharStr::new("a,b,c");
-        assert_eq!(s.delimiter_positions(','), vec![1, 3]);
-        assert_eq!(s.delimiter_positions('x'), Vec::<usize>::new());
     }
 
     #[test]

@@ -50,13 +50,11 @@
 #![warn(rust_2018_idioms)]
 
 pub mod charstr;
-pub mod error;
 pub mod pool;
 pub mod transformation;
 pub mod unit;
 
 pub use charstr::CharStr;
-pub use error::UnitError;
 pub use pool::{IdTransformation, UnitId, UnitPool};
 pub use transformation::{CoveredTransformation, Transformation, TransformationSet};
 pub use unit::{Unit, UnitKind};

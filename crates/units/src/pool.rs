@@ -89,11 +89,6 @@ impl UnitPool {
         &self.units[id.index()]
     }
 
-    /// The id of `unit` if it is interned.
-    pub fn lookup(&self, unit: &Unit) -> Option<UnitId> {
-        self.index.get(unit).copied()
-    }
-
     /// Whether `id`'s unit is a literal.
     #[inline]
     pub fn is_literal(&self, id: UnitId) -> bool {
@@ -115,17 +110,6 @@ impl UnitPool {
         let merged = self.intern(Unit::literal(format!("{ta}{tb}")));
         self.literal_merges.insert((a, b), merged);
         merged
-    }
-
-    /// Iterates over `(id, unit)` pairs in interning order.
-    pub fn iter(&self) -> impl Iterator<Item = (UnitId, &Unit)> {
-        self.units
-            .iter()
-            .enumerate()
-            // Invariant is local (audited): `i` indexes `self.units`, whose
-            // length is capped at the u32 id space by `intern`'s checked
-            // conversion — the cast cannot truncate.
-            .map(|(i, u)| (UnitId(i as u32), u))
     }
 
     /// Materializes an ID transformation back into an owned
@@ -163,16 +147,6 @@ impl IdTransformation {
         &self.units
     }
 
-    /// Number of units.
-    pub fn len(&self) -> usize {
-        self.units.len()
-    }
-
-    /// Whether the transformation has no units.
-    pub fn is_empty(&self) -> bool {
-        self.units.is_empty()
-    }
-
     /// Whether every unit is a literal (cf.
     /// [`Transformation::is_all_literal`]).
     pub fn is_all_literal(&self, pool: &UnitPool) -> bool {
@@ -201,8 +175,8 @@ mod tests {
         assert_eq!(pool.len(), 2);
         assert_eq!(a.index(), 0);
         assert_eq!(b.index(), 1);
-        assert_eq!(pool.lookup(&Unit::split(',', 1)), Some(b));
-        assert_eq!(pool.lookup(&Unit::split(',', 9)), None);
+        assert_eq!(pool.index.get(&Unit::split(',', 1)).copied(), Some(b));
+        assert_eq!(pool.index.get(&Unit::split(',', 9)).copied(), None);
     }
 
     #[test]
@@ -228,7 +202,7 @@ mod tests {
         assert_eq!(m1, m2);
         assert_eq!(pool.get(m1), &Unit::literal("abcd"));
         // The merged literal is interned like any other unit.
-        assert_eq!(pool.lookup(&Unit::literal("abcd")), Some(m1));
+        assert_eq!(pool.index.get(&Unit::literal("abcd")).copied(), Some(m1));
     }
 
     #[test]
@@ -248,14 +222,5 @@ mod tests {
         assert!(!t1.is_all_literal(&pool));
         assert!(IdTransformation::new(vec![pool.intern(Unit::literal("y"))]).is_all_literal(&pool));
         assert!(!IdTransformation::new(vec![]).is_all_literal(&pool));
-    }
-
-    #[test]
-    fn iter_in_interning_order() {
-        let mut pool = UnitPool::new();
-        pool.intern(Unit::substr(0, 1));
-        pool.intern(Unit::substr(0, 2));
-        let collected: Vec<usize> = pool.iter().map(|(id, _)| id.index()).collect();
-        assert_eq!(collected, vec![0, 1]);
     }
 }

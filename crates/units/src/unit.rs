@@ -1,7 +1,6 @@
 //! Transformation units (Definition 1 of the paper).
 
 use crate::charstr::CharStr;
-use crate::error::UnitError;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -46,18 +45,6 @@ impl UnitKind {
         UnitKind::SplitSubstr,
         UnitKind::Literal,
     ];
-
-    /// Number of free parameters of the kind (the paper's `z`).
-    pub fn parameter_count(self) -> usize {
-        match self {
-            UnitKind::Substr => 2,
-            UnitKind::Split => 2,
-            UnitKind::SplitSubstr => 4,
-            UnitKind::TwoCharSplitSubstr => 5,
-            UnitKind::SplitSplitSubstr => 6,
-            UnitKind::Literal => 1,
-        }
-    }
 
     /// Whether every parameterization of this kind produces the same output on
     /// every input (true only for `Literal`). Non-constant kinds are the ones
@@ -248,7 +235,7 @@ impl Unit {
     ///
     /// Returns `false` (leaving `out` untouched) when the unit does not apply
     /// to this input. This is the hot-path entry point used by coverage
-    /// checking; [`Self::apply`] and [`Self::try_apply_to`] wrap it.
+    /// checking; [`Self::apply`] wraps it.
     pub fn apply_into(&self, input: &CharStr, out: &mut String) -> bool {
         match self.output_on(input) {
             Some(s) => {
@@ -318,45 +305,6 @@ impl Unit {
     pub fn apply(&self, input: &str) -> Option<String> {
         let cs = CharStr::new(input);
         self.output_on(&cs).map(|c| c.into_owned())
-    }
-
-    /// Like [`Self::output_on`] but explains *why* the unit did not apply.
-    pub fn try_apply_to(&self, input: &CharStr) -> Result<String, UnitError> {
-        match self {
-            Unit::Substr { start, end } => input
-                .slice(*start as usize, *end as usize)
-                .map(str::to_owned)
-                .ok_or(UnitError::RangeOutOfBounds {
-                    start: *start as usize,
-                    end: *end as usize,
-                    len: input.char_len(),
-                }),
-            Unit::Split { delim, index } => {
-                let ranges = input.split_ranges(*delim);
-                if ranges.len() == 1 && !input.contains_char(*delim) && *index as usize > 0 {
-                    return Err(UnitError::DelimiterMissing { delim: *delim });
-                }
-                let pieces = ranges.len();
-                ranges
-                    .get(*index as usize)
-                    .and_then(|r| input.slice_range(r.clone()))
-                    .map(str::to_owned)
-                    .ok_or(UnitError::PieceOutOfBounds {
-                        index: *index as usize,
-                        pieces,
-                    })
-            }
-            other => other
-                .output_on(input)
-                .map(|c| c.into_owned())
-                .ok_or_else(|| match other.kind() {
-                    UnitKind::Substr | UnitKind::Literal => unreachable!(),
-                    _ => UnitError::PieceOutOfBounds {
-                        index: 0,
-                        pieces: 0,
-                    },
-                }),
-        }
     }
 
     /// Exact output length in characters when it can be known without the
@@ -527,13 +475,8 @@ mod tests {
     }
 
     #[test]
-    fn kind_and_parameter_count() {
+    fn kind_and_constness() {
         assert_eq!(Unit::substr(0, 1).kind(), UnitKind::Substr);
-        assert_eq!(UnitKind::Substr.parameter_count(), 2);
-        assert_eq!(UnitKind::SplitSubstr.parameter_count(), 4);
-        assert_eq!(UnitKind::TwoCharSplitSubstr.parameter_count(), 5);
-        assert_eq!(UnitKind::SplitSplitSubstr.parameter_count(), 6);
-        assert_eq!(UnitKind::Literal.parameter_count(), 1);
         assert!(!UnitKind::Split.is_constant());
         assert!(UnitKind::Literal.is_constant());
     }
@@ -545,27 +488,6 @@ mod tests {
         assert_eq!(out, "xab");
         assert!(!Unit::substr(0, 9).apply_into(&cs("abc"), &mut out));
         assert_eq!(out, "xab");
-    }
-
-    #[test]
-    fn try_apply_errors() {
-        assert_eq!(
-            Unit::substr(0, 9).try_apply_to(&cs("abc")),
-            Err(UnitError::RangeOutOfBounds {
-                start: 0,
-                end: 9,
-                len: 3
-            })
-        );
-        assert_eq!(
-            Unit::split(',', 3).try_apply_to(&cs("a,b")),
-            Err(UnitError::PieceOutOfBounds { index: 3, pieces: 2 })
-        );
-        assert_eq!(
-            Unit::split(',', 1).try_apply_to(&cs("abc")),
-            Err(UnitError::DelimiterMissing { delim: ',' })
-        );
-        assert_eq!(Unit::split(',', 0).try_apply_to(&cs("a,b")), Ok("a".into()));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! | [`datasets`] | synthetic and simulated real-world benchmark generators |
 //! | [`matching`] | the representative-n-gram row matcher (Algorithm 1) |
 //! | [`synthesis`] | the transformation synthesis engine (the paper's contribution) |
-//! | [`baselines`] | Naive, Auto-Join, and Auto-FuzzyJoin baselines |
+//! | [`baselines`] | Auto-Join and Auto-FuzzyJoin baselines |
 //! | [`join`] | the end-to-end join pipeline and its evaluation |
 //!
 //! ## Quick start
