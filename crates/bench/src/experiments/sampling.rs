@@ -143,7 +143,7 @@ mod tests {
 
     #[test]
     fn coverage_on_full_counts_correctly() {
-        let t = tjoin_units::Transformation::single(tjoin_units::Unit::substr(0, 2));
+        let t = tjoin_units::Transformation::new(vec![tjoin_units::Unit::substr(0, 2)]);
         let values = vec![
             ("abc".to_owned(), "ab".to_owned()),
             ("xyz".to_owned(), "zz".to_owned()),

@@ -1,7 +1,8 @@
 //! # tjoin-bench
 //!
 //! The experiment harness: one binary per table and figure of the paper's
-//! evaluation (Section 6), plus Criterion micro-benchmarks.
+//! evaluation (Section 6). Repository performance is timed by the
+//! `perfbench/` package, not here.
 //!
 //! | binary | regenerates | paper reference |
 //! |---|---|---|
@@ -32,16 +33,3 @@ pub use report::Report;
 pub use scale::Scale;
 pub use suite::DatasetInstance;
 
-/// Median seconds per iteration of `f` over `samples` runs — the timing
-/// helper shared by the BENCH_*.json-writing comparison benches (coverage,
-/// join_throughput), so the methodology lives in one place.
-pub fn time_seconds<F: FnMut()>(samples: usize, mut f: F) -> f64 {
-    let mut times = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let start = std::time::Instant::now();
-        f();
-        times.push(start.elapsed().as_secs_f64());
-    }
-    times.sort_by(|x, y| x.total_cmp(y));
-    times[times.len() / 2]
-}

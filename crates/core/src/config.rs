@@ -98,14 +98,6 @@ impl SynthesisConfig {
         }
     }
 
-    /// Disables both pruning strategies (for the ablation experiments of
-    /// Section 6.6 / Figure 3).
-    pub fn without_pruning(mut self) -> Self {
-        self.deduplicate = false;
-        self.unit_cache = false;
-        self
-    }
-
     /// Builder-style setter for the sample size.
     pub fn with_sample(mut self, size: usize, seed: u64) -> Self {
         self.sample_size = Some(size);
@@ -168,8 +160,6 @@ mod tests {
     #[test]
     fn presets() {
         assert_eq!(SynthesisConfig::spreadsheet().max_placeholders, 4);
-        let ablate = SynthesisConfig::default().without_pruning();
-        assert!(!ablate.deduplicate && !ablate.unit_cache);
     }
 
     #[test]

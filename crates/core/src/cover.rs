@@ -8,17 +8,18 @@
 //!
 //! Coverage is carried as [`RowBitmap`]s end to end: marginal gain is a
 //! word-wise AND-NOT + popcount instead of a sorted-`Vec<u32>` difference,
-//! and [`lazy_greedy_cover`] consumes its candidates by value, so selected
-//! transformations are moved — not cloned — into the result set.
+//! and [`lazy_greedy_cover_budgeted`] consumes its candidates by value, so
+//! selected transformations are moved — not cloned — into the result set.
 //!
 //! # Lazy-greedy selection (CELF)
 //!
 //! The textbook greedy loop rescans every candidate per selection —
 //! O(selected × candidates × rows/64) — which becomes the scaling wall once
-//! candidate pools reach GXJoin scale (10^5–10^6). [`lazy_greedy_cover`]
-//! instead keeps every candidate's *last known* marginal gain in a max-heap
-//! and, per round, re-evaluates only entries popped from the top until the
-//! top entry's gain is confirmed fresh for the current round.
+//! candidate pools reach GXJoin scale (10^5–10^6).
+//! [`lazy_greedy_cover_budgeted`] instead keeps every candidate's *last
+//! known* marginal gain in a max-heap and, per round, re-evaluates only
+//! entries popped from the top until the top entry's gain is confirmed
+//! fresh for the current round.
 //!
 //! This is exact, not approximate, because marginal gain is **submodular**:
 //! the covered set only grows between rounds, so a candidate's true gain can
@@ -90,8 +91,9 @@ pub fn min_rows_for_support(total_rows: usize, min_support: f64) -> usize {
 
 /// The `k` transformations with the largest coverage, ties broken toward
 /// fewer units, then lexicographically, then by input order (stable sort).
-/// Off the engine path, whose best transformation is [`lazy_greedy_cover`]'s
-/// first pick; kept as that identity's oracle and for perfbench's trace.
+/// Off the engine path, whose best transformation is
+/// [`lazy_greedy_cover_budgeted`]'s first pick; kept as that identity's
+/// oracle and for perfbench's trace.
 pub fn top_k(candidates: &[ScoredTransformation], k: usize) -> Vec<CoveredTransformation> {
     let mut sorted: Vec<&ScoredTransformation> = candidates.iter().collect();
     sorted.sort_by(|a, b| {
@@ -153,8 +155,8 @@ impl PartialEq for GainEntry {
 
 impl Eq for GainEntry {}
 
-/// Tie-group size above which [`lazy_greedy_cover`] stops resolving the
-/// lexicographic leg at pop time and instead interns every remaining
+/// Tie-group size above which [`lazy_greedy_cover_budgeted`] stops resolving
+/// the lexicographic leg at pop time and instead interns every remaining
 /// candidate's rendered string into a dense rank (one O(n log n) pass),
 /// folding the whole tie-break chain into the heap key. Below it, pop-time
 /// resolution with per-candidate memoized renders is cheaper (typical tie
@@ -175,20 +177,11 @@ const INTERN_TIE_THRESHOLD: usize = 256;
 /// returned set lists each selected transformation with *all* rows it covers
 /// (not only the marginal ones), ordered by selection. Candidates are
 /// consumed: the winners' transformations move into the result set.
-pub fn lazy_greedy_cover(
-    candidates: Vec<ScoredTransformation>,
-    total_rows: usize,
-) -> TransformationSet {
-    lazy_greedy_cover_budgeted(candidates, total_rows, None)
-        .expect("unbudgeted selection cannot abort")
-}
-
-/// [`lazy_greedy_cover`] under a cooperative
-/// [`BudgetToken`](tjoin_text::BudgetToken): the token is checked at the
-/// top of every heap pop (the selection loop's natural boundary) and the
-/// whole selection returns `Err` — with no partial set — once it trips.
-/// With `budget = None` this is exactly [`lazy_greedy_cover`], bit for bit,
-/// at zero cost.
+///
+/// An optional cooperative [`BudgetToken`](tjoin_text::BudgetToken) is
+/// checked at the top of every heap pop (the selection loop's natural
+/// boundary), and the whole selection returns `Err` — with no partial set —
+/// once it trips. With `budget = None` the selection cannot abort.
 pub fn lazy_greedy_cover_budgeted(
     candidates: Vec<ScoredTransformation>,
     total_rows: usize,
@@ -373,8 +366,7 @@ pub mod reference {
     //! The quadratic full-rescan greedy loop the lazy-greedy heap replaced:
     //! every selection round re-evaluates the marginal gain of *every*
     //! remaining candidate. Retained verbatim as the differential-testing
-    //! oracle (see `tests/proptest_selection.rs`) and as the baseline leg of
-    //! the `selection` benchmark.
+    //! oracle (see `tests/proptest_selection.rs`).
 
     use super::ScoredTransformation;
     use crate::bitmap::RowBitmap;
@@ -382,7 +374,7 @@ pub mod reference {
 
     /// Greedy minimal set cover by full rescan — O(selected × candidates ×
     /// rows/64). Same contract and tie-breaking as
-    /// [`super::lazy_greedy_cover`], which must match it bit for bit.
+    /// [`super::lazy_greedy_cover_budgeted`], which must match it bit for bit.
     pub fn greedy_cover_reference(
         candidates: Vec<ScoredTransformation>,
         total_rows: usize,
@@ -461,7 +453,8 @@ mod tests {
         candidates: Vec<ScoredTransformation>,
         total_rows: usize,
     ) -> TransformationSet {
-        let lazy = lazy_greedy_cover(candidates.clone(), total_rows);
+        let lazy = lazy_greedy_cover_budgeted(candidates.clone(), total_rows, None)
+            .expect("no budget");
         let oracle = reference::greedy_cover_reference(candidates, total_rows);
         assert_selection_identical(&lazy, &oracle);
         lazy

@@ -330,9 +330,12 @@ mod tests {
             ("Gosgnach, Simon", "S Gosgnach"),
         ];
         let pruned = engine().discover_from_strings(&rows);
-        let unpruned =
-            SynthesisEngine::new(SynthesisConfig::default().without_pruning())
-                .discover_from_strings(&rows);
+        let unpruned = SynthesisEngine::new(SynthesisConfig {
+            deduplicate: false,
+            unit_cache: false,
+            ..SynthesisConfig::default()
+        })
+        .discover_from_strings(&rows);
         assert!((pruned.top_coverage() - unpruned.top_coverage()).abs() < 1e-9);
         assert!((pruned.set_coverage() - unpruned.set_coverage()).abs() < 1e-9);
         // Pruning statistics must reflect the toggles.

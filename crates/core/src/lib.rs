@@ -92,9 +92,8 @@
 //! All observable results — covered rows, trial counts, cache-hit
 //! accounting, selected covering sets and their order — are bit-identical
 //! to the naive loops retained in [`coverage::reference`] and
-//! [`cover::reference`] as differential-testing oracles and benchmark
-//! baselines (see `tests/proptest_selection.rs` and the `selection`
-//! benchmark's `BENCH_selection.json`).
+//! [`cover::reference`] as differential-testing oracles (see
+//! `tests/proptest_selection.rs`).
 //!
 //! ```
 //! use tjoin_core::{SynthesisConfig, SynthesisEngine};

@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use std::collections::HashSet;
 use std::time::Duration;
 use tjoin_core::cover::reference::greedy_cover_reference;
-use tjoin_core::cover::{lazy_greedy_cover, ScoredTransformation};
+use tjoin_core::cover::{lazy_greedy_cover_budgeted, ScoredTransformation};
 use tjoin_core::coverage::reference::compute_coverage_reference;
 use tjoin_core::coverage::{compute_coverage, CoverageOutcome};
 use tjoin_core::{PairSet, RowBitmap};
@@ -57,6 +57,11 @@ fn pooled_transformations() -> impl Strategy<Value = Vec<Transformation>> {
 /// Row sets from empty up to more rows than the largest thread count.
 fn random_rows() -> impl Strategy<Value = Vec<(String, String)>> {
     prop::collection::vec(("[a-z, -]{0,12}", "[a-z, -]{0,8}"), 0..24)
+}
+
+/// The unbudgeted lazy-greedy cover, which cannot abort.
+fn lazy_greedy_cover(pool: Vec<ScoredTransformation>, rows: usize) -> TransformationSet {
+    lazy_greedy_cover_budgeted(pool, rows, None).expect("no budget")
 }
 
 /// Runs the downstream selection over per-candidate covered rows with

@@ -14,9 +14,16 @@
 
 use proptest::prelude::*;
 use tjoin_core::cover::reference::greedy_cover_reference;
-use tjoin_core::cover::{lazy_greedy_cover, min_rows_for_support, top_k, ScoredTransformation};
+use tjoin_core::cover::{
+    lazy_greedy_cover_budgeted, min_rows_for_support, top_k, ScoredTransformation,
+};
 use tjoin_core::RowBitmap;
 use tjoin_units::{Transformation, TransformationSet, Unit};
+
+/// The unbudgeted lazy-greedy cover, which cannot abort.
+fn lazy_greedy_cover(pool: Vec<ScoredTransformation>, rows: usize) -> TransformationSet {
+    lazy_greedy_cover_budgeted(pool, rows, None).expect("no budget")
+}
 
 /// A small closed unit vocabulary so pools are tie-heavy: many candidates
 /// share unit counts, and some share the exact rendered string.

@@ -121,12 +121,6 @@ impl RepositoryConfig {
         self
     }
 
-    /// Builder-style setter for the first-pair skew multiplier.
-    pub fn with_skew(mut self, skew: f64) -> Self {
-        self.skew = skew;
-        self
-    }
-
     /// Generates the repository deterministically from `seed`.
     pub fn generate(&self, seed: u64) -> Vec<ColumnPair> {
         assert!(
@@ -411,7 +405,7 @@ mod tests {
     fn skew_inflates_the_first_pair() {
         let base = RepositoryConfig::new(6, 50).with_decoys(0.0);
         let flat = base.clone().generate(9);
-        let skewed = base.clone().with_skew(8.0).generate(9);
+        let skewed = RepositoryConfig { skew: 8.0, ..base.clone() }.generate(9);
         // The first pair dominates: exactly 8x its unskewed row count,
         // while every other pair keeps the base-range count.
         assert_eq!(skewed[0].source.len(), flat[0].source.len() * 8);
@@ -419,15 +413,15 @@ mod tests {
             assert!((50..=60).contains(&p.source.len()), "{} rows", p.source.len());
             assert_eq!(p.source.len(), p.target.len());
         }
-        assert_eq!(skewed, base.clone().with_skew(8.0).generate(9));
+        assert_eq!(skewed, RepositoryConfig { skew: 8.0, ..base.clone() }.generate(9));
         // The explicit default skew reproduces the pre-knob generation.
-        assert_eq!(flat, base.with_skew(1.0).generate(9));
+        assert_eq!(flat, RepositoryConfig { skew: 1.0, ..base }.generate(9));
     }
 
     #[test]
     #[should_panic(expected = "skew")]
     fn invalid_skew_rejected() {
-        let _ = RepositoryConfig::new(2, 10).with_skew(0.5).generate(0);
+        let _ = RepositoryConfig { skew: 0.5, ..RepositoryConfig::new(2, 10) }.generate(0);
     }
 
     #[test]

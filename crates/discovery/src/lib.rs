@@ -136,15 +136,6 @@ pub struct RepositoryShortlist {
 }
 
 impl RepositoryShortlist {
-    /// Fraction of the repository's pairs not run (0 on an empty
-    /// repository).
-    pub fn pruning_ratio(&self) -> f64 {
-        if self.considered == 0 {
-            return 0.0;
-        }
-        self.pruned.len() as f64 / self.considered as f64
-    }
-
     /// A shortlist that retains every pair unscored, in input order — the
     /// degenerate verdict for matching strategies discovery cannot reason
     /// about (golden row pairs need no shared text).
@@ -251,7 +242,6 @@ mod tests {
         // The identical pair shares more anchors and runs first.
         assert_eq!(names, vec!["identical", "joinable"]);
         assert!(shortlist.ranked[0].shared_anchors > shortlist.ranked[1].shared_anchors);
-        assert!((shortlist.pruning_ratio() - 1.0 / 3.0).abs() < 1e-12);
         // Thread-invariance of the signing pass.
         for threads in [2, 4] {
             let threaded = shortlist_repository(
@@ -282,7 +272,6 @@ mod tests {
         let shortlist = shortlist_repository(&[], &corpus, &DiscoveryConfig::paper_default());
         assert_eq!(shortlist.considered, 0);
         assert!(shortlist.ranked.is_empty() && shortlist.pruned.is_empty());
-        assert_eq!(shortlist.pruning_ratio(), 0.0);
         // Empty columns share nothing and are pruned, not fatal.
         let repository = vec![pair("empty", &[], &["abcdef"])];
         let shortlist = shortlist_repository(&repository, &corpus, &DiscoveryConfig::default());
@@ -354,6 +343,6 @@ mod tests {
         assert_eq!(all.ranked.len(), 2);
         assert_eq!(all.ranked[0].name, "x");
         assert_eq!(all.ranked[1].name, "y");
-        assert_eq!(all.pruning_ratio(), 0.0);
+        assert!(all.pruned.is_empty());
     }
 }

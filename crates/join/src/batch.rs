@@ -1001,7 +1001,7 @@ mod tests {
     fn row_cap_degrades_oversized_pairs_thread_invariantly() {
         // `emails` has 6 rows, `names` 8: a 7-row cap admits only `emails`.
         let repository = small_repository();
-        let budget = RunBudget::unlimited().with_row_cap(7);
+        let budget = RunBudget { max_rows: Some(7), ..RunBudget::default() };
         let oracle = BatchJoinRunner::new(JoinPipelineConfig::paper_default(), 1)
             .with_budget(budget)
             .run_static(&repository);
@@ -1033,7 +1033,7 @@ mod tests {
     #[test]
     fn zero_deadline_times_out_every_pair() {
         let repository = small_repository();
-        let budget = RunBudget::unlimited().with_deadline(Duration::ZERO);
+        let budget = RunBudget::default().with_deadline(Duration::ZERO);
         for threads in [1usize, 4] {
             let batch = BatchJoinRunner::new(JoinPipelineConfig::paper_default(), threads)
                 .with_budget(budget)

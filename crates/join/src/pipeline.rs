@@ -694,7 +694,7 @@ mod tests {
             target: vec!["abc".into(), "abc".into(), "abc".into(), "abc".into()],
             golden: vec![(0, 0), (0, 1), (0, 2), (0, 3)],
         };
-        let t = Transformation::single(Unit::split(',', 0));
+        let t = Transformation::new(vec![Unit::split(',', 0)]);
         let pipeline = JoinPipeline::new(JoinPipelineConfig::paper_default());
         let predicted = pipeline.equi_join(&pair, [&t]);
         assert_eq!(predicted, vec![(0, 0), (0, 1), (0, 2), (0, 3)]);
@@ -710,7 +710,7 @@ mod tests {
 
     #[test]
     fn empty_columns_join_to_nothing() {
-        let t = Transformation::single(Unit::substr(0, 2));
+        let t = Transformation::new(vec![Unit::substr(0, 2)]);
         let pipeline = JoinPipeline::new(JoinPipelineConfig::paper_default());
         let no_source = ColumnPair {
             name: "ns".into(),
@@ -751,9 +751,11 @@ mod tests {
     #[test]
     fn unlimited_budget_matches_no_budget() {
         let pair = staff_pair();
-        let budget = RunBudget::unlimited()
-            .with_byte_cap(u64::MAX)
-            .with_row_cap(u64::MAX);
+        let budget = RunBudget {
+            max_bytes: Some(u64::MAX),
+            max_rows: Some(u64::MAX),
+            ..RunBudget::default()
+        };
         for threads in [1, 4] {
             let pipeline =
                 JoinPipeline::new(JoinPipelineConfig::paper_default().with_threads(threads));
@@ -775,7 +777,7 @@ mod tests {
     fn row_cap_rejects_pair_at_admission() {
         let pair = staff_pair();
         let pipeline = JoinPipeline::new(JoinPipelineConfig::paper_default().with_threads(2));
-        let budget = RunBudget::unlimited().with_row_cap(1);
+        let budget = RunBudget { max_rows: Some(1), ..RunBudget::default() };
         let guarded = pipeline.run_guarded(&pair, None, Some(&budget));
         assert_eq!(
             guarded.status,
@@ -794,7 +796,7 @@ mod tests {
     fn zero_deadline_times_out_deterministically() {
         let pair = staff_pair();
         let pipeline = JoinPipeline::new(JoinPipelineConfig::paper_default().with_threads(2));
-        let budget = RunBudget::unlimited().with_deadline(Duration::ZERO);
+        let budget = RunBudget::default().with_deadline(Duration::ZERO);
         for _ in 0..3 {
             let guarded = pipeline.run_guarded(&pair, None, Some(&budget));
             match guarded.status {
@@ -811,7 +813,7 @@ mod tests {
         for threads in [1, 2, 4] {
             let pipeline =
                 JoinPipeline::new(JoinPipelineConfig::paper_default().with_threads(threads));
-            let budget = RunBudget::unlimited().with_byte_cap(8);
+            let budget = RunBudget { max_bytes: Some(8), ..RunBudget::default() };
             statuses.push(pipeline.run_guarded(&pair, None, Some(&budget)).status);
         }
         for status in &statuses {

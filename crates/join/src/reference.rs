@@ -85,8 +85,8 @@ mod tests {
     #[test]
     fn oracle_dedups_across_transformations() {
         let pair = ColumnPair::aligned("x", vec!["ab".into()], vec!["ab".into()]);
-        let t1 = Transformation::single(Unit::substr(0, 2));
-        let t2 = Transformation::single(Unit::split(',', 0));
+        let t1 = Transformation::new(vec![Unit::substr(0, 2)]);
+        let t2 = Transformation::new(vec![Unit::split(',', 0)]);
         let predicted = equi_join_reference(&pair, [&t1, &t2], &NormalizeOptions::default());
         assert_eq!(predicted, vec![(0, 0)]);
     }

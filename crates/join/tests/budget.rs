@@ -28,7 +28,7 @@ fn row_cap_overruns_are_deterministic_and_thread_invariant() {
     let repository = sized_repository();
     // 20 admitted rows per pair (source + target): 4- and 8-row pairs fit
     // (8 and 16 charged), the 16-row pair (32 charged) does not.
-    let budget = RunBudget::unlimited().with_row_cap(20);
+    let budget = RunBudget { max_rows: Some(20), ..RunBudget::default() };
     let oracle = BatchJoinRunner::new(JoinPipelineConfig::paper_default(), 1)
         .with_budget(budget)
         .run_static(&repository);
@@ -71,7 +71,7 @@ fn row_cap_overruns_are_deterministic_and_thread_invariant() {
 fn byte_cap_overruns_are_deterministic_and_thread_invariant() {
     let repository = sized_repository();
     // The 4-row pair carries ~150 cell bytes; the larger two exceed 400.
-    let budget = RunBudget::unlimited().with_byte_cap(400);
+    let budget = RunBudget { max_bytes: Some(400), ..RunBudget::default() };
     let oracle = BatchJoinRunner::new(JoinPipelineConfig::paper_default(), 1)
         .with_budget(budget)
         .run_static(&repository);
@@ -119,7 +119,7 @@ fn unlimited_budget_is_bit_identical_to_no_budget() {
         let plain =
             BatchJoinRunner::new(JoinPipelineConfig::paper_default(), threads).run(&repository);
         let budgeted = BatchJoinRunner::new(JoinPipelineConfig::paper_default(), threads)
-            .with_budget(RunBudget::unlimited())
+            .with_budget(RunBudget::default())
             .run(&repository);
         assert_eq!(plain.faults, budgeted.faults);
         for (rp, rb) in plain.reports.iter().zip(&budgeted.reports) {
@@ -135,7 +135,7 @@ fn unlimited_budget_is_bit_identical_to_no_budget() {
 #[test]
 fn zero_deadline_degrades_every_pair_without_killing_the_run() {
     let repository = sized_repository();
-    let budget = RunBudget::unlimited().with_deadline(std::time::Duration::ZERO);
+    let budget = RunBudget::default().with_deadline(std::time::Duration::ZERO);
     for threads in [1usize, 4] {
         let run = BatchJoinRunner::new(JoinPipelineConfig::paper_default(), threads)
             .with_budget(budget)

@@ -66,8 +66,8 @@ fn join_transformations() -> Vec<Transformation> {
             Unit::literal(" "),
             Unit::split(',', 0),
         ]),
-        Transformation::single(Unit::split(',', 0)),
-        Transformation::single(Unit::substr(0, 6)),
+        Transformation::new(vec![Unit::split(',', 0)]),
+        Transformation::new(vec![Unit::substr(0, 6)]),
         Transformation::new(vec![Unit::substr(0, 1), Unit::literal(" "), Unit::split(',', 0)]),
     ]
 }

@@ -227,7 +227,7 @@ fn slow_phase_with_deadline_times_out_only_the_stalled_pair() {
         for threads in [1usize, 2] {
             let context = format!("{site} at {threads} threads");
             let runner = BatchJoinRunner::new(JoinPipelineConfig::paper_default(), threads)
-                .with_budget(RunBudget::unlimited().with_deadline(Duration::from_millis(250)));
+                .with_budget(RunBudget::default().with_deadline(Duration::from_millis(250)));
             let run = runner.run_with_faults(&repository, &plan);
             match run.reports[0].status {
                 PairStatus::TimedOut { phase: observed, exceeded } => {

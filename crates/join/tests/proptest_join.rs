@@ -76,10 +76,10 @@ fn join_transformations() -> Vec<Transformation> {
             Unit::literal(" "),
             Unit::split(',', 0),
         ]),
-        Transformation::single(Unit::split(',', 0)),
-        Transformation::single(Unit::substr(0, 6)),
+        Transformation::new(vec![Unit::split(',', 0)]),
+        Transformation::new(vec![Unit::substr(0, 6)]),
         Transformation::new(vec![Unit::substr(0, 1), Unit::literal(" "), Unit::split(',', 0)]),
-        Transformation::single(Unit::split('-', 2)),
+        Transformation::new(vec![Unit::split('-', 2)]),
         Transformation::new(vec![Unit::literal("f"), Unit::split_substr(' ', 1, 1, 3)]),
     ]
 }

@@ -609,7 +609,6 @@ mod tests {
         // ColumnStats was built once and hit twice.
         assert_eq!(stats.columns_interned, 4);
         assert_eq!(stats.column_hits, 2);
-        assert_eq!(stats.normalizations_saved(), 2);
         assert_eq!(stats.stats_built, 4);
         assert_eq!(stats.stats_hits, 2);
         assert_eq!(stats.indexes_built, 3);
@@ -672,7 +671,7 @@ mod tests {
     #[test]
     fn live_budget_is_bit_identical_to_unbudgeted() {
         let pair = staff_pair();
-        let budget = tjoin_text::RunBudget::unlimited().token();
+        let budget = tjoin_text::RunBudget::default().token();
         let matcher = NGramMatcher::with_defaults();
         assert_eq!(
             matcher.try_find_candidates(&pair, None, Some(&budget)).unwrap(),
@@ -683,7 +682,7 @@ mod tests {
     #[test]
     fn tripped_budget_aborts_cleanly() {
         let pair = staff_pair();
-        let budget = tjoin_text::RunBudget::unlimited()
+        let budget = tjoin_text::RunBudget::default()
             .with_deadline(std::time::Duration::ZERO)
             .token();
         let matcher = NGramMatcher::with_defaults();

@@ -105,7 +105,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use tjoin_datasets::ColumnPair;
 use tjoin_join::{BatchJoinOutcome, BatchJoinRunner, JoinPipelineConfig, RowMatchingStrategy};
-use tjoin_text::{column_fingerprint, CorpusRetryPolicy, GramCorpus, NormalizeOptions, ServeStats};
+use tjoin_text::{column_fingerprint, GramCorpus, NormalizeOptions, ServeStats};
 
 /// Recovers a lock whether or not a holder panicked (cache metadata stays
 /// consistent because every mutation completes before the guard drops).
@@ -122,9 +122,6 @@ pub struct ServeConfig {
     /// Maximum queued (admitted but not yet run) requests; submissions
     /// beyond it are rejected with [`AdmissionError::QueueFull`].
     pub queue_capacity: usize,
-    /// Retry policy for the shared corpus's lazy artifact builds (see
-    /// [`CorpusRetryPolicy`]).
-    pub retry: CorpusRetryPolicy,
 }
 
 impl Default for ServeConfig {
@@ -132,7 +129,6 @@ impl Default for ServeConfig {
         Self {
             byte_budget: None,
             queue_capacity: 64,
-            retry: CorpusRetryPolicy::default(),
         }
     }
 }
@@ -228,11 +224,10 @@ pub struct ResidentCorpus {
 impl ResidentCorpus {
     /// Creates a resident cache whose corpus normalizes with `options`
     /// (must match the runner's matcher configuration — the runner asserts
-    /// this) and retries failed builds per `config.retry`.
-    /// `config.queue_capacity` only matters to [`JoinService`].
+    /// this). `config.queue_capacity` only matters to [`JoinService`].
     pub fn new(options: NormalizeOptions, config: ServeConfig) -> Self {
         Self {
-            corpus: Arc::new(GramCorpus::with_retry(options, config.retry)),
+            corpus: Arc::new(GramCorpus::new(options)),
             byte_budget: config.byte_budget,
             state: Mutex::new(CacheState::default()),
         }

@@ -63,26 +63,9 @@ pub struct RunBudget {
 }
 
 impl RunBudget {
-    /// A budget with every axis unlimited.
-    pub fn unlimited() -> Self {
-        Self::default()
-    }
-
     /// Builder-style wall-clock deadline.
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
-        self
-    }
-
-    /// Builder-style byte cap.
-    pub fn with_byte_cap(mut self, max_bytes: u64) -> Self {
-        self.max_bytes = Some(max_bytes);
-        self
-    }
-
-    /// Builder-style row cap.
-    pub fn with_row_cap(mut self, max_rows: u64) -> Self {
-        self.max_rows = Some(max_rows);
         self
     }
 
@@ -179,7 +162,7 @@ mod tests {
 
     #[test]
     fn unlimited_budget_never_trips() {
-        let token = RunBudget::unlimited().token();
+        let token = RunBudget::default().token();
         assert_eq!(token.check(), Ok(()));
         assert_eq!(token.charge_rows(1_000_000), Ok(()));
         assert_eq!(token.charge_bytes(usize::MAX / 2), Ok(()));
@@ -188,7 +171,7 @@ mod tests {
 
     #[test]
     fn row_cap_trips_deterministically_and_stays_tripped() {
-        let token = RunBudget::unlimited().with_row_cap(10).token();
+        let token = RunBudget { max_rows: Some(10), ..RunBudget::default() }.token();
         assert_eq!(token.charge_rows(10), Ok(()));
         assert_eq!(token.charge_rows(1), Err(BudgetExceeded::Rows));
         // Sticky: every later check reports the same first cause.
@@ -199,27 +182,28 @@ mod tests {
 
     #[test]
     fn byte_cap_trips() {
-        let token = RunBudget::unlimited().with_byte_cap(100).token();
+        let token = RunBudget { max_bytes: Some(100), ..RunBudget::default() }.token();
         assert_eq!(token.charge_bytes(64), Ok(()));
         assert_eq!(token.charge_bytes(64), Err(BudgetExceeded::Bytes));
     }
 
     #[test]
     fn zero_deadline_trips_at_first_check() {
-        let token = RunBudget::unlimited().with_deadline(Duration::ZERO).token();
+        let token = RunBudget::default().with_deadline(Duration::ZERO).token();
         assert_eq!(token.check(), Err(BudgetExceeded::Deadline));
         assert_eq!(token.charge_rows(0), Err(BudgetExceeded::Deadline));
     }
 
     #[test]
     fn generous_deadline_does_not_trip() {
-        let token = RunBudget::unlimited().with_deadline(Duration::from_secs(3600)).token();
+        let token = RunBudget::default().with_deadline(Duration::from_secs(3600)).token();
         assert_eq!(token.check(), Ok(()));
     }
 
     #[test]
     fn first_cause_wins_across_threads() {
-        let token = RunBudget::unlimited().with_row_cap(0).with_byte_cap(0).token();
+        let budget = RunBudget { max_rows: Some(0), max_bytes: Some(0), ..RunBudget::default() };
+        let token = budget.token();
         let causes: Vec<BudgetExceeded> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..8)
                 .map(|i| {

@@ -27,22 +27,17 @@
 //!   proceed in parallel, while racers on the *same* column wait on its
 //!   cell and exactly one builds. Per-range artifact builds lock only
 //!   their own column. [`GramCorpus::stats`] exposes the intern/build/hit
-//!   counters the differential tests and the `join_throughput` bench
-//!   assert on.
-//! * **Build failures are contained, retried when transient, and sticky
-//!   once exhausted.** Every lazy build runs under `catch_unwind` via
-//!   [`CorpusRetryPolicy`]: a *panicking* build (the transient class —
-//!   environmental, injected, or racy) is retried up to `max_attempts`
-//!   with `backoff` between attempts, while a *typed* build error (the
-//!   deterministic class — e.g. an [`ArenaError`] capacity overflow, a
-//!   pure function of the inputs) short-circuits on the first attempt.
-//!   Whatever the final outcome, it is recorded *in the cache entry*
-//!   instead of poisoning the lock, so one bad column fails exactly the
-//!   pairs that reference it — cleanly, via the `try_*` accessors — while
-//!   every other entry keeps serving. Corpus locks are taken through
+//!   counters the differential tests assert on.
+//! * **Build failures are contained and sticky.** Every lazy build runs
+//!   once, under `catch_unwind`: a *panicking* build and a *typed* build
+//!   error (e.g. an [`ArenaError`] capacity overflow) alike become a
+//!   [`CorpusFailure`] recorded *in the cache entry* instead of poisoning
+//!   the lock, so one bad column fails exactly the pairs that reference
+//!   it — cleanly, via the `try_*` accessors — while every other entry
+//!   keeps serving. Corpus locks are taken through
 //!   [`crate::fault::lock_recover`], so even an externally poisoned mutex
 //!   (exercised by the fault-injection harness) cannot take down later
-//!   hits. Failed entries and per-artifact attempt totals are counted in
+//!   hits. Failed entries and per-artifact build totals are counted in
 //!   [`CorpusStats`].
 //! * **Entries are evictable, for the serving layer.** A long-lived corpus
 //!   (the `tjoin-serve` resident cache) needs to bound memory:
@@ -72,7 +67,6 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Duration;
 
 /// The content fingerprint a corpus keys a column by: a length-seeded chain
 /// of every cell's [`fingerprint64`](crate::fingerprint::fingerprint64).
@@ -128,83 +122,21 @@ impl fmt::Display for CorpusFailure {
 
 impl std::error::Error for CorpusFailure {}
 
-/// Bounded retry policy for lazy corpus builds (ROADMAP fault-isolation
-/// headroom: sticky failures used to be recorded on the *first* panic,
-/// which turns a transient hiccup into a permanent per-(column, range)
-/// outage in a long-lived resident corpus).
-///
-/// The policy distinguishes the two failure classes a build can hit:
-///
-/// * **Transient** — the build *panicked*. Retried up to `max_attempts`
-///   total attempts, sleeping `backoff` between attempts. A build that
-///   exhausts every attempt is recorded sticky, same as before.
-/// * **Deterministic** — the build returned a *typed* error (an
-///   [`ArenaError`] capacity overflow): a pure function of the inputs that
-///   would fail identically forever. Short-circuits on the first attempt,
-///   never retried.
-///
-/// The default (`max_attempts: 1`, zero backoff) reproduces the historical
-/// fail-on-first-panic behaviour exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CorpusRetryPolicy {
-    /// Total build attempts (including the first); at least 1.
-    pub max_attempts: usize,
-    /// Sleep between consecutive attempts of one build.
-    pub backoff: Duration,
-}
-
-impl Default for CorpusRetryPolicy {
-    fn default() -> Self {
-        Self { max_attempts: 1, backoff: Duration::ZERO }
-    }
-}
-
-impl CorpusRetryPolicy {
-    /// A policy of `max_attempts` total attempts with `backoff` between
-    /// them. Panics when `max_attempts` is 0 (a build must run at least
-    /// once).
-    pub fn new(max_attempts: usize, backoff: Duration) -> Self {
-        assert!(max_attempts >= 1, "CorpusRetryPolicy requires at least one attempt");
-        Self { max_attempts, backoff }
-    }
-}
-
-/// Runs `build` under `policy`: panics are the transient class (retried),
-/// typed `Err`s the deterministic class (returned immediately). Returns the
-/// final outcome plus the number of attempts actually made — the count the
-/// `*_attempts` counters in [`CorpusStats`] aggregate.
-fn build_with_retry<A>(
-    policy: CorpusRetryPolicy,
+/// Runs one lazy artifact build with its panic contained: a panic becomes
+/// the artifact's [`CorpusFailure`], and a typed `Err` is returned as is.
+/// Either way the outcome is final — the caller records it in the cache
+/// entry, where it stays sticky.
+fn build_contained<A>(
     artifact: &'static str,
-    build: impl Fn() -> Result<A, CorpusFailure>,
-) -> (Result<A, CorpusFailure>, usize) {
-    let mut attempt = 0;
-    loop {
-        attempt += 1;
-        match catch_unwind(AssertUnwindSafe(&build)) {
-            // Ok(Ok) = success; Ok(Err) = deterministic typed failure —
-            // either way, the outcome is final on this attempt.
-            Ok(outcome) => return (outcome, attempt),
-            Err(payload) => {
-                if attempt >= policy.max_attempts {
-                    return (Err(CorpusFailure::new(artifact, payload)), attempt);
-                }
-                if !policy.backoff.is_zero() {
-                    std::thread::sleep(policy.backoff);
-                }
-            }
-        }
-    }
+    build: impl FnOnce() -> Result<A, CorpusFailure>,
+) -> Result<A, CorpusFailure> {
+    catch_unwind(AssertUnwindSafe(build))
+        .unwrap_or_else(|payload| Err(CorpusFailure::new(artifact, payload)))
 }
 
-/// A completed cache entry: the built artifact (or its sticky contained
-/// failure) plus how many build attempts it took — surfaced through
-/// [`CorpusStats`] so retry behaviour is observable.
-#[derive(Debug, Clone)]
-struct Built<A> {
-    result: Result<Arc<A>, CorpusFailure>,
-    attempts: usize,
-}
+/// A completed cache entry: the built artifact or its sticky contained
+/// failure.
+type Built<A> = Result<Arc<A>, CorpusFailure>;
 
 /// Intern/build/hit counters of a [`GramCorpus`] (see [`GramCorpus::stats`]).
 ///
@@ -214,9 +146,9 @@ struct Built<A> {
 /// per-call path would have re-run. The same applies to the stats/index
 /// pairs of counters. The `*_failed` counters record sticky build failures
 /// (always 0 outside fault injection and pathological inputs), and the
-/// `*_attempts` counters total the build attempts behind the cached
-/// entries, so `column_attempts > columns_interned + columns_failed` means
-/// the retry policy absorbed transient failures.
+/// `*_attempts` counters total the builds run for the cached entries: each
+/// entry is built once, so an artifact's attempts equal its built plus
+/// failed count.
 ///
 /// The snapshot covers the **currently resident** entries plus the
 /// corpus-lifetime `column_hits` counter: evicting an entry (see
@@ -243,13 +175,12 @@ pub struct CorpusStats {
     pub stats_failed: usize,
     /// `NGramIndex` builds recorded as sticky failures.
     pub indexes_failed: usize,
-    /// Total column build attempts behind the resident entries (≥
-    /// `columns_interned + columns_failed`; the excess is retried
-    /// transient failures).
+    /// Total column builds behind the resident entries
+    /// (`columns_interned + columns_failed`).
     pub column_attempts: usize,
-    /// Total `ColumnStats` build attempts behind the resident entries.
+    /// Total `ColumnStats` builds behind the resident entries.
     pub stats_attempts: usize,
-    /// Total `NGramIndex` build attempts behind the resident entries.
+    /// Total `NGramIndex` builds behind the resident entries.
     pub index_attempts: usize,
     /// Distinct `(column, n_min)` `ColumnSignature`s built.
     pub signatures_built: usize,
@@ -257,20 +188,12 @@ pub struct CorpusStats {
     pub signature_hits: usize,
     /// `ColumnSignature` builds recorded as sticky failures.
     pub signatures_failed: usize,
-    /// Total `ColumnSignature` build attempts behind the resident entries.
+    /// Total `ColumnSignature` builds behind the resident entries.
     pub signature_attempts: usize,
 }
 
-impl CorpusStats {
-    /// Whole-column normalization passes the corpus avoided relative to the
-    /// per-call path (one per cache hit).
-    pub fn normalizations_saved(&self) -> usize {
-        self.column_hits
-    }
-}
-
 /// A per-size-range artifact cache: the built artifact or its sticky
-/// contained failure (plus its attempt count), keyed by `(n_min, n_max)`
+/// contained failure, keyed by `(n_min, n_max)`
 /// — or by `n_min` alone for signatures, which read no other size.
 type ArtifactCache<A, K = (usize, usize)> = FxHashMap<K, Built<A>>;
 
@@ -282,7 +205,6 @@ type ArtifactCache<A, K = (usize, usize)> = FxHashMap<K, Built<A>>;
 #[derive(Debug)]
 pub struct CorpusColumn {
     normalized: ColumnArena,
-    retry: CorpusRetryPolicy,
     stats: Mutex<ArtifactCache<ColumnStats>>,
     indexes: Mutex<ArtifactCache<NGramIndex>>,
     signatures: Mutex<ArtifactCache<ColumnSignature, usize>>,
@@ -292,14 +214,9 @@ pub struct CorpusColumn {
 }
 
 impl CorpusColumn {
-    fn build<C: CellText + ?Sized>(
-        raw: &C,
-        options: &NormalizeOptions,
-        retry: CorpusRetryPolicy,
-    ) -> Result<Self, ArenaError> {
+    fn build<C: CellText + ?Sized>(raw: &C, options: &NormalizeOptions) -> Result<Self, ArenaError> {
         Ok(Self {
             normalized: ColumnArena::try_normalized(raw, options)?,
-            retry,
             stats: Mutex::new(FxHashMap::default()),
             indexes: Mutex::new(FxHashMap::default()),
             signatures: Mutex::new(FxHashMap::default()),
@@ -321,28 +238,21 @@ impl CorpusColumn {
     /// artifact and contribute nothing.
     pub fn approximate_bytes(&self) -> usize {
         let mut bytes = self.normalized.approximate_bytes();
-        for built in fault::lock_recover(&self.stats).values() {
-            if let Ok(stats) = &built.result {
-                bytes += stats.approximate_bytes();
-            }
+        for stats in fault::lock_recover(&self.stats).values().flatten() {
+            bytes += stats.approximate_bytes();
         }
-        for built in fault::lock_recover(&self.indexes).values() {
-            if let Ok(index) = &built.result {
-                bytes += index.approximate_bytes();
-            }
+        for index in fault::lock_recover(&self.indexes).values().flatten() {
+            bytes += index.approximate_bytes();
         }
-        for built in fault::lock_recover(&self.signatures).values() {
-            if let Ok(signature) = &built.result {
-                bytes += signature.approximate_bytes();
-            }
+        for signature in fault::lock_recover(&self.signatures).values().flatten() {
+            bytes += signature.approximate_bytes();
         }
         bytes
     }
 
     /// The column's [`ColumnStats`] over grams of sizes `n_min..=n_max`,
     /// built on first request and cached (exactly-once under concurrency).
-    /// A panicking build is retried per the corpus's [`CorpusRetryPolicy`];
-    /// once attempts are exhausted it is contained and recorded as a sticky
+    /// A panicking build is contained and recorded as a sticky
     /// [`CorpusFailure`] served to every requester of this entry; the cache
     /// lock is never poisoned by it.
     pub fn try_stats(&self, n_min: usize, n_max: usize) -> Result<Arc<ColumnStats>, CorpusFailure> {
@@ -352,13 +262,13 @@ impl CorpusColumn {
         let mut cache = fault::lock_recover(&self.stats);
         if let Some(entry) = cache.get(&(n_min, n_max)) {
             self.stats_hits.fetch_add(1, Ordering::Relaxed);
-            return entry.result.clone();
+            return entry.clone();
         }
-        let (result, attempts) = build_with_retry(self.retry, "stats", || {
+        let result = build_contained("stats", || {
             fault::fire(FaultSite::CorpusStatsBuild);
             Ok(Arc::new(ColumnStats::build_on(&self.normalized, n_min, n_max)))
         });
-        cache.insert((n_min, n_max), Built { result: result.clone(), attempts });
+        cache.insert((n_min, n_max), result.clone());
         result
     }
 
@@ -372,15 +282,15 @@ impl CorpusColumn {
         let mut cache = fault::lock_recover(&self.indexes);
         if let Some(entry) = cache.get(&(n_min, n_max)) {
             self.index_hits.fetch_add(1, Ordering::Relaxed);
-            return entry.result.clone();
+            return entry.clone();
         }
-        let (result, attempts) = build_with_retry(self.retry, "index", || {
+        let result = build_contained("index", || {
             fault::fire(FaultSite::CorpusIndexBuild);
             NGramIndex::try_build_on(&self.normalized, n_min, n_max)
                 .map(Arc::new)
                 .map_err(|e| CorpusFailure::from_arena("index", e))
         });
-        cache.insert((n_min, n_max), Built { result: result.clone(), attempts });
+        cache.insert((n_min, n_max), result.clone());
         result
     }
 
@@ -401,13 +311,13 @@ impl CorpusColumn {
         let mut cache = fault::lock_recover(&self.signatures);
         if let Some(entry) = cache.get(&n_min) {
             self.signature_hits.fetch_add(1, Ordering::Relaxed);
-            return entry.result.clone();
+            return entry.clone();
         }
-        let (result, attempts) = build_with_retry(self.retry, "signature", || {
+        let result = build_contained("signature", || {
             fault::fire(FaultSite::CorpusSignatureBuild);
             Ok(Arc::new(ColumnSignature::build(&self.normalized, n_min)))
         });
-        cache.insert(n_min, Built { result: result.clone(), attempts });
+        cache.insert(n_min, result.clone());
         result
     }
 
@@ -419,8 +329,8 @@ impl CorpusColumn {
 }
 
 /// A cached intern cell: exactly one racer builds, and what it records —
-/// the built column or its contained failure, plus the attempt count — is
-/// what every requester of this fingerprint observes from then on.
+/// the built column or its contained failure — is what every requester of
+/// this fingerprint observes from then on.
 type ColumnCell = OnceLock<Built<CorpusColumn>>;
 
 /// A repository-wide interned corpus of column text (see the module docs).
@@ -436,7 +346,6 @@ type ColumnCell = OnceLock<Built<CorpusColumn>>;
 #[derive(Debug)]
 pub struct GramCorpus {
     options: NormalizeOptions,
-    retry: CorpusRetryPolicy,
     columns: Mutex<FxHashMap<u64, Arc<ColumnCell>>>,
     column_hits: AtomicUsize,
     /// Debug-build collision check: the raw cells behind every fingerprint,
@@ -449,18 +358,10 @@ pub struct GramCorpus {
 }
 
 impl GramCorpus {
-    /// Creates an empty corpus normalizing with `options`, under the
-    /// default (no-retry) build policy.
+    /// Creates an empty corpus normalizing with `options`.
     pub fn new(options: NormalizeOptions) -> Self {
-        Self::with_retry(options, CorpusRetryPolicy::default())
-    }
-
-    /// Creates an empty corpus normalizing with `options` whose lazy builds
-    /// run under `retry` (see [`CorpusRetryPolicy`]).
-    pub fn with_retry(options: NormalizeOptions, retry: CorpusRetryPolicy) -> Self {
         Self {
             options,
-            retry,
             columns: Mutex::new(FxHashMap::default()),
             column_hits: AtomicUsize::new(0),
             #[cfg(debug_assertions)]
@@ -526,20 +427,19 @@ impl GramCorpus {
         let mut built = false;
         let entry = cell.get_or_init(|| {
             built = true;
-            let (result, attempts) = build_with_retry(self.retry, "column", || {
+            build_contained("column", || {
                 fault::fire(FaultSite::CorpusColumnBuild);
-                CorpusColumn::build(raw, &self.options, self.retry)
+                CorpusColumn::build(raw, &self.options)
                     .map(Arc::new)
                     .map_err(|e| CorpusFailure::from_arena("column", e))
-            });
-            Built { result, attempts }
+            })
         });
         if !built {
             // Served from cache (whether the cell pre-existed or another
             // racer built it first): one whole-column normalization saved.
             self.column_hits.fetch_add(1, Ordering::Relaxed);
         }
-        entry.result.clone()
+        entry.clone()
     }
 
     /// Infallible [`Self::try_column`]: panics with the recorded failure's
@@ -553,7 +453,7 @@ impl GramCorpus {
     pub fn column_count(&self) -> usize {
         fault::lock_recover(&self.columns)
             .values()
-            .filter(|cell| matches!(cell.get(), Some(built) if built.result.is_ok()))
+            .filter(|cell| matches!(cell.get(), Some(Ok(_))))
             .count()
     }
 
@@ -567,11 +467,8 @@ impl GramCorpus {
         let mut entries: Vec<(u64, usize)> = columns
             .iter()
             .filter_map(|(&fingerprint, cell)| match cell.get() {
-                Some(built) => match &built.result {
-                    Ok(column) => Some((fingerprint, column.approximate_bytes())),
-                    Err(_) => None,
-                },
-                None => None,
+                Some(Ok(column)) => Some((fingerprint, column.approximate_bytes())),
+                _ => None,
             })
             .collect();
         entries.sort_unstable_by_key(|&(fingerprint, _)| fingerprint);
@@ -589,10 +486,7 @@ impl GramCorpus {
     /// resident (the serving layer's hit test).
     pub fn contains(&self, fingerprint: u64) -> bool {
         let columns = fault::lock_recover(&self.columns);
-        matches!(
-            columns.get(&fingerprint).and_then(|cell| cell.get()),
-            Some(built) if built.result.is_ok()
-        )
+        matches!(columns.get(&fingerprint).and_then(|cell| cell.get()), Some(Ok(_)))
     }
 
     /// Evicts the completed entry for `fingerprint`, returning the
@@ -608,10 +502,8 @@ impl GramCorpus {
         let mut columns = fault::lock_recover(&self.columns);
         let freed = match columns.get(&fingerprint) {
             Some(cell) => match cell.get() {
-                Some(built) => match &built.result {
-                    Ok(column) => column.approximate_bytes(),
-                    Err(_) => 0,
-                },
+                Some(Ok(column)) => column.approximate_bytes(),
+                Some(Err(_)) => 0,
                 None => return None, // in-flight build: not evictable
             },
             None => return None,
@@ -633,8 +525,8 @@ impl GramCorpus {
             ..CorpusStats::default()
         };
         for entry in columns.values().filter_map(|cell| cell.get()) {
-            stats.column_attempts += entry.attempts;
-            let column = match &entry.result {
+            stats.column_attempts += 1;
+            let column = match entry {
                 Ok(column) => column,
                 Err(_) => {
                     stats.columns_failed += 1;
@@ -643,24 +535,24 @@ impl GramCorpus {
             };
             stats.columns_interned += 1;
             for built in fault::lock_recover(&column.stats).values() {
-                stats.stats_attempts += built.attempts;
-                match &built.result {
+                stats.stats_attempts += 1;
+                match built {
                     Ok(_) => stats.stats_built += 1,
                     Err(_) => stats.stats_failed += 1,
                 }
             }
             stats.stats_hits += column.stats_hits.load(Ordering::Relaxed);
             for built in fault::lock_recover(&column.indexes).values() {
-                stats.index_attempts += built.attempts;
-                match &built.result {
+                stats.index_attempts += 1;
+                match built {
                     Ok(_) => stats.indexes_built += 1,
                     Err(_) => stats.indexes_failed += 1,
                 }
             }
             stats.index_hits += column.index_hits.load(Ordering::Relaxed);
             for built in fault::lock_recover(&column.signatures).values() {
-                stats.signature_attempts += built.attempts;
-                match &built.result {
+                stats.signature_attempts += 1;
+                match built {
                     Ok(_) => stats.signatures_built += 1,
                     Err(_) => stats.signatures_failed += 1,
                 }
@@ -715,7 +607,6 @@ mod tests {
         let stats = corpus.stats();
         assert_eq!(stats.columns_interned, 1);
         assert_eq!(stats.column_hits, 1);
-        assert_eq!(stats.normalizations_saved(), 1);
         let failed =
             stats.columns_failed + stats.stats_failed + stats.indexes_failed + stats.signatures_failed;
         assert_eq!(failed, 0);
@@ -937,61 +828,22 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_failures_short_circuit_retry() {
-        use std::cell::Cell;
-        // A typed error is a pure function of the inputs: even a generous
-        // policy must not re-run the build.
-        let calls = Cell::new(0usize);
-        let policy = CorpusRetryPolicy::new(5, Duration::ZERO);
-        let (result, attempts) = build_with_retry::<CorpusColumn>(policy, "column", || {
-            calls.set(calls.get() + 1);
-            Err(CorpusFailure::from_arena(
-                "column",
-                ArenaError::RowCountOverflow { rows: 7 },
-            ))
-        });
-        assert!(result.is_err());
-        assert_eq!(attempts, 1);
-        assert_eq!(calls.get(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one attempt")]
-    fn zero_attempt_policy_rejected() {
-        let _ = CorpusRetryPolicy::new(0, Duration::ZERO);
+    fn typed_build_errors_are_returned_as_is() {
+        let failure = build_contained::<CorpusColumn>("column", || {
+            Err(CorpusFailure::from_arena("column", ArenaError::RowCountOverflow { rows: 7 }))
+        })
+        .unwrap_err();
+        assert_eq!(failure.artifact, "column");
+        let panicked =
+            build_contained::<CorpusColumn>("stats", || panic!("boom")).unwrap_err();
+        assert_eq!(panicked, CorpusFailure { artifact: "stats", message: "boom".into() });
     }
 
     #[cfg(feature = "fault-injection")]
     #[test]
-    fn transient_panic_recovers_under_retry() {
+    fn panicking_build_is_sticky_after_one_attempt() {
         use crate::fault::{FaultKind, FaultPlan};
-        let corpus = GramCorpus::with_retry(
-            NormalizeOptions::default(),
-            CorpusRetryPolicy::new(3, Duration::ZERO),
-        );
-        // Panic once, then succeed: the transient shape the retry policy
-        // exists for.
-        let plan =
-            FaultPlan::new().inject_limited(0, FaultSite::CorpusColumnBuild, FaultKind::Panic, 1);
-        let raw = col(&["abcdef", "abcxyz"]);
-        let entry = fault::with_pair_scope(&plan, 0, || corpus.try_column(&raw))
-            .expect("transient failure recovers");
-        assert_eq!(entry.normalized().cell(0), "abcdef");
-        let stats = corpus.stats();
-        assert_eq!(stats.columns_interned, 1);
-        assert_eq!(stats.columns_failed, 0);
-        assert_eq!(stats.column_attempts, 2); // one absorbed panic + success
-    }
-
-    #[cfg(feature = "fault-injection")]
-    #[test]
-    fn exhausted_retries_stay_sticky() {
-        use crate::fault::{FaultKind, FaultPlan};
-        let corpus = GramCorpus::with_retry(
-            NormalizeOptions::default(),
-            CorpusRetryPolicy::new(3, Duration::ZERO),
-        );
-        // Unlimited panic: every attempt fails, the failure goes sticky.
+        let corpus = GramCorpus::new(NormalizeOptions::default());
         let plan = FaultPlan::new().inject(0, FaultSite::CorpusStatsBuild, FaultKind::Panic);
         let entry = corpus.column(&col(&["abcdef", "abcxyz"]));
         let failure =
@@ -1002,25 +854,26 @@ mod tests {
         assert_eq!(entry.try_stats(2, 4).unwrap_err(), failure);
         let stats = corpus.stats();
         assert_eq!(stats.stats_failed, 1);
-        assert_eq!(stats.stats_attempts, 3); // every allowed attempt ran
+        assert_eq!(stats.stats_attempts, 1);
     }
 
     #[cfg(feature = "fault-injection")]
     #[test]
     fn slow_faults_are_absorbed_in_one_attempt() {
         use crate::fault::{FaultKind, FaultPlan};
+        use std::time::Duration;
         let corpus = GramCorpus::new(NormalizeOptions::default());
-        let plan = FaultPlan::new().inject_limited(
+        let plan = FaultPlan::new().inject(
             0,
             FaultSite::CorpusIndexBuild,
             FaultKind::Slow(Duration::from_millis(1)),
-            1,
         );
         let entry = corpus.column(&col(&["abcdef"]));
         let index = fault::with_pair_scope(&plan, 0, || entry.try_index(2, 3)).unwrap();
         assert_eq!(index.rows_containing("abc"), &[0]);
-        // Slowness is not failure: one attempt, nothing retried.
-        assert_eq!(corpus.stats().index_attempts, 1);
+        // Slowness is not failure: one build, nothing failed.
+        let stats = corpus.stats();
+        assert_eq!((stats.index_attempts, stats.indexes_failed), (1, 0));
     }
 
     #[test]

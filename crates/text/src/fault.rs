@@ -89,17 +89,12 @@ pub enum FaultKind {
     PoisonLock,
 }
 
-/// One registered fault: `(pair, site, kind)` plus an optional *fire
-/// budget* — `None` fires on every visit (the original semantics),
-/// `Some(n)` fires on the first `n` visits of its scope and then goes
-/// inert, which is how transient failures ("panic once, then succeed")
-/// are modeled for the corpus retry policy.
+/// One registered fault: `(pair, site, kind)`, firing on every visit.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct FaultSpec {
     pair: usize,
     site: FaultSite,
     kind: FaultKind,
-    budget: Option<usize>,
 }
 
 /// A deterministic injection plan: faults keyed by `(pair index, site)`.
@@ -118,29 +113,12 @@ impl FaultPlan {
 
     /// Builder-style: injects `kind` when `pair` reaches `site`.
     pub fn inject(mut self, pair: usize, site: FaultSite, kind: FaultKind) -> Self {
-        self.faults.push(FaultSpec { pair, site, kind, budget: None });
+        self.faults.push(FaultSpec { pair, site, kind });
         self
     }
 
-    /// Builder-style: injects `kind` for the first `times` visits of
-    /// `(pair, site)` within one scope, then goes inert — the
-    /// fail-then-succeed shape the corpus retry policy's transient-recovery
-    /// gate injects. Fire counts are per [`with_pair_scope`] activation, so
-    /// the same plan replayed on a fresh scope fires again.
-    pub fn inject_limited(
-        mut self,
-        pair: usize,
-        site: FaultSite,
-        kind: FaultKind,
-        times: usize,
-    ) -> Self {
-        self.faults.push(FaultSpec { pair, site, kind, budget: Some(times) });
-        self
-    }
-
-    /// The fault registered for `(pair, site)`, if any (first entry wins,
-    /// ignoring fire budgets — this is the static plan lookup the batch
-    /// runner uses for slot poisoning, not the consuming scope lookup).
+    /// The fault registered for `(pair, site)`, if any (first entry wins) —
+    /// the static plan lookup the batch runner uses for slot poisoning.
     pub fn fault_for(&self, pair: usize, site: FaultSite) -> Option<FaultKind> {
         self.faults
             .iter()
@@ -196,12 +174,10 @@ mod active {
     use super::FaultPlan;
     use std::cell::RefCell;
 
-    /// The scope active on a thread: the pair index, the plan, and one
-    /// fire count per plan entry (consumed by budget-limited faults).
+    /// The scope active on a thread: the pair index and the plan.
     pub(super) struct Scope {
         pub(super) pair: usize,
         pub(super) plan: FaultPlan,
-        pub(super) fired: Vec<usize>,
     }
 
     thread_local! {
@@ -227,11 +203,7 @@ pub fn with_pair_scope<R>(plan: &FaultPlan, pair: usize, f: impl FnOnce() -> R) 
     #[cfg(feature = "fault-injection")]
     {
         active::SCOPE.with(|s| {
-            *s.borrow_mut() = Some(active::Scope {
-                pair,
-                plan: plan.clone(),
-                fired: vec![0; plan.faults.len()],
-            })
+            *s.borrow_mut() = Some(active::Scope { pair, plan: plan.clone() })
         });
         let _guard = active::ScopeGuard;
         f()
@@ -243,36 +215,24 @@ pub fn with_pair_scope<R>(plan: &FaultPlan, pair: usize, f: impl FnOnce() -> R) 
     }
 }
 
-/// Consuming scope lookup: the first `(pair, site)` entry whose fire budget
-/// is not yet exhausted. Unlimited entries (`budget: None`) always match;
-/// limited entries count this visit against their budget. `want_poison`
-/// selects the kind class — [`should_poison`] must only consume
-/// `PoisonLock` budgets and [`fire`] must only consume the rest, otherwise
-/// a lock-owning site's poison probe would silently eat a limited
-/// `Panic`/`Slow` fire before the build reaches it.
+/// Scope lookup: the active pair's first entry for `site` whose kind class
+/// matches — `PoisonLock` for [`should_poison`], every other kind for
+/// [`fire`] — so one site can both poison its lock and panic its build.
 #[cfg(feature = "fault-injection")]
 fn active_fault(site: FaultSite, want_poison: bool) -> Option<(usize, FaultKind)> {
     active::SCOPE.with(|s| {
-        let mut scope = s.borrow_mut();
-        let scope = scope.as_mut()?;
-        for i in 0..scope.plan.faults.len() {
-            let spec = scope.plan.faults[i]; // FaultSpec is Copy
-            if spec.pair != scope.pair || spec.site != site {
-                continue;
-            }
-            if (spec.kind == FaultKind::PoisonLock) != want_poison {
-                continue;
-            }
-            match spec.budget {
-                None => return Some((scope.pair, spec.kind)),
-                Some(budget) if scope.fired[i] < budget => {
-                    scope.fired[i] += 1;
-                    return Some((scope.pair, spec.kind));
-                }
-                Some(_) => {} // exhausted: fall through to later entries
-            }
-        }
-        None
+        let scope = s.borrow();
+        let scope = scope.as_ref()?;
+        scope
+            .plan
+            .faults
+            .iter()
+            .find(|spec| {
+                spec.pair == scope.pair
+                    && spec.site == site
+                    && (spec.kind == FaultKind::PoisonLock) == want_poison
+            })
+            .map(|spec| (scope.pair, spec.kind))
     })
 }
 
@@ -372,32 +332,6 @@ mod tests {
         assert_eq!(panic_message(&*payload), "injected panic at MatchPhase (pair 2)");
         // The scope was reset despite the unwind.
         fire(FaultSite::MatchPhase);
-    }
-
-    #[cfg(feature = "fault-injection")]
-    #[test]
-    fn limited_fault_fires_then_goes_inert_per_scope() {
-        let plan = FaultPlan::new().inject_limited(0, FaultSite::CorpusColumnBuild, FaultKind::Panic, 2);
-        // Static lookup ignores budgets.
-        assert_eq!(plan.fault_for(0, FaultSite::CorpusColumnBuild), Some(FaultKind::Panic));
-        let visits_until_quiet = || {
-            with_pair_scope(&plan, 0, || {
-                let mut fired = 0;
-                for _ in 0..5 {
-                    // Poison probes at the same site must not consume the
-                    // Panic budget (lock-owning sites probe before building).
-                    assert!(!should_poison(FaultSite::CorpusColumnBuild));
-                    if std::panic::catch_unwind(|| fire(FaultSite::CorpusColumnBuild)).is_err() {
-                        fired += 1;
-                    }
-                }
-                fired
-            })
-        };
-        // First scope: exactly the budgeted two visits panic, then inert.
-        assert_eq!(visits_until_quiet(), 2);
-        // A fresh scope re-arms the budget.
-        assert_eq!(visits_until_quiet(), 2);
     }
 
     #[cfg(feature = "fault-injection")]

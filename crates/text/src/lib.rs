@@ -106,8 +106,8 @@ pub use arena::{checked_row_count, ArenaError, CellText, Cells, ColumnArena};
 pub use budget::{BudgetExceeded, BudgetToken, RunBudget};
 pub use common::{common_substring_matches, lcs_ratio, longest_common_substring, CommonMatch};
 pub use corpus::{
-    column_fingerprint, column_fingerprint_on, CorpusColumn, CorpusFailure, CorpusRetryPolicy,
-    CorpusStats, GramCorpus, ServeStats,
+    column_fingerprint, column_fingerprint_on, CorpusColumn, CorpusFailure, CorpusStats,
+    GramCorpus, ServeStats,
 };
 pub use fault::{FaultKind, FaultPlan, FaultSite};
 pub use fingerprint::{fingerprint64, fingerprint64_chain};

@@ -7,7 +7,7 @@
 //! every character boundary once, making every subsequent character-range
 //! slice O(1). The synthesis engine builds one `CharStr` per row and applies
 //! thousands to millions of candidate units against it, so this caching is on
-//! the hot path (see the `units` Criterion bench).
+//! the hot path.
 
 use std::fmt;
 use std::ops::Range;

@@ -23,11 +23,6 @@ impl Transformation {
         Self { units }
     }
 
-    /// A transformation consisting of a single unit.
-    pub fn single(unit: Unit) -> Self {
-        Self { units: vec![unit] }
-    }
-
     /// The units of the transformation, in application order.
     pub fn units(&self) -> &[Unit] {
         &self.units
@@ -346,11 +341,11 @@ mod tests {
     #[test]
     fn set_coverage_accounting() {
         let t1 = CoveredTransformation {
-            transformation: Transformation::single(Unit::substr(0, 1)),
+            transformation: Transformation::new(vec![Unit::substr(0, 1)]),
             covered_rows: vec![0, 1, 2],
         };
         let t2 = CoveredTransformation {
-            transformation: Transformation::single(Unit::substr(0, 2)),
+            transformation: Transformation::new(vec![Unit::substr(0, 2)]),
             covered_rows: vec![2, 3],
         };
         let set = TransformationSet {
@@ -384,7 +379,7 @@ mod tests {
     #[test]
     fn support_filter() {
         let mk = |rows: Vec<u32>| CoveredTransformation {
-            transformation: Transformation::single(Unit::substr(0, 1)),
+            transformation: Transformation::new(vec![Unit::substr(0, 1)]),
             covered_rows: rows,
         };
         let set = TransformationSet {

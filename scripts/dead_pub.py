@@ -4,12 +4,11 @@
 A `pub fn/struct/enum/type/const/trait` defined in a non-shim crate is dead
 when its name appears in no non-test source except its own definition and
 `pub use` re-exports. Non-test source is every `.rs` file under `src`,
-`examples`, `perfbench/src`, `crates/*/src` (shims excluded) and
-`crates/bench/benches`, minus `#[cfg(test)]` items such as in-file
-`mod tests`. Items inside a `reference` module are oracles and are never
-flagged. The check matches names, not paths, so two items that share a name
-hide each other, and an item named inside its own impl looks used; it
-undercounts, it does not overcount.
+`examples`, `perfbench/src` and `crates/*/src` (shims excluded), minus
+`#[cfg(test)]` items such as in-file `mod tests`. Items inside a `reference`
+module are oracles and are never flagged. The check matches names, not
+paths, so two items that share a name hide each other, and an item named
+inside its own impl looks used; it undercounts, it does not overcount.
 
 Usage: python3 scripts/dead_pub.py
 Exits 1 and lists the items when any is dead or an ALLOW entry is stale.
@@ -24,7 +23,6 @@ import sys
 # only shrinks when its items gain callers or go.
 ALLOW = {
     "inject": "test harness of fault injection, a documented feature",
-    "inject_limited": "test harness of fault injection, a documented feature",
     "with_deadline": "test harness of the run budget, a documented feature",
     "with_budget": "test harness of the batch budget, a documented feature",
     "run_with_faults": "test harness of batch fault isolation, a documented feature",
@@ -51,7 +49,6 @@ def source_files():
         if name == "shims":
             continue
         tops.append(os.path.join("crates", name, "src"))
-    tops.append(os.path.join("crates", "bench", "benches"))
     for top in tops:
         may_define = top == "src" or top.startswith("crates") and top.endswith("src")
         for dirpath, _, files in os.walk(os.path.join(ROOT, top)):

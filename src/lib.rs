@@ -53,8 +53,7 @@ pub mod prelude {
     pub use tjoin_baselines::{AutoFuzzyJoin, AutoFuzzyJoinConfig, AutoJoin, AutoJoinConfig};
     pub use tjoin_core::{SynthesisConfig, SynthesisEngine, SynthesisResult};
     pub use tjoin_datasets::{
-        BenchmarkKind, ColumnPair, DatasetError, RepositoryConfig, SyntheticConfig, Table,
-        TablePair,
+        ColumnPair, DatasetError, RepositoryConfig, SyntheticConfig, Table, TablePair,
     };
     pub use tjoin_join::{
         BatchFaultStats, BatchJoinOutcome, BatchJoinRunner, BatchSchedulerStats,
@@ -74,13 +73,13 @@ mod tests {
 
     #[test]
     fn prelude_reexports_are_usable() {
-        let t = Transformation::single(Unit::substr(0, 2));
+        let t = Transformation::new(vec![Unit::substr(0, 2)]);
         assert_eq!(t.apply("abc").as_deref(), Some("ab"));
         let _ = SynthesisConfig::default();
         let _ = NGramMatcherConfig::default();
         let _ = JoinPipelineConfig::paper_default();
         assert_eq!(MatchingMode::Golden.label(), "Golden");
-        let budget = RunBudget::unlimited().with_row_cap(10);
+        let budget = RunBudget { max_rows: Some(10), ..RunBudget::default() };
         assert!(budget.token().charge_rows(11).is_err());
         assert!(PairStatus::Ok.is_ok());
         assert!(FaultPlan::new().is_empty());

@@ -35,7 +35,7 @@ fn synthetic_ground_truth_recovered() {
 /// n-gram matching, and a better one with golden matching.
 #[test]
 fn web_table_pair_end_to_end() {
-    let pairs = BenchmarkKind::WebTables.generate(3);
+    let pairs = tabjoin::datasets::realistic::web_tables(3);
     // The name-abbreviation topic is the paper's running example.
     let pair = pairs
         .iter()
@@ -68,7 +68,7 @@ fn web_table_pair_end_to_end() {
 /// (the property driving the paper's numbers on that benchmark).
 #[test]
 fn spreadsheet_tasks_single_rule() {
-    let pairs = BenchmarkKind::Spreadsheet.generate(5);
+    let pairs = tabjoin::datasets::realistic::spreadsheet(5);
     let engine = SynthesisEngine::new(SynthesisConfig::spreadsheet());
     let mut single_rule = 0usize;
     let mut checked = 0usize;

@@ -123,8 +123,12 @@ fn pruning_statistics_have_the_papers_shape() {
         .collect();
     let pruned =
         SynthesisEngine::new(SynthesisConfig::default()).discover_from_strings(&synth_rows);
-    let unpruned = SynthesisEngine::new(SynthesisConfig::default().without_pruning())
-        .discover_from_strings(&synth_rows);
+    let unpruned = SynthesisEngine::new(SynthesisConfig {
+        deduplicate: false,
+        unit_cache: false,
+        ..SynthesisConfig::default()
+    })
+    .discover_from_strings(&synth_rows);
     assert!((pruned.set_coverage() - unpruned.set_coverage()).abs() < 1e-9);
     assert!((pruned.top_coverage() - unpruned.top_coverage()).abs() < 1e-9);
 }

@@ -108,8 +108,12 @@ proptest! {
     fn pruning_is_lossless(rows in formatted_rows()) {
         let pruned = SynthesisEngine::new(SynthesisConfig::default())
             .discover_from_strings(&rows);
-        let unpruned = SynthesisEngine::new(SynthesisConfig::default().without_pruning())
-            .discover_from_strings(&rows);
+        let unpruned = SynthesisEngine::new(SynthesisConfig {
+            deduplicate: false,
+            unit_cache: false,
+            ..SynthesisConfig::default()
+        })
+        .discover_from_strings(&rows);
         prop_assert!((pruned.set_coverage() - unpruned.set_coverage()).abs() < 1e-9);
         prop_assert!((pruned.top_coverage() - unpruned.top_coverage()).abs() < 1e-9);
     }
