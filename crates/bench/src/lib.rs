@@ -19,7 +19,8 @@
 //! paper's dataset sizes; the default "quick" scale exercises the identical
 //! code paths on smaller slices so the whole suite finishes in minutes on a
 //! laptop. Binaries print TSV-like rows with the paper's reported values
-//! alongside ours where applicable; `EXPERIMENTS.md` records a run.
+//! alongside ours where applicable; `crates/bench/tests/golden/` holds the
+//! quick-scale Table 1 and Table 4 reports.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

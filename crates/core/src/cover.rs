@@ -27,33 +27,22 @@
 //! its candidate's true gain. When the popped top entry is fresh, its key is
 //! ≥ every cached key ≥ every true key — it is the exact argmax the rescan
 //! loop would have found, stale entries elsewhere in the heap
-//! notwithstanding. Tie-breaking (equal gain → fewer units → lexicographic →
-//! first in input order) is resolved in two regimes:
+//! notwithstanding.
 //!
-//! * **Small tie groups** (the overwhelmingly common case): the heap orders
-//!   by (gain, unit count, input index) and the lexicographic leg is
-//!   resolved at pop time over the fresh (gain, len) tie group only, with
-//!   rendered strings memoized per candidate — candidates that never tie at
-//!   the top never pay a string render.
-//! * **Giant tie groups** (the all-ties worst case, which previously
-//!   re-popped, refreshed, and re-compared the whole surviving group every
-//!   round — quadratic pops): the first time a tie group reaches
-//!   `INTERN_TIE_THRESHOLD`, every remaining candidate's rendering is
-//!   *interned once* into a dense rank id (sort the strings, equal strings
-//!   share a rank, so rank order *is* lexicographic order) and the heap is
-//!   rebuilt to order by (gain, unit count, string rank, input index). The
-//!   full tie-break chain now lives in the key, gain is its only mutable
-//!   component, and every later round is a single pop — the worst case is
-//!   bounded by one O(n log n) intern.
+//! The tie-break chain (equal gain → fewer units → lexicographic → first in
+//! input order) never changes between rounds, so it is fixed once: the
+//! candidates are sorted by (unit count, rendering, input index) before the
+//! heap is built, and a candidate's position in that order is the whole
+//! tie-break. The heap key is (gain, earlier position) and gain is its only
+//! mutable part, so each round's winner is simply the first fresh pop.
 //!
 //! The selected set is bit-identical — same transformations, same order,
 //! same covered rows — to the retained quadratic oracle in
-//! [`reference::greedy_cover_reference`] in both regimes; the differential
-//! suite in `tests/proptest_selection.rs` and the threshold-crossing
-//! all-ties regression pin this.
+//! [`reference::greedy_cover_reference`]; the differential suite in
+//! `tests/proptest_selection.rs` pins this.
 
 use crate::bitmap::RowBitmap;
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use tjoin_units::{CoveredTransformation, Transformation, TransformationSet};
 
@@ -80,14 +69,10 @@ impl ScoredTransformation {
     }
 }
 
-/// The minimum covered-row count implied by a `min_support` fraction over
-/// `total_rows` (never below 1: zero-coverage candidates are always dropped).
-///
-/// The engine's selection filter applies it to the sparse coverage lists
-/// before densification, together with the single-row all-literal rule.
-pub fn min_rows_for_support(total_rows: usize, min_support: f64) -> usize {
-    ((min_support * total_rows as f64).ceil() as usize).max(1)
-}
+/// The engine's selection filter applies the support floor to the sparse
+/// coverage lists before densification, together with the single-row
+/// all-literal rule.
+pub use tjoin_units::min_rows_for_support;
 
 /// The `k` transformations with the largest coverage, ties broken toward
 /// fewer units, then lexicographically, then by input order (stable sort).
@@ -113,56 +98,6 @@ pub fn top_k(candidates: &[ScoredTransformation], k: usize) -> Vec<CoveredTransf
         .collect()
 }
 
-/// A cached marginal gain in the lazy-greedy max-heap.
-///
-/// Ordered by gain (descending), then unit count (ascending), then interned
-/// string rank (ascending — all zero, and so inert, until a giant tie group
-/// triggers the intern; afterwards ranks order exactly as the rendered
-/// strings do, equal strings sharing a rank), then input index (ascending).
-/// `epoch` records the selection round the gain was computed in; it
-/// deliberately takes no part in the ordering — indices are unique per
-/// candidate and each candidate has at most one live entry, so (gain, len,
-/// rank, idx) is already a total order over the heap contents.
-struct GainEntry {
-    gain: usize,
-    len: u32,
-    rank: u32,
-    idx: u32,
-    epoch: u32,
-}
-
-impl Ord for GainEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.gain
-            .cmp(&other.gain)
-            .then_with(|| other.len.cmp(&self.len))
-            .then_with(|| other.rank.cmp(&self.rank))
-            .then_with(|| other.idx.cmp(&self.idx))
-    }
-}
-
-impl PartialOrd for GainEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for GainEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for GainEntry {}
-
-/// Tie-group size above which [`lazy_greedy_cover_budgeted`] stops resolving
-/// the lexicographic leg at pop time and instead interns every remaining
-/// candidate's rendered string into a dense rank (one O(n log n) pass),
-/// folding the whole tie-break chain into the heap key. Below it, pop-time
-/// resolution with per-candidate memoized renders is cheaper (typical tie
-/// groups are tiny and most candidates never render at all).
-const INTERN_TIE_THRESHOLD: usize = 256;
-
 /// Greedy minimal set cover via a lazy-greedy (CELF) priority queue:
 /// repeatedly selects the transformation covering the most not-yet-covered
 /// rows until no candidate adds coverage, re-evaluating only the candidates
@@ -172,8 +107,7 @@ const INTERN_TIE_THRESHOLD: usize = 256;
 /// second quality measure), then lexicographically, then toward the earlier
 /// candidate in input order — exactly the rescan loop's order, so the result
 /// is bit-identical to [`reference::greedy_cover_reference`] (see the module
-/// docs for why stale heap entries cannot change the selection, and for the
-/// two tie-resolution regimes around `INTERN_TIE_THRESHOLD`). The
+/// docs for why stale heap entries cannot change the selection). The
 /// returned set lists each selected transformation with *all* rows it covers
 /// (not only the marginal ones), ordered by selection. Candidates are
 /// consumed: the winners' transformations move into the result set.
@@ -183,141 +117,47 @@ const INTERN_TIE_THRESHOLD: usize = 256;
 /// boundary), and the whole selection returns `Err` — with no partial set —
 /// once it trips. With `budget = None` the selection cannot abort.
 pub fn lazy_greedy_cover_budgeted(
-    candidates: Vec<ScoredTransformation>,
+    mut candidates: Vec<ScoredTransformation>,
     total_rows: usize,
     budget: Option<&tjoin_text::BudgetToken>,
 ) -> Result<TransformationSet, tjoin_text::BudgetExceeded> {
+    // The stable sort keeps input order among equal (len, rendering) keys,
+    // so a candidate's position is its rank in the full tie-break chain.
+    candidates.sort_by_cached_key(|c| (c.transformation.len(), c.transformation.to_string()));
+
     // Seed the heap with every candidate's full coverage: against the empty
     // covered set the marginal gain IS the coverage, so every entry starts
-    // fresh for round 0. Ranks start at zero (key order (gain, len, idx))
-    // until — and unless — a giant tie group triggers the intern.
-    let mut heap: BinaryHeap<GainEntry> = candidates
+    // fresh for round 0. An entry is (gain, earlier position, round); the
+    // round takes no part in the order, since (gain, position) is unique.
+    let mut heap: BinaryHeap<(usize, Reverse<usize>, usize)> = candidates
         .iter()
         .enumerate()
-        .map(|(idx, c)| GainEntry {
-            gain: c.covered.count_ones(),
-            len: u32::try_from(c.transformation.len()).expect("transformation length overflow"),
-            rank: 0,
-            idx: u32::try_from(idx).expect("candidate count exceeds the u32 index space"),
-            epoch: 0,
-        })
+        .map(|(pos, c)| (c.covered.count_ones(), Reverse(pos), 0))
         .collect();
-
     let mut slots: Vec<Option<ScoredTransformation>> =
         candidates.into_iter().map(Some).collect();
-    // Lexicographic tie keys for the pop-time path, rendered lazily: only
-    // candidates that reach a genuine fresh (gain, len) tie at the heap top
-    // ever pay the render.
-    let mut strings: Vec<Option<Box<str>>> = vec![None; slots.len()];
-    fn fill(strings: &mut [Option<Box<str>>], slots: &[Option<ScoredTransformation>], idx: usize) {
-        if strings[idx].is_none() {
-            let t = &slots[idx].as_ref().expect("unselected candidate").transformation;
-            strings[idx] = Some(t.to_string().into_boxed_str());
-        }
-    }
 
     let mut covered = RowBitmap::new(total_rows);
     let mut selected: Vec<CoveredTransformation> = Vec::new();
-    let mut epoch: u32 = 0;
-    let mut held: Vec<GainEntry> = Vec::new();
-    let mut interned = false;
+    let mut round = 0;
 
-    while let Some(entry) = heap.pop() {
+    while let Some((gain, Reverse(pos), fresh_in)) = heap.pop() {
         if let Some(token) = budget {
             token.check()?;
         }
         // Cached gains are upper bounds (submodularity), so a zero at the
         // top means every remaining candidate's true gain is zero.
-        if entry.gain == 0 {
+        if gain == 0 {
             break;
         }
-        if entry.epoch != epoch {
+        if fresh_in != round {
             // Stale: refresh against the current covered set and reinsert.
-            let gain = slots[entry.idx as usize]
-                .as_ref()
-                .expect("unselected candidate present")
-                .covered
-                .and_not_count(&covered);
-            heap.push(GainEntry { gain, epoch, ..entry });
+            let candidate = slots[pos].as_ref().expect("unselected candidate present");
+            heap.push((candidate.covered.and_not_count(&covered), Reverse(pos), round));
             continue;
         }
-        // Fresh top: the exact argmax under the heap order. Once interned,
-        // that order is the full tie-break chain and we select outright.
-        let mut best = entry;
-        if !interned {
-            // Pre-intern, the order is only (gain, len, idx): entries still
-            // tied on (gain, len) were ordered behind `best` by input index
-            // alone, but lexicographic order ranks before index in the
-            // tie-break chain — pop the tie group, refresh its stale
-            // members, and pick the true winner by (string, idx). A group
-            // reaching [`INTERN_TIE_THRESHOLD`] instead triggers the
-            // one-time intern: every remaining candidate's rendering
-            // becomes a dense rank in the heap key, the heap is rebuilt,
-            // and every later round is a single pop (the all-ties worst
-            // case that made per-round group popping quadratic).
-            held.clear();
-            let mut overflow = false;
-            while let Some(top) = heap.peek() {
-                if top.gain != best.gain || top.len != best.len {
-                    break;
-                }
-                // `held` plus `best` plus the tying top about to be popped:
-                // the confirmed group size has reached the threshold.
-                if held.len() + 2 >= INTERN_TIE_THRESHOLD {
-                    overflow = true;
-                    break;
-                }
-                let next = heap.pop().expect("peeked entry present");
-                let fi = next.idx as usize;
-                let next = if next.epoch != epoch {
-                    let gain = slots[fi]
-                        .as_ref()
-                        .expect("unselected candidate present")
-                        .covered
-                        .and_not_count(&covered);
-                    if gain != next.gain {
-                        // No longer tied (gain can only have dropped).
-                        heap.push(GainEntry { gain, epoch, ..next });
-                        continue;
-                    }
-                    GainEntry { epoch, ..next }
-                } else {
-                    next
-                };
-                fill(&mut strings, &slots, fi);
-                fill(&mut strings, &slots, best.idx as usize);
-                let wins = match strings[fi].cmp(&strings[best.idx as usize]) {
-                    Ordering::Less => true,
-                    Ordering::Greater => false,
-                    Ordering::Equal => next.idx < best.idx,
-                };
-                if wins {
-                    held.push(std::mem::replace(&mut best, next));
-                } else {
-                    held.push(next);
-                }
-            }
-            if overflow {
-                // Push the group back (its members are fresh for this
-                // round), rank every remaining candidate, rebuild the heap
-                // under (gain, len, rank, idx), and replay the round.
-                heap.extend(held.drain(..));
-                heap.push(best);
-                let rank = intern_string_ranks(&slots);
-                let mut entries = std::mem::take(&mut heap).into_vec();
-                for e in &mut entries {
-                    e.rank = rank[e.idx as usize];
-                }
-                heap = entries.into();
-                interned = true;
-                continue;
-            }
-            // The tied losers are fresh for this round; they go straight
-            // back.
-            heap.extend(held.drain(..));
-        }
-
-        let chosen = slots[best.idx as usize].take().expect("candidate selected twice");
+        // Fresh top: the exact argmax under the full tie-break order.
+        let chosen = slots[pos].take().expect("candidate selected twice");
         covered.union_with(&chosen.covered);
         let done = covered.is_full();
         selected.push(CoveredTransformation {
@@ -327,39 +167,13 @@ pub fn lazy_greedy_cover_budgeted(
         if done {
             break;
         }
-        epoch += 1;
+        round += 1;
     }
 
     Ok(TransformationSet {
         transformations: selected,
         total_pairs: total_rows,
     })
-}
-
-/// Renders every unselected candidate's transformation once and interns the
-/// strings into dense lexicographic ranks: `rank[i] < rank[j]` iff
-/// candidate `i`'s rendering sorts before `j`'s, with equal renderings
-/// sharing a rank (so the heap's final `idx` leg decides between true
-/// duplicates, exactly as the rescan oracle's first-in-input-order rule
-/// does). Already-selected slots get an empty rendering; they have no live
-/// heap entries, so their ranks are never consulted.
-fn intern_string_ranks(slots: &[Option<ScoredTransformation>]) -> Vec<u32> {
-    let rendered: Vec<String> = slots
-        .iter()
-        .map(|s| s.as_ref().map(|c| c.transformation.to_string()).unwrap_or_default())
-        .collect();
-    let len = u32::try_from(rendered.len()).expect("candidate count exceeds the u32 index space");
-    let mut order: Vec<u32> = (0..len).collect();
-    order.sort_unstable_by(|&a, &b| rendered[a as usize].cmp(&rendered[b as usize]));
-    let mut rank = vec![0u32; rendered.len()];
-    let mut current = 0u32;
-    for (pos, &idx) in order.iter().enumerate() {
-        if pos > 0 && rendered[idx as usize] != rendered[order[pos - 1] as usize] {
-            current += 1;
-        }
-        rank[idx as usize] = current;
-    }
-    rank
 }
 
 pub mod reference {
@@ -570,17 +384,13 @@ mod tests {
 
     #[test]
     fn all_ties_worst_case_matches_reference() {
-        // The pathological pool for pop-time tie resolution: every round is
-        // an all-equal-gain, all-equal-length tie over the whole surviving
-        // pool — 600 single-unit candidates covering disjoint row pairs
-        // (comfortably above INTERN_TIE_THRESHOLD, so the giant group
-        // triggers the one-time string-rank intern and the heap rebuild),
-        // plus exact duplicates so the final input-order leg fires. After
-        // the intern each round is one pop; the selected sequence must
-        // still match the rescan oracle bit for bit.
+        // Every round is an all-equal-gain, all-equal-length tie over the
+        // whole surviving pool — 600 single-unit candidates covering
+        // disjoint row pairs, whose renderings repeat every 37 — plus exact
+        // duplicates so the final input-order leg fires. The selected
+        // sequence must match the rescan oracle bit for bit.
         let groups = 600u32;
         let total = 2 * groups as usize;
-        assert!(groups as usize > super::INTERN_TIE_THRESHOLD);
         let mut pool = Vec::new();
         for g in 0..groups {
             pool.push(scored_sized(
@@ -601,32 +411,17 @@ mod tests {
         assert_eq!(cover.len(), groups as usize);
         assert!((cover.set_coverage() - 1.0).abs() < 1e-12);
         // Within an equal-gain round the lexicographically smallest
-        // rendering wins: the very first selection is the smallest string
-        // of the whole pool.
-        let first = cover.transformations[0].transformation.to_string();
-        assert!(pool_strings_sorted_first(&cover) == first);
-        fn pool_strings_sorted_first(cover: &TransformationSet) -> String {
-            let mut all: Vec<String> = cover
-                .transformations
-                .iter()
-                .map(|t| t.transformation.to_string())
-                .collect();
-            all.sort();
-            all[0].clone()
-        }
+        // rendering wins, the earliest in input order among equals: the
+        // first selection is `Split(',',0)` on the first group's rows.
+        assert_eq!(cover.transformations[0].transformation.to_string(), "<Split(',',0)>");
+        assert_eq!(cover.transformations[0].covered_rows, vec![0, 1]);
     }
 
     #[test]
-    fn tie_groups_straddling_intern_threshold_match_reference() {
-        // All-ties pools whose group size lands just below, at, and just
-        // above INTERN_TIE_THRESHOLD: both the pop-time and the interned
-        // regime (and the handoff between them) must match the oracle.
-        for groups in [
-            super::INTERN_TIE_THRESHOLD - 2,
-            super::INTERN_TIE_THRESHOLD - 1,
-            super::INTERN_TIE_THRESHOLD,
-            super::INTERN_TIE_THRESHOLD + 1,
-        ] {
+    fn all_tie_pools_of_many_sizes_match_reference() {
+        // All-ties pools from one candidate to a few hundred: at every
+        // size the selected sequence follows the tie-break alone.
+        for groups in [1usize, 2, 3, 63, 64, 65, 254, 255, 256, 257] {
             let total = 2 * groups;
             let pool: Vec<ScoredTransformation> = (0..groups)
                 .map(|g| {
@@ -641,29 +436,6 @@ mod tests {
             assert_eq!(cover.len(), groups, "at group size {groups}");
             assert!((cover.set_coverage() - 1.0).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn interned_ranks_order_like_strings() {
-        let pool = vec![
-            scored(vec![Unit::substr(0, 2)], vec![0]),
-            scored(vec![Unit::split(',', 0)], vec![1]),
-            scored(vec![Unit::substr(0, 2)], vec![2]), // duplicate rendering
-            scored(vec![Unit::literal("zz")], vec![3]),
-        ];
-        let strings: Vec<String> = pool.iter().map(|c| c.transformation.to_string()).collect();
-        let slots: Vec<Option<ScoredTransformation>> = pool.into_iter().map(Some).collect();
-        let ranks = super::intern_string_ranks(&slots);
-        for i in 0..slots.len() {
-            for j in 0..slots.len() {
-                assert_eq!(
-                    ranks[i].cmp(&ranks[j]),
-                    strings[i].cmp(&strings[j]),
-                    "ranks diverge from strings at ({i}, {j})"
-                );
-            }
-        }
-        assert_eq!(ranks[0], ranks[2]);
     }
 
     #[test]

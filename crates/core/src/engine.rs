@@ -8,8 +8,10 @@ use crate::generate::generate_transformations;
 use crate::pair::PairSet;
 use crate::sampling::sample_indices;
 use crate::stats::{PhaseTimings, SynthesisStats};
+use std::cmp::Ordering;
+use std::collections::hash_map::Entry;
 use std::time::Instant;
-use tjoin_text::{fault, BudgetExceeded, BudgetToken, FaultSite};
+use tjoin_text::{fault, BudgetExceeded, BudgetToken, FaultSite, FxHashMap};
 use tjoin_units::TransformationSet;
 
 /// The result of a synthesis run.
@@ -121,30 +123,62 @@ impl SynthesisEngine {
             budget,
         )?;
 
-        // Phase 5: selection. Coverage arrives as sparse sorted row lists;
-        // the support and all-literal filters run on the sparse form (a
-        // length check plus a pooled unit-kind scan), and only the
-        // survivors are densified into bitmaps and materialized back into
-        // owned transformations. The mostly-empty candidate majority never
-        // allocates a bitmap.
+        // Phase 5: selection. Coverage arrives as sparse sorted row lists,
+        // and the support and all-literal filters run on that form (a
+        // length check plus a pooled unit-kind scan). Survivors that cover
+        // the same rows have the same marginal gain in every greedy round,
+        // so greedy can only ever pick the one that leads the tie-break
+        // (fewer units, then rendering, then input order), after which the
+        // rest gain nothing. Each covered set therefore keeps only its
+        // leader; a rendering is made only for a tie on units. Only the
+        // leaders are densified into bitmaps and resolved into owned
+        // transformations, in input order, so greedy's last tie leg holds.
         let select_start = Instant::now();
         let rows_used = working.len();
         let min_rows = min_rows_for_support(rows_used, self.config.min_support);
-        let candidates: Vec<ScoredTransformation> = generation
-            .transformations
-            .iter()
-            .zip(coverage.covered_rows)
-            .filter(|(t, rows)| {
-                rows.len() >= min_rows
-                    && !(rows.len() <= 1 && t.is_all_literal(&generation.pool))
-            })
-            .map(|(t, rows)| ScoredTransformation {
-                transformation: generation.pool.resolve(t),
-                covered: RowBitmap::from_sorted_rows(rows_used, &rows),
+        let (pool, transformations) = (&generation.pool, &generation.transformations);
+        // Per covered set: its leader's index and, once made, rendering.
+        let mut leaders: Vec<(usize, Option<String>)> = Vec::new();
+        let mut group_of: FxHashMap<&[u32], usize> = FxHashMap::default();
+        let survivors = transformations.iter().zip(&coverage.covered_rows).enumerate();
+        for (idx, (t, rows)) in survivors {
+            if rows.len() < min_rows || (rows.len() <= 1 && t.is_all_literal(pool)) {
+                continue;
+            }
+            let group = match group_of.entry(rows) {
+                Entry::Vacant(slot) => {
+                    slot.insert(leaders.len());
+                    leaders.push((idx, None));
+                    continue;
+                }
+                Entry::Occupied(slot) => *slot.get(),
+            };
+            let (leader, rendered) = &mut leaders[group];
+            let held = &transformations[*leader];
+            match t.unit_ids().len().cmp(&held.unit_ids().len()) {
+                Ordering::Less => (*leader, *rendered) = (idx, None),
+                Ordering::Equal => {
+                    let own = pool.render(t);
+                    if own < *rendered.get_or_insert_with(|| pool.render(held)) {
+                        (*leader, *rendered) = (idx, Some(own));
+                    }
+                }
+                Ordering::Greater => {}
+            }
+        }
+        let mut kept: Vec<usize> = leaders.into_iter().map(|(idx, _)| idx).collect();
+        kept.sort_unstable();
+        let candidates: Vec<ScoredTransformation> = kept
+            .into_iter()
+            .map(|idx| ScoredTransformation {
+                transformation: pool.resolve(&transformations[idx]),
+                covered: RowBitmap::from_sorted_rows(rows_used, &coverage.covered_rows[idx]),
             })
             .collect();
-        // Free the now-dead id form so greedy's allocations can reuse it.
-        drop((generation.transformations, generation.pool));
+        // Free the now-dead sparse and id forms so greedy's allocations can
+        // reuse them.
+        drop(group_of);
+        drop((coverage.covered_rows, generation.transformations, generation.pool));
         let cover = lazy_greedy_cover_budgeted(candidates, rows_used, budget)?;
         let cover_selection = select_start.elapsed();
 

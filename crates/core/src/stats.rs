@@ -20,7 +20,8 @@ pub struct PhaseTimings {
     pub duplicate_removal: Duration,
     /// Applying transformations to all rows ("Applying Trans.").
     pub applying_transformations: Duration,
-    /// Selection: support filter, densify and greedy cover (not plotted).
+    /// Selection: support filter, collapse to one candidate per covered
+    /// set, densify and greedy cover (not plotted).
     pub cover_selection: Duration,
 }
 

@@ -81,7 +81,7 @@ pub fn candidate_unit_ids(
     // separator character of the source (the paper allows *any* source
     // character; restricting to evidence-adjacent and separator characters
     // keeps the per-placeholder candidate pool O(1) without losing the
-    // delimiters that generalize — see DESIGN.md).
+    // delimiters that generalize).
     if config.kind_enabled(UnitKind::SplitSubstr) {
         let mut distinct_chars: FxHashSet<char> = source
             .chars()

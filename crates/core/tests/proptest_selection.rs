@@ -7,7 +7,10 @@
 //! identical tie keys), and empty/full bitmaps.
 //!
 //! It also pins the identity the engine's "Top Cov." view rests on: the
-//! cover's first pick is `top_k(.., 1)`'s head, covered rows included.
+//! cover's first pick is `top_k(.., 1)`'s head, covered rows included; and
+//! the engine's collapse to one candidate per covered set: on
+//! duplicate-heavy pairs, its cover equals the oracle's over every
+//! un-collapsed survivor.
 //!
 //! The `#[ignore]`d tests at the bottom are the slow large-pool leg of the
 //! suite, run in CI via `cargo test -p tjoin-core -- --ignored`.
@@ -17,7 +20,9 @@ use tjoin_core::cover::reference::greedy_cover_reference;
 use tjoin_core::cover::{
     lazy_greedy_cover_budgeted, min_rows_for_support, top_k, ScoredTransformation,
 };
-use tjoin_core::RowBitmap;
+use tjoin_core::coverage::compute_coverage_planned_budgeted;
+use tjoin_core::generate::generate_transformations;
+use tjoin_core::{PairSet, RowBitmap, SynthesisConfig, SynthesisEngine};
 use tjoin_units::{Transformation, TransformationSet, Unit};
 
 /// The unbudgeted lazy-greedy cover, which cannot abort.
@@ -180,12 +185,12 @@ proptest! {
     }
 }
 
-/// A first-round tie group far above the cover's intern threshold (256), so
-/// the interned rank decides the first pick, with exact duplicates of every
-/// rendering that cover different rows, so the input-order leg decides
-/// between them and shows in the covered rows.
+/// A first-round tie group of 600 candidates, so the rendering decides the
+/// first pick, with exact duplicates of every rendering that cover
+/// different rows, so the input-order leg decides between them and shows
+/// in the covered rows.
 #[test]
-fn first_pick_matches_top_k_above_intern_threshold() {
+fn first_pick_matches_top_k_on_a_large_tie_group() {
     let rows = 64usize;
     // 600 one-unit candidates: every rendering repeats across the four
     // equal-sized row blocks (gain 16 each), so all 600 tie on (gain, len).
@@ -215,6 +220,74 @@ fn first_pick_matches_top_k_above_intern_threshold() {
         "the winning rendering must have duplicates covering other rows"
     );
     check_first_pick(rows, pool);
+}
+
+/// One row of a duplicate-heavy pair: a handful of formats over a tiny
+/// alphabet, so rows repeat and generation yields dozens of candidates
+/// for every covered row set.
+fn engine_row(kind: u8, seed: u64) -> (String, String) {
+    let (a, b) = (seed % 3, seed / 3 % 3);
+    match kind % 4 {
+        0 => (format!("last{a}, first{b}"), format!("f{b} last{a}")),
+        1 => (format!("ab{a}-cd{b}"), format!("cd{b}/ab{a}")),
+        2 => (format!("x{a} y{b}"), format!("x{a} y{b}")),
+        _ => (format!("last{a}, first{b}"), format!("zz{a}")),
+    }
+}
+
+/// The engine's survivors, un-collapsed and resolved: every candidate that
+/// passes its support and all-literal filters, in generation order.
+fn engine_survivors(pairs: &PairSet, config: &SynthesisConfig) -> Vec<ScoredTransformation> {
+    let generation = generate_transformations(pairs, config);
+    let coverage = compute_coverage_planned_budgeted(
+        &generation.pool,
+        &generation.transformations,
+        pairs,
+        config.unit_cache,
+        config.threads,
+        config.coverage_axis,
+        None,
+    )
+    .expect("no budget");
+    let min_rows = min_rows_for_support(pairs.len(), config.min_support);
+    generation
+        .transformations
+        .iter()
+        .zip(&coverage.covered_rows)
+        .filter(|(t, rows)| {
+            rows.len() >= min_rows && !(rows.len() <= 1 && t.is_all_literal(&generation.pool))
+        })
+        .map(|(t, rows)| ScoredTransformation {
+            transformation: generation.pool.resolve(t),
+            covered: RowBitmap::from_sorted_rows(pairs.len(), rows),
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The engine selects over one candidate per covered set; its cover
+    /// must equal the rescan oracle's over every survivor, with duplicate
+    /// transformations (deduplication off) and support floors included.
+    #[test]
+    fn engine_cover_matches_reference_on_uncollapsed_survivors(
+        specs in prop::collection::vec((0u8..4, 0u64..9), 1..9),
+        support_pct in 0usize..40,
+        deduplicate in 0u8..2,
+    ) {
+        let rows: Vec<(String, String)> =
+            specs.iter().map(|&(kind, seed)| engine_row(kind, seed)).collect();
+        let config = SynthesisConfig {
+            deduplicate: deduplicate == 1,
+            ..SynthesisConfig::default().with_min_support(support_pct as f64 / 100.0)
+        };
+        let pairs = PairSet::from_strings(&rows, &config.normalize);
+        let survivors = engine_survivors(&pairs, &config);
+        let engine = SynthesisEngine::new(config).discover(&pairs);
+        let oracle = greedy_cover_reference(survivors, pairs.len());
+        assert_identical(&engine.cover, &oracle);
+    }
 }
 
 // --- Slow differential leg (CI: `cargo test -p tjoin-core -- --ignored`) ---

@@ -12,7 +12,7 @@
 //!   data is not redistributable; these generators produce table pairs with
 //!   the same joinability structure (multi-rule covers, noise, skewed n-gram
 //!   distributions) so that every experiment exercises the same code paths.
-//!   The substitutions are documented in `DESIGN.md`.
+//!   The substitutions are documented in the [`realistic`] module docs.
 //! * [`repository`] — the repository-scale workload generator: N
 //!   heterogeneous column pairs (names / phones / dates / web formats, with
 //!   controllable noise and non-joinable decoys) for the batch join runner.

@@ -15,8 +15,6 @@
 //! * [`open_data`] — one large address-join pair with a highly skewed n-gram
 //!   distribution, so that n-gram row matching produces a huge, low-precision
 //!   candidate set (the regime the paper reports for Open data).
-//!
-//! See `DESIGN.md` for the substitution rationale.
 
 mod formats;
 mod opendata;

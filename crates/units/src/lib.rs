@@ -56,5 +56,7 @@ pub mod unit;
 
 pub use charstr::CharStr;
 pub use pool::{IdTransformation, UnitId, UnitPool};
-pub use transformation::{CoveredTransformation, Transformation, TransformationSet};
+pub use transformation::{
+    min_rows_for_support, CoveredTransformation, Transformation, TransformationSet,
+};
 pub use unit::{Unit, UnitKind};

@@ -14,7 +14,7 @@
 //! * the non-covering-unit cache (the paper's Section 4.1.5 pruning) becomes
 //!   a bitset indexed by `UnitId` — O(1) lookup, zero hashing.
 
-use crate::transformation::Transformation;
+use crate::transformation::{write_units, Transformation};
 use crate::unit::Unit;
 use std::collections::HashMap;
 
@@ -123,6 +123,15 @@ impl UnitPool {
                 .collect(),
         )
     }
+
+    /// `transformation` rendered exactly as its [`Self::resolve`]d form
+    /// displays, without cloning its units.
+    pub fn render(&self, transformation: &IdTransformation) -> String {
+        let mut out = String::new();
+        let units = transformation.unit_ids().iter().map(|&id| self.get(id));
+        write_units(&mut out, units).expect("writing to a String cannot fail");
+        out
+    }
 }
 
 /// A transformation represented as a sequence of [`UnitId`]s over a
@@ -190,6 +199,7 @@ mod tests {
         let ids: Vec<UnitId> = units.iter().map(|u| pool.intern(u.clone())).collect();
         let idt = IdTransformation::new(ids);
         assert_eq!(pool.resolve(&idt), Transformation::new(units));
+        assert_eq!(pool.render(&idt), pool.resolve(&idt).to_string());
     }
 
     #[test]

@@ -109,15 +109,24 @@ impl Transformation {
 
 impl fmt::Display for Transformation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "<")?;
-        for (i, u) in self.units.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "{u}")?;
-        }
-        write!(f, ">")
+        write_units(f, &self.units)
     }
+}
+
+/// Writes `units` the way a [`Transformation`] of them displays:
+/// `<unit, unit, ...>`.
+pub(crate) fn write_units<'a>(
+    out: &mut impl fmt::Write,
+    units: impl IntoIterator<Item = &'a Unit>,
+) -> fmt::Result {
+    out.write_char('<')?;
+    for (i, u) in units.into_iter().enumerate() {
+        if i > 0 {
+            out.write_str(", ")?;
+        }
+        write!(out, "{u}")?;
+    }
+    out.write_char('>')
 }
 
 impl From<Vec<Unit>> for Transformation {
@@ -130,6 +139,23 @@ impl FromIterator<Unit> for Transformation {
     fn from_iter<T: IntoIterator<Item = Unit>>(iter: T) -> Self {
         Self::new(iter.into_iter().collect())
     }
+}
+
+/// The least covered-row count `c` whose support fraction
+/// `c as f64 / total_rows as f64` reaches `min_support`, and never below 1
+/// (a transformation that covers no row is never kept).
+///
+/// `ceil(min_support * total_rows)` is not this count: the float product
+/// can land just above a whole number (`0.07 * 100.0` is `7.000000000000001`),
+/// and the ceiling then asks for one row more than the fraction needs. The
+/// ceiling is only the starting estimate here; the fraction test decides.
+pub fn min_rows_for_support(total_rows: usize, min_support: f64) -> usize {
+    let meets = |rows: usize| rows as f64 / total_rows as f64 >= min_support;
+    let estimate = (min_support * total_rows as f64).ceil() as usize;
+    (estimate.saturating_sub(1)..=estimate.saturating_add(1))
+        .find(|&rows| meets(rows))
+        .unwrap_or(estimate)
+        .max(1)
 }
 
 /// A set of transformations together with the rows each covers — the output
@@ -214,12 +240,12 @@ impl TransformationSet {
     /// `min_support` (the paper applies a support threshold of 1–5 % on noisy
     /// data to discard bogus transformations produced by false row matches).
     pub fn filter_by_support(&self, min_support: f64) -> Self {
-        let min_rows = (min_support * self.total_pairs as f64).ceil() as usize;
+        let min_rows = min_rows_for_support(self.total_pairs, min_support);
         Self {
             transformations: self
                 .transformations
                 .iter()
-                .filter(|t| t.coverage() >= min_rows.max(1))
+                .filter(|t| t.coverage() >= min_rows)
                 .cloned()
                 .collect(),
             total_pairs: self.total_pairs,
@@ -392,6 +418,27 @@ mod tests {
         assert_eq!(filtered.transformations[0].coverage(), 4);
         // zero support keeps everything with >=1 row
         assert_eq!(set.filter_by_support(0.0).len(), 2);
+        // Exactly 4 % support passes a 4 % floor.
+        assert_eq!(set.filter_by_support(0.04).len(), 1);
+    }
+
+    #[test]
+    fn support_floor_is_exact_at_float_boundaries() {
+        // `0.07 * 100.0` rounds to just above 7, whose ceiling is 8.
+        assert_eq!(min_rows_for_support(100, 0.07), 7);
+        assert_eq!(min_rows_for_support(100, 0.0), 1);
+        assert_eq!(min_rows_for_support(0, 0.05), 1);
+        assert_eq!(min_rows_for_support(3, 0.5), 2);
+        for percent in 0..=100u64 {
+            for rows in (0..=1_000u64).chain([4_096, 65_537, 1_000_000]) {
+                let expected = (percent * rows).div_ceil(100).max(1);
+                assert_eq!(
+                    min_rows_for_support(rows as usize, percent as f64 / 100.0),
+                    expected as usize,
+                    "{percent} % of {rows} rows"
+                );
+            }
+        }
     }
 
     #[test]

@@ -201,9 +201,9 @@ fn open_data_sampling_recovery() {
     });
     let outcome = pipeline.run(&small);
     // At this scaled-down size the support threshold is a weak filter, so the
-    // join over-predicts relative to the paper's full-size run (see
-    // EXPERIMENTS.md); it must still recover most true pairs and stay well
-    // above the similarity-only baseline's behaviour on this data.
+    // join over-predicts relative to the paper's full-size run; it must
+    // still recover most true pairs and stay well above the similarity-only
+    // baseline's behaviour on this data.
     assert!(
         outcome.metrics.recall > 0.5,
         "join recall {:?}",
