@@ -15,63 +15,64 @@
 //!
 //! # The interned engine
 //!
-//! The production path ([`compute_coverage_planned_budgeted`]) exploits the
-//! [`UnitPool`] the generation phase already built:
+//! The production path ([`compute_coverage_planned_budgeted`]) works on the
+//! [`UnitPool`] the generation phase already built, and scans the rows in
+//! tiles of up to 64 (`TILE`), one bit of a `u64` mask per row. Within a
+//! tile, every unit of the pool keeps:
 //!
-//! * **Per-row output memoization.** For each row, every unit's
-//!   `output_on(source)` result is computed at most once and stored in a
-//!   dense table indexed by [`UnitId`] — no matter how many transformations
-//!   contain the unit. The memo also records the "is the output a substring
-//!   of the target" verdict, so the repeated `target.contains(..)` scans of
-//!   the naive loop collapse into one per `(row, unit)`.
-//! * **Bitset cache.** The per-row non-covering-unit cache is a dense
-//!   epoch-stamped array indexed by `UnitId` (O(1) lookup, zero hashing,
-//!   zero cloning) instead of a `HashSet<Unit>` of cloned units. Its
-//!   entries mirror the memo's `Bad` verdicts; it exists separately for
-//!   pre-scan cache locality (see `BadUnitSet`).
-//! * **Sparse coverage collection.** Covered rows are accumulated as sorted
-//!   per-candidate row lists (`Vec<u32>`), not as a dense
-//!   [`crate::bitmap::RowBitmap`] per candidate. A dense pre-allocation
-//!   costs `candidates × rows/8` bytes even though the overwhelming
-//!   majority of candidates cover nothing (at 10^6 candidates × 10^4 rows
-//!   that is ~1.25 GB); a sparse list costs one `Vec` header (24 bytes) for
-//!   an empty candidate and 4 bytes per covered row otherwise. Row-major
-//!   iteration appends rows in increasing order, so each list is sorted by
-//!   construction. Densification into `RowBitmap`s — the representation
-//!   the selection phase's set algebra wants — happens in the engine, only
-//!   for candidates surviving the non-empty/support filter (see
-//!   [`crate::bitmap::RowBitmap::from_sorted_rows`]).
+//! * **`bad`**: the rows where the unit is non-covering — it does not apply
+//!   to the source, or its output does not occur in the target. This is
+//!   the paper's per-row cache. A bit is set only when a trial on that row
+//!   reaches the unit, exactly as the naive loop inserts into its cache.
+//! * **`evaluated`**: the rows where `output_on` already ran. Each
+//!   `(row, unit)` pair is evaluated at most once, however many candidates
+//!   contain the unit.
+//! * **A span per row**: a covering unit's output as `(offset, len)` into
+//!   the row's target, where `target.find` located it, in a block of 64
+//!   spans the unit gets when it first covers a row of the tile. Assembling
+//!   a candidate's output then compares target bytes with target bytes in
+//!   place; nothing is copied.
 //!
-//! The iteration order is row-major (rows outer, transformations inner) so
-//! the memo table is a single pool-sized vector reset per row via epoch
-//! stamps. Because the per-row cache only ever accrues entries from earlier
-//! *trials on the same row*, and those happen in transformation order in
-//! both orders, the reported `trials`, `cache_hits`, and covered rows are
-//! bit-identical to the naive transformation-major loop retained in
-//! [`reference`](mod@reference) — which still collects densely, making it the oracle for
-//! the sparse collection as well.
+//! The candidate list is read once per tile, not once per row. A
+//! candidate's cache-hit rows are the OR of its units' `bad` masks; only
+//! the remaining rows are walked as trials. A walk stops on a `Bad` unit or
+//! when the output outgrows the target, never on the first mismatching
+//! byte: stopping early would leave later `Bad` units out of the cache and
+//! turn later cache hits into trials.
+//!
+//! Covered rows are collected as sorted per-candidate row lists
+//! (`Vec<u32>`), not as a dense [`crate::bitmap::RowBitmap`] per
+//! candidate: most candidates cover nothing, and a dense pre-allocation
+//! costs `candidates × rows/8` bytes. Tiles are scanned in row order, so
+//! each list is sorted by construction. The engine densifies only the
+//! candidates that survive the support filter (see
+//! [`crate::bitmap::RowBitmap::from_sorted_rows`]).
+//!
+//! On any one row, candidates are tried in input order and the cache holds
+//! only the `Bad` verdicts of earlier trials on that row, in the tiled scan
+//! as in the naive transformation-major loop kept in
+//! [`reference`](mod@reference). So `covered_rows`, `trials`, `cache_hits`
+//! and `potential_trials` are identical to the reference, which collects
+//! densely and is the oracle for the sparse lists too.
 //!
 //! # Parallel execution
 //!
 //! With `threads > 1` the rows are split into `min(threads, rows)`
-//! contiguous chunks, and each worker runs the same scan over its chunk
-//! with its own lazy per-row memo and cache; one chunk is the serial
-//! engine. Shapes with fewer than 256 candidates and fewer than 256 rows
-//! always scan in one chunk, because thread start-up costs more than a
-//! second core buys there. The per-candidate row lists of consecutive
-//! chunks concatenate, in chunk order, into the sorted global lists. Both
-//! the memo and the cache live for one row only, and chunks share no rows,
-//! so every `(row, unit)` pair is evaluated at most once overall and every
-//! counter — `covered_rows`, `trials`, `cache_hits`, `potential_trials` and
-//! `unit_evaluations` — is identical at every thread count, while each
-//! worker holds one pool-sized table.
+//! contiguous chunks, and each worker tiles its own chunk; one chunk is
+//! the serial engine. Shapes with fewer than 256 candidates and fewer than
+//! 256 rows always scan in one chunk, because thread start-up costs more
+//! than a second core buys there. The per-candidate row lists of
+//! consecutive chunks concatenate, in chunk order, into the sorted global
+//! lists. The cache is per row and chunks share no rows, so every counter
+//! — `covered_rows`, `trials`, `cache_hits`, `potential_trials` and
+//! `unit_evaluations` — is identical at every thread count.
 
 use crate::pair::PairSet;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use std::time::{Duration, Instant};
 use tjoin_text::{BudgetExceeded, BudgetToken};
-use tjoin_units::{CharStr, IdTransformation, Transformation, UnitId, UnitPool};
+use tjoin_units::{IdTransformation, Transformation, UnitPool};
 
 /// Compatibility residue of the retired coverage-axis knob: coverage always
 /// chunks rows, so the knob has one value and no effect. It is deleted
@@ -155,11 +156,11 @@ pub fn compute_coverage(
 /// chunked across `threads` workers as the module docs describe, under an
 /// optional cooperative [`BudgetToken`].
 ///
-/// Every worker checks the token at each row boundary, and the whole
-/// computation returns `Err` — with no partial outcome — once it trips
-/// (only the wall-clock deadline can trip mid-scan; row/byte caps are
-/// charged at pipeline admission). `axis` has no effect (see
-/// [`CoverageAxis`]).
+/// Every worker checks the token at each tile boundary (at most 64 rows
+/// apart), and the whole computation returns `Err` — with no partial
+/// outcome — once it trips (only the wall-clock deadline can trip
+/// mid-scan; row/byte caps are charged at pipeline admission). `axis` has
+/// no effect (see [`CoverageAxis`]).
 pub fn compute_coverage_planned_budgeted(
     pool: &UnitPool,
     transformations: &[IdTransformation],
@@ -219,123 +220,21 @@ fn row_chunks(transformations: usize, rows: usize, threads: usize) -> Vec<Range<
     (0..workers).map(|w| w * rows / workers..(w + 1) * rows / workers).collect()
 }
 
-/// The memoized outcome of one `(row, unit)` evaluation.
-#[derive(Debug, Clone, Default)]
-enum MemoEntry {
-    /// Not evaluated on this row yet.
-    #[default]
-    Unknown,
-    /// The unit does not apply, or its (non-empty) output is not a substring
-    /// of the row's target — exactly the condition under which the naive
-    /// loop inserts the unit into the row's non-covering cache.
-    Bad,
-    /// The unit's output, which does occur in the row's target (or is
-    /// empty).
-    Good(Box<str>),
-}
+/// Rows per tile: one bit of a `u64` row mask each.
+const TILE: usize = 64;
 
-/// Dense per-row memo over the unit pool, reset per row via epoch stamps so
-/// the allocation is reused across rows.
-struct RowMemo {
-    entries: Vec<MemoEntry>,
-    epochs: Vec<u32>,
-    current_epoch: u32,
-}
-
-impl RowMemo {
-    fn new(pool_len: usize) -> Self {
-        Self {
-            entries: vec![MemoEntry::default(); pool_len],
-            epochs: vec![0; pool_len],
-            current_epoch: 0,
-        }
-    }
-
-    /// Starts a new row: logically clears all entries in O(1).
-    fn next_row(&mut self) {
-        self.current_epoch += 1;
-    }
-
-    /// The unit's output on the current row, or `None` when the unit is
-    /// non-covering there (it does not apply to `source`, or its non-empty
-    /// output is not a substring of `target`). Evaluates the unit at most
-    /// once per row, counting each evaluation in `evaluations`.
-    #[inline]
-    fn output(
-        &mut self,
-        pool: &UnitPool,
-        id: UnitId,
-        source: &CharStr,
-        target: &str,
-        evaluations: &mut u64,
-    ) -> Option<&str> {
-        let i = id.index();
-        if self.epochs[i] != self.current_epoch {
-            *evaluations += 1;
-            self.entries[i] = match pool.get(id).output_on(source) {
-                Some(out) if out.is_empty() || target.contains(out.as_ref()) => {
-                    MemoEntry::Good(out.into_owned().into_boxed_str())
-                }
-                _ => MemoEntry::Bad,
-            };
-            self.epochs[i] = self.current_epoch;
-        }
-        match &self.entries[i] {
-            MemoEntry::Good(out) => Some(out),
-            MemoEntry::Bad => None,
-            MemoEntry::Unknown => unreachable!("memo entry was just filled"),
-        }
-    }
-}
-
-/// Per-row set of units known not to cover the row (the paper's cache),
-/// epoch-stamped like [`RowMemo`].
-///
-/// Logically this duplicates the memo's `Bad` entries — a unit is inserted
-/// here exactly when its memo entry is set to [`MemoEntry::Bad`] — but it is
-/// kept as a separate dense `u32` epoch array deliberately: the cache-skip
-/// pre-scan touches it once per unit of every candidate on every row (the
-/// hottest loop in coverage), and scanning a 4-byte-per-unit array is ~25 %
-/// faster end-to-end than reading the 24-byte `MemoEntry` slots (measured
-/// at 6.7 ms vs 8.6 ms median on 8,192 transformations × 200 rows).
-struct BadUnitSet {
-    epochs: Vec<u32>,
-    current_epoch: u32,
-}
-
-impl BadUnitSet {
-    fn new(pool_len: usize) -> Self {
-        Self {
-            epochs: vec![0; pool_len],
-            current_epoch: 0,
-        }
-    }
-
-    fn next_row(&mut self) {
-        self.current_epoch += 1;
-    }
-
-    #[inline]
-    fn contains(&self, id: UnitId) -> bool {
-        self.epochs[id.index()] == self.current_epoch
-    }
-
-    #[inline]
-    fn insert(&mut self, id: UnitId) {
-        self.epochs[id.index()] = self.current_epoch;
-    }
-}
+/// A unit with no span block in the current tile.
+const NO_BLOCK: usize = usize::MAX;
 
 /// The scan loop of the interned engine: covers `transformations` × `rows`
-/// with a lazy per-row memo and bad-unit cache of its own.
+/// tile by tile, with each tile's cache, evaluation masks and output spans
+/// of its own (see the module docs).
 ///
-/// The per-row bad-unit cache keeps the *incremental* semantics of the
-/// naive loop — a unit is inserted only when a trial on that row reaches
-/// it — so trial/hit accounting over any row range is bit-identical to the
-/// naive transformation-major reference over the same rows (see the module
-/// docs for why row-major and transformation-major orders agree). A tripped
-/// `budget` stops the scan at the next row boundary, leaving a truncated
-/// outcome for the caller to discard.
+/// The cache keeps the *incremental* semantics of the naive loop, so
+/// trial/hit accounting over any row range is bit-identical to the naive
+/// transformation-major reference over the same rows. A tripped `budget`
+/// stops the scan at the next tile boundary, leaving a truncated outcome
+/// for the caller to discard.
 fn coverage_scan(
     pool: &UnitPool,
     transformations: &[IdTransformation],
@@ -344,66 +243,84 @@ fn coverage_scan(
     use_cache: bool,
     budget: Option<&BudgetToken>,
 ) -> CoverageOutcome {
-    // Sparse collection: one (initially unallocated) sorted row list per
-    // candidate — empty candidates never touch the heap. Rows arrive in
-    // increasing order, so each list stays sorted by construction.
+    // Empty candidates never touch the heap.
     let mut covered_rows: Vec<SparseRows> = vec![Vec::new(); transformations.len()];
     let potential_trials = transformations.len() as u64 * rows.len() as u64;
-    let mut trials: u64 = 0;
-    let mut cache_hits: u64 = 0;
-    let mut unit_evaluations: u64 = 0;
-    let mut memo = RowMemo::new(pool.len());
-    let mut bad = BadUnitSet::new(pool.len());
-    let mut buffer = String::new();
+    let (mut trials, mut cache_hits, mut unit_evaluations) = (0u64, 0u64, 0u64);
+    let mut bad = vec![0u64; pool.len()];
+    let mut evaluated = vec![0u64; pool.len()];
+    // A covering unit's output on a tile row, as `(offset, len)` in the
+    // row's target, at `spans[block[unit] + lane]`. A unit gets its block
+    // of `TILE` spans when it first covers a row of the tile: on
+    // `RepositoryConfig::new(12, 80).generate(7000)` about 40 % of units
+    // do, so a dense `pool × TILE` table would be mostly empty. `PairSet::from_pairs` bounds targets
+    // to `u32::MAX` bytes, so offsets and lengths fit a `u32`.
+    let mut block = vec![NO_BLOCK; pool.len()];
+    let mut spans: Vec<(u32, u32)> = Vec::new();
 
-    for row in rows {
-        if let Some(token) = budget {
-            if token.check().is_err() {
-                break;
-            }
+    for first in rows.clone().step_by(TILE) {
+        if budget.is_some_and(|token| token.check().is_err()) {
+            break;
         }
-        memo.next_row();
-        bad.next_row();
-        let source = pairs.source(row);
-        let target = pairs.target(row);
-
-        'transformations: for (t_idx, t) in transformations.iter().enumerate() {
-            if use_cache {
-                for &unit in t.unit_ids() {
-                    if bad.contains(unit) {
-                        cache_hits += 1;
-                        continue 'transformations;
-                    }
-                }
-            }
-            trials += 1;
-            buffer.clear();
-            let mut failed = false;
-            for &unit in t.unit_ids() {
-                match memo.output(pool, unit, source, target, &mut unit_evaluations) {
-                    Some(out) => {
-                        buffer.push_str(out);
-                        if buffer.len() > target.len() {
-                            failed = true;
-                            break;
+        let tile_rows = TILE.min(rows.end - first);
+        let live = u64::MAX >> (TILE - tile_rows);
+        bad.fill(0);
+        evaluated.fill(0);
+        block.fill(NO_BLOCK);
+        spans.clear();
+        for (t_idx, t) in transformations.iter().enumerate() {
+            let units = t.unit_ids();
+            let hits = if use_cache {
+                units.iter().fold(0, |hits, unit| hits | bad[unit.index()])
+            } else {
+                0
+            };
+            cache_hits += u64::from(hits.count_ones());
+            let mut lanes = live & !hits;
+            trials += u64::from(lanes.count_ones());
+            'lanes: while lanes != 0 {
+                let lane = lanes.trailing_zeros() as usize;
+                lanes &= lanes - 1;
+                let bit = 1u64 << lane;
+                let row = first + lane;
+                let target = pairs.target(row);
+                let bytes = target.as_bytes();
+                let (mut len, mut matches) = (0usize, true);
+                for &unit in units {
+                    let i = unit.index();
+                    if evaluated[i] & bit == 0 {
+                        evaluated[i] |= bit;
+                        unit_evaluations += 1;
+                        let output = pool.get(unit).output_on(pairs.source(row));
+                        let Some((at, n)) =
+                            output.and_then(|out| Some((target.find(&*out)?, out.len())))
+                        else {
+                            bad[i] |= bit;
+                            continue 'lanes;
+                        };
+                        if block[i] == NO_BLOCK {
+                            block[i] = spans.len();
+                            spans.resize(spans.len() + TILE, (0, 0));
                         }
+                        spans[block[i] + lane] = (to_u32(at), to_u32(n));
                     }
-                    None => {
-                        // This unit can never appear in a transformation
-                        // covering this row.
-                        if use_cache {
-                            bad.insert(unit);
-                        }
-                        failed = true;
-                        break;
+                    if bad[i] & bit != 0 {
+                        continue 'lanes;
                     }
+                    let (at, n) = spans[block[i] + lane];
+                    let (at, n) = (at as usize, n as usize);
+                    if len + n > bytes.len() {
+                        continue 'lanes;
+                    }
+                    matches = matches && (at == len || bytes[at..at + n] == bytes[len..len + n]);
+                    len += n;
                 }
-            }
-            if !failed && buffer == target {
-                // Invariant is local (audited): `row` indexes the
-                // `PairSet`, admitted through `checked_row_count` in
-                // `PairSet::from_pairs` — the cast cannot truncate.
-                covered_rows[t_idx].push(row as u32);
+                if matches && len == bytes.len() {
+                    // Invariant is local (audited): `row` indexes the
+                    // `PairSet`, admitted through `checked_row_count` in
+                    // `PairSet::from_pairs` — the cast cannot truncate.
+                    covered_rows[t_idx].push(row as u32);
+                }
             }
         }
     }
@@ -416,6 +333,12 @@ fn coverage_scan(
         unit_evaluations,
         apply_time: Duration::ZERO,
     }
+}
+
+/// A byte offset or length within a target, which `PairSet::from_pairs`
+/// bounds to `u32::MAX` bytes.
+fn to_u32(bytes: usize) -> u32 {
+    u32::try_from(bytes).expect("PairSet::from_pairs bounds targets to u32::MAX bytes")
 }
 
 pub mod reference {
@@ -582,6 +505,25 @@ mod tests {
     }
 
     #[test]
+    fn a_mismatching_trial_still_caches_a_later_bad_unit() {
+        // The first candidate's "b" occurs in the target but not at offset
+        // 0, so its output stops matching at once; the walk must still go
+        // on to "zzz", find it non-covering and cache it, which makes the
+        // second candidate a cache hit. A walk that stopped at the first
+        // mismatch would try the second candidate instead.
+        let zzz = Unit::literal("zzz");
+        let ts = [
+            Transformation::new(vec![Unit::substr(1, 2), zzz.clone()]),
+            Transformation::new(vec![Unit::substr(0, 3), zzz]),
+            Transformation::new(vec![Unit::substr(0, 3)]),
+        ];
+        let set = pairs(&[("abc", "abc")]);
+        let out = coverage_checked(&ts, &set, true, 1);
+        assert_eq!((out.trials, out.cache_hits), (2, 1));
+        assert_eq!(out.covered_rows, vec![vec![], vec![], vec![0]]);
+    }
+
+    #[test]
     fn length_abandoning_does_not_change_results() {
         let t = Transformation::new(vec![Unit::substr(0, 5), Unit::substr(0, 5)]);
         let set = pairs(&[("abcdef", "abcde")]);
@@ -666,7 +608,7 @@ mod tests {
         rows.iter().map(|&(s, t)| (s.to_owned(), t.to_owned())).collect()
     }
 
-    /// One edge shape of the row chunking. With a `deadline`, the budget
+    /// One edge shape of the row chunking or tiling. With a `deadline`, the budget
     /// must trip mid-scan and the run return `Err`.
     struct EdgeCase {
         name: &'static str,
@@ -675,8 +617,8 @@ mod tests {
         deadline: Option<Duration>,
     }
 
-    /// Every edge shape of the row chunking, at threads {1, 2, 3, 4, 7} and
-    /// cache on/off: the whole outcome but `apply_time` equals the serial
+    /// Every edge shape of the row chunking and the 64-row tiles, at
+    /// threads {1, 2, 3, 4, 7} and cache on/off: the whole outcome but `apply_time` equals the serial
     /// engine's, the serial engine equals the naive reference (and the
     /// owned-transformation wrapper), and a budget that trips mid-scan
     /// returns `Err` — never a partial outcome.
@@ -705,6 +647,32 @@ mod tests {
                 .map(|i| (format!("r{i:03}"), if i % 2 == 0 { "r" } else { "q" }.to_owned()))
                 .collect()
         };
+        // Every sequence of one to three units over a pool whose verdicts
+        // vary by row, so the cache fills differently on each row of a
+        // tile: 258 candidates, enough to chunk rows.
+        let unit_pool = [
+            Unit::substr(0, 1),
+            Unit::substr(1, 2),
+            Unit::literal("q"),
+            Unit::literal("r"),
+            Unit::literal("0"),
+            Unit::split('x', 0),
+        ];
+        let mut sequences: Vec<Vec<Unit>> = vec![Vec::new()];
+        let mut varied = Vec::new();
+        for _ in 0..3 {
+            sequences = sequences
+                .iter()
+                .flat_map(|prefix| {
+                    unit_pool.iter().map(|unit| [prefix.clone(), vec![unit.clone()]].concat())
+                })
+                .collect();
+            varied.extend(sequences.iter().cloned().map(Transformation::new));
+        }
+        let tile_rows = |rows: usize| -> Vec<(String, String)> {
+            let targets = ["r", "q", "r0", "rq"];
+            (0..rows).map(|i| (format!("r{i:03}"), targets[i % 4].to_owned())).collect()
+        };
         let names = [("bowling, michael", "m bowling"), ("rafiei, davood", "rafiei")];
         let mixed = vec![initial_last(), Transformation::new(vec![Unit::split(',', 0)])];
         let case = |name, transformations, rows| EdgeCase {
@@ -728,6 +696,13 @@ mod tests {
             case("seam 63", alternating.clone(), seam_rows(126)),
             case("seam 64", alternating.clone(), seam_rows(128)),
             case("seam 65", alternating, seam_rows(130)),
+            // A partial tile, the full 64-row mask, one row past it, and
+            // two full tiles plus one row; at 2 and 3 threads the tiles
+            // straddle the chunk boundaries.
+            case("tile 63", varied.clone(), tile_rows(63)),
+            case("tile 64", varied.clone(), tile_rows(64)),
+            case("tile 65", varied.clone(), tile_rows(65)),
+            case("tile 129", varied, tile_rows(129)),
             EdgeCase {
                 name: "deadline trips mid-scan",
                 transformations: many,

@@ -79,11 +79,12 @@ impl SynthesisEngine {
     }
 
     /// [`Self::discover`] under a cooperative [`BudgetToken`]: the token is
-    /// checked between phases, at the coverage scan's row boundaries, and
-    /// at the selection heap's pop boundaries, so a tripped budget (only
-    /// the wall-clock deadline can trip mid-run; row/byte caps are charged
-    /// at pipeline admission) aborts the synthesis cleanly with `Err`
-    /// instead of running away. With `budget = None` this is exactly
+    /// checked between phases, at the coverage scan's tile boundaries (at
+    /// most 64 rows apart), and at the selection heap's pop boundaries, so
+    /// a tripped budget (only the wall-clock deadline can trip mid-run;
+    /// row/byte caps are charged at pipeline admission) aborts the
+    /// synthesis cleanly with `Err`, never with a partial result, instead
+    /// of running away. With `budget = None` this is exactly
     /// [`Self::discover`], bit for bit.
     pub fn discover_budgeted(
         &self,

@@ -41,16 +41,18 @@
 //!   [`tjoin_units::IdTransformation`]s — dense `u32` id vectors. The
 //!   paper's duplicate removal (strategy 1) then hashes id vectors instead
 //!   of unit vectors with embedded strings.
-//! * **Per-row output memoization** ([`coverage`]): candidates are Cartesian
-//!   products over a small unit pool, so the same unit appears in hundreds
-//!   of transformations. The engine evaluates `Unit::output_on` at most
-//!   once per `(row, unit)` pair, memoizing the output *and* the
-//!   is-substring-of-target verdict in a dense table indexed by
-//!   [`tjoin_units::UnitId`].
+//! * **64-row tiles** ([`coverage`]): candidates are Cartesian products
+//!   over a small unit pool, so the same unit appears in hundreds of
+//!   transformations. The engine scans the rows in tiles of up to 64 and
+//!   reads the candidate list once per tile. Per [`tjoin_units::UnitId`] it
+//!   keeps a `u64` row mask of the rows where the unit was evaluated and
+//!   one of the rows where it is non-covering, so `Unit::output_on` runs at
+//!   most once per `(row, unit)` pair. A covering output is kept as its
+//!   offset and length in the row's target.
 //! * **Bitset non-covering cache**: the paper's per-row cache of units known
-//!   not to help a row (strategy 2, the 50–99 % hit ratios of Table 4) is a
-//!   dense epoch-stamped array indexed by `UnitId` — O(1), no hashing, no
-//!   unit clones.
+//!   not to help a row (strategy 2, the 50–99 % hit ratios of Table 4) is
+//!   that non-covering mask: a candidate's cache-hit rows are the OR of its
+//!   units' masks — no hashing, no unit clones.
 //! * **Sparse coverage collection** ([`coverage`]): covered rows are
 //!   accumulated as sorted per-candidate row lists instead of a dense
 //!   [`bitmap::RowBitmap`] per candidate (which would cost
@@ -64,14 +66,13 @@
 //! ## Parallel coverage
 //!
 //! Parallel coverage splits the rows into `min(threads, rows)` contiguous
-//! chunks, and each worker runs the serial scan over its chunk with its own
-//! lazy per-row unit memo and non-covering-unit cache; shapes with fewer
-//! than 256 candidates and fewer than 256 rows stay in one chunk. Row chunks
-//! suit the few-patterns × many-rows pools of GXJoin-style generalization as
-//! well as the many-candidates × few-rows pools of generation. Because the
-//! memo and the cache are per row and the chunks share no rows, covered
-//! rows, trials, cache hits and unit evaluations are identical at every
-//! thread count; see the [`coverage`] module docs.
+//! chunks, and each worker tiles its own chunk with its own masks; shapes
+//! with fewer than 256 candidates and fewer than 256 rows stay in one
+//! chunk. Row chunks suit the few-patterns × many-rows pools of
+//! GXJoin-style generalization as well as the many-candidates × few-rows
+//! pools of generation. Because the masks are per row and the chunks share
+//! no rows, covered rows, trials, cache hits and unit evaluations are
+//! identical at every thread count; see the [`coverage`] module docs.
 //!
 //! ## Lazy-greedy selection
 //!

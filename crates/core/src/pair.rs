@@ -49,10 +49,15 @@ impl PairSet {
     ///
     /// Panics when the pair count exceeds the `u32` row-id space — this is
     /// the single admission check every downstream `row as u32` cast in the
-    /// coverage scans relies on.
+    /// coverage scans relies on — or when a target exceeds `u32::MAX`
+    /// bytes, the bound the coverage scan's `u32` output spans rely on
+    /// (`CharStr::new` bounds sources the same way).
     pub fn from_pairs(pairs: Vec<InputPair>) -> Self {
         if let Err(e) = checked_row_count(pairs.len()) {
             panic!("pair set exceeds the u32 row-id space: {e}");
+        }
+        if let Some(long) = pairs.iter().find(|p| u32::try_from(p.target.len()).is_err()) {
+            panic!("a target exceeds the u32 byte-offset space ({} bytes)", long.target.len());
         }
         let sources = pairs.iter().map(|p| CharStr::new(p.source.clone())).collect();
         Self { pairs, sources }

@@ -12,14 +12,22 @@
 //!   same-family appends: the coverage work of the incremental path
 //!   (retained transformations × delta rows) against a rebuild per append
 //!   (the coverage trials `SynthesisEngine` runs on the grown pair).
+//!
+//! A third test pins the coverage phase itself on the first `repo_batch`
+//! repository: its Table 4 counters (trials and cache hits), its unit
+//! evaluations and every pair's cover. It is `#[ignore]`d, so it runs in
+//! the release leg, `cargo test -q -p tjoin-join --release -- --ignored`.
 
-use tjoin_core::SynthesisEngine;
+use tjoin_core::coverage::compute_coverage_planned_budgeted;
+use tjoin_core::generate::generate_transformations;
+use tjoin_core::{PairSet, SynthesisEngine};
 use tjoin_datasets::{AppendWorkloadConfig, RepositoryConfig};
 use tjoin_join::{
     BatchJoinOutcome, BatchJoinRunner, DiscoveryConfig, IncrementalJoin, IncrementalJoinConfig,
     JoinPipeline, JoinPipelineConfig, RowMatchingStrategy,
 };
-use tjoin_matching::golden_value_pairs;
+use tjoin_matching::{golden_value_pairs, NGramMatcher};
+use tjoin_units::TransformationSet;
 
 /// Results-only outcome comparison (timings and scheduling counters are
 /// measurements, not results).
@@ -197,3 +205,104 @@ fn incremental_append_work_is_far_below_a_rebuild_per_append() {
         "a clean same-family stream must never re-synthesize"
     );
 }
+
+/// FNV-1a over each selected transformation's rendering and covered rows:
+/// a digest that is stable across toolchains, unlike `std`'s hashers.
+fn cover_digest(cover: &TransformationSet) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |bytes: &[u8]| {
+        for &byte in bytes {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for selected in &cover.transformations {
+        eat(selected.transformation.to_string().as_bytes());
+        for row in &selected.covered_rows {
+            eat(&row.to_le_bytes());
+        }
+        eat(b";");
+    }
+    hash
+}
+
+/// The coverage phase on `RepositoryConfig::new(12, 80).generate(7000)`,
+/// the first repository of perfbench's `repo_batch` at seed 7, with
+/// `paper_default` and n-gram candidates. The summed trials, cache hits
+/// and unit evaluations and each pair's (cover size, cover digest) are
+/// pinned to the values of the row-at-a-time scan that coverage tiling
+/// replaced: a faster scan has to do the same logical work and select the
+/// same covers.
+#[test]
+#[ignore = "repository-scale synthesis; run with --release -- --ignored"]
+fn coverage_counters_and_covers_are_pinned_on_the_repo_batch_repository() {
+    let repository = RepositoryConfig::new(12, 80).generate(7000);
+    let config = JoinPipelineConfig::paper_default();
+    let RowMatchingStrategy::NGram(matcher) = &config.matching else {
+        unreachable!("the paper default matches rows by n-grams")
+    };
+    let synthesis = &config.synthesis;
+    let engine = SynthesisEngine::new(synthesis.clone());
+    let (mut trials, mut cache_hits, mut unit_evaluations) = (0u64, 0u64, 0u64);
+    let mut covers = Vec::new();
+
+    for pair in &repository {
+        let candidates = NGramMatcher::new(matcher.clone())
+            .try_candidate_value_pairs(pair, None, None)
+            .expect("generated pairs never fail matching");
+        let pairs = PairSet::from_strings(&candidates, &synthesis.normalize);
+        let generation = generate_transformations(&pairs, synthesis);
+        let coverage = compute_coverage_planned_budgeted(
+            &generation.pool,
+            &generation.transformations,
+            &pairs,
+            synthesis.unit_cache,
+            synthesis.threads,
+            synthesis.coverage_axis,
+            None,
+        )
+        .expect("no budget");
+        trials += coverage.trials;
+        cache_hits += coverage.cache_hits;
+        unit_evaluations += coverage.unit_evaluations;
+
+        let result = engine.discover(&pairs);
+        let name = &pair.name;
+        assert_eq!(result.stats.coverage_trials, coverage.trials, "{name}");
+        assert_eq!(result.stats.cache_hits, coverage.cache_hits, "{name}");
+        covers.push((
+            pair.name.clone(),
+            result.cover.transformations.len(),
+            cover_digest(&result.cover),
+        ));
+    }
+
+    println!(
+        "coverage: {trials} trials, {cache_hits} cache hits, {unit_evaluations} unit evaluations"
+    );
+    assert_eq!(
+        (trials, cache_hits, unit_evaluations),
+        (3_169_799, 68_570_318, 1_015_594)
+    );
+    let expected: Vec<(String, usize, u64)> = PINNED_COVERS
+        .iter()
+        .map(|&(name, size, digest)| (name.to_owned(), size, digest))
+        .collect();
+    assert_eq!(covers, expected);
+}
+
+/// Each pair's (name, cover size, [`cover_digest`]) on the repository
+/// above; an empty cover digests to the FNV offset basis.
+const PINNED_COVERS: [(&str, usize, u64); 12] = [
+    ("repo-000-names", 37, 0xb671_c645_c09c_2d22),
+    ("repo-001-emails", 73, 0x5b81_1e94_a464_5d49),
+    ("repo-002-phones", 7, 0x9632_4f5c_6658_138f),
+    ("repo-003-decoy", 0, 0xcbf2_9ce4_8422_2325),
+    ("repo-004-dates", 50, 0x1cd5_62b9_c151_2f64),
+    ("repo-005-products", 80, 0xbe4c_49fa_5cdd_42d8),
+    ("repo-006-userids", 23, 0x285c_10ca_b91a_4564),
+    ("repo-007-decoy", 0, 0xcbf2_9ce4_8422_2325),
+    ("repo-008-names", 29, 0x471c_69bc_55c4_937c),
+    ("repo-009-emails", 50, 0xba45_e500_0459_b4da),
+    ("repo-010-phones", 12, 0xa42a_b289_7344_3d8e),
+    ("repo-011-decoy", 1, 0xa37b_9fea_7b01_f004),
+];

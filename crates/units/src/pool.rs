@@ -8,11 +8,11 @@
 //!
 //! * duplicate removal of generated transformations hashes small `u32`
 //!   vectors instead of unit vectors with embedded strings;
-//! * the coverage engine memoizes `output_on` per `(row, unit)` in a dense
-//!   table indexed by `UnitId`, so a unit is evaluated at most once per row
-//!   no matter how many transformations contain it;
+//! * the coverage engine keeps per-`UnitId` row masks of evaluated rows,
+//!   so a unit is evaluated at most once per row no matter how many
+//!   transformations contain it;
 //! * the non-covering-unit cache (the paper's Section 4.1.5 pruning) becomes
-//!   a bitset indexed by `UnitId` — O(1) lookup, zero hashing.
+//!   a row mask per `UnitId` — O(1) lookup, zero hashing.
 
 use crate::transformation::{write_units, Transformation};
 use crate::unit::Unit;
