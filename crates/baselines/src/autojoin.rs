@@ -187,7 +187,9 @@ impl AutoJoin {
                 if let Some(units) = solve(&subset, self.config.max_depth, &mut state) {
                     let t = Transformation::new(units);
                     // The search guarantees subset coverage; double-check.
-                    debug_assert!(subset.iter().all(|(s, tgt)| t.covers(s, tgt)));
+                    debug_assert!(subset
+                        .iter()
+                        .all(|(s, tgt)| t.apply(s.as_str()).as_deref() == Some(*tgt)));
                     subsets_succeeded += 1;
                     if seen.insert(t.clone()) {
                         found.push(t);
@@ -242,13 +244,13 @@ fn solve(
         let mut ok = true;
         for (src, tgt) in rows {
             let out = match unit.output_on(src) {
-                Some(o) if !o.is_empty() => o.into_owned(),
+                Some(o) if !o.is_empty() => o,
                 _ => {
                     ok = false;
                     break;
                 }
             };
-            match tgt.find(&out) {
+            match tgt.find(out) {
                 Some(pos) => {
                     lefts.push((src, &tgt[..pos]));
                     rights.push((src, &tgt[pos + out.len()..]));
@@ -294,7 +296,7 @@ fn ranked_candidates(rows: &[(&CharStr, &str)], state: &mut SearchState) -> Vec<
         let mut total_len = 0usize;
         for (src, tgt) in rows {
             match unit.output_on(src) {
-                Some(out) if !out.is_empty() && tgt.contains(out.as_ref()) => {
+                Some(out) if !out.is_empty() && tgt.contains(out) => {
                     total_len += out.chars().count();
                 }
                 _ => return,
@@ -304,8 +306,10 @@ fn ranked_candidates(rows: &[(&CharStr, &str)], state: &mut SearchState) -> Vec<
     };
 
     if state.unit_kinds.contains(&UnitKind::Substr) {
-        for s in 0..max_src_len {
-            for e in (s + 1)..=max_src_len {
+        // Units address the first 65,535 characters (`u16` parameters).
+        let max_end = max_src_len.min(usize::from(u16::MAX));
+        for s in 0..max_end {
+            for e in (s + 1)..=max_end {
                 consider(Unit::substr(s, e), state, &mut scored);
             }
         }

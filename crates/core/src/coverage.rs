@@ -293,7 +293,7 @@ fn coverage_scan(
                         unit_evaluations += 1;
                         let output = pool.get(unit).output_on(pairs.source(row));
                         let Some((at, n)) =
-                            output.and_then(|out| Some((target.find(&*out)?, out.len())))
+                            output.and_then(|out| Some((target.find(out)?, out.len())))
                         else {
                             bad[i] |= bit;
                             continue 'lanes;
@@ -397,7 +397,7 @@ pub mod reference {
                     unit_evaluations += 1;
                     match unit.output_on(source) {
                         Some(out) => {
-                            if !out.is_empty() && !target.contains(out.as_ref()) {
+                            if !out.is_empty() && !target.contains(out) {
                                 // This unit can never appear in a
                                 // transformation covering this row.
                                 if use_cache {
@@ -406,7 +406,7 @@ pub mod reference {
                                 failed = true;
                                 break;
                             }
-                            buffer.push_str(&out);
+                            buffer.push_str(out);
                             if buffer.len() > target.len() {
                                 failed = true;
                                 break;

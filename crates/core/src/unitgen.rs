@@ -21,6 +21,10 @@ use tjoin_units::{CharStr, Unit, UnitId, UnitKind, UnitPool};
 /// in cases where a constant in the target text occurs in the source by
 /// chance"). The list is deduplicated (by interned id — no unit cloning or
 /// re-hashing) and capped at `config.max_units_per_placeholder`.
+///
+/// Units address the first 65,535 characters and pieces of a source (their
+/// parameters are `u16`): a candidate whose position or piece index lies
+/// beyond is not generated.
 pub fn candidate_unit_ids(
     placeholder: &Placeholder,
     source: &CharStr,
@@ -29,6 +33,7 @@ pub fn candidate_unit_ids(
 ) -> Vec<UnitId> {
     let text = placeholder.text.as_str();
     let len = placeholder.char_len();
+    let fits = |param: usize| u16::try_from(param).is_ok();
     let mut seen: FxHashSet<UnitId> = FxHashSet::default();
     let mut out: Vec<UnitId> = Vec::new();
     let mut push = |u: Unit, pool: &mut UnitPool, out: &mut Vec<UnitId>| {
@@ -42,7 +47,7 @@ pub fn candidate_unit_ids(
 
     // (1) Substr(s, e) for each source occurrence.
     if config.kind_enabled(UnitKind::Substr) {
-        for &s in &placeholder.source_positions {
+        for &s in placeholder.source_positions.iter().filter(|&&s| fits(s + len)) {
             push(Unit::substr(s, s + len), pool, &mut out);
         }
     }
@@ -67,7 +72,7 @@ pub fn candidate_unit_ids(
                 continue;
             }
             for (i, range) in source.split_ranges(c).into_iter().enumerate() {
-                if source.slice_range(range) == Some(text) {
+                if fits(i) && source.slice_range(range) == Some(text) {
                     push(Unit::split(c, i), pool, &mut out);
                 }
             }
@@ -106,7 +111,9 @@ pub fn candidate_unit_ids(
                     .find(|(_, r)| r.start <= occ && occ + len <= r.end)
                 {
                     let offset = occ - piece.start;
-                    push(Unit::split_substr(c, i, offset, offset + len), pool, &mut out);
+                    if fits(i) && fits(offset + len) {
+                        push(Unit::split_substr(c, i, offset, offset + len), pool, &mut out);
+                    }
                 }
             }
         }
@@ -137,11 +144,13 @@ pub fn candidate_unit_ids(
                         .find(|(_, r)| r.start <= occ && occ + len <= r.end)
                     {
                         let offset = occ - piece.start;
-                        push(
-                            Unit::two_char_split_substr(c1, c2, i, offset, offset + len),
-                            pool,
-                            &mut out,
-                        );
+                        if fits(i) && fits(offset + len) {
+                            push(
+                                Unit::two_char_split_substr(c1, c2, i, offset, offset + len),
+                                pool,
+                                &mut out,
+                            );
+                        }
                     }
                 }
             }
@@ -196,7 +205,19 @@ mod tests {
         let units = candidate_units(&p, &src, &config);
         assert!(!units.is_empty());
         for u in &units {
-            assert_eq!(u.apply(src.as_str()).as_deref(), Some("michael"), "unit {u}");
+            assert_eq!(u.output_on(&src), Some("michael"), "unit {u}");
+        }
+    }
+
+    #[test]
+    fn units_past_the_65535th_character_are_not_generated() {
+        // `Substr(70001, 70004)` would wrap to `Substr(4465, 4468)`, "aaa".
+        let source = format!("{} xyz", "a".repeat(70_000));
+        let (src, p) = placeholder_for(&source, "xyz", "xyz");
+        let units = candidate_units(&p, &src, &SynthesisConfig::default());
+        assert!(units.contains(&Unit::split(' ', 1)), "{units:?}");
+        for u in &units {
+            assert_eq!(u.output_on(&src), Some("xyz"), "unit {u}");
         }
     }
 
@@ -271,7 +292,7 @@ mod tests {
             "expected a TwoCharSplitSubstr among {units:?}"
         );
         for u in &units {
-            assert_eq!(u.apply(src.as_str()).as_deref(), Some("780"), "unit {u}");
+            assert_eq!(u.output_on(&src), Some("780"), "unit {u}");
         }
     }
 

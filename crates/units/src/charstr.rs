@@ -35,19 +35,16 @@ impl CharStr {
     /// Builds a `CharStr` from any string-like value.
     pub fn new(text: impl Into<String>) -> Self {
         let text = text.into();
-        // Hard check, not a debug_assert: the offset casts below rely on
-        // it, and a release-mode truncation would silently corrupt every
-        // character lookup on the string.
-        assert!(
-            text.len() <= u32::MAX as usize,
-            "CharStr input exceeds the u32 offset space ({} bytes)",
-            text.len()
-        );
+        // Checked, not `as`: a release-mode truncation would silently
+        // corrupt every character lookup on the string.
+        let offset = |byte: usize| {
+            u32::try_from(byte).expect("CharStr input exceeds the u32 offset space")
+        };
         let mut offsets = Vec::with_capacity(text.len() + 1);
         for (byte, _) in text.char_indices() {
-            offsets.push(byte as u32);
+            offsets.push(offset(byte));
         }
-        offsets.push(text.len() as u32);
+        offsets.push(offset(text.len()));
         Self { text, offsets }
     }
 
@@ -130,6 +127,32 @@ impl CharStr {
         ranges
     }
 
+    /// The `index`-th piece of the character range `within` split on the
+    /// characters where `is_delim` holds, as a character range of the whole
+    /// string; `None` when `within` has fewer pieces. Without allocating, this
+    /// is what [`Self::split_ranges_by`] on the text of `within` yields at
+    /// `index`, shifted by `within.start`.
+    pub(crate) fn piece(
+        &self,
+        within: Range<usize>,
+        index: usize,
+        mut is_delim: impl FnMut(char) -> bool,
+    ) -> Option<Range<usize>> {
+        let text = self.slice_range(within.clone())?;
+        let mut start = within.start;
+        let mut delims = 0;
+        for (i, c) in (within.start..).zip(text.chars()) {
+            if is_delim(c) {
+                if delims == index {
+                    return Some(start..i);
+                }
+                delims += 1;
+                start = i + 1;
+            }
+        }
+        (delims == index).then_some(start..within.end)
+    }
+
     /// All character positions at which `needle` occurs as a substring
     /// (positions are character indices of the first character of the match).
     /// Matches may overlap. An empty needle yields no positions.
@@ -138,17 +161,15 @@ impl CharStr {
             return Vec::new();
         }
         let mut out = Vec::new();
-        let needle_chars = needle.chars().count();
         let mut byte_pos = 0usize;
         while let Some(found) = self.text[byte_pos..].find(needle) {
             let abs_byte = byte_pos + found;
             // Binary search the offsets table for the character index.
             let char_idx = self
                 .offsets
-                .binary_search(&(abs_byte as u32))
+                .binary_search_by_key(&abs_byte, |&offset| offset as usize)
                 .expect("match must start at a char boundary");
             out.push(char_idx);
-            let _ = needle_chars; // length in chars not needed for advancing
             // Advance by one character to allow overlapping matches.
             byte_pos = self.offsets[char_idx + 1] as usize;
         }
@@ -183,6 +204,37 @@ impl AsRef<str> for CharStr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// `piece` is `split_ranges_by(pred).get(index)`, on multi-byte text
+        /// with leading, trailing and repeated delimiters and indexes past
+        /// the last piece; within an outer piece, it is the split of that
+        /// piece's text, shifted to the piece.
+        #[test]
+        fn piece_is_the_indexed_split_range(
+            s in "[abé€,; ]{0,24}",
+            d1 in prop_oneof![Just(','), Just('€')],
+            d2 in prop_oneof![Just(' '), Just('é')],
+            outer in 0usize..6,
+            index in 0usize..8,
+        ) {
+            let cs = CharStr::new(s);
+            let whole = 0..cs.char_len();
+            let two = |c: char| c == d1 || c == d2;
+            prop_assert_eq!(cs.piece(whole.clone(), index, two), cs.split_ranges_by(two).get(index).cloned());
+            let single = |c: char| c == d1;
+            prop_assert_eq!(cs.piece(whole, outer, single), cs.split_ranges(d1).get(outer).cloned());
+            if let Some(piece) = cs.split_ranges(d1).get(outer).cloned() {
+                let text = CharStr::new(cs.slice_range(piece.clone()).unwrap());
+                let shifted = text
+                    .split_ranges(d2)
+                    .get(index)
+                    .map(|r| r.start + piece.start..r.end + piece.start);
+                prop_assert_eq!(cs.piece(piece, index, |c| c == d2), shifted);
+            }
+        }
+    }
 
     #[test]
     fn char_len_ascii() {

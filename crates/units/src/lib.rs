@@ -48,6 +48,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(clippy::cast_possible_truncation)]
 
 pub mod charstr;
 pub mod pool;

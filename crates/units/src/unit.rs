@@ -3,6 +3,7 @@
 use crate::charstr::CharStr;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::Range;
 
 /// The kind of a [`Unit`], without its parameters.
 ///
@@ -148,10 +149,16 @@ pub enum Unit {
 
 impl Unit {
     /// Convenience constructor for [`Unit::Substr`].
+    ///
+    /// # Panics
+    ///
+    /// When a parameter exceeds `u16::MAX`: units address the first 65,535
+    /// characters (and pieces) of their input. The same holds for every
+    /// constructor below.
     pub fn substr(start: usize, end: usize) -> Self {
         Unit::Substr {
-            start: start as u16,
-            end: end as u16,
+            start: param(start),
+            end: param(end),
         }
     }
 
@@ -159,7 +166,7 @@ impl Unit {
     pub fn split(delim: char, index: usize) -> Self {
         Unit::Split {
             delim,
-            index: index as u16,
+            index: param(index),
         }
     }
 
@@ -167,9 +174,9 @@ impl Unit {
     pub fn split_substr(delim: char, index: usize, start: usize, end: usize) -> Self {
         Unit::SplitSubstr {
             delim,
-            index: index as u16,
-            start: start as u16,
-            end: end as u16,
+            index: param(index),
+            start: param(start),
+            end: param(end),
         }
     }
 
@@ -184,9 +191,9 @@ impl Unit {
         Unit::TwoCharSplitSubstr {
             delim1,
             delim2,
-            index: index as u16,
-            start: start as u16,
-            end: end as u16,
+            index: param(index),
+            start: param(start),
+            end: param(end),
         }
     }
 
@@ -201,11 +208,11 @@ impl Unit {
     ) -> Self {
         Unit::SplitSplitSubstr {
             delim1,
-            index1: index1 as u16,
+            index1: param(index1),
             delim2,
-            index2: index2 as u16,
-            start: start as u16,
-            end: end as u16,
+            index2: param(index2),
+            start: param(start),
+            end: param(end),
         }
     }
 
@@ -231,44 +238,23 @@ impl Unit {
         self.kind().is_constant()
     }
 
-    /// Applies the unit to an input and appends the output to `out`.
-    ///
-    /// Returns `false` (leaving `out` untouched) when the unit does not apply
-    /// to this input. This is the hot-path entry point used by coverage
-    /// checking; [`Self::apply`] wraps it.
-    pub fn apply_into(&self, input: &CharStr, out: &mut String) -> bool {
-        match self.output_on(input) {
-            Some(s) => {
-                out.push_str(&s);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// The output of the unit on `input`, or `None` when it does not apply.
-    pub fn output_on(&self, input: &CharStr) -> Option<std::borrow::Cow<'_, str>> {
-        use std::borrow::Cow;
-        match self {
-            Unit::Substr { start, end } => input
-                .slice(*start as usize, *end as usize)
-                .map(|s| Cow::Owned(s.to_owned())),
-            Unit::Split { delim, index } => {
-                let ranges = input.split_ranges(*delim);
-                let r = ranges.get(*index as usize)?;
-                input.slice_range(r.clone()).map(|s| Cow::Owned(s.to_owned()))
-            }
+    /// The output of the unit on `input`, or `None` when it does not apply:
+    /// a literal's own text, and for every other kind a slice of `input`.
+    pub fn output_on<'a>(&'a self, input: &'a CharStr) -> Option<&'a str> {
+        let whole = 0..input.char_len();
+        let split = |within: Range<usize>, index: u16, delim: char| {
+            input.piece(within, usize::from(index), |c| c == delim)
+        };
+        let (piece, start, end) = match self {
+            Unit::Literal { text } => return Some(text),
+            Unit::Split { delim, index } => return input.slice_range(split(whole, *index, *delim)?),
+            Unit::Substr { start, end } => (whole, start, end),
             Unit::SplitSubstr {
                 delim,
                 index,
                 start,
                 end,
-            } => {
-                let ranges = input.split_ranges(*delim);
-                let piece = ranges.get(*index as usize)?;
-                slice_within(input, piece.clone(), *start as usize, *end as usize)
-                    .map(|s| Cow::Owned(s.to_owned()))
-            }
+            } => (split(whole, *index, *delim)?, start, end),
             Unit::TwoCharSplitSubstr {
                 delim1,
                 delim2,
@@ -276,10 +262,8 @@ impl Unit {
                 start,
                 end,
             } => {
-                let ranges = input.split_ranges2(*delim1, *delim2);
-                let piece = ranges.get(*index as usize)?;
-                slice_within(input, piece.clone(), *start as usize, *end as usize)
-                    .map(|s| Cow::Owned(s.to_owned()))
+                let is_delim = |c| c == *delim1 || c == *delim2;
+                (input.piece(whole, usize::from(*index), is_delim)?, start, end)
             }
             Unit::SplitSplitSubstr {
                 delim1,
@@ -289,75 +273,21 @@ impl Unit {
                 start,
                 end,
             } => {
-                let outer = input.split_ranges(*delim1);
-                let piece = outer.get(*index1 as usize)?.clone();
-                // Split the selected piece again on the inner delimiter.
-                let inner = split_piece(input, piece, *delim2);
-                let piece2 = inner.get(*index2 as usize)?.clone();
-                slice_within(input, piece2, *start as usize, *end as usize)
-                    .map(|s| Cow::Owned(s.to_owned()))
+                let outer = split(whole, *index1, *delim1)?;
+                (split(outer, *index2, *delim2)?, start, end)
             }
-            Unit::Literal { text } => Some(Cow::Borrowed(text.as_str())),
+        };
+        let (start, end) = (usize::from(*start), usize::from(*end));
+        if start > end || end > piece.len() {
+            return None;
         }
-    }
-
-    /// Applies the unit to a plain `&str` (builds a temporary [`CharStr`]).
-    pub fn apply(&self, input: &str) -> Option<String> {
-        let cs = CharStr::new(input);
-        self.output_on(&cs).map(|c| c.into_owned())
-    }
-
-    /// Exact output length in characters when it can be known without the
-    /// input (only `Literal` and `Substr` expose this); used for cheap
-    /// pre-filters in the synthesis engine.
-    pub fn fixed_output_char_len(&self) -> Option<usize> {
-        match self {
-            Unit::Literal { text } => Some(text.chars().count()),
-            Unit::Substr { start, end } => Some((*end as usize).saturating_sub(*start as usize)),
-            Unit::SplitSubstr { start, end, .. }
-            | Unit::TwoCharSplitSubstr { start, end, .. }
-            | Unit::SplitSplitSubstr { start, end, .. } => {
-                Some((*end as usize).saturating_sub(*start as usize))
-            }
-            Unit::Split { .. } => None,
-        }
+        input.slice(piece.start + start, piece.start + end)
     }
 }
 
-/// Slices the character range `[start, end)` *relative to* `piece` (a
-/// character range of `input`), returning `None` when it falls outside the
-/// piece.
-#[inline]
-fn slice_within(
-    input: &CharStr,
-    piece: std::ops::Range<usize>,
-    start: usize,
-    end: usize,
-) -> Option<&str> {
-    let len = piece.end - piece.start;
-    if start > end || end > len {
-        return None;
-    }
-    input.slice(piece.start + start, piece.start + end)
-}
-
-/// Splits the character range `piece` of `input` on `delim`, returning
-/// absolute character ranges.
-fn split_piece(
-    input: &CharStr,
-    piece: std::ops::Range<usize>,
-    delim: char,
-) -> Vec<std::ops::Range<usize>> {
-    let mut ranges = Vec::new();
-    let mut start = piece.start;
-    for i in piece.clone() {
-        if input.char_at(i) == Some(delim) {
-            ranges.push(start..i);
-            start = i + 1;
-        }
-    }
-    ranges.push(start..piece.end);
-    ranges
+/// A unit parameter as stored; see [`Unit::substr`] for the panic.
+fn param(value: usize) -> u16 {
+    u16::try_from(value).expect("unit parameters address the first 65,535 characters")
 }
 
 impl fmt::Display for Unit {
@@ -401,37 +331,38 @@ impl fmt::Display for Unit {
 mod tests {
     use super::*;
 
-    fn cs(s: &str) -> CharStr {
-        CharStr::new(s)
+    /// The unit's output on a plain `&str`, owned.
+    fn apply(unit: &Unit, input: &str) -> Option<String> {
+        unit.output_on(&CharStr::new(input)).map(str::to_owned)
     }
 
     #[test]
     fn substr_basic() {
-        assert_eq!(Unit::substr(0, 3).apply("abcdef").as_deref(), Some("abc"));
-        assert_eq!(Unit::substr(2, 6).apply("abcdef").as_deref(), Some("cdef"));
-        assert_eq!(Unit::substr(0, 0).apply("abcdef").as_deref(), Some(""));
-        assert_eq!(Unit::substr(0, 7).apply("abcdef"), None);
-        assert_eq!(Unit::substr(4, 2).apply("abcdef"), None);
+        assert_eq!(apply(&Unit::substr(0, 3), "abcdef").as_deref(), Some("abc"));
+        assert_eq!(apply(&Unit::substr(2, 6), "abcdef").as_deref(), Some("cdef"));
+        assert_eq!(apply(&Unit::substr(0, 0), "abcdef").as_deref(), Some(""));
+        assert_eq!(apply(&Unit::substr(0, 7), "abcdef"), None);
+        assert_eq!(apply(&Unit::substr(4, 2), "abcdef"), None);
     }
 
     #[test]
     fn split_basic() {
         // paper example: Split(',', index of first piece) on "prus-czarnecki, andrzej"
         assert_eq!(
-            Unit::split(',', 0).apply("prus-czarnecki, andrzej").as_deref(),
+            apply(&Unit::split(',', 0), "prus-czarnecki, andrzej").as_deref(),
             Some("prus-czarnecki")
         );
         assert_eq!(
-            Unit::split(',', 1).apply("prus-czarnecki, andrzej").as_deref(),
+            apply(&Unit::split(',', 1), "prus-czarnecki, andrzej").as_deref(),
             Some(" andrzej")
         );
-        assert_eq!(Unit::split(',', 2).apply("prus-czarnecki, andrzej"), None);
+        assert_eq!(apply(&Unit::split(',', 2), "prus-czarnecki, andrzej"), None);
     }
 
     #[test]
     fn split_missing_delimiter_is_single_piece() {
-        assert_eq!(Unit::split(',', 0).apply("abc").as_deref(), Some("abc"));
-        assert_eq!(Unit::split(',', 1).apply("abc"), None);
+        assert_eq!(apply(&Unit::split(',', 0), "abc").as_deref(), Some("abc"));
+        assert_eq!(apply(&Unit::split(',', 1), "abc"), None);
     }
 
     #[test]
@@ -439,23 +370,23 @@ mod tests {
         // SplitSubstr(' ', 2nd piece, 0, 1) extracts the first initial of the
         // first name in "gosgnach, simon" -> "s".
         assert_eq!(
-            Unit::split_substr(' ', 1, 0, 1).apply("gosgnach, simon").as_deref(),
+            apply(&Unit::split_substr(' ', 1, 0, 1), "gosgnach, simon").as_deref(),
             Some("s")
         );
     }
 
     #[test]
     fn split_substr_out_of_piece() {
-        assert_eq!(Unit::split_substr(' ', 1, 0, 20).apply("a bc"), None);
-        assert_eq!(Unit::split_substr(' ', 5, 0, 1).apply("a bc"), None);
+        assert_eq!(apply(&Unit::split_substr(' ', 1, 0, 20), "a bc"), None);
+        assert_eq!(apply(&Unit::split_substr(' ', 5, 0, 1), "a bc"), None);
     }
 
     #[test]
     fn two_char_split_substr() {
         let u = Unit::two_char_split_substr('-', ' ', 1, 0, 4);
-        assert_eq!(u.apply("10230 - 124 STREET"), None); // piece 1 is "" (between ' ' and '-')
+        assert_eq!(apply(&u, "10230 - 124 STREET"), None); // piece 1 is "" (between ' ' and '-')
         let u = Unit::two_char_split_substr('(', ')', 1, 0, 3);
-        assert_eq!(u.apply("(780) 433-6545").as_deref(), Some("780"));
+        assert_eq!(apply(&u, "(780) 433-6545").as_deref(), Some("780"));
     }
 
     #[test]
@@ -463,14 +394,14 @@ mod tests {
         // "john.smith@ualberta.ca": split on '@' -> piece 0 "john.smith",
         // split that on '.' -> piece 1 "smith", substr(0,5).
         let u = Unit::split_split_substr('@', 0, '.', 1, 0, 5);
-        assert_eq!(u.apply("john.smith@ualberta.ca").as_deref(), Some("smith"));
+        assert_eq!(apply(&u, "john.smith@ualberta.ca").as_deref(), Some("smith"));
     }
 
     #[test]
     fn literal_ignores_input() {
         let u = Unit::literal("@ualberta.ca");
-        assert_eq!(u.apply("anything").as_deref(), Some("@ualberta.ca"));
-        assert_eq!(u.apply("").as_deref(), Some("@ualberta.ca"));
+        assert_eq!(apply(&u, "anything").as_deref(), Some("@ualberta.ca"));
+        assert_eq!(apply(&u, "").as_deref(), Some("@ualberta.ca"));
         assert!(u.is_constant());
     }
 
@@ -482,23 +413,23 @@ mod tests {
     }
 
     #[test]
-    fn apply_into_appends_or_leaves_untouched() {
-        let mut out = String::from("x");
-        assert!(Unit::substr(0, 2).apply_into(&cs("abc"), &mut out));
-        assert_eq!(out, "xab");
-        assert!(!Unit::substr(0, 9).apply_into(&cs("abc"), &mut out));
-        assert_eq!(out, "xab");
+    fn outputs_borrow_the_input_or_the_literal() {
+        let input = CharStr::new("ab,cd");
+        let split = Unit::split(',', 1);
+        let out = split.output_on(&input).unwrap();
+        assert_eq!(out, "cd");
+        assert_eq!(out.as_ptr(), input.as_str()[3..].as_ptr());
+        let literal = Unit::literal("x");
+        let Unit::Literal { text } = &literal else { unreachable!() };
+        assert_eq!(literal.output_on(&input).unwrap().as_ptr(), text.as_ptr());
     }
 
     #[test]
-    fn fixed_output_len() {
-        assert_eq!(Unit::literal("abc").fixed_output_char_len(), Some(3));
-        assert_eq!(Unit::substr(2, 5).fixed_output_char_len(), Some(3));
-        assert_eq!(Unit::split(',', 0).fixed_output_char_len(), None);
-        assert_eq!(
-            Unit::split_substr(',', 0, 1, 4).fixed_output_char_len(),
-            Some(3)
-        );
+    fn parameters_address_the_first_65535_characters() {
+        assert_eq!(Unit::substr(0, 65_535), Unit::Substr { start: 0, end: u16::MAX });
+        let too_far = std::panic::catch_unwind(|| Unit::substr(0, 65_536));
+        assert!(too_far.is_err(), "65,536 must not wrap to 0");
+        assert!(std::panic::catch_unwind(|| Unit::split(',', 70_000)).is_err());
     }
 
     #[test]
@@ -514,9 +445,9 @@ mod tests {
 
     #[test]
     fn unicode_inputs() {
-        assert_eq!(Unit::substr(0, 4).apply("café au lait").as_deref(), Some("café"));
+        assert_eq!(apply(&Unit::substr(0, 4), "café au lait").as_deref(), Some("café"));
         assert_eq!(
-            Unit::split(' ', 1).apply("café au lait").as_deref(),
+            apply(&Unit::split(' ', 1), "café au lait").as_deref(),
             Some("au")
         );
     }
@@ -539,8 +470,8 @@ mod tests {
         let input = "aaa,bbb;ccc";
         let ssub = Unit::split_split_substr(',', 1, ';', 0, 0, 3); // "bbb"
         let two = Unit::two_char_split_substr(',', ';', 1, 0, 3); // "bbb"
-        assert_eq!(ssub.apply(input), two.apply(input));
-        assert_eq!(ssub.apply(input).as_deref(), Some("bbb"));
+        assert_eq!(apply(&ssub, input), apply(&two, input));
+        assert_eq!(apply(&ssub, input).as_deref(), Some("bbb"));
     }
 
     #[test]
@@ -548,6 +479,6 @@ mod tests {
         // Neither delimiter occurs: SplitSplitSubstr == Substr (Lemma 1 case 1).
         let input = "abcdef";
         let ssub = Unit::split_split_substr(',', 0, ';', 0, 1, 4);
-        assert_eq!(ssub.apply(input), Unit::substr(1, 4).apply(input));
+        assert_eq!(apply(&ssub, input), apply(&Unit::substr(1, 4), input));
     }
 }
