@@ -278,9 +278,15 @@ fn solve(
     None
 }
 
+/// How many enumerated units the sweep in [`ranked_candidates`] evaluates
+/// between two reads of the clock.
+const DEADLINE_CHECK_INTERVAL: u64 = 4096;
+
 /// Enumerates every unit/parameter combination (bounded by the configuration
 /// caps), keeps those whose output occurs in every remaining target, and
-/// ranks them by the average covered target length (descending).
+/// ranks them by the average covered target length (descending). The sweep
+/// checks the deadline every [`DEADLINE_CHECK_INTERVAL`] units; on expiry it
+/// sets `timed_out` and returns no candidates.
 fn ranked_candidates(rows: &[(&CharStr, &str)], state: &mut SearchState) -> Vec<Unit> {
     let max_src_len = rows.iter().map(|(s, _)| s.char_len()).max().unwrap_or(0);
     let mut alphabet: FxHashSet<char> = FxHashSet::default();
@@ -291,72 +297,90 @@ fn ranked_candidates(rows: &[(&CharStr, &str)], state: &mut SearchState) -> Vec<
     alphabet.sort_unstable();
 
     let mut scored: Vec<(f64, Unit)> = Vec::new();
+    // Scores one unit; `false` once the deadline has passed.
     let consider = |unit: Unit, state: &mut SearchState, scored: &mut Vec<(f64, Unit)>| {
         state.units_enumerated += 1;
+        if state.units_enumerated.is_multiple_of(DEADLINE_CHECK_INTERVAL)
+            && Instant::now() >= state.deadline
+        {
+            state.timed_out = true;
+            return false;
+        }
         let mut total_len = 0usize;
         for (src, tgt) in rows {
             match unit.output_on(src) {
                 Some(out) if !out.is_empty() && tgt.contains(out) => {
                     total_len += out.chars().count();
                 }
-                _ => return,
+                _ => return true,
             }
         }
         scored.push((total_len as f64 / rows.len() as f64, unit));
+        true
     };
 
-    if state.unit_kinds.contains(&UnitKind::Substr) {
-        // Units address the first 65,535 characters (`u16` parameters).
-        let max_end = max_src_len.min(usize::from(u16::MAX));
-        for s in 0..max_end {
-            for e in (s + 1)..=max_end {
-                consider(Unit::substr(s, e), state, &mut scored);
-            }
-        }
-    }
-    if state.unit_kinds.contains(&UnitKind::Split) {
-        for &c in &alphabet {
-            for i in 0..max_src_len.min(20) {
-                consider(Unit::split(c, i), state, &mut scored);
-            }
-        }
-    }
-    if state.unit_kinds.contains(&UnitKind::SplitSubstr) {
-        for &c in &alphabet {
-            for i in 0..max_src_len.min(12) {
-                for s in 0..max_src_len.min(24) {
-                    for e in (s + 1)..=max_src_len.min(24) {
-                        consider(Unit::split_substr(c, i, s, e), state, &mut scored);
+    'sweep: {
+        if state.unit_kinds.contains(&UnitKind::Substr) {
+            // Units address the first 65,535 characters (`u16` parameters).
+            let max_end = max_src_len.min(usize::from(u16::MAX));
+            for s in 0..max_end {
+                for e in (s + 1)..=max_end {
+                    if !consider(Unit::substr(s, e), state, &mut scored) {
+                        break 'sweep;
                     }
                 }
             }
         }
-    }
-    if state.unit_kinds.contains(&UnitKind::SplitSplitSubstr) {
-        // The nested split has six parameters; the sweep is restricted to
-        // separator-like delimiters and small indexes to remain finite.
-        let separators: Vec<char> = alphabet
-            .iter()
-            .copied()
-            .filter(|c| tjoin_text::is_separator_char(*c))
-            .collect();
-        for &c1 in &separators {
-            for &c2 in &separators {
-                for i1 in 0..4usize {
-                    for i2 in 0..4usize {
-                        for s in 0..max_src_len.min(12) {
-                            for e in (s + 1)..=max_src_len.min(12) {
-                                consider(
-                                    Unit::split_split_substr(c1, i1, c2, i2, s, e),
-                                    state,
-                                    &mut scored,
-                                );
+        if state.unit_kinds.contains(&UnitKind::Split) {
+            for &c in &alphabet {
+                for i in 0..max_src_len.min(20) {
+                    if !consider(Unit::split(c, i), state, &mut scored) {
+                        break 'sweep;
+                    }
+                }
+            }
+        }
+        if state.unit_kinds.contains(&UnitKind::SplitSubstr) {
+            for &c in &alphabet {
+                for i in 0..max_src_len.min(12) {
+                    for s in 0..max_src_len.min(24) {
+                        for e in (s + 1)..=max_src_len.min(24) {
+                            if !consider(Unit::split_substr(c, i, s, e), state, &mut scored) {
+                                break 'sweep;
                             }
                         }
                     }
                 }
             }
         }
+        if state.unit_kinds.contains(&UnitKind::SplitSplitSubstr) {
+            // The nested split has six parameters; the sweep is restricted to
+            // separator-like delimiters and small indexes to remain finite.
+            let separators: Vec<char> = alphabet
+                .iter()
+                .copied()
+                .filter(|c| tjoin_text::is_separator_char(*c))
+                .collect();
+            for &c1 in &separators {
+                for &c2 in &separators {
+                    for i1 in 0..4usize {
+                        for i2 in 0..4usize {
+                            for s in 0..max_src_len.min(12) {
+                                for e in (s + 1)..=max_src_len.min(12) {
+                                    let unit = Unit::split_split_substr(c1, i1, c2, i2, s, e);
+                                    if !consider(unit, state, &mut scored) {
+                                        break 'sweep;
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    if state.timed_out {
+        return Vec::new();
     }
     // Literal candidates: substrings of the shortest remaining target that
     // occur in every target.
@@ -455,6 +479,30 @@ mod tests {
         let result = aj.discover(&rows);
         assert!(start.elapsed() < Duration::from_secs(20));
         assert!(result.timed_out || result.subsets_tried <= 50);
+    }
+
+    #[test]
+    fn substr_sweep_stops_at_the_deadline() {
+        // Two 2,000-character sources make the full `Substr` sweep
+        // 2,000 · 2,001 / 2 ≈ 2M units, far more than 1 ms allows.
+        let source = |shift: usize| -> String {
+            (0..2000).map(|i| char::from(b'a' + ((i * 7 + shift) % 26) as u8)).collect()
+        };
+        let rows = vec![(source(0), "xyz1"), (source(3), "xyz2")];
+        let aj = AutoJoin::new(AutoJoinConfig {
+            subset_count: 1,
+            unit_kinds: vec![UnitKind::Substr],
+            time_budget: Duration::from_millis(1),
+            ..AutoJoinConfig::default()
+        });
+        let result = aj.discover(&rows);
+        let sweep = 2000 * 2001 / 2;
+        assert!(result.timed_out);
+        assert!(
+            result.units_enumerated < sweep / 10,
+            "{} of {sweep} units enumerated past the deadline",
+            result.units_enumerated
+        );
     }
 
     #[test]

@@ -12,7 +12,7 @@ pub mod table3;
 pub mod table4;
 
 use tjoin_datasets::ColumnPair;
-use tjoin_matching::{golden_pairs, MatchingMode, NGramMatcher};
+use tjoin_matching::{golden_value_pairs, MatchingMode, NGramMatcher};
 
 /// Materializes the candidate (source value, target value) pairs of a column
 /// pair under the given row-matching mode — the input to synthesis.
@@ -21,15 +21,7 @@ pub fn candidate_value_pairs(pair: &ColumnPair, mode: MatchingMode) -> Vec<(Stri
         MatchingMode::NGram => NGramMatcher::with_defaults()
             .try_candidate_value_pairs(pair, None, None)
             .expect("unbudgeted per-call matching cannot abort"),
-        MatchingMode::Golden => golden_pairs(pair)
-            .into_iter()
-            .map(|(s, t)| {
-                (
-                    pair.source[s as usize].clone(),
-                    pair.target[t as usize].clone(),
-                )
-            })
-            .collect(),
+        MatchingMode::Golden => golden_value_pairs(pair),
     }
 }
 

@@ -36,7 +36,7 @@
 //!
 //! [`BatchJoinRunner::run_static`] is the pre-work-stealing driver, kept
 //! verbatim: pairs chunked contiguously across workers up front
-//! (`tjoin_text::chunk_map`), per-call matcher artifacts, no shared corpus.
+//! (`tjoin_text::chunk_map`), a call-local corpus per pair, none shared.
 //! Because the per-pair pipeline is bit-identical at any inner thread
 //! count (only coverage reads it; see the pipeline module docs), both drivers
 //! must produce exactly the same per-pair [`JoinOutcome`]s — same pairs,
@@ -299,7 +299,28 @@ impl BatchJoinRunner {
     /// bit-identical to [`Self::run_static`] — and to running the per-pair
     /// pipeline directly — at any thread budget.
     pub fn run(&self, repository: &[ColumnPair]) -> BatchJoinOutcome {
-        self.run_inner(repository, None, None)
+        self.run_inner(repository, None, self.run_corpus().as_deref())
+    }
+
+    /// The gram corpus a run shares: under n-gram matching the attached
+    /// resident corpus ([`Self::with_corpus`]), else a fresh one that lives
+    /// for the run; none under [`RowMatchingStrategy::Golden`], which
+    /// matches without text artifacts.
+    fn run_corpus(&self) -> Option<Arc<GramCorpus>> {
+        let RowMatchingStrategy::NGram(cfg) = &self.config.matching else {
+            return None;
+        };
+        Some(match &self.corpus {
+            Some(shared) => {
+                assert_eq!(
+                    shared.options(),
+                    &cfg.normalize,
+                    "shared corpus must normalize like the runner's matcher config"
+                );
+                Arc::clone(shared)
+            }
+            None => Arc::new(GramCorpus::new(cfg.normalize)),
+        })
     }
 
     /// Discovery-first run: signs every column of `repository` into the
@@ -320,45 +341,28 @@ impl BatchJoinRunner {
         repository: &[ColumnPair],
         discovery: &DiscoveryConfig,
     ) -> DiscoveredBatchOutcome {
-        let ngram = match &self.config.matching {
-            RowMatchingStrategy::NGram(cfg) => cfg,
-            RowMatchingStrategy::Golden => {
-                return DiscoveredBatchOutcome {
-                    shortlist: RepositoryShortlist::retain_all(repository),
-                    outcome: self.run_inner(repository, None, None),
-                };
-            }
+        // Sign into the run's corpus — the resident one when attached, so
+        // warm discovery is a pure cache read — and run the shortlist
+        // through the same corpus, so nothing is normalized twice.
+        let (RowMatchingStrategy::NGram(ngram), Some(corpus)) =
+            (&self.config.matching, self.run_corpus())
+        else {
+            return DiscoveredBatchOutcome {
+                shortlist: RepositoryShortlist::retain_all(repository),
+                outcome: self.run_inner(repository, None, None),
+            };
         };
         assert_eq!(
             discovery.n_min, ngram.n_min,
             "discovery n_min must equal the matcher's (the recall guarantee is relative to it)"
         );
-        // Sign into the resident corpus when one is attached (warm
-        // discovery is then a pure cache read); otherwise one owned corpus
-        // serves both the discovery pass and the pipeline run, so nothing
-        // is normalized twice.
-        let owned;
-        let corpus: &GramCorpus = match &self.corpus {
-            Some(shared) => {
-                assert_eq!(
-                    shared.options(),
-                    &ngram.normalize,
-                    "shared corpus must normalize like the runner's matcher config"
-                );
-                shared.as_ref()
-            }
-            None => {
-                owned = GramCorpus::new(ngram.normalize);
-                &owned
-            }
-        };
-        let shortlist = shortlist_repository(repository, corpus, discovery);
+        let shortlist = shortlist_repository(repository, &corpus, discovery);
         let sublist: Vec<ColumnPair> = shortlist
             .ranked
             .iter()
             .map(|entry| repository[entry.index].clone())
             .collect();
-        let outcome = self.run_inner(&sublist, None, Some(corpus));
+        let outcome = self.run_inner(&sublist, None, Some(&corpus));
         DiscoveredBatchOutcome { shortlist, outcome }
     }
 
@@ -370,19 +374,16 @@ impl BatchJoinRunner {
     /// carry no injection code.
     #[cfg(feature = "fault-injection")]
     pub fn run_with_faults(&self, repository: &[ColumnPair], plan: &FaultPlan) -> BatchJoinOutcome {
-        self.run_inner(repository, Some(plan), None)
+        self.run_inner(repository, Some(plan), self.run_corpus().as_deref())
     }
 
-    /// `warm` is a pre-signed corpus the discovery pass already built —
-    /// it takes priority over the runner's own corpus selection so a
-    /// discovery-first run never normalizes a column twice. Results are
-    /// unaffected either way (every corpus artifact is a pure function of
-    /// cells/options/range); only counters and wall-clock differ.
+    /// The work-stealing run over `corpus`, the one [`Self::run_corpus`]
+    /// chose.
     fn run_inner(
         &self,
         repository: &[ColumnPair],
         plan: Option<&FaultPlan>,
-        warm: Option<&GramCorpus>,
+        corpus: Option<&GramCorpus>,
     ) -> BatchJoinOutcome {
         if repository.is_empty() {
             return BatchJoinOutcome {
@@ -399,32 +400,6 @@ impl BatchJoinRunner {
         }
         let (workers, inner_threads) = self.split(repository.len());
         let pipeline = JoinPipeline::new(self.config.clone().with_threads(inner_threads));
-        // The gram corpus the run shares: the external resident handle when
-        // one was attached ([`Self::with_corpus`]), else a per-run corpus
-        // dropped at the end — the original one-shot behaviour.
-        let mut owned: Option<GramCorpus> = None;
-        let corpus: Option<&GramCorpus> = match &self.config.matching {
-            RowMatchingStrategy::NGram(cfg) => match (warm, &self.corpus) {
-                (Some(prewarmed), _) => {
-                    assert_eq!(
-                        prewarmed.options(),
-                        &cfg.normalize,
-                        "discovery corpus must normalize like the runner's matcher config"
-                    );
-                    Some(prewarmed)
-                }
-                (None, Some(shared)) => {
-                    assert_eq!(
-                        shared.options(),
-                        &cfg.normalize,
-                        "shared corpus must normalize like the runner's matcher config"
-                    );
-                    Some(shared.as_ref())
-                }
-                (None, None) => Some(owned.insert(GramCorpus::new(cfg.normalize))),
-            },
-            RowMatchingStrategy::Golden => None,
-        };
         let scheduler_failures: Mutex<Vec<SchedulerFailure>> = Mutex::new(Vec::new());
         let run_pair = |task: usize, pair: &ColumnPair| -> PairJoinReport {
             // All guarded phases — including lazy shared-corpus builds,
@@ -556,7 +531,7 @@ impl BatchJoinRunner {
 
     /// The retained static-split driver (the differential oracle for
     /// [`Self::run`]): pairs chunked contiguously across the worker budget
-    /// up front, per-call matcher artifacts, no shared corpus. Outcomes are
+    /// up front, a call-local corpus per pair, none shared. Outcomes are
     /// thread-invariant, so this must produce exactly the reports and
     /// metrics the work-stealing driver does.
     pub fn run_static(&self, repository: &[ColumnPair]) -> BatchJoinOutcome {

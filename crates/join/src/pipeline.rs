@@ -18,7 +18,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 use tjoin_core::{SynthesisConfig, SynthesisEngine};
 use tjoin_datasets::{row_id, ColumnPair};
-use tjoin_matching::{golden_pairs, MatchAbort, NGramMatcher, NGramMatcherConfig};
+use tjoin_matching::{golden_value_pairs, MatchAbort, NGramMatcher, NGramMatcherConfig};
 use tjoin_text::{
     fault, fingerprint64, BudgetExceeded, BudgetToken, CellText, ColumnArena, FaultSite,
     FxHashMap, FxHashSet, GramCorpus, RunBudget,
@@ -225,18 +225,7 @@ impl JoinPipeline {
                 if let Some(token) = budget {
                     token.check()?;
                 }
-                // Invariant is local (audited): `as usize` widens `u32`
-                // golden row ids (lossless), and `golden_pairs` clamps the
-                // mapping to rows present in both columns before this map.
-                Ok(golden_pairs(pair)
-                    .into_iter()
-                    .map(|(s, t)| {
-                        (
-                            pair.source[s as usize].clone(),
-                            pair.target[t as usize].clone(),
-                        )
-                    })
-                    .collect())
+                Ok(golden_value_pairs(pair))
             }
         }
     }

@@ -5,11 +5,11 @@
 //!
 //! Three legs:
 //!
-//! * the matcher without a corpus (`try_find_candidates`, normalizing into
-//!   per-call arenas) vs
+//! * the matcher given no corpus (`try_find_candidates` with `None`, which
+//!   reads through a call-local `GramCorpus`) vs
 //!   `tjoin_matching::reference::find_candidates_reference` on the same rows;
-//! * the matcher through a shared `GramCorpus` (the corpus's interned
-//!   arenas) vs the same oracle, with exact intern counters;
+//! * the matcher through a shared `GramCorpus` (its interned arenas,
+//!   reused across pairs) vs the same oracle, with exact intern counters;
 //! * the arena-backed equi-join vs
 //!   `tjoin_join::reference::equi_join_reference`.
 //!
@@ -75,7 +75,7 @@ fn join_transformations() -> Vec<Transformation> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The per-call matcher is bit-identical to the size-major
+    /// The matcher given no corpus is bit-identical to the size-major
     /// `Vec<String>` oracle.
     #[test]
     fn arena_matcher_matches_reference(
@@ -89,7 +89,7 @@ proptest! {
         };
         let found = NGramMatcher::new(config.clone())
             .try_find_candidates(&pair, None, None)
-            .expect("unbudgeted per-call scan cannot abort");
+            .expect("unbudgeted call-local scan cannot abort");
         prop_assert_eq!(found, find_candidates_reference(&config, &pair));
     }
 

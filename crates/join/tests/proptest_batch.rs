@@ -11,14 +11,15 @@
 //!   work-stealing pair queue + shared `GramCorpus`) must produce exactly
 //!   the per-pair outcomes, report ordering, and aggregate
 //!   `RepositoryMetrics` of the retained static-split driver
-//!   `BatchJoinRunner::run_static` (per-call artifacts, contiguous up-front
-//!   chunks) — at any thread budget on either side.
+//!   `BatchJoinRunner::run_static` (a call-local corpus per pair, none
+//!   shared; contiguous up-front chunks) — at any thread budget on either
+//!   side.
 //! * **Corpus reuse never changes matches.** The matcher over a shared
 //!   `GramCorpus` (`try_find_candidates` with a corpus) must be
-//!   bit-identical — same pairs, same order — to its per-call path and to
-//!   the serial oracle `find_candidates_reference`, and its intern/build
-//!   counters must be exact (one normalization per distinct column) and
-//!   thread-invariant.
+//!   bit-identical — same pairs, same order — to the same call given no
+//!   corpus (a call-local one) and to the serial oracle
+//!   `find_candidates_reference`, and its intern/build counters must be
+//!   exact (one normalization per distinct column) and thread-invariant.
 //!
 //! The `#[ignore]`d test at the bottom is the slow skewed repository-scale
 //! sweep, run in CI via `cargo test -q -p tjoin-join --release -- --ignored`
@@ -172,8 +173,8 @@ proptest! {
         }
     }
 
-    /// The matcher over a shared corpus is bit-identical to its per-call
-    /// path and to the serial reference oracle — including when the corpus
+    /// The matcher over a shared corpus is bit-identical to the same call
+    /// given no corpus and to the serial reference oracle — including when the corpus
     /// is reused across several pairs and repeated calls.
     #[test]
     fn corpus_matcher_matches_per_call_and_reference(
@@ -188,7 +189,7 @@ proptest! {
             let matcher = NGramMatcher::new(config.clone());
             prop_assert_eq!(
                 &matcher.try_find_candidates(pair, None, None).unwrap(), &oracle,
-                "per-call matcher diverged on {}", pair.name
+                "call-local matcher diverged on {}", pair.name
             );
             for round in 0..3 {
                 prop_assert_eq!(

@@ -25,9 +25,9 @@ use std::collections::HashSet;
 use std::time::Duration;
 use tjoin_datasets::ColumnPair;
 use tjoin_join::{
-    BatchJoinOutcome, BatchJoinRunner, JoinPipelineConfig, PairPhase, PairStatus,
+    BatchJoinOutcome, BatchJoinRunner, JoinPipeline, JoinPipelineConfig, PairPhase, PairStatus,
 };
-use tjoin_text::{FaultKind, FaultPlan, FaultSite, RunBudget};
+use tjoin_text::{fault, FaultKind, FaultPlan, FaultSite, RunBudget};
 
 /// Every *pipeline-phase* injection site. `FaultSite::SchedulerTask` is
 /// deliberately excluded: it fires outside every guarded phase, so its
@@ -206,6 +206,29 @@ fn panic_sites_attribute_to_their_phase() {
             assert_report_matches_oracle(&run, &oracle, 2);
         }
     }
+}
+
+/// A pipeline given no corpus reads through a call-local one, so a stats
+/// build panic there is contained exactly as the shared-corpus runner
+/// contains it: the same `Failed` status in `Matching`.
+#[test]
+fn call_local_corpus_contains_a_stats_build_panic() {
+    quiet_injected_panics();
+    let repository = build_repository(&[11, 22, 33], 4);
+    let config = JoinPipelineConfig::paper_default();
+    let plan = FaultPlan::new().inject(1, FaultSite::CorpusStatsBuild, FaultKind::Panic);
+    let pipeline = JoinPipeline::new(config.clone());
+    let local =
+        fault::with_pair_scope(&plan, 1, || pipeline.run_guarded(&repository[1], None, None));
+    match &local.status {
+        PairStatus::Failed(error) => {
+            assert_eq!(error.phase, PairPhase::Matching);
+            assert!(error.message.contains("corpus stats build failed"), "{}", error.message);
+        }
+        other => panic!("expected Failed, got {other:?}"),
+    }
+    let shared = BatchJoinRunner::new(config, 1).run_with_faults(&repository, &plan);
+    assert_eq!(local.status, shared.reports[1].status);
 }
 
 /// An injected slow phase plus a deadline degrades that pair to `TimedOut`

@@ -21,11 +21,12 @@
 //!
 //! 1. the read-only state — both columns normalized into
 //!    [`tjoin_text::ColumnArena`]s, the two [`tjoin_text::ColumnStats`] IRF
-//!    sides, and the target [`tjoin_text::NGramIndex`] — is built exactly
-//!    once; at repository scale the caller passes a shared
-//!    [`tjoin_text::GramCorpus`] that serves that state, so a column
-//!    referenced by several pairs is normalized and indexed once for the
-//!    whole repository;
+//!    sides, and the target [`tjoin_text::NGramIndex`] — is always read
+//!    through a [`tjoin_text::GramCorpus`], which builds each artifact
+//!    once: at repository scale the caller passes a shared corpus, so a
+//!    column referenced by several pairs is normalized and indexed once for
+//!    the whole repository; without one the matcher uses a call-local
+//!    corpus;
 //! 2. source rows are scanned in order, with per-size representative
 //!    selection fused into one pass per row (char boundaries computed once;
 //!    no per-size re-extraction).

@@ -10,13 +10,13 @@
 //!
 //! The scan runs in two phases:
 //!
-//! 1. **Read-only state, built once.** Both columns are normalized into
-//!    [`ColumnArena`]s, then [`ColumnStats`] for the two IRF sides and the
-//!    target [`NGramIndex`] are constructed a single time. At repository
-//!    scale the caller passes a shared [`GramCorpus`] that serves this
-//!    state instead, so a column referenced by k pairs derives its
-//!    normalization, stats, and index exactly once. Either way the same
-//!    scan runs: [`NGramMatcher::try_find_candidates`] is the matcher's one
+//! 1. **Read-only state, built once.** Both columns normalized into
+//!    [`ColumnArena`]s, [`ColumnStats`] for the two IRF sides and the
+//!    target [`NGramIndex`] are read through a [`GramCorpus`]: at
+//!    repository scale the caller's shared corpus, so a column referenced
+//!    by k pairs derives its normalization, stats, and index exactly once;
+//!    otherwise a call-local corpus that builds each artifact once for this
+//!    call. [`NGramMatcher::try_find_candidates`] is the matcher's one
 //!    path, and [`NGramMatcher::try_candidate_value_pairs`] only
 //!    materializes its output as strings.
 //! 2. **Row scan.** Source rows are scanned in order, with per-size
@@ -41,8 +41,8 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use tjoin_datasets::{row_id, ColumnPair};
 use tjoin_text::{
-    rscore, ArenaError, BudgetExceeded, BudgetToken, ColumnArena, ColumnStats, CorpusFailure,
-    FxHashSet, GramCorpus, NGramIndex, NormalizeOptions,
+    rscore, BudgetExceeded, BudgetToken, ColumnArena, ColumnStats, CorpusFailure, FxHashSet,
+    GramCorpus, NGramIndex, NormalizeOptions,
 };
 
 /// Why a fallible matcher call ([`NGramMatcher::try_find_candidates`])
@@ -51,8 +51,8 @@ use tjoin_text::{
 pub enum MatchAbort {
     /// The pair's [`BudgetToken`] tripped (deadline or admission cap).
     Budget(BudgetExceeded),
-    /// A shared-corpus artifact this pair depends on has a sticky build
-    /// failure (contained panic recorded in the corpus cache).
+    /// A corpus artifact this pair depends on failed to build (a contained
+    /// panic or capacity overflow, sticky in a shared corpus's cache).
     Corpus(CorpusFailure),
 }
 
@@ -149,21 +149,21 @@ impl NGramMatcher {
     /// source and target columns of `pair` — the matcher's one scan path.
     ///
     /// The scan's read-only artifacts (both normalized columns, the two
-    /// [`ColumnStats`] IRF sides and the target [`NGramIndex`]) are served
-    /// by `corpus` when one is given, so a column referenced by k pairs
-    /// derives them once per repository; without a corpus they are built
-    /// for this call, normalizing straight into a [`ColumnArena`]. Corpus
-    /// artifacts are pure functions of the same inputs, so the output is
-    /// bit-identical either way — and to
-    /// [`crate::reference::find_candidates_reference`]. A corpus must
-    /// normalize exactly as this matcher's configuration does.
+    /// [`ColumnStats`] IRF sides and the target [`NGramIndex`]) are always
+    /// read through a [`GramCorpus`]: `corpus` when one is given, so a
+    /// column referenced by k pairs derives them once per repository, else
+    /// a call-local corpus dropped on return. Corpus artifacts are pure
+    /// functions of the same inputs, so the output is bit-identical either
+    /// way — and to [`crate::reference::find_candidates_reference`]. A
+    /// corpus must normalize exactly as this matcher's configuration does.
     ///
     /// Aborts cleanly with a [`MatchAbort`] instead of panicking or hanging
-    /// when the pair's `budget` trips or a `corpus` artifact has a sticky
-    /// build failure. The budget is checked between the build steps (each
-    /// normalization pass, the stats builds and the index build) and before
-    /// every scanned row, so a tripped deadline stops the pair within one
-    /// build step or row.
+    /// when the pair's `budget` trips or a corpus artifact build fails (a
+    /// contained panic, or a column past the arena's `u32` capacity; on a
+    /// shared corpus the failure is sticky). The budget is checked between
+    /// the build steps (each normalization pass, the stats builds and the
+    /// index build) and before every scanned row, so a tripped deadline
+    /// stops the pair within one build step or row.
     pub fn try_find_candidates(
         &self,
         pair: &ColumnPair,
@@ -172,48 +172,36 @@ impl NGramMatcher {
     ) -> Result<Vec<RowMatch>, MatchAbort> {
         pair.assert_row_indexable();
         check(budget)?;
+        let local;
+        let corpus = match corpus {
+            Some(corpus) => {
+                assert_eq!(
+                    corpus.options(),
+                    &self.config.normalize,
+                    "corpus normalization differs from the matcher configuration"
+                );
+                corpus
+            }
+            None => {
+                local = GramCorpus::new(self.config.normalize);
+                &local
+            }
+        };
         let (n_min, n_max) = (self.config.n_min, self.config.n_max);
-        let (source, target) = (pair.source.as_slice(), pair.target.as_slice());
-        if let Some(corpus) = corpus {
-            assert_eq!(
-                corpus.options(),
-                &self.config.normalize,
-                "corpus normalization differs from the matcher configuration"
-            );
-            let source = corpus.try_column_on(source)?;
-            check(budget)?;
-            let target = corpus.try_column_on(target)?;
-            check(budget)?;
-            let source_stats = source.try_stats(n_min, n_max)?;
-            let target_stats = target.try_stats(n_min, n_max)?;
-            check(budget)?;
-            let target_index = target.try_index(n_min, n_max)?;
-            check(budget)?;
-            self.scan_columns(source.normalized(), &source_stats, &target_stats, &target_index, budget)
-        } else {
-            // A column past the arena's u32 capacity fails like the corpus
-            // build of the same artifact would.
-            let arena_abort = |artifact: &'static str, e: ArenaError| {
-                MatchAbort::Corpus(CorpusFailure { artifact, message: e.to_string() })
-            };
-            let source = ColumnArena::try_normalized(source, &self.config.normalize)
-                .map_err(|e| arena_abort("column", e))?;
-            check(budget)?;
-            let target = ColumnArena::try_normalized(target, &self.config.normalize)
-                .map_err(|e| arena_abort("column", e))?;
-            check(budget)?;
-            let source_stats = ColumnStats::build_on(&source, n_min, n_max);
-            let target_stats = ColumnStats::build_on(&target, n_min, n_max);
-            check(budget)?;
-            let target_index = NGramIndex::try_build_on(&target, n_min, n_max)
-                .map_err(|e| arena_abort("index", e))?;
-            check(budget)?;
-            self.scan_columns(&source, &source_stats, &target_stats, &target_index, budget)
-        }
+        let source = corpus.try_column_on(&pair.source)?;
+        check(budget)?;
+        let target = corpus.try_column_on(&pair.target)?;
+        check(budget)?;
+        let source_stats = source.try_stats(n_min, n_max)?;
+        let target_stats = target.try_stats(n_min, n_max)?;
+        check(budget)?;
+        let target_index = target.try_index(n_min, n_max)?;
+        check(budget)?;
+        self.scan_columns(source.normalized(), &source_stats, &target_stats, &target_index, budget)
     }
 
-    /// The row scan over an already-normalized source arena (the corpus's
-    /// or a per-call one) and prebuilt gram artifacts. Rows borrow cell
+    /// The row scan over the corpus's normalized source arena and prebuilt
+    /// gram artifacts. Rows borrow cell
     /// slices out of the column; nothing is cloned into the scan.
     fn scan_columns(
         &self,
@@ -340,7 +328,7 @@ mod tests {
     use super::*;
     use crate::reference::find_candidates_reference;
 
-    /// The matcher without a corpus or budget, which cannot abort.
+    /// The matcher through a call-local corpus, without a budget.
     fn candidates(matcher: &NGramMatcher, pair: &ColumnPair) -> Vec<RowMatch> {
         matcher.try_find_candidates(pair, None, None).unwrap()
     }
@@ -478,8 +466,8 @@ mod tests {
 
     #[test]
     fn every_path_bit_identical_to_reference() {
-        // The one scan, per-call and corpus-served (cold, then from cache),
-        // against the oracle. The synthetic pair's duplicated and empty
+        // The one scan, through a call-local corpus and a shared one (cold,
+        // then from cache), against the oracle. The synthetic pair's duplicated and empty
         // values exercise the dedup and short-row paths.
         let mut source: Vec<String> = Vec::new();
         let mut target: Vec<String> = Vec::new();
@@ -498,7 +486,7 @@ mod tests {
         for pair in [staff_pair(), synthetic] {
             let oracle = find_candidates_reference(&config, &pair);
             assert!(!oracle.is_empty());
-            assert_eq!(candidates(&matcher, &pair), oracle, "per-call path diverged on {}", pair.name);
+            assert_eq!(candidates(&matcher, &pair), oracle, "call-local corpus diverged on {}", pair.name);
             let corpus = GramCorpus::new(config.normalize);
             for round in 0..3 {
                 assert_eq!(
@@ -581,7 +569,7 @@ mod tests {
     fn column_shared_by_many_pairs_interned_once() {
         // One master source column probed against three target columns: the
         // shared column must be normalized/interned exactly once, and every
-        // pair's output must equal its per-call run.
+        // pair's output must equal its call-local run.
         let shared_source: Vec<String> = vec![
             "Rafiei, Davood".into(),
             "Bowling, Michael".into(),

@@ -778,8 +778,8 @@ mod tests {
         let repo = small_repo(81);
         let probe = ResidentCorpus::new(NormalizeOptions::default(), ServeConfig::default());
         for pair in &repo {
-            probe.corpus().column(&pair.source);
-            probe.corpus().column(&pair.target);
+            probe.corpus().try_column_on(&pair.source).unwrap();
+            probe.corpus().try_column_on(&pair.target).unwrap();
         }
         let arena_only = probe.corpus().resident_bytes();
 
@@ -794,8 +794,8 @@ mod tests {
         let mut reservation = resident.reserve(&repo);
         resident.begin(&mut reservation);
         for pair in &repo {
-            resident.corpus().column(&pair.source);
-            resident.corpus().column(&pair.target);
+            resident.corpus().try_column_on(&pair.source).unwrap();
+            resident.corpus().try_column_on(&pair.target).unwrap();
         }
         let after_admission = resident.release(reservation);
         assert!(after_admission.bytes_resident <= budget, "arenas alone fit the budget");
@@ -804,9 +804,9 @@ mod tests {
         // Post-admission growth: index + signature per column.
         for pair in &repo {
             for column in [&pair.source, &pair.target] {
-                let entry = resident.corpus().column(column);
-                let _ = entry.index(4, 8);
-                let _ = entry.signature(4);
+                let entry = resident.corpus().try_column_on(column).unwrap();
+                let _ = entry.try_index(4, 8).unwrap();
+                let _ = entry.try_signature(4).unwrap();
             }
         }
         assert!(

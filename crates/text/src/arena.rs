@@ -27,8 +27,9 @@
 //! # Who builds arenas
 //!
 //! Normalization owns arena construction: the corpus builds one
-//! *normalized* arena per interned column, and the per-call matcher and
-//! equi-join build one per column they scan ([`try_push_normalized`]
+//! *normalized* arena per interned column (the matcher reads every column
+//! through a corpus), and the equi-join builds one per column it scans
+//! ([`try_push_normalized`]
 //! streams [`normalize_append`] straight into the buffer — no per-cell
 //! scratch `String`). Raw cells stay in the dataset's `Vec<String>`
 //! columns, which implement [`CellText`] too. Everything downstream — stats,
@@ -313,7 +314,7 @@ impl CellText for ColumnArena {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::corpus::column_fingerprint_on;
+    use crate::corpus::column_fingerprint;
 
     #[test]
     fn roundtrips_cells_verbatim() {
@@ -347,7 +348,7 @@ mod tests {
         for row in 0..4 {
             assert_eq!(blanks.cell(row), "");
         }
-        assert_ne!(column_fingerprint_on(&empty), column_fingerprint_on(&blanks));
+        assert_ne!(column_fingerprint(&empty), column_fingerprint(&blanks));
     }
 
     #[test]
@@ -449,7 +450,7 @@ mod tests {
         let first = ColumnArena::from_cells(cells.as_slice());
         let second = ColumnArena::from_cells(&first);
         assert_eq!(first, second);
-        assert_eq!(column_fingerprint_on(&first), column_fingerprint_on(&second));
+        assert_eq!(column_fingerprint(&first), column_fingerprint(&second));
     }
 
     #[test]

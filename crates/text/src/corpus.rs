@@ -3,31 +3,34 @@
 //! The repository workloads the paper targets (and GXJoin/QJoin evaluate)
 //! join *many* column pairs, and the same column frequently appears in
 //! several pairs — one master column probed against many candidate targets.
-//! The per-pair matcher path re-derives that column's text artifacts on
-//! every call: normalization of every cell, [`ColumnStats`] for IRF, and
-//! the inverted [`NGramIndex`]. A [`GramCorpus`] amortizes that work across
-//! the whole repository:
+//! Row matching reads each column's text artifacts: normalization of every
+//! cell, [`ColumnStats`] for IRF, and the inverted [`NGramIndex`]. The
+//! matcher always reads them through a [`GramCorpus`] — a call-local one
+//! when its caller passes none — and a shared corpus amortizes that work
+//! across the whole repository:
 //!
-//! * **Columns are interned by content.** [`GramCorpus::column`] keys each
-//!   column by a 64-bit chained fingerprint of its cells
+//! * **Columns are interned by content.** [`GramCorpus::try_column_on`]
+//!   keys each column by a 64-bit chained fingerprint of its cells
 //!   ([`crate::fingerprint::fingerprint64_chain`] over per-cell
 //!   [`crate::fingerprint::fingerprint64`]s, finished with the cell count —
-//!   see [`column_fingerprint_on`]) and normalizes it exactly once, no matter
+//!   see [`column_fingerprint`]) and normalizes it exactly once, no matter
 //!   how many pairs reference it. A debug-build shadow map holds the raw
 //!   cells and asserts the column fingerprints never collide on the
 //!   interned corpus.
 //! * **Gram artifacts are cached per size range.** A [`CorpusColumn`] lazily
 //!   builds — and then shares via `Arc` — its [`ColumnStats`] and
-//!   [`NGramIndex`] per `(n_min, n_max)`, so a column probed by k pairs
-//!   under one matcher configuration derives its grams once, not k times.
+//!   [`NGramIndex`] per `(n_min, n_max)` and its [`ColumnSignature`] per
+//!   `n_min`, so a column probed by k pairs under one matcher configuration
+//!   derives its grams once, not k times. All three kinds go through one
+//!   private generic cache.
 //! * **Construction is thread-safe, exactly-once, and concurrent across
 //!   columns.** The intern map holds a per-column `OnceLock` cell; the
 //!   global lock covers only the cell lookup/insert, and the O(cells)
 //!   normalization runs outside it — workers interning *distinct* columns
 //!   proceed in parallel, while racers on the *same* column wait on its
 //!   cell and exactly one builds. Per-range artifact builds lock only
-//!   their own column. [`GramCorpus::stats`] exposes the intern/build/hit
-//!   counters the differential tests assert on.
+//!   their own column's cache of that kind. [`GramCorpus::stats`] exposes
+//!   the intern/build/hit counters the differential tests assert on.
 //! * **Build failures are contained and sticky.** Every lazy build runs
 //!   once, under `catch_unwind`: a *panicking* build and a *typed* build
 //!   error (e.g. an [`ArenaError`] capacity overflow) alike become a
@@ -37,23 +40,22 @@
 //!   keeps serving. Corpus locks are taken through
 //!   [`crate::fault::lock_recover`], so even an externally poisoned mutex
 //!   (exercised by the fault-injection harness) cannot take down later
-//!   hits. Failed entries and per-artifact build totals are counted in
-//!   [`CorpusStats`].
+//!   hits. Failed entries are counted in [`CorpusStats`].
 //! * **Entries are evictable, for the serving layer.** A long-lived corpus
 //!   (the `tjoin-serve` resident cache) needs to bound memory:
 //!   [`GramCorpus::resident_entries`] exposes per-fingerprint byte
-//!   accounting (arena bytes + offsets + stats maps + index postings via
-//!   the `approximate_bytes` family), and [`GramCorpus::evict`] removes a
-//!   completed entry so a later request re-interns it. Eviction can never
-//!   change results — every artifact is a pure function of the cells, the
-//!   options, and the size range — only counters and wall-clock.
+//!   accounting (arena bytes + offsets + stats maps + index postings +
+//!   signatures via the `approximate_bytes` family), and
+//!   [`GramCorpus::evict`] removes a completed entry so a later request
+//!   re-interns it. Eviction can never change results — every artifact is
+//!   a pure function of the cells, the options, and the size range — only
+//!   counters and wall-clock.
 //!
 //! Everything a corpus serves is a pure function of the column's cells, the
-//! corpus's [`NormalizeOptions`], and the requested size range — the same
-//! inputs the per-call path feeds `ColumnStats::build`/`NGramIndex::build`
-//! directly. Matcher output over a corpus is therefore bit-identical to the
-//! per-call path, which `crates/join/tests/proptest_batch.rs` enforces
-//! differentially.
+//! corpus's [`NormalizeOptions`], and the requested size range, so matcher
+//! output through a shared corpus is bit-identical to a call-local one and
+//! to the retained oracle `find_candidates_reference`, which
+//! `crates/join/tests/proptest_batch.rs` enforces differentially.
 
 use crate::arena::{ArenaError, CellText, ColumnArena};
 use crate::fault::{self, FaultSite};
@@ -70,14 +72,10 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 /// The content fingerprint a corpus keys a column by: a length-seeded chain
 /// of every cell's [`fingerprint64`](crate::fingerprint::fingerprint64).
-pub fn column_fingerprint(cells: &[String]) -> u64 {
-    column_fingerprint_on(cells)
-}
-
-/// [`column_fingerprint`] over any [`CellText`] column. The fingerprint is
-/// a pure function of the cell *contents*, so a `Vec<String>` column and a
-/// [`ColumnArena`] holding the same cells intern to the same corpus entry.
-pub fn column_fingerprint_on<C: CellText + ?Sized>(column: &C) -> u64 {
+/// It is a pure function of the cell *contents*, so a `Vec<String>` column
+/// and a [`ColumnArena`] holding the same cells intern to the same corpus
+/// entry.
+pub fn column_fingerprint<C: CellText + ?Sized>(column: &C) -> u64 {
     let mut fingerprint = ColumnFingerprint::empty();
     for cell in column.cells() {
         fingerprint.absorb(cell);
@@ -141,14 +139,13 @@ type Built<A> = Result<Arc<A>, CorpusFailure>;
 /// Intern/build/hit counters of a [`GramCorpus`] (see [`GramCorpus::stats`]).
 ///
 /// `columns_interned` is the number of *distinct* columns normalized — each
-/// exactly once — while `column_hits` counts the [`GramCorpus::column`]
-/// calls served from cache: every hit is a whole-column normalization the
-/// per-call path would have re-run. The same applies to the stats/index
-/// pairs of counters. The `*_failed` counters record sticky build failures
-/// (always 0 outside fault injection and pathological inputs), and the
-/// `*_attempts` counters total the builds run for the cached entries: each
-/// entry is built once, so an artifact's attempts equal its built plus
-/// failed count.
+/// exactly once — while `column_hits` counts the
+/// [`GramCorpus::try_column_on`] calls served from cache: every hit is a
+/// whole-column normalization a fresh corpus would have re-run. The same
+/// applies to the stats/index/signature pairs of counters. The `*_failed`
+/// counters record sticky build failures (always 0 outside fault injection
+/// and pathological inputs). Each entry is built exactly once, so every
+/// `*_attempts` counter is its artifact's built plus failed count.
 ///
 /// The snapshot covers the **currently resident** entries plus the
 /// corpus-lifetime `column_hits` counter: evicting an entry (see
@@ -159,15 +156,15 @@ type Built<A> = Result<Arc<A>, CorpusFailure>;
 pub struct CorpusStats {
     /// Distinct columns interned (normalization passes actually run).
     pub columns_interned: usize,
-    /// `column()` calls served from the intern cache.
+    /// `try_column_on()` calls served from the intern cache.
     pub column_hits: usize,
     /// Distinct `(column, size-range)` [`ColumnStats`] built.
     pub stats_built: usize,
-    /// `stats()` calls served from cache.
+    /// `try_stats()` calls served from cache.
     pub stats_hits: usize,
     /// Distinct `(column, size-range)` [`NGramIndex`]es built.
     pub indexes_built: usize,
-    /// `index()` calls served from cache.
+    /// `try_index()` calls served from cache.
     pub index_hits: usize,
     /// Column builds that panicked and were recorded as sticky failures.
     pub columns_failed: usize,
@@ -175,54 +172,129 @@ pub struct CorpusStats {
     pub stats_failed: usize,
     /// `NGramIndex` builds recorded as sticky failures.
     pub indexes_failed: usize,
-    /// Total column builds behind the resident entries
-    /// (`columns_interned + columns_failed`).
+    /// `columns_interned + columns_failed`.
     pub column_attempts: usize,
-    /// Total `ColumnStats` builds behind the resident entries.
+    /// `stats_built + stats_failed`.
     pub stats_attempts: usize,
-    /// Total `NGramIndex` builds behind the resident entries.
+    /// `indexes_built + indexes_failed`.
     pub index_attempts: usize,
     /// Distinct `(column, n_min)` `ColumnSignature`s built.
     pub signatures_built: usize,
-    /// `signature()` calls served from cache.
+    /// `try_signature()` calls served from cache.
     pub signature_hits: usize,
     /// `ColumnSignature` builds recorded as sticky failures.
     pub signatures_failed: usize,
-    /// Total `ColumnSignature` builds behind the resident entries.
+    /// `signatures_built + signatures_failed`.
     pub signature_attempts: usize,
 }
 
-/// A per-size-range artifact cache: the built artifact or its sticky
-/// contained failure, keyed by `(n_min, n_max)`
-/// — or by `n_min` alone for signatures, which read no other size.
-type ArtifactCache<A, K = (usize, usize)> = FxHashMap<K, Built<A>>;
+/// One artifact kind's cache on a [`CorpusColumn`]: the built artifact or
+/// its sticky contained failure per key — `(n_min, n_max)`, or `n_min`
+/// alone for signatures, which read no other size — plus the hits served
+/// and the bytes of the built artifacts.
+#[derive(Debug)]
+struct ArtifactCache<K, A> {
+    entries: Mutex<FxHashMap<K, Built<A>>>,
+    hits: AtomicUsize,
+    /// Summed `approximate_bytes` of the successful builds, added once at
+    /// build time (entries are never removed from a live column).
+    bytes: AtomicUsize,
+    size: fn(&A) -> usize,
+}
+
+/// Built, failed and hit counts and resident bytes of one artifact kind
+/// (an [`ArtifactCache`], or a sum of them in [`GramCorpus::stats`]).
+#[derive(Debug, Clone, Copy, Default)]
+struct Tally {
+    built: usize,
+    failed: usize,
+    hits: usize,
+    bytes: usize,
+}
+
+impl std::ops::AddAssign for Tally {
+    fn add_assign(&mut self, other: Tally) {
+        self.built += other.built;
+        self.failed += other.failed;
+        self.hits += other.hits;
+        self.bytes += other.bytes;
+    }
+}
+
+impl<K: Copy + Eq + std::hash::Hash + Send, A: Send + Sync> ArtifactCache<K, A> {
+    fn new(size: fn(&A) -> usize) -> Self {
+        Self {
+            entries: Mutex::new(FxHashMap::default()),
+            hits: AtomicUsize::new(0),
+            bytes: AtomicUsize::new(0),
+            size,
+        }
+    }
+
+    /// The artifact under `key`, built on first request and cached
+    /// (exactly-once under concurrency: the build runs under this cache's
+    /// lock). A panicking or failing build is contained and recorded as a
+    /// sticky [`CorpusFailure`] named `artifact`, served to every later
+    /// requester; the lock is never poisoned by it. `site` is the
+    /// fault-injection point of this artifact kind.
+    fn get_or_build(
+        &self,
+        site: FaultSite,
+        artifact: &'static str,
+        key: K,
+        build: impl FnOnce() -> Result<A, CorpusFailure>,
+    ) -> Built<A> {
+        if fault::should_poison(site) {
+            fault::poison_mutex(&self.entries);
+        }
+        let mut entries = fault::lock_recover(&self.entries);
+        if let Some(entry) = entries.get(&key) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return entry.clone();
+        }
+        let result = build_contained(artifact, || {
+            fault::fire(site);
+            build().map(Arc::new)
+        });
+        if let Ok(built) = &result {
+            self.bytes.fetch_add((self.size)(built), Ordering::Relaxed);
+        }
+        entries.insert(key, result.clone());
+        result
+    }
+
+    fn tally(&self) -> Tally {
+        let entries = fault::lock_recover(&self.entries);
+        let built = entries.values().filter(|entry| entry.is_ok()).count();
+        Tally {
+            built,
+            failed: entries.len() - built,
+            hits: self.hits.load(Ordering::Relaxed),
+            bytes: self.bytes.load(Ordering::Relaxed),
+        }
+    }
+}
 
 /// One interned column: its normalized cells — flattened into a
-/// [`ColumnArena`] at build time — plus lazily built, cached gram artifacts
-/// per `(n_min, n_max)` size range. Obtained from [`GramCorpus::column`];
-/// shared across pairs (and worker threads) via `Arc`, so every scan worker
-/// borrows `&str` slices out of the one arena instead of cloning cells.
+/// [`ColumnArena`] at build time — plus lazily built, cached gram artifacts.
+/// Obtained from [`GramCorpus::try_column_on`]; shared across pairs (and
+/// worker threads) via `Arc`, so every scan worker borrows `&str` slices out
+/// of the one arena instead of cloning cells.
 #[derive(Debug)]
 pub struct CorpusColumn {
     normalized: ColumnArena,
-    stats: Mutex<ArtifactCache<ColumnStats>>,
-    indexes: Mutex<ArtifactCache<NGramIndex>>,
-    signatures: Mutex<ArtifactCache<ColumnSignature, usize>>,
-    stats_hits: AtomicUsize,
-    index_hits: AtomicUsize,
-    signature_hits: AtomicUsize,
+    stats: ArtifactCache<(usize, usize), ColumnStats>,
+    indexes: ArtifactCache<(usize, usize), NGramIndex>,
+    signatures: ArtifactCache<usize, ColumnSignature>,
 }
 
 impl CorpusColumn {
     fn build<C: CellText + ?Sized>(raw: &C, options: &NormalizeOptions) -> Result<Self, ArenaError> {
         Ok(Self {
             normalized: ColumnArena::try_normalized(raw, options)?,
-            stats: Mutex::new(FxHashMap::default()),
-            indexes: Mutex::new(FxHashMap::default()),
-            signatures: Mutex::new(FxHashMap::default()),
-            stats_hits: AtomicUsize::new(0),
-            index_hits: AtomicUsize::new(0),
-            signature_hits: AtomicUsize::new(0),
+            stats: ArtifactCache::new(ColumnStats::approximate_bytes),
+            indexes: ArtifactCache::new(NGramIndex::approximate_bytes),
+            signatures: ArtifactCache::new(ColumnSignature::approximate_bytes),
         })
     }
 
@@ -231,23 +303,18 @@ impl CorpusColumn {
         &self.normalized
     }
 
+    /// The three artifact caches' totals.
+    fn tally(&self) -> [Tally; 3] {
+        [self.stats.tally(), self.indexes.tally(), self.signatures.tally()]
+    }
+
     /// Estimated resident memory of this entry: the normalized arena (text
     /// buffer + offset array) plus every *successfully built* cached stats
-    /// map and index posting list. This is the per-entry accounting the
-    /// serving layer's byte-budgeted eviction sums; sticky failures hold no
-    /// artifact and contribute nothing.
+    /// map, index posting list and signature. This is the per-entry
+    /// accounting the serving layer's byte-budgeted eviction sums; sticky
+    /// failures hold no artifact and contribute nothing.
     pub fn approximate_bytes(&self) -> usize {
-        let mut bytes = self.normalized.approximate_bytes();
-        for stats in fault::lock_recover(&self.stats).values().flatten() {
-            bytes += stats.approximate_bytes();
-        }
-        for index in fault::lock_recover(&self.indexes).values().flatten() {
-            bytes += index.approximate_bytes();
-        }
-        for signature in fault::lock_recover(&self.signatures).values().flatten() {
-            bytes += signature.approximate_bytes();
-        }
-        bytes
+        self.normalized.approximate_bytes() + self.tally().iter().map(|t| t.bytes).sum::<usize>()
     }
 
     /// The column's [`ColumnStats`] over grams of sizes `n_min..=n_max`,
@@ -256,75 +323,27 @@ impl CorpusColumn {
     /// [`CorpusFailure`] served to every requester of this entry; the cache
     /// lock is never poisoned by it.
     pub fn try_stats(&self, n_min: usize, n_max: usize) -> Result<Arc<ColumnStats>, CorpusFailure> {
-        if fault::should_poison(FaultSite::CorpusStatsBuild) {
-            fault::poison_mutex(&self.stats);
-        }
-        let mut cache = fault::lock_recover(&self.stats);
-        if let Some(entry) = cache.get(&(n_min, n_max)) {
-            self.stats_hits.fetch_add(1, Ordering::Relaxed);
-            return entry.clone();
-        }
-        let result = build_contained("stats", || {
-            fault::fire(FaultSite::CorpusStatsBuild);
-            Ok(Arc::new(ColumnStats::build_on(&self.normalized, n_min, n_max)))
-        });
-        cache.insert((n_min, n_max), result.clone());
-        result
+        self.stats.get_or_build(FaultSite::CorpusStatsBuild, "stats", (n_min, n_max), || {
+            Ok(ColumnStats::build_on(&self.normalized, n_min, n_max))
+        })
     }
 
     /// The column's inverted [`NGramIndex`] over sizes `n_min..=n_max`,
-    /// built on first request and cached (exactly-once under concurrency),
-    /// with the same sticky-failure containment as [`Self::try_stats`].
+    /// cached like [`Self::try_stats`]; a column past the index's row
+    /// capacity is a sticky failure too.
     pub fn try_index(&self, n_min: usize, n_max: usize) -> Result<Arc<NGramIndex>, CorpusFailure> {
-        if fault::should_poison(FaultSite::CorpusIndexBuild) {
-            fault::poison_mutex(&self.indexes);
-        }
-        let mut cache = fault::lock_recover(&self.indexes);
-        if let Some(entry) = cache.get(&(n_min, n_max)) {
-            self.index_hits.fetch_add(1, Ordering::Relaxed);
-            return entry.clone();
-        }
-        let result = build_contained("index", || {
-            fault::fire(FaultSite::CorpusIndexBuild);
+        self.indexes.get_or_build(FaultSite::CorpusIndexBuild, "index", (n_min, n_max), || {
             NGramIndex::try_build_on(&self.normalized, n_min, n_max)
-                .map(Arc::new)
                 .map_err(|e| CorpusFailure::from_arena("index", e))
-        });
-        cache.insert((n_min, n_max), result.clone());
-        result
-    }
-
-    /// Infallible [`Self::try_index`]: panics with the recorded failure's
-    /// message when the entry is a sticky failure.
-    pub fn index(&self, n_min: usize, n_max: usize) -> Arc<NGramIndex> {
-        self.try_index(n_min, n_max).unwrap_or_else(|failure| panic!("{failure}"))
+        })
     }
 
     /// The column's discovery [`ColumnSignature`] with anchors of size
-    /// `n_min`, built on first request and cached (exactly-once under
-    /// concurrency), with the same sticky-failure containment as
-    /// [`Self::try_stats`].
+    /// `n_min`, cached like [`Self::try_stats`].
     pub fn try_signature(&self, n_min: usize) -> Result<Arc<ColumnSignature>, CorpusFailure> {
-        if fault::should_poison(FaultSite::CorpusSignatureBuild) {
-            fault::poison_mutex(&self.signatures);
-        }
-        let mut cache = fault::lock_recover(&self.signatures);
-        if let Some(entry) = cache.get(&n_min) {
-            self.signature_hits.fetch_add(1, Ordering::Relaxed);
-            return entry.clone();
-        }
-        let result = build_contained("signature", || {
-            fault::fire(FaultSite::CorpusSignatureBuild);
-            Ok(Arc::new(ColumnSignature::build(&self.normalized, n_min)))
-        });
-        cache.insert(n_min, result.clone());
-        result
-    }
-
-    /// Infallible [`Self::try_signature`]: panics with the recorded
-    /// failure's message when the entry is a sticky failure.
-    pub fn signature(&self, n_min: usize) -> Arc<ColumnSignature> {
-        self.try_signature(n_min).unwrap_or_else(|failure| panic!("{failure}"))
+        self.signatures.get_or_build(FaultSite::CorpusSignatureBuild, "signature", n_min, || {
+            Ok(ColumnSignature::build(&self.normalized, n_min))
+        })
     }
 }
 
@@ -376,19 +395,13 @@ impl GramCorpus {
 
     /// Interns `raw` (keyed by [`column_fingerprint`]) and returns its
     /// entry; the column is normalized exactly once across all calls, from
-    /// any thread. The normalization runs outside the global intern lock —
-    /// distinct columns build concurrently, racers on the same column wait
-    /// on its cell. A panicking build is contained and recorded as this
-    /// fingerprint's sticky [`CorpusFailure`].
-    pub fn try_column(&self, raw: &[String]) -> Result<Arc<CorpusColumn>, CorpusFailure> {
-        self.try_column_on(raw)
-    }
-
-    /// [`Self::try_column`] over any [`CellText`] column: a raw
+    /// any thread. `raw` may be any [`CellText`] column: a raw
     /// [`ColumnArena`] from ingest and a `Vec<String>` column with the same
-    /// cells fingerprint identically and share one intern entry. A column
-    /// that exceeds the arena's `u32` capacity is recorded as this
-    /// fingerprint's sticky failure, like any other contained build error.
+    /// cells share one intern entry. The normalization runs outside the
+    /// global intern lock — distinct columns build concurrently, racers on
+    /// the same column wait on its cell. A panicking build, or a column
+    /// past the arena's `u32` capacity, is contained and recorded as this
+    /// fingerprint's sticky [`CorpusFailure`].
     pub fn try_column_on<C: CellText + ?Sized>(
         &self,
         raw: &C,
@@ -396,7 +409,7 @@ impl GramCorpus {
         if fault::should_poison(FaultSite::CorpusColumnBuild) {
             fault::poison_mutex(&self.columns);
         }
-        let key = column_fingerprint_on(raw);
+        let key = column_fingerprint(raw);
         let cell = {
             let mut columns = fault::lock_recover(&self.columns);
             if let Some(cell) = columns.get(&key) {
@@ -440,13 +453,6 @@ impl GramCorpus {
             self.column_hits.fetch_add(1, Ordering::Relaxed);
         }
         entry.clone()
-    }
-
-    /// Infallible [`Self::try_column`]: panics with the recorded failure's
-    /// message when the entry is a sticky failure (callers that need
-    /// containment use `try_column`).
-    pub fn column(&self, raw: &[String]) -> Arc<CorpusColumn> {
-        self.try_column(raw).unwrap_or_else(|failure| panic!("{failure}"))
     }
 
     /// Number of distinct columns interned (successfully built) so far.
@@ -519,47 +525,41 @@ impl GramCorpus {
     /// counted yet.
     pub fn stats(&self) -> CorpusStats {
         let columns = fault::lock_recover(&self.columns);
-        let mut stats = CorpusStats {
-            columns_interned: 0,
-            column_hits: self.column_hits.load(Ordering::Relaxed),
-            ..CorpusStats::default()
+        let mut column = Tally {
+            hits: self.column_hits.load(Ordering::Relaxed),
+            ..Tally::default()
         };
+        let [mut stats, mut index, mut signature] = [Tally::default(); 3];
         for entry in columns.values().filter_map(|cell| cell.get()) {
-            stats.column_attempts += 1;
-            let column = match entry {
-                Ok(column) => column,
-                Err(_) => {
-                    stats.columns_failed += 1;
-                    continue;
+            match entry {
+                Ok(built) => {
+                    column.built += 1;
+                    let [s, i, g] = built.tally();
+                    stats += s;
+                    index += i;
+                    signature += g;
                 }
-            };
-            stats.columns_interned += 1;
-            for built in fault::lock_recover(&column.stats).values() {
-                stats.stats_attempts += 1;
-                match built {
-                    Ok(_) => stats.stats_built += 1,
-                    Err(_) => stats.stats_failed += 1,
-                }
+                Err(_) => column.failed += 1,
             }
-            stats.stats_hits += column.stats_hits.load(Ordering::Relaxed);
-            for built in fault::lock_recover(&column.indexes).values() {
-                stats.index_attempts += 1;
-                match built {
-                    Ok(_) => stats.indexes_built += 1,
-                    Err(_) => stats.indexes_failed += 1,
-                }
-            }
-            stats.index_hits += column.index_hits.load(Ordering::Relaxed);
-            for built in fault::lock_recover(&column.signatures).values() {
-                stats.signature_attempts += 1;
-                match built {
-                    Ok(_) => stats.signatures_built += 1,
-                    Err(_) => stats.signatures_failed += 1,
-                }
-            }
-            stats.signature_hits += column.signature_hits.load(Ordering::Relaxed);
         }
-        stats
+        CorpusStats {
+            columns_interned: column.built,
+            column_hits: column.hits,
+            columns_failed: column.failed,
+            column_attempts: column.built + column.failed,
+            stats_built: stats.built,
+            stats_hits: stats.hits,
+            stats_failed: stats.failed,
+            stats_attempts: stats.built + stats.failed,
+            indexes_built: index.built,
+            index_hits: index.hits,
+            indexes_failed: index.failed,
+            index_attempts: index.built + index.failed,
+            signatures_built: signature.built,
+            signature_hits: signature.hits,
+            signatures_failed: signature.failed,
+            signature_attempts: signature.built + signature.failed,
+        }
     }
 }
 
@@ -601,8 +601,8 @@ mod tests {
         let a = col(&["Rafiei, Davood", "Bowling, Michael"]);
         // A *different allocation* with the same content must hit the same
         // entry: interning is by content, not identity.
-        let first = corpus.column(&a);
-        let second = corpus.column(&a.clone());
+        let first = corpus.try_column_on(&a).unwrap();
+        let second = corpus.try_column_on(&a.clone()).unwrap();
         assert!(Arc::ptr_eq(&first, &second));
         let stats = corpus.stats();
         assert_eq!(stats.columns_interned, 1);
@@ -615,12 +615,12 @@ mod tests {
     #[test]
     fn signatures_cache_exactly_once_and_count_bytes() {
         let corpus = GramCorpus::new(NormalizeOptions::default());
-        let column = corpus.column(&col(&["Rafiei, Davood", "Bowling, Michael"]));
+        let column = corpus.try_column_on(&col(&["Rafiei, Davood", "Bowling, Michael"])).unwrap();
         let before = column.approximate_bytes();
-        let first = column.signature(4);
-        let second = column.signature(4);
+        let first = column.try_signature(4).unwrap();
+        let second = column.try_signature(4).unwrap();
         assert!(Arc::ptr_eq(&first, &second), "cached signature is shared");
-        let other_size = column.signature(5);
+        let other_size = column.try_signature(5).unwrap();
         assert!(!Arc::ptr_eq(&first, &other_size), "anchor sizes cache separately");
         let stats = corpus.stats();
         assert_eq!(stats.signatures_built, 2);
@@ -642,11 +642,11 @@ mod tests {
         let mut entries = Vec::new();
         for i in 0..200 {
             let c = col(&[&format!("value-{i:03}"), "shared suffix"]);
-            entries.push(corpus.column(&c));
+            entries.push(corpus.try_column_on(&c).unwrap());
         }
-        entries.push(corpus.column(&col(&["shared suffix", "value-000"])));
-        entries.push(corpus.column(&col(&["value-000"])));
-        entries.push(corpus.column(&col(&["value-000", "shared suffix", ""])));
+        entries.push(corpus.try_column_on(&col(&["shared suffix", "value-000"])).unwrap());
+        entries.push(corpus.try_column_on(&col(&["value-000"])).unwrap());
+        entries.push(corpus.try_column_on(&col(&["value-000", "shared suffix", ""])).unwrap());
         assert_eq!(corpus.column_count(), 203);
         for (i, a) in entries.iter().enumerate() {
             for b in &entries[i + 1..] {
@@ -661,7 +661,7 @@ mod tests {
         use crate::normalize::normalize_for_matching;
         let corpus = GramCorpus::new(NormalizeOptions::default());
         let raw = col(&["  Rafiei,   DAVOOD ", "M  Bowling"]);
-        let entry = corpus.column(&raw);
+        let entry = corpus.try_column_on(&raw).unwrap();
         let expected: Vec<String> = raw
             .iter()
             .map(|v| normalize_for_matching(v, &NormalizeOptions::default()))
@@ -678,8 +678,8 @@ mod tests {
         let corpus = GramCorpus::new(NormalizeOptions::default());
         let raw = col(&["Rafiei, Davood", "Bowling, Michael"]);
         let arena = ColumnArena::from_cells(raw.as_slice());
-        assert_eq!(column_fingerprint(&raw), column_fingerprint_on(&arena));
-        let from_vec = corpus.column(&raw);
+        assert_eq!(column_fingerprint(&raw), column_fingerprint(&arena));
+        let from_vec = corpus.try_column_on(&raw).unwrap();
         let from_arena = corpus.try_column_on(&arena).unwrap();
         assert!(Arc::ptr_eq(&from_vec, &from_arena));
         let stats = corpus.stats();
@@ -690,14 +690,14 @@ mod tests {
     #[test]
     fn stats_and_index_cached_per_size_range() {
         let corpus = GramCorpus::new(NormalizeOptions::default());
-        let entry = corpus.column(&col(&["abcdef", "abcxyz"]));
+        let entry = corpus.try_column_on(&col(&["abcdef", "abcxyz"])).unwrap();
         let s1 = entry.try_stats(2, 4).unwrap();
         let s2 = entry.try_stats(2, 4).unwrap();
         assert!(Arc::ptr_eq(&s1, &s2));
         let s3 = entry.try_stats(3, 5).unwrap(); // different range: a different artifact
         assert!(!Arc::ptr_eq(&s1, &s3));
-        let i1 = entry.index(2, 4);
-        let i2 = entry.index(2, 4);
+        let i1 = entry.try_index(2, 4).unwrap();
+        let i2 = entry.try_index(2, 4).unwrap();
         assert!(Arc::ptr_eq(&i1, &i2));
         let stats = corpus.stats();
         assert_eq!(stats.stats_built, 2);
@@ -717,9 +717,9 @@ mod tests {
         std::thread::scope(|scope| {
             for _ in 0..8 {
                 scope.spawn(|| {
-                    let entry = corpus.column(&shared);
+                    let entry = corpus.try_column_on(&shared).unwrap();
                     let _ = entry.try_stats(4, 8).unwrap();
-                    let _ = entry.index(4, 8);
+                    let _ = entry.try_index(4, 8).unwrap();
                 });
             }
         });
@@ -734,12 +734,12 @@ mod tests {
     #[test]
     fn empty_column_interns_fine() {
         let corpus = GramCorpus::new(NormalizeOptions::default());
-        let entry = corpus.column(&[]);
+        let entry = corpus.try_column_on(&col(&[])).unwrap();
         assert!(entry.normalized().is_empty());
         assert_eq!(entry.try_stats(4, 20).unwrap().row_count, 0);
-        assert_eq!(*entry.index(4, 20), NGramIndex::build(&[] as &[&str], 4, 20));
+        assert_eq!(*entry.try_index(4, 20).unwrap(), NGramIndex::build(&[] as &[&str], 4, 20));
         // Empty and single-empty-cell columns are distinct contents.
-        let single_empty = corpus.column(&col(&[""]));
+        let single_empty = corpus.try_column_on(&col(&[""])).unwrap();
         assert!(!Arc::ptr_eq(&entry, &single_empty));
     }
 
@@ -750,7 +750,7 @@ mod tests {
             column_fingerprint(&col(&["b", "a"]))
         );
         assert_ne!(column_fingerprint(&col(&["ab"])), column_fingerprint(&col(&["a", "b"])));
-        assert_ne!(column_fingerprint(&[]), column_fingerprint(&col(&[""])));
+        assert_ne!(column_fingerprint(&col(&[])), column_fingerprint(&col(&[""])));
     }
 
     #[test]
@@ -758,15 +758,18 @@ mod tests {
         let corpus = GramCorpus::new(NormalizeOptions::default());
         let raw = col(&["abcdef", "abcxyz"]);
         let fp = column_fingerprint(&raw);
-        let entry = corpus.column(&raw);
+        let entry = corpus.try_column_on(&raw).unwrap();
         let base = entry.approximate_bytes();
         assert!(base >= entry.normalized().approximate_bytes());
-        let _ = entry.try_stats(2, 4).unwrap();
+        let stats = entry.try_stats(2, 4).unwrap();
         let with_stats = entry.approximate_bytes();
-        assert!(with_stats > base);
-        let _ = entry.index(2, 4);
+        assert_eq!(with_stats, base + stats.approximate_bytes());
+        let index = entry.try_index(2, 4).unwrap();
         let with_index = entry.approximate_bytes();
-        assert!(with_index > with_stats);
+        assert_eq!(with_index, with_stats + index.approximate_bytes());
+        // A cache hit adds nothing.
+        let _ = entry.try_index(2, 4).unwrap();
+        assert_eq!(entry.approximate_bytes(), with_index);
         // The corpus-level accounting sees the same footprint.
         assert_eq!(corpus.resident_entries(), vec![(fp, with_index)]);
         assert_eq!(corpus.resident_bytes(), with_index);
@@ -778,11 +781,11 @@ mod tests {
         let a = col(&["alpha", "beta"]);
         let b = col(&["gamma"]);
         let fp_a = column_fingerprint(&a);
-        let first = corpus.column(&a);
+        let first = corpus.try_column_on(&a).unwrap();
         let stats = first.try_stats(4, 20).unwrap();
-        let index = first.index(4, 20);
-        let signature = first.signature(4);
-        let kept = corpus.column(&b);
+        let index = first.try_index(4, 20).unwrap();
+        let signature = first.try_signature(4).unwrap();
+        let kept = corpus.try_column_on(&b).unwrap();
         assert!(corpus.contains(fp_a));
         let freed = corpus.evict(fp_a).expect("completed entry evicts");
         assert!(freed > 0);
@@ -791,11 +794,11 @@ mod tests {
         assert_eq!(corpus.evict(fp_a), None); // already gone
         assert_eq!(corpus.column_count(), 1);
         // Unrelated entries are untouched.
-        assert!(Arc::ptr_eq(&kept, &corpus.column(&b)));
+        assert!(Arc::ptr_eq(&kept, &corpus.try_column_on(&b).unwrap()));
         // Re-interning rebuilds: a fresh entry with identical content
         // (eviction never changes what a corpus serves, only when it is
         // built).
-        let second = corpus.column(&a);
+        let second = corpus.try_column_on(&a).unwrap();
         assert!(!Arc::ptr_eq(&first, &second));
         assert_eq!(first.normalized(), second.normalized());
         // The stats snapshot covers resident entries only: the evicted
@@ -807,8 +810,8 @@ mod tests {
         // Every artifact is a pure function of the cells: the rebuilt
         // entry serves exactly what the evicted one served.
         assert_eq!(*second.try_stats(4, 20).unwrap(), *stats);
-        assert_eq!(*second.index(4, 20), *index);
-        assert_eq!(*second.signature(4), *signature);
+        assert_eq!(*second.try_index(4, 20).unwrap(), *index);
+        assert_eq!(*second.try_signature(4).unwrap(), *signature);
         let rebuilt = corpus.stats();
         assert_eq!(built(rebuilt), (1, 1, 1));
         assert_eq!((rebuilt.stats_hits, rebuilt.index_hits, rebuilt.signature_hits), (0, 0, 0));
@@ -817,10 +820,10 @@ mod tests {
     #[test]
     fn attempts_counters_match_builds_without_faults() {
         let corpus = GramCorpus::new(NormalizeOptions::default());
-        let entry = corpus.column(&col(&["abcdef", "abcxyz"]));
+        let entry = corpus.try_column_on(&col(&["abcdef", "abcxyz"])).unwrap();
         let _ = entry.try_stats(2, 4).unwrap();
         let _ = entry.try_stats(3, 5).unwrap();
-        let _ = entry.index(2, 4);
+        let _ = entry.try_index(2, 4).unwrap();
         let stats = corpus.stats();
         assert_eq!(stats.column_attempts, 1);
         assert_eq!(stats.stats_attempts, 2);
@@ -845,7 +848,7 @@ mod tests {
         use crate::fault::{FaultKind, FaultPlan};
         let corpus = GramCorpus::new(NormalizeOptions::default());
         let plan = FaultPlan::new().inject(0, FaultSite::CorpusStatsBuild, FaultKind::Panic);
-        let entry = corpus.column(&col(&["abcdef", "abcxyz"]));
+        let entry = corpus.try_column_on(&col(&["abcdef", "abcxyz"])).unwrap();
         let failure =
             fault::with_pair_scope(&plan, 0, || entry.try_stats(2, 4)).unwrap_err();
         assert_eq!(failure.artifact, "stats");
@@ -868,7 +871,7 @@ mod tests {
             FaultSite::CorpusIndexBuild,
             FaultKind::Slow(Duration::from_millis(1)),
         );
-        let entry = corpus.column(&col(&["abcdef"]));
+        let entry = corpus.try_column_on(&col(&["abcdef"])).unwrap();
         let index = fault::with_pair_scope(&plan, 0, || entry.try_index(2, 3)).unwrap();
         assert_eq!(index.rows_containing("abc"), &[0]);
         // Slowness is not failure: one build, nothing failed.
@@ -881,15 +884,15 @@ mod tests {
         // Poison every corpus lock from a side thread, then use the corpus
         // normally: lock_recover must serve consistent cached state.
         let corpus = GramCorpus::new(NormalizeOptions::default());
-        let entry = corpus.column(&col(&["abcdef", "abcxyz"]));
+        let entry = corpus.try_column_on(&col(&["abcdef", "abcxyz"])).unwrap();
         let before = entry.try_stats(2, 4).unwrap();
         fault::poison_mutex(&corpus.columns);
-        fault::poison_mutex(&entry.stats);
-        fault::poison_mutex(&entry.indexes);
-        let again = corpus.column(&col(&["abcdef", "abcxyz"]));
+        fault::poison_mutex(&entry.stats.entries);
+        fault::poison_mutex(&entry.indexes.entries);
+        let again = corpus.try_column_on(&col(&["abcdef", "abcxyz"])).unwrap();
         assert!(Arc::ptr_eq(&entry, &again));
         assert!(Arc::ptr_eq(&before, &again.try_stats(2, 4).unwrap()));
-        let _ = again.index(2, 4);
+        let _ = again.try_index(2, 4).unwrap();
         let stats = corpus.stats();
         assert_eq!(stats.columns_interned, 1);
         assert_eq!(stats.stats_built, 1);

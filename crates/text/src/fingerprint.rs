@@ -35,7 +35,7 @@ pub fn fingerprint64_chain(acc: u64, next: u64) -> u64 {
 }
 
 /// The column content fingerprint behind
-/// [`column_fingerprint_on`](crate::corpus::column_fingerprint_on): the
+/// [`column_fingerprint`](crate::corpus::column_fingerprint): the
 /// order-sensitive chain of per-cell [`fingerprint64`]s, mixed with the cell
 /// count at [`Self::finish`]. Both order- and length-sensitive: two columns
 /// collide only if the 64-bit chain does.

@@ -22,8 +22,9 @@
 //!   a corpus build), never as a silently wrapped cast.
 //!
 //! **Ownership:** normalization builds arenas. [`GramCorpus`] builds the
-//! *normalized* arena for each interned column, and the per-call matcher
-//! and equi-join build theirs the same way, by streaming
+//! *normalized* arena for each interned column (the matcher reads every
+//! column through a corpus), and the equi-join builds its own the same
+//! way, by streaming
 //! [`normalize_append`] straight into the buffer — zero per-cell
 //! allocations. **Borrowing:** scans receive `&ColumnArena` (or any
 //! [`CellText`] implementor) and slice cells on demand; nothing on the hot
@@ -106,8 +107,7 @@ pub use arena::{checked_row_count, ArenaError, CellText, Cells, ColumnArena};
 pub use budget::{BudgetExceeded, BudgetToken, RunBudget};
 pub use common::{common_substring_matches, lcs_ratio, longest_common_substring, CommonMatch};
 pub use corpus::{
-    column_fingerprint, column_fingerprint_on, CorpusColumn, CorpusFailure, CorpusStats,
-    GramCorpus, ServeStats,
+    column_fingerprint, CorpusColumn, CorpusFailure, CorpusStats, GramCorpus, ServeStats,
 };
 pub use fault::{FaultKind, FaultPlan, FaultSite};
 pub use fingerprint::{fingerprint64, fingerprint64_chain};

@@ -11,7 +11,7 @@
 
 use proptest::prelude::*;
 use tjoin_text::{
-    char_ngrams, chunk_map_rows, column_fingerprint, column_fingerprint_on, fingerprint64,
+    char_ngrams, chunk_map_rows, column_fingerprint, fingerprint64,
     for_each_ngram_in_sizes, normalize_for_matching, ColumnArena, NormalizeOptions,
 };
 
@@ -88,7 +88,7 @@ proptest! {
             prop_assert_eq!(arena.cell(i), cell.as_str());
             prop_assert_eq!(fingerprint64(arena.cell(i)), fingerprint64(cell));
         }
-        prop_assert_eq!(column_fingerprint_on(&arena), column_fingerprint(&cells));
+        prop_assert_eq!(column_fingerprint(&arena), column_fingerprint(&cells));
     }
 
     /// The streaming arena normalization is bit-identical to per-cell
