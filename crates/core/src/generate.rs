@@ -132,26 +132,17 @@ pub fn generate_transformations(pairs: &PairSet, config: &SynthesisConfig) -> Ge
                 if row_generated >= config.max_transformations_per_row as u64 {
                     break;
                 }
-                // Advance the mixed-radix counter.
-                let mut pos = candidate_lists.len();
-                loop {
-                    if pos == 0 {
-                        break;
-                    }
-                    pos -= 1;
-                    indices[pos] += 1;
-                    if indices[pos] < candidate_lists[pos].len() {
-                        break;
-                    }
-                    indices[pos] = 0;
-                    if pos == 0 {
-                        pos = usize::MAX;
-                        break;
-                    }
-                }
-                if pos == usize::MAX {
+                // Advance the mixed-radix counter: bump the rightmost index
+                // that can still advance and reset every index after it;
+                // the product is exhausted when none can.
+                let Some(pos) = (0..indices.len())
+                    .rev()
+                    .find(|&pos| indices[pos] + 1 < candidate_lists[pos].len())
+                else {
                     break;
-                }
+                };
+                indices[pos] += 1;
+                indices[pos + 1..].fill(0);
             }
             generation_dedup_time += t2.elapsed();
         }

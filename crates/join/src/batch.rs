@@ -39,8 +39,8 @@
 //! (`tjoin_text::chunk_map`), a call-local corpus per pair, none shared.
 //! Because the per-pair pipeline is bit-identical at any inner thread
 //! count (only coverage reads it; see the pipeline module docs), both drivers
-//! must produce exactly the same per-pair [`JoinOutcome`]s — same pairs,
-//! same order, same metrics — and the same [`RepositoryMetrics`] at any
+//! must produce exactly the same per-pair [`PairJoinReport`]s — same
+//! pairs, same order, same metrics — and the same [`RepositoryMetrics`] at any
 //! thread budget; only wall-clock (and the scheduling counters) may differ.
 //! The differential proptest suite `tests/proptest_batch.rs` enforces that
 //! across random, skewed, and shared-column repositories × {1, 2, 4}
@@ -53,18 +53,19 @@
 //! # Fault isolation and budgets
 //!
 //! A repository run is only as robust as its worst pair, so both drivers
-//! route every pair through [`JoinPipeline::run_guarded`]: a pair whose
-//! phase panics (or that hits a sticky shared-corpus build failure) lands
-//! in its report slot as [`PairStatus::Failed`] with the phase and panic
-//! message, while the remaining workers keep draining the queue — one
-//! poisoned pair never takes down the batch. A scheduler-level
-//! `catch_unwind` backstops panics outside the guarded phases, and the
-//! worker-join / slot paths recover poisoned locks instead of propagating
-//! them. An optional [`RunBudget`] ([`BatchJoinRunner::with_budget`])
-//! bounds each pair: row/byte caps are charged deterministically at
-//! admission and a wall-clock deadline is checked cooperatively at phase
-//! loop boundaries, so an over-budget pair degrades to
-//! [`PairStatus::TimedOut`] with its completed-phase metrics intact.
+//! route every pair through [`JoinPipeline::run_guarded`], whose
+//! [`PairJoinReport`] is the report each driver returns: a pair whose
+//! phase panics (or that hits a sticky shared-corpus build failure)
+//! reports [`PairStatus::Failed`] with the phase and panic message, while
+//! the remaining workers keep draining the queue — one failing pair never
+//! takes down the batch. A scheduler-level `catch_unwind` backstops panics
+//! outside the guarded phases. Reports land in write-once slots, which
+//! hold no lock a panic could poison. An optional [`RunBudget`]
+//! ([`BatchJoinRunner::with_budget`]) bounds each pair: row/byte caps are
+//! charged deterministically at admission and a wall-clock deadline is
+//! checked cooperatively at phase loop boundaries, so an over-budget pair
+//! degrades to [`PairStatus::TimedOut`] with its completed-phase metrics
+//! intact.
 //! Per-status tallies are reported in [`BatchFaultStats`]; aggregate
 //! metrics still cover *all* reports (a failed pair contributes its empty
 //! prediction, exactly as the static oracle sees it).
@@ -92,32 +93,15 @@
 
 use crate::evaluate::JoinMetrics;
 use crate::pipeline::{
-    GuardedJoinOutcome, JoinOutcome, JoinPipeline, JoinPipelineConfig, PairError, PairPhase,
-    PairStatus, RowMatchingStrategy,
+    JoinPipeline, JoinPipelineConfig, PairJoinReport, PairPhase, PairStatus, RowMatchingStrategy,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 use tjoin_datasets::ColumnPair;
 use tjoin_discovery::{shortlist_repository, DiscoveryConfig, RepositoryShortlist};
-use tjoin_text::{
-    fault, CorpusStats, FaultKind, FaultPlan, FaultSite, GramCorpus, RunBudget, ServeStats,
-};
-
-/// One repository entry's result: the pair's name, its pipeline outcome,
-/// and the isolation status that produced it.
-#[derive(Debug, Clone)]
-pub struct PairJoinReport {
-    /// The column pair's name (from [`ColumnPair::name`]).
-    pub name: String,
-    /// The per-pair pipeline outcome (partial when `status` is not
-    /// [`PairStatus::Ok`] — see [`GuardedJoinOutcome`]).
-    pub outcome: JoinOutcome,
-    /// What happened to the pair: completed, contained failure, or budget
-    /// overrun.
-    pub status: PairStatus,
-}
+use tjoin_text::{fault, CorpusStats, FaultPlan, FaultSite, GramCorpus, RunBudget, ServeStats};
 
 /// Per-status pair tallies of a batch run — the containment ledger: the
 /// three counters always sum to the repository size, and on a fault-free,
@@ -249,9 +233,10 @@ impl BatchJoinRunner {
     /// Creates a runner applying `config` to every pair with a shared
     /// budget of `threads` worker threads (clamped to at least one). Any
     /// thread setting already present in `config` is overridden by the
-    /// budget split.
+    /// budget split. Panics on an invalid `config`, exactly as
+    /// [`JoinPipeline::new`] does.
     pub fn new(config: JoinPipelineConfig, threads: usize) -> Self {
-        config.synthesis.validate();
+        config.validate();
         Self {
             config,
             threads: threads.max(1),
@@ -386,55 +371,42 @@ impl BatchJoinRunner {
         corpus: Option<&GramCorpus>,
     ) -> BatchJoinOutcome {
         if repository.is_empty() {
-            return BatchJoinOutcome {
-                reports: Vec::new(),
-                metrics: RepositoryMetrics::default(),
-                scheduler: BatchSchedulerStats {
-                    workers: 0,
-                    inner_threads: self.threads,
-                    ..BatchSchedulerStats::default()
-                },
-                faults: BatchFaultStats::default(),
-                serve: None,
-            };
+            let scheduler = BatchSchedulerStats { inner_threads: self.threads, ..Default::default() };
+            return BatchJoinOutcome::new(Vec::new(), scheduler);
         }
         let (workers, inner_threads) = self.split(repository.len());
         let pipeline = JoinPipeline::new(self.config.clone().with_threads(inner_threads));
-        let scheduler_failures: Mutex<Vec<SchedulerFailure>> = Mutex::new(Vec::new());
-        let run_pair = |task: usize, pair: &ColumnPair| -> PairJoinReport {
+        // One task: its report, plus its scheduler-backstop trip if any.
+        let run_pair = |task: usize, pair: &ColumnPair| {
             // All guarded phases — including lazy shared-corpus builds,
             // which happen inside the matcher call — execute on this worker
             // thread, so the plan's thread-local (pair, site) scope covers
             // exactly this task's instrumented points.
-            let exec = || -> GuardedJoinOutcome {
+            let exec = || {
                 let started = Instant::now();
                 catch_unwind(AssertUnwindSafe(|| {
                     fault::fire(FaultSite::SchedulerTask);
                     pipeline.run_guarded(pair, corpus, self.budget.as_ref())
                 }))
+                .map(|report| (report, None))
                 .unwrap_or_else(|payload| {
                     // Scheduler-level backstop: a panic outside the guarded
                     // phases still fails only this pair — and records its
                     // elapsed-at-failure, since no phase timing exists.
-                    fault::lock_recover(&scheduler_failures)
-                        .push(SchedulerFailure { pair: task, elapsed: started.elapsed() });
-                    GuardedJoinOutcome {
+                    let report = PairJoinReport {
+                        name: pair.name.clone(),
                         outcome: JoinPipeline::empty_outcome(pair),
-                        status: PairStatus::Failed(PairError {
-                            phase: PairPhase::Scheduler,
-                            message: fault::panic_message(&*payload),
-                        }),
-                    }
+                        status: PairStatus::failed(
+                            PairPhase::Scheduler,
+                            fault::panic_message(&*payload),
+                        ),
+                    };
+                    (report, Some(SchedulerFailure { pair: task, elapsed: started.elapsed() }))
                 })
             };
-            let guarded = match plan {
+            match plan {
                 Some(plan) => fault::with_pair_scope(plan, task, exec),
                 None => exec(),
-            };
-            PairJoinReport {
-                name: pair.name.clone(),
-                outcome: guarded.outcome,
-                status: guarded.status,
             }
         };
 
@@ -444,37 +416,34 @@ impl BatchJoinRunner {
         let static_chunk = repository.len().div_ceil(workers);
 
         // The shared pair queue: an atomic cursor every worker claims the
-        // next task from. Results land in per-pair slots, so output order
-        // is input order no matter who ran what.
+        // next task from. Results land in write-once per-pair slots, so
+        // output order is input order no matter who ran what.
         let next = AtomicUsize::new(0);
         let stolen = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<PairJoinReport>>> =
-            repository.iter().map(|_| Mutex::new(None)).collect();
-        // One worker's loop: drain the queue, returning the tasks executed.
-        let drain = |worker: usize| -> usize {
+        let slots: Vec<OnceLock<PairJoinReport>> =
+            repository.iter().map(|_| OnceLock::new()).collect();
+        // One worker's loop: drain the queue, returning the tasks executed
+        // and the scheduler-backstop trips among them.
+        let drain = |worker: usize| -> (usize, Vec<SchedulerFailure>) {
             let mut executed = 0usize;
+            let mut failures = Vec::new();
             loop {
                 let task = next.fetch_add(1, Ordering::Relaxed);
                 if task >= repository.len() {
-                    return executed;
+                    return (executed, failures);
                 }
-                let report = run_pair(task, &repository[task]);
-                if let Some(plan) = plan {
-                    if plan.fault_for(task, FaultSite::SlotStore) == Some(FaultKind::PoisonLock) {
-                        fault::poison_mutex(&slots[task]);
-                    }
-                }
-                // A slot lock poisoned by an injected (or real) panic still
-                // stores and serves its report: the data is a plain
-                // `Option` with no invariant a panic could have broken.
-                *fault::lock_recover(&slots[task]) = Some(report);
+                let (report, failure) = run_pair(task, &repository[task]);
+                // Invariant is local (audited): the atomic cursor hands out
+                // every task index exactly once, so each slot is set once.
+                assert!(slots[task].set(report).is_ok(), "task {task} claimed twice");
+                failures.extend(failure);
                 executed += 1;
                 if task / static_chunk != worker {
                     stolen.fetch_add(1, Ordering::Relaxed);
                 }
             }
         };
-        let tasks_per_worker: Vec<usize> = if workers == 1 {
+        let drained: Vec<(usize, Vec<SchedulerFailure>)> = if workers == 1 {
             // One worker drains the queue on the calling thread: no spawn.
             vec![drain(0)]
         } else {
@@ -495,29 +464,18 @@ impl BatchJoinRunner {
                     .collect()
             })
         };
-        let reports: Vec<PairJoinReport> = slots
-            .into_iter()
-            .map(|slot| {
-                // Invariant is local (audited): the atomic cursor hands out
-                // every task index exactly once, each claimant fills its
-                // slot before returning, and worker panics were already
-                // re-raised above — so no slot can still be `None` here.
-                slot.into_inner()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner())
-                    .expect("every task executed")
-            })
-            .collect();
-
-        let metrics = aggregate(&reports);
-        let mut scheduler_failures = scheduler_failures
-            .into_inner()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        let (tasks_per_worker, failures): (Vec<usize>, Vec<Vec<SchedulerFailure>>) =
+            drained.into_iter().unzip();
+        let mut scheduler_failures: Vec<SchedulerFailure> = failures.concat();
         scheduler_failures.sort_unstable_by_key(|failure| failure.pair);
-        BatchJoinOutcome {
-            faults: tally(&reports),
-            metrics,
+        // Invariant is local (audited): every task index was claimed and its
+        // slot set before its worker returned, and worker panics were
+        // re-raised above — so no slot can still be empty here.
+        let reports =
+            slots.into_iter().map(|slot| slot.into_inner().expect("every task executed")).collect();
+        BatchJoinOutcome::new(
             reports,
-            scheduler: BatchSchedulerStats {
+            BatchSchedulerStats {
                 workers,
                 inner_threads,
                 tasks_per_worker,
@@ -525,8 +483,7 @@ impl BatchJoinRunner {
                 corpus: corpus.map(|c| c.stats()),
                 scheduler_failures,
             },
-            serve: None,
-        }
+        )
     }
 
     /// The retained static-split driver (the differential oracle for
@@ -543,27 +500,18 @@ impl BatchJoinRunner {
         // change results. The oracle path runs guarded too (no fault plan —
         // it IS the fault-free reference): statuses are all `Ok` without a
         // budget, and cap-based budgets trip identically on both drivers.
-        let reports: Vec<PairJoinReport> =
-            tjoin_text::chunk_map(repository, workers, |pair| {
-                let guarded = pipeline.run_guarded(pair, None, self.budget.as_ref());
-                PairJoinReport {
-                    name: pair.name.clone(),
-                    outcome: guarded.outcome,
-                    status: guarded.status,
-                }
-            });
+        let reports = tjoin_text::chunk_map(repository, workers, |pair| {
+            pipeline.run_guarded(pair, None, self.budget.as_ref())
+        });
 
         let chunk = repository.len().div_ceil(workers).max(1);
         let mut tasks_per_worker = vec![0usize; workers];
         for task in 0..repository.len() {
             tasks_per_worker[(task / chunk).min(workers - 1)] += 1;
         }
-        let metrics = aggregate(&reports);
-        BatchJoinOutcome {
-            faults: tally(&reports),
-            metrics,
+        BatchJoinOutcome::new(
             reports,
-            scheduler: BatchSchedulerStats {
+            BatchSchedulerStats {
                 workers: if repository.is_empty() { 0 } else { workers },
                 inner_threads,
                 tasks_per_worker: if repository.is_empty() {
@@ -571,26 +519,26 @@ impl BatchJoinRunner {
                 } else {
                     tasks_per_worker
                 },
-                stolen_tasks: 0,
-                corpus: None,
-                scheduler_failures: Vec::new(),
+                ..BatchSchedulerStats::default()
             },
-            serve: None,
-        }
+        )
     }
 }
 
-/// Tallies report statuses into the containment ledger.
-fn tally(reports: &[PairJoinReport]) -> BatchFaultStats {
-    let mut faults = BatchFaultStats::default();
-    for report in reports {
-        match &report.status {
-            PairStatus::Ok => faults.ok_pairs += 1,
-            PairStatus::Failed(_) => faults.failed_pairs += 1,
-            PairStatus::TimedOut { .. } => faults.timed_out_pairs += 1,
+impl BatchJoinOutcome {
+    /// The outcome of a run's reports: the status tallies and aggregate
+    /// metrics computed from them, with no serve counters.
+    fn new(reports: Vec<PairJoinReport>, scheduler: BatchSchedulerStats) -> Self {
+        let mut faults = BatchFaultStats::default();
+        for report in &reports {
+            match &report.status {
+                PairStatus::Ok => faults.ok_pairs += 1,
+                PairStatus::Failed(_) => faults.failed_pairs += 1,
+                PairStatus::TimedOut { .. } => faults.timed_out_pairs += 1,
+            }
         }
+        BatchJoinOutcome { metrics: aggregate(&reports), reports, scheduler, faults, serve: None }
     }
-    faults
 }
 
 /// Computes the repository aggregate of a report list.
@@ -939,6 +887,25 @@ mod tests {
         assert!((batch.metrics.micro.recall - 1.0).abs() < 1e-9, "{:?}", batch.metrics);
         // Golden matching needs no text artifacts: no corpus is built.
         assert!(batch.scheduler.corpus.is_none());
+    }
+
+    #[test]
+    fn runner_rejects_a_config_its_pipeline_rejects() {
+        // Rejected up front, not per pair by the pipeline or the matcher
+        // (or never, on an empty repository).
+        let bad_support =
+            JoinPipelineConfig { join_min_support: 1.5, ..JoinPipelineConfig::paper_default() };
+        let mut bad_matcher = JoinPipelineConfig::paper_default();
+        if let RowMatchingStrategy::NGram(matcher) = &mut bad_matcher.matching {
+            matcher.n_min = 0;
+        }
+        for (config, message) in
+            [(bad_support, "join_min_support"), (bad_matcher, "n_min must be at least 1")]
+        {
+            let payload = std::panic::catch_unwind(|| BatchJoinRunner::new(config, 2))
+                .expect_err("invalid config accepted");
+            assert!(fault::panic_message(&*payload).contains(message));
+        }
     }
 
     #[test]

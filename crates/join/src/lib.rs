@@ -7,9 +7,10 @@
 //!
 //! # The per-pair pipeline
 //!
-//! [`pipeline::JoinPipeline::run_guarded`] is the one phase sequence;
-//! [`pipeline::JoinPipeline::run`] is that call without a corpus or budget,
-//! and both batch drivers call it per pair:
+//! [`pipeline::JoinPipeline::run_guarded`] is the one phase sequence, and
+//! its [`pipeline::PairJoinReport`] (name, outcome, status) is the one
+//! per-pair result type; [`pipeline::JoinPipeline::run`] is that call
+//! without a corpus or budget, and both batch drivers return its reports:
 //!
 //! 1. find candidate joinable row pairs (the n-gram matcher of
 //!    `tjoin-matching`, or the golden mapping for oracle experiments);
@@ -63,7 +64,8 @@
 //!
 //! A repository run must survive its worst pair. Both batch drivers route
 //! every pair through [`pipeline::JoinPipeline::run_guarded`], which
-//! contains failures *per pair*:
+//! contains failures *per pair* and reports each in its
+//! [`pipeline::PairJoinReport`]:
 //!
 //! * a phase that panics — or depends on a shared-corpus artifact whose
 //!   build failed (sticky [`tjoin_text::CorpusFailure`]) — degrades to
@@ -79,7 +81,9 @@
 //!   reported as complete;
 //! * a fault-free run's outcome does not depend on whether a corpus or a
 //!   live budget was passed, and per-status tallies land in
-//!   [`batch::BatchFaultStats`].
+//!   [`batch::BatchFaultStats`];
+//! * the batch runner stores each report in a write-once slot, so no
+//!   report lock exists for a panic to poison.
 //!
 //! The `fault-injection` feature compiles in the deterministic
 //! [`tjoin_text::FaultPlan`] harness
@@ -99,13 +103,13 @@ pub mod reference;
 
 pub use batch::{
     BatchFaultStats, BatchJoinOutcome, BatchJoinRunner, BatchSchedulerStats,
-    DiscoveredBatchOutcome, PairJoinReport, RepositoryMetrics, SchedulerFailure,
+    DiscoveredBatchOutcome, RepositoryMetrics, SchedulerFailure,
 };
 pub use incremental::{AppendReport, IncrementalCoverage, IncrementalJoin, IncrementalJoinConfig};
 pub use tjoin_discovery::{DiscoveryConfig, PrunedPair, RepositoryShortlist, ScoredPair};
 pub use evaluate::{evaluate_join, JoinMetrics};
 pub use pipeline::{
-    GuardedJoinOutcome, JoinOutcome, JoinPipeline, JoinPipelineConfig, PairError, PairPhase,
+    JoinOutcome, JoinPipeline, JoinPipelineConfig, PairError, PairJoinReport, PairPhase,
     PairStatus, RowMatchingStrategy,
 };
 pub use reference::equi_join_reference;

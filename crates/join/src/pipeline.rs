@@ -73,6 +73,21 @@ impl JoinPipelineConfig {
         self.synthesis = self.synthesis.with_threads(threads);
         self
     }
+
+    /// Panics unless the n-gram matcher and synthesis settings are valid
+    /// and `join_min_support` is a fraction in `[0, 1]`.
+    pub(crate) fn validate(&self) {
+        if let RowMatchingStrategy::NGram(matcher) = &self.matching {
+            // The matcher's constructor asserts its own settings.
+            let _ = NGramMatcher::new(matcher.clone());
+        }
+        self.synthesis.validate();
+        assert!(
+            (0.0..=1.0).contains(&self.join_min_support),
+            "join_min_support must be within [0, 1], got {}",
+            self.join_min_support
+        );
+    }
 }
 
 /// The result of running the pipeline on one column pair.
@@ -104,7 +119,7 @@ pub enum PairPhase {
     /// The transformed equi-join and evaluation.
     Join,
     /// Outside any phase — the batch scheduler's backstop containment (a
-    /// panic between phases, e.g. an injected slot fault).
+    /// panic between phases, e.g. an injected scheduler-task fault).
     Scheduler,
 }
 
@@ -160,17 +175,25 @@ impl PairStatus {
     pub fn is_ok(&self) -> bool {
         matches!(self, PairStatus::Ok)
     }
+
+    /// A contained failure in `phase` with `message`.
+    pub(crate) fn failed(phase: PairPhase, message: String) -> Self {
+        PairStatus::Failed(PairError { phase, message })
+    }
 }
 
-/// A [`JoinOutcome`] plus the isolation status that produced it (see
-/// [`JoinPipeline::run_guarded`]).
+/// One column pair's result: the pair's name, its pipeline outcome, and
+/// the isolation status that produced it (see [`JoinPipeline::run_guarded`]).
 #[derive(Debug, Clone)]
-pub struct GuardedJoinOutcome {
+pub struct PairJoinReport {
+    /// The column pair's name (from [`ColumnPair::name`]).
+    pub name: String,
     /// The pair's outcome — complete when `status.is_ok()`, otherwise the
     /// phases that finished before the failure/overrun (later-phase fields
     /// keep their empty defaults).
     pub outcome: JoinOutcome,
-    /// What happened to the pair.
+    /// What happened to the pair: completed, contained failure, or budget
+    /// overrun.
     pub status: PairStatus,
 }
 
@@ -183,8 +206,7 @@ pub struct JoinPipeline {
 impl JoinPipeline {
     /// Creates a pipeline with the given configuration.
     pub fn new(config: JoinPipelineConfig) -> Self {
-        config.synthesis.validate();
-        assert!((0.0..=1.0).contains(&config.join_min_support));
+        config.validate();
         Self { config }
     }
 
@@ -197,9 +219,9 @@ impl JoinPipeline {
     /// without a corpus or budget, with a contained phase failure re-raised
     /// as a panic carrying the phase and the original message.
     pub fn run(&self, pair: &ColumnPair) -> JoinOutcome {
-        let guarded = self.run_guarded(pair, None, None);
-        match guarded.status {
-            PairStatus::Ok => guarded.outcome,
+        let report = self.run_guarded(pair, None, None);
+        match report.status {
+            PairStatus::Ok => report.outcome,
             PairStatus::Failed(error) => panic!("{error}"),
             // Invariant is local (audited): only a budget can time a pair
             // out, and the budget is `None` on this path.
@@ -248,151 +270,83 @@ impl JoinPipeline {
     /// Runs the full pipeline — the one phase sequence every caller goes
     /// through — with per-pair fault isolation, an optional shared
     /// [`GramCorpus`] for the matcher, and an optional [`RunBudget`]. It is
-    /// the batch layer's per-pair unit of graceful degradation:
+    /// the batch layer's per-pair unit of graceful degradation, and its
+    /// [`PairJoinReport`] is the one per-pair result type:
     ///
     /// * **Panic containment.** Each phase runs under `catch_unwind`; a
     ///   panicking phase (or a sticky shared-corpus build failure) yields
     ///   [`PairStatus::Failed`] carrying the phase and the original panic
     ///   message, with the outcome fields of every *completed* phase intact.
     /// * **Budgets.** `budget` (if any) starts its clock here: the pair's
-    ///   rows and bytes are charged once at admission (so cap overruns are
-    ///   deterministic and thread-invariant), and the wall-clock deadline is
-    ///   checked cooperatively at the matcher scan, coverage scan,
-    ///   selection, and join loop boundaries. A trip yields
-    ///   [`PairStatus::TimedOut`] with the phase metrics completed so far.
+    ///   rows and bytes are charged once at admission, the start of the
+    ///   matching phase (so cap overruns are deterministic and
+    ///   thread-invariant), and the wall-clock deadline is checked
+    ///   cooperatively at the matcher scan, coverage scan, selection, and
+    ///   join loop boundaries. A trip yields [`PairStatus::TimedOut`] with
+    ///   the phase metrics completed so far.
     /// * **Fault-free equivalence.** When nothing fails and no budget trips,
     ///   the status is [`PairStatus::Ok`] and the outcome is the same with
     ///   or without a corpus or a live budget. [`Self::run`] is this call
     ///   with neither.
     ///
-    /// Panics originating *outside* the guarded phases (e.g. a misconfigured
-    /// pipeline's validation assertions) still propagate; the batch runner
-    /// adds a scheduler-level backstop around the whole call.
+    /// Panics originating *outside* the guarded phases still propagate; the
+    /// batch runner adds a scheduler-level backstop around the whole call.
     pub fn run_guarded(
         &self,
         pair: &ColumnPair,
         corpus: Option<&GramCorpus>,
         budget: Option<&RunBudget>,
-    ) -> GuardedJoinOutcome {
-        let token_storage = budget.map(|b| b.token());
-        let token = token_storage.as_ref();
+    ) -> PairJoinReport {
+        let token = budget.map(|b| b.token());
         let mut outcome = Self::empty_outcome(pair);
+        let status = self.run_phases(pair, corpus, token.as_ref(), &mut outcome);
+        let status = status.err().unwrap_or(PairStatus::Ok);
+        PairJoinReport { name: pair.name.clone(), outcome, status }
+    }
 
-        // Admission: charge the pair's size against the deterministic caps
-        // before any work. An oversized pair is rejected identically on
-        // every run at every thread count.
-        if let Some(token) = token {
-            let rows = pair.source.len() + pair.target.len();
-            let bytes: usize = pair
-                .source
-                .iter()
-                .chain(pair.target.iter())
-                .map(|cell| cell.len())
-                .sum();
-            if let Err(exceeded) = token.charge_rows(rows).and_then(|()| token.charge_bytes(bytes))
-            {
-                return GuardedJoinOutcome {
-                    outcome,
-                    status: PairStatus::TimedOut { phase: PairPhase::Matching, exceeded },
-                };
-            }
-        }
-
-        // 1. Row matching.
-        let match_start = Instant::now();
-        let matched = catch_unwind(AssertUnwindSafe(|| {
-            fault::fire(FaultSite::MatchPhase);
-            self.candidate_values(pair, corpus, token)
-        }));
-        outcome.matching_time = match_start.elapsed();
-        let candidate_values = match matched {
-            Ok(Ok(values)) => values,
-            Ok(Err(MatchAbort::Budget(exceeded))) => {
-                return GuardedJoinOutcome {
-                    outcome,
-                    status: PairStatus::TimedOut { phase: PairPhase::Matching, exceeded },
-                };
-            }
-            Ok(Err(MatchAbort::Corpus(failure))) => {
-                return GuardedJoinOutcome {
-                    outcome,
-                    status: PairStatus::Failed(PairError {
-                        phase: PairPhase::Matching,
-                        message: failure.to_string(),
-                    }),
-                };
-            }
-            Err(payload) => {
-                return GuardedJoinOutcome {
-                    outcome,
-                    status: PairStatus::Failed(PairError {
-                        phase: PairPhase::Matching,
-                        message: fault::panic_message(&*payload),
-                    }),
-                };
-            }
-        };
+    /// The phases of [`Self::run_guarded`], filling `outcome` as each
+    /// completes; the first phase that does not complete ends the run with
+    /// its status.
+    fn run_phases(
+        &self,
+        pair: &ColumnPair,
+        corpus: Option<&GramCorpus>,
+        token: Option<&BudgetToken>,
+        outcome: &mut JoinOutcome,
+    ) -> Result<(), PairStatus> {
+        // 1. Admission, then row matching. Admission charges the pair's
+        // size against the deterministic caps before any work, so an
+        // oversized pair is rejected identically on every run at every
+        // thread count.
+        let candidate_values =
+            guard(PairPhase::Matching, FaultSite::MatchPhase, &mut outcome.matching_time, || {
+                if let Some(token) = token {
+                    admit(pair, token)?;
+                }
+                self.candidate_values(pair, corpus, token)
+            })?;
         outcome.candidate_pairs = candidate_values.len();
 
         // 2. Transformation discovery.
-        let synth_start = Instant::now();
         let engine = SynthesisEngine::new(self.config.synthesis.clone());
-        let synthesized = catch_unwind(AssertUnwindSafe(|| {
-            fault::fire(FaultSite::SynthesisPhase);
-            engine.discover_from_strings_budgeted(&candidate_values, token)
-        }));
-        outcome.synthesis_time = synth_start.elapsed();
-        let result = match synthesized {
-            Ok(Ok(result)) => result,
-            Ok(Err(exceeded)) => {
-                return GuardedJoinOutcome {
-                    outcome,
-                    status: PairStatus::TimedOut { phase: PairPhase::Synthesis, exceeded },
-                };
-            }
-            Err(payload) => {
-                return GuardedJoinOutcome {
-                    outcome,
-                    status: PairStatus::Failed(PairError {
-                        phase: PairPhase::Synthesis,
-                        message: fault::panic_message(&*payload),
-                    }),
-                };
-            }
-        };
+        let result = guard(
+            PairPhase::Synthesis,
+            FaultSite::SynthesisPhase,
+            &mut outcome.synthesis_time,
+            || engine.discover_from_strings_budgeted(&candidate_values, token),
+        )?;
 
         // 3. Support filtering (infallible bookkeeping).
         outcome.transformations = result.cover.filter_by_support(self.config.join_min_support);
 
         // 4–5. Transformed equi-join and evaluation.
-        let join_start = Instant::now();
-        let joined = catch_unwind(AssertUnwindSafe(|| {
-            fault::fire(FaultSite::JoinPhase);
-            self.equi_join_budgeted(
-                pair,
-                outcome.transformations.iter().map(|t| &t.transformation),
-                token,
-            )
-        }));
-        outcome.join_time = join_start.elapsed();
-        match joined {
-            Ok(Ok(predicted)) => {
-                outcome.predicted_pairs = predicted;
-                outcome.metrics = evaluate_join(&outcome.predicted_pairs, &pair.golden);
-                GuardedJoinOutcome { outcome, status: PairStatus::Ok }
-            }
-            Ok(Err(exceeded)) => GuardedJoinOutcome {
-                outcome,
-                status: PairStatus::TimedOut { phase: PairPhase::Join, exceeded },
-            },
-            Err(payload) => GuardedJoinOutcome {
-                outcome,
-                status: PairStatus::Failed(PairError {
-                    phase: PairPhase::Join,
-                    message: fault::panic_message(&*payload),
-                }),
-            },
-        }
+        let transformations = outcome.transformations.iter().map(|t| &t.transformation);
+        outcome.predicted_pairs =
+            guard(PairPhase::Join, FaultSite::JoinPhase, &mut outcome.join_time, || {
+                self.equi_join_budgeted(pair, transformations, token)
+            })?;
+        outcome.metrics = evaluate_join(&outcome.predicted_pairs, &pair.golden);
+        Ok(())
     }
 
     /// Joins a column pair given an explicit transformation list (used to
@@ -501,6 +455,45 @@ impl JoinPipeline {
             }
         }
         Ok(predicted)
+    }
+}
+
+/// Charges a pair's rows and bytes against the token's admission caps.
+fn admit(pair: &ColumnPair, token: &BudgetToken) -> Result<(), BudgetExceeded> {
+    let rows = pair.source.len() + pair.target.len();
+    let bytes: usize = pair
+        .source
+        .iter()
+        .chain(pair.target.iter())
+        .map(|cell| cell.len())
+        .sum();
+    token.charge_rows(rows)?;
+    token.charge_bytes(bytes)
+}
+
+/// Runs one pipeline phase in isolation: fires `site`'s fault point, runs
+/// `f` under `catch_unwind`, records the phase's wall-clock in `elapsed`,
+/// and maps a budget trip, a corpus failure or a panic to the pair's
+/// [`PairStatus`] in `phase`.
+fn guard<T, E: Into<MatchAbort>>(
+    phase: PairPhase,
+    site: FaultSite,
+    elapsed: &mut Duration,
+    f: impl FnOnce() -> Result<T, E>,
+) -> Result<T, PairStatus> {
+    let start = Instant::now();
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        fault::fire(site);
+        f()
+    }));
+    *elapsed = start.elapsed();
+    match result {
+        Ok(Ok(value)) => Ok(value),
+        Ok(Err(abort)) => Err(match abort.into() {
+            MatchAbort::Budget(exceeded) => PairStatus::TimedOut { phase, exceeded },
+            MatchAbort::Corpus(failure) => PairStatus::failed(phase, failure.to_string()),
+        }),
+        Err(payload) => Err(PairStatus::failed(phase, fault::panic_message(&*payload))),
     }
 }
 

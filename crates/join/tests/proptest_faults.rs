@@ -16,9 +16,9 @@
 //! * no panic ever escapes `run_with_faults` (every test below returning
 //!   normally is the proof — the scheduler re-raises only its own bugs).
 //!
-//! `PoisonLock` faults are the resilience half: a poisoned report slot or
-//! corpus cache lock is *recovered*, so those runs must be entirely `Ok`
-//! and bit-identical to the oracle.
+//! `PoisonLock` faults are the resilience half: a poisoned corpus cache
+//! lock is *recovered*, so those runs must be entirely `Ok` and
+//! bit-identical to the oracle.
 
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -33,7 +33,7 @@ use tjoin_text::{fault, FaultKind, FaultPlan, FaultSite, RunBudget};
 /// deliberately excluded: it fires outside every guarded phase, so its
 /// failures attribute to `PairPhase::Scheduler` rather than the phase the
 /// assertions here expect — it gets its own targeted regression test below.
-const SITES: [FaultSite; 8] = [
+const SITES: [FaultSite; 7] = [
     FaultSite::MatchPhase,
     FaultSite::CorpusColumnBuild,
     FaultSite::CorpusStatsBuild,
@@ -41,7 +41,6 @@ const SITES: [FaultSite; 8] = [
     FaultSite::SynthesisPhase,
     FaultSite::CoverageScan,
     FaultSite::JoinPhase,
-    FaultSite::SlotStore,
 ];
 
 /// Silences the panic output of *injected* panics (they are the point of
@@ -124,10 +123,9 @@ proptest! {
             }
             let kind = if is_panic { FaultKind::Panic } else { FaultKind::PoisonLock };
             plan = plan.inject(pair, site, kind);
-            // `fire` never runs at SlotStore (it is a poison-only site), so
-            // a Panic there is inert; every other site's Panic fails its
-            // pair. PoisonLock anywhere is recovered.
-            if is_panic && site != FaultSite::SlotStore {
+            // Every site's Panic fails its pair; PoisonLock anywhere is
+            // recovered.
+            if is_panic {
                 expected_failed.insert(pair);
             }
         }
@@ -272,8 +270,8 @@ fn slow_phase_with_deadline_times_out_only_the_stalled_pair() {
     }
 }
 
-/// Poisoned locks — report slots and every corpus cache — are recovered,
-/// not fatal: the whole run stays `Ok` and bit-identical to the oracle.
+/// Poisoned corpus cache locks are recovered, not fatal: the whole run
+/// stays `Ok` and bit-identical to the oracle.
 #[test]
 fn poisoned_locks_recover_to_a_clean_run() {
     quiet_injected_panics();
@@ -281,7 +279,6 @@ fn poisoned_locks_recover_to_a_clean_run() {
     let config = JoinPipelineConfig::paper_default();
     let oracle = BatchJoinRunner::new(config.clone(), 1).run_static(&repository);
     let plan = FaultPlan::new()
-        .inject(0, FaultSite::SlotStore, FaultKind::PoisonLock)
         .inject(0, FaultSite::CorpusStatsBuild, FaultKind::PoisonLock)
         .inject(1, FaultSite::CorpusColumnBuild, FaultKind::PoisonLock)
         .inject(2, FaultSite::CorpusIndexBuild, FaultKind::PoisonLock);

@@ -324,7 +324,7 @@ impl CorpusColumn {
     /// lock is never poisoned by it.
     pub fn try_stats(&self, n_min: usize, n_max: usize) -> Result<Arc<ColumnStats>, CorpusFailure> {
         self.stats.get_or_build(FaultSite::CorpusStatsBuild, "stats", (n_min, n_max), || {
-            Ok(ColumnStats::build_on(&self.normalized, n_min, n_max))
+            Ok(ColumnStats::build(&self.normalized, n_min, n_max))
         })
     }
 
@@ -705,7 +705,7 @@ mod tests {
         assert_eq!(stats.indexes_built, 1);
         assert_eq!(stats.index_hits, 1);
         // The cached artifacts equal a direct per-call build.
-        let direct = ColumnStats::build_on(entry.normalized(), 2, 4);
+        let direct = ColumnStats::build(entry.normalized(), 2, 4);
         assert_eq!(*s1, direct);
         assert_eq!(i1.rows_containing("abc"), &[0, 1]);
     }

@@ -39,7 +39,9 @@ use std::time::Duration;
 
 /// Named injection points across the pipeline. All sites execute on the
 /// batch worker thread driving the pair, so the thread-local scope set by
-/// [`with_pair_scope`] is visible at every one of them.
+/// [`with_pair_scope`] is visible at every one of them. The corpus build
+/// sites are the only lock-owning ones, so only they act on
+/// [`FaultKind::PoisonLock`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultSite {
     /// Entry of the row-matching phase (pipeline phase 1).
@@ -61,9 +63,6 @@ pub enum FaultSite {
     CoverageScan,
     /// Entry of the equi-join phase (pipeline phase 4).
     JoinPhase,
-    /// The batch runner's per-pair report slot store (poison point of the
-    /// slot lock).
-    SlotStore,
     /// Entry of a batch scheduler task, *outside* every guarded pipeline
     /// phase — a panic here exercises the scheduler-level `catch_unwind`
     /// backstop (`PairPhase::Scheduler`) and its elapsed-at-failure
@@ -117,15 +116,6 @@ impl FaultPlan {
         self
     }
 
-    /// The fault registered for `(pair, site)`, if any (first entry wins) —
-    /// the static plan lookup the batch runner uses for slot poisoning.
-    pub fn fault_for(&self, pair: usize, site: FaultSite) -> Option<FaultKind> {
-        self.faults
-            .iter()
-            .find(|f| f.pair == pair && f.site == site)
-            .map(|f| f.kind)
-    }
-
     /// Whether the plan is empty.
     pub fn is_empty(&self) -> bool {
         self.faults.is_empty()
@@ -134,8 +124,8 @@ impl FaultPlan {
 
 /// Locks a mutex, recovering the guard from a poisoned lock instead of
 /// panicking. Correct wherever the protected data is consistent at every
-/// unlock point — the corpus caches and batch report slots qualify: their
-/// critical sections insert fully built values, so a panic observed by the
+/// unlock point — the corpus caches qualify: their critical sections
+/// insert fully built values, so a panic observed by the
 /// lock (an injected poison, or a caught build panic on another thread)
 /// never leaves partial state behind.
 pub fn lock_recover<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -282,10 +272,13 @@ mod tests {
         let plan = FaultPlan::new()
             .inject(3, FaultSite::MatchPhase, FaultKind::Panic)
             .inject(1, FaultSite::JoinPhase, FaultKind::PoisonLock)
-            .inject(3, FaultSite::SlotStore, FaultKind::Slow(Duration::from_millis(5)));
-        assert_eq!(plan.fault_for(3, FaultSite::MatchPhase), Some(FaultKind::Panic));
-        assert_eq!(plan.fault_for(3, FaultSite::JoinPhase), None);
-        assert_eq!(plan.fault_for(0, FaultSite::MatchPhase), None);
+            .inject(3, FaultSite::CorpusStatsBuild, FaultKind::Slow(Duration::from_millis(5)));
+        let fault_for = |pair: usize, site: FaultSite| {
+            plan.faults.iter().find(|f| f.pair == pair && f.site == site).map(|f| f.kind)
+        };
+        assert_eq!(fault_for(3, FaultSite::MatchPhase), Some(FaultKind::Panic));
+        assert_eq!(fault_for(3, FaultSite::JoinPhase), None);
+        assert_eq!(fault_for(0, FaultSite::MatchPhase), None);
         assert_eq!(plan.faults.len(), 3);
         assert!(!plan.is_empty());
         assert!(FaultPlan::new().is_empty());
@@ -315,7 +308,7 @@ mod tests {
     fn fire_is_inert_outside_a_scope() {
         // With or without the feature: no scope means nothing fires.
         fire(FaultSite::MatchPhase);
-        assert!(!should_poison(FaultSite::SlotStore));
+        assert!(!should_poison(FaultSite::CorpusStatsBuild));
     }
 
     #[cfg(feature = "fault-injection")]
@@ -337,11 +330,11 @@ mod tests {
     #[cfg(feature = "fault-injection")]
     #[test]
     fn scoped_poison_consulted_at_site() {
-        let plan = FaultPlan::new().inject(0, FaultSite::SlotStore, FaultKind::PoisonLock);
+        let plan = FaultPlan::new().inject(0, FaultSite::CorpusStatsBuild, FaultKind::PoisonLock);
         with_pair_scope(&plan, 0, || {
-            assert!(should_poison(FaultSite::SlotStore));
+            assert!(should_poison(FaultSite::CorpusStatsBuild));
             assert!(!should_poison(FaultSite::MatchPhase));
         });
-        assert!(!should_poison(FaultSite::SlotStore));
+        assert!(!should_poison(FaultSite::CorpusStatsBuild));
     }
 }

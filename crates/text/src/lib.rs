@@ -62,8 +62,8 @@
 //!   re-derive its grams.
 //! * [`par`] — the deterministic chunked parallel map over items (column
 //!   pairs) shared by the batch runner's static-split oracle and
-//!   discovery's signature pass; [`chunk_map_rows`] is its index-range
-//!   core. The matcher's row scan and the equi-join are serial.
+//!   discovery's signature pass. The matcher's row scan and the equi-join
+//!   are serial.
 //! * [`budget`] — per-run cost budgets: a wall-clock deadline plus
 //!   deterministic row/byte admission caps, carried as a cheap atomic
 //!   cancellation token checked at the pipeline's loop boundaries
@@ -115,7 +115,7 @@ pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use index::NGramIndex;
 pub use ngram::{char_ngrams, for_each_ngram_in_sizes, ngram_containment, ngram_jaccard};
 pub use normalize::{normalize_append, normalize_for_matching, NormalizeOptions};
-pub use par::{chunk_map, chunk_map_rows};
+pub use par::chunk_map;
 pub use scoring::{irf, rscore, ColumnStats};
 pub use signature::ColumnSignature;
 pub use tokenize::{is_separator_char, tokenize_with_separators, Token, TokenKind};

@@ -15,52 +15,9 @@
 //! `catch_unwind` above the map (the batch runner's per-pair containment)
 //! observes exactly the message the worker panicked with.
 
-/// Maps `f` over the row indices `0..rows` using up to `workers` scoped
-/// threads (one contiguous index range per worker), returning results in
-/// row order.
-///
-/// This is the core the slice-based [`chunk_map`] delegates to — indexing
-/// instead of slicing is what lets arena-backed columns (which have no
-/// item slice to chunk) share the exact same chunk geometry as the
-/// retained `Vec<String>` reference: `chunk_size = rows.div_ceil(workers)`
-/// either way, so per-worker boundaries are identical and the differential
-/// suites compare like with like.
-///
-/// A budget of 0 or 1 — or fewer than two rows — runs serially with no
-/// thread overhead. Output is identical at any budget; only wall-clock
-/// changes. Panics in `f` propagate to the caller with their original
-/// payload (via [`std::panic::resume_unwind`]).
-pub fn chunk_map_rows<R, F>(rows: usize, workers: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let workers = workers.min(rows).max(1);
-    if workers <= 1 {
-        return (0..rows).map(f).collect();
-    }
-    let chunk_size = rows.div_ceil(workers);
-    let f = &f;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..rows)
-            .step_by(chunk_size)
-            .map(|start| {
-                let end = (start + chunk_size).min(rows);
-                scope.spawn(move || (start..end).map(f).collect::<Vec<R>>())
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| {
-                h.join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-            })
-            .collect()
-    })
-}
-
 /// Maps `f` over `items` using up to `workers` scoped threads (one
-/// contiguous chunk per worker), returning results in item order.
+/// contiguous chunk of `items.len().div_ceil(workers)` items per worker),
+/// returning results in item order.
 ///
 /// A budget of 0 or 1 — or fewer than two items — runs serially with no
 /// thread overhead. Output is identical at any budget; only wall-clock
@@ -72,7 +29,25 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    chunk_map_rows(items.len(), workers, |i| f(&items[i]))
+    let workers = workers.min(items.len()).max(1);
+    if workers <= 1 {
+        return items.iter().map(f).collect();
+    }
+    let chunk_size = items.len().div_ceil(workers);
+    let f = &f;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = items
+            .chunks(chunk_size)
+            .map(|chunk| scope.spawn(move || chunk.iter().map(f).collect::<Vec<R>>()))
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| {
+                h.join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+            })
+            .collect()
+    })
 }
 
 #[cfg(test)]
@@ -135,14 +110,15 @@ mod tests {
     fn row_core_matches_slice_form_at_any_budget() {
         let items: Vec<u32> = (0..103).collect();
         let expected: Vec<u64> = items.iter().map(|&x| u64::from(x) * 3).collect();
+        let rows: Vec<usize> = (0..items.len()).collect();
         for workers in [0usize, 1, 2, 3, 4, 16, 200] {
             assert_eq!(
-                chunk_map_rows(items.len(), workers, |i| u64::from(items[i]) * 3),
+                chunk_map(&rows, workers, |&i| u64::from(items[i]) * 3),
                 expected,
                 "rows form diverged at {workers} workers"
             );
         }
-        assert!(chunk_map_rows(0, 4, |i| i).is_empty());
+        assert!(chunk_map(&Vec::<usize>::new(), 4, |&i| i).is_empty());
     }
 
     #[test]
@@ -161,8 +137,9 @@ mod tests {
             .collect();
         let arena = ColumnArena::from_cells(cells.as_slice());
         let expected: Vec<String> = cells.iter().map(|c| c.chars().rev().collect()).collect();
+        let rows: Vec<usize> = (0..arena.cell_count()).collect();
         for workers in [1usize, 2, 4] {
-            let via_arena = chunk_map_rows(arena.cell_count(), workers, |row| {
+            let via_arena = chunk_map(&rows, workers, |&row| {
                 arena.cell(row).chars().rev().collect::<String>()
             });
             assert_eq!(via_arena, expected, "diverged at {workers} workers");

@@ -34,15 +34,10 @@ pub struct ColumnStats {
 }
 
 impl ColumnStats {
-    /// Builds statistics for `rows`, counting every distinct n-gram with size
-    /// in `[n_min, n_max]` once per row in which it occurs.
-    pub fn build<S: AsRef<str> + Sync>(rows: &[S], n_min: usize, n_max: usize) -> Self {
-        Self::build_on(rows, n_min, n_max)
-    }
-
-    /// [`Self::build`] over any [`CellText`] column — the arena-backed hot
-    /// path; behaviour is identical for identical cell contents.
-    pub fn build_on<C: CellText + ?Sized>(column: &C, n_min: usize, n_max: usize) -> Self {
+    /// Builds statistics for any [`CellText`] column (an arena or a slice
+    /// of strings alike), counting every distinct n-gram with size in
+    /// `[n_min, n_max]` once per row in which it occurs.
+    pub fn build<C: CellText + ?Sized>(column: &C, n_min: usize, n_max: usize) -> Self {
         let mut row_frequency: FxHashMap<u64, u32> = FxHashMap::default();
         let mut guard = CollisionGuard::new();
         let mut seen: FxHashSet<u64> = FxHashSet::default();
@@ -120,7 +115,7 @@ mod tests {
     #[test]
     fn column_stats_row_frequency_counts_rows_not_occurrences() {
         // "aaaa" contains the 2-gram "aa" three times but in one row only.
-        let stats = ColumnStats::build(&["aaaa", "aab"], 2, 2);
+        let stats = ColumnStats::build(&["aaaa", "aab"][..], 2, 2);
         assert_eq!(stats.row_count, 2);
         assert_eq!(stats.row_frequency("aa"), 2);
         assert_eq!(stats.row_frequency("ab"), 1);
@@ -129,7 +124,7 @@ mod tests {
 
     #[test]
     fn column_stats_multi_size() {
-        let stats = ColumnStats::build(&["abc"], 2, 3);
+        let stats = ColumnStats::build(&["abc"][..], 2, 3);
         assert_eq!(stats.row_frequency("ab"), 1);
         assert_eq!(stats.row_frequency("abc"), 1);
         assert_eq!(stats.row_frequency("a"), 0); // size 1 not indexed
@@ -138,7 +133,7 @@ mod tests {
 
     #[test]
     fn irf_in_column() {
-        let stats = ColumnStats::build(&["ab", "ab", "cd", "ab"], 2, 2);
+        let stats = ColumnStats::build(&["ab", "ab", "cd", "ab"][..], 2, 2);
         assert!((stats.irf("ab") - 1.0 / 3.0).abs() < 1e-12);
         assert!((stats.irf("cd") - 1.0).abs() < 1e-12);
         assert_eq!(stats.irf("zz"), 0.0);
@@ -146,8 +141,8 @@ mod tests {
 
     #[test]
     fn rscore_is_product_and_zero_when_one_sided() {
-        let src = ColumnStats::build(&["rafiei davood", "nascimento mario"], 4, 4);
-        let tgt = ColumnStats::build(&["drafiei", "nascimento"], 4, 4);
+        let src = ColumnStats::build(&["rafiei davood", "nascimento mario"][..], 4, 4);
+        let tgt = ColumnStats::build(&["drafiei", "nascimento"][..], 4, 4);
         // "afie" appears in 1 source row and 1 target row -> 1.0
         assert!((rscore("afie", &src, &tgt) - 1.0).abs() < 1e-12);
         // "мари" absent everywhere -> 0
@@ -159,8 +154,8 @@ mod tests {
     #[test]
     fn common_suffix_scores_low() {
         // Every email shares "@ua" - its rscore must be far below a rare gram.
-        let src = ColumnStats::build(&["rafiei, davood", "bowling, michael"], 3, 3);
-        let tgt = ColumnStats::build(&["drafiei@ua.ca", "mbowling@ua.ca"], 3, 3);
+        let src = ColumnStats::build(&["rafiei, davood", "bowling, michael"][..], 3, 3);
+        let tgt = ColumnStats::build(&["drafiei@ua.ca", "mbowling@ua.ca"][..], 3, 3);
         let shared = rscore("@ua", &src, &tgt); // absent in source -> 0 anyway
         let rare = rscore("afi", &src, &tgt);
         assert!(rare > shared);
@@ -170,13 +165,13 @@ mod tests {
 
     #[test]
     fn approximate_bytes_tracks_distinct_grams() {
-        let small = ColumnStats::build(&["ab"], 2, 2);
-        let large = ColumnStats::build(&["abcdefgh", "ijklmnop"], 2, 4);
+        let small = ColumnStats::build(&["ab"][..], 2, 2);
+        let large = ColumnStats::build(&["abcdefgh", "ijklmnop"][..], 2, 4);
         assert!(small.approximate_bytes() >= std::mem::size_of::<ColumnStats>());
         assert!(large.approximate_bytes() > small.approximate_bytes());
         // Identical content builds account identically (the serving layer's
         // eviction bookkeeping relies on this being deterministic).
-        let again = ColumnStats::build(&["abcdefgh", "ijklmnop"], 2, 4);
+        let again = ColumnStats::build(&["abcdefgh", "ijklmnop"][..], 2, 4);
         assert_eq!(large.approximate_bytes(), again.approximate_bytes());
     }
 

@@ -11,7 +11,7 @@
 
 use proptest::prelude::*;
 use tjoin_text::{
-    char_ngrams, chunk_map_rows, column_fingerprint, fingerprint64,
+    char_ngrams, chunk_map, column_fingerprint, fingerprint64,
     for_each_ngram_in_sizes, normalize_for_matching, ColumnArena, NormalizeOptions,
 };
 
@@ -159,9 +159,10 @@ proptest! {
             })
             .collect();
 
+        let rows: Vec<usize> = (0..normalized.len()).collect();
         for workers in [1usize, 2, 4] {
             let scanned: Vec<(u64, Vec<String>)> =
-                chunk_map_rows(normalized.len(), workers, |row| {
+                chunk_map(&rows, workers, |&row| {
                     let cell = normalized.cell(row);
                     let mut grams = Vec::new();
                     for_each_ngram_in_sizes(cell, 2, 4, &mut |g| grams.push(g.to_owned()));

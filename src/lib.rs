@@ -56,9 +56,9 @@ pub mod prelude {
         ColumnPair, DatasetError, RepositoryConfig, SyntheticConfig, Table, TablePair,
     };
     pub use tjoin_join::{
-        BatchFaultStats, BatchJoinOutcome, BatchJoinRunner, BatchSchedulerStats,
-        GuardedJoinOutcome, JoinPipeline, JoinPipelineConfig, PairError, PairPhase, PairStatus,
-        RepositoryMetrics, RowMatchingStrategy,
+        BatchFaultStats, BatchJoinOutcome, BatchJoinRunner, BatchSchedulerStats, JoinPipeline,
+        JoinPipelineConfig, PairError, PairJoinReport, PairPhase, PairStatus, RepositoryMetrics,
+        RowMatchingStrategy,
     };
     pub use tjoin_matching::{MatchingMode, NGramMatcher, NGramMatcherConfig};
     pub use tjoin_text::{
