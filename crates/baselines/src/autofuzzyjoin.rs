@@ -16,8 +16,7 @@
 //! relative margin between each source row's best and second-best match).
 
 use serde::{Deserialize, Serialize};
-use tjoin_datasets::ColumnPair;
-use tjoin_matching::RowMatch;
+use tjoin_datasets::{row_id, ColumnPair};
 use tjoin_text::{
     lcs_ratio, ngram_containment, ngram_jaccard, normalize_for_matching, NGramIndex,
     NormalizeOptions,
@@ -94,8 +93,8 @@ pub struct AutoFuzzyJoin {
 /// it selected.
 #[derive(Debug, Clone)]
 pub struct AutoFuzzyJoinResult {
-    /// Predicted joinable row pairs.
-    pub pairs: Vec<RowMatch>,
+    /// Predicted joinable row pairs `(source_row, target_row)`.
+    pub pairs: Vec<(u32, u32)>,
     /// The similarity measure selected.
     pub measure: SimilarityMeasure,
     /// The threshold selected.
@@ -148,10 +147,7 @@ impl AutoFuzzyJoin {
                     self.config.ngram_size,
                 );
                 if sim >= threshold {
-                    pairs.push(RowMatch {
-                        source_row: src_row as u32,
-                        target_row: tgt_row,
-                    });
+                    pairs.push((row_id(src_row), tgt_row));
                 }
             }
         }
@@ -244,7 +240,7 @@ mod tests {
         // Every true pair shares the distinctive last name and must be found.
         for i in 0..4u32 {
             assert!(
-                result.pairs.iter().any(|m| m.source_row == i && m.target_row == i),
+                result.pairs.contains(&(i, i)),
                 "missing true pair {i}: {result:?}"
             );
         }

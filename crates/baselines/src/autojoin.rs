@@ -486,7 +486,9 @@ mod tests {
         // Two 2,000-character sources make the full `Substr` sweep
         // 2,000 · 2,001 / 2 ≈ 2M units, far more than 1 ms allows.
         let source = |shift: usize| -> String {
-            (0..2000).map(|i| char::from(b'a' + ((i * 7 + shift) % 26) as u8)).collect()
+            (0..2000)
+                .map(|i| char::from(b'a' + u8::try_from((i * 7 + shift) % 26).expect("below 26")))
+                .collect()
         };
         let rows = vec![(source(0), "xyz1"), (source(3), "xyz2")];
         let aj = AutoJoin::new(AutoJoinConfig {

@@ -15,6 +15,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(clippy::cast_possible_truncation)]
 
 pub mod autofuzzyjoin;
 pub mod autojoin;

@@ -1,9 +1,11 @@
 //! Table 1: row-matching performance (precision, recall, F1) per dataset.
 
+use crate::experiments::average;
 use crate::report::{f2, f3, Report};
 use crate::scale::Scale;
 use crate::suite::DatasetInstance;
-use tjoin_matching::{evaluate_pairs, MatchingMetrics, NGramMatcher};
+use tjoin_join::{evaluate_join, JoinMetrics};
+use tjoin_matching::NGramMatcher;
 
 /// One dataset row of Table 1.
 #[derive(Debug, Clone)]
@@ -16,8 +18,9 @@ pub struct Table1Row {
     pub avg_len: f64,
     /// Average number of candidate pairs found per table pair.
     pub pairs_found: f64,
-    /// Micro-averaged matching metrics across the family's table pairs.
-    pub metrics: MatchingMetrics,
+    /// Matching metrics across the family's table pairs: summed counts,
+    /// per-pair mean precision, recall and F1.
+    pub metrics: JoinMetrics,
     /// The paper's reported precision / recall (when available).
     pub paper_precision: Option<f64>,
     /// The paper's reported recall.
@@ -30,40 +33,22 @@ pub fn compute(scale: Scale, seed: u64) -> Vec<Table1Row> {
     DatasetInstance::load_all(scale, seed)
         .into_iter()
         .map(|instance| {
-            let mut total = MatchingMetrics::default();
-            let mut pair_count = 0usize;
-            let mut found = 0usize;
-            let mut f1_sum = 0.0;
-            let mut p_sum = 0.0;
-            let mut r_sum = 0.0;
-            for pair in &instance.pairs {
-                let candidates = matcher
-                    .try_find_candidates(pair, None, None)
-                    .expect("unbudgeted per-call matching cannot abort");
-                let metrics = evaluate_pairs(&candidates, &pair.golden);
-                found += metrics.candidates;
-                p_sum += metrics.precision;
-                r_sum += metrics.recall;
-                f1_sum += metrics.f1;
-                total.candidates += metrics.candidates;
-                total.golden += metrics.golden;
-                total.true_positives += metrics.true_positives;
-                pair_count += 1;
-            }
-            let n = pair_count.max(1) as f64;
-            let metrics = MatchingMetrics {
-                candidates: total.candidates,
-                golden: total.golden,
-                true_positives: total.true_positives,
-                precision: p_sum / n,
-                recall: r_sum / n,
-                f1: f1_sum / n,
-            };
+            let per_pair: Vec<JoinMetrics> = instance
+                .pairs
+                .iter()
+                .map(|pair| {
+                    let candidates = matcher
+                        .try_find_candidates(pair, None, None)
+                        .expect("unbudgeted per-call matching cannot abort");
+                    evaluate_join(&candidates, &pair.golden)
+                })
+                .collect();
+            let metrics = average(&per_pair);
             Table1Row {
                 dataset: instance.label.clone(),
                 rows: instance.average_rows(),
                 avg_len: instance.average_value_length(),
-                pairs_found: found as f64 / n,
+                pairs_found: metrics.predicted as f64 / per_pair.len().max(1) as f64,
                 metrics,
                 paper_precision: instance.paper.map(|p| p.matching_precision),
                 paper_recall: instance.paper.map(|p| p.matching_recall),

@@ -1,7 +1,7 @@
 //! Table 3: end-to-end join quality (precision / recall / F1) of our
 //! approach vs Auto-FuzzyJoin and Auto-Join.
 
-use crate::experiments::candidate_value_pairs;
+use crate::experiments::{average, candidate_value_pairs};
 use crate::report::{f3, Report};
 use crate::scale::Scale;
 use crate::suite::DatasetInstance;
@@ -25,21 +25,6 @@ pub struct Table3Row {
     pub paper_f1: Option<f64>,
 }
 
-fn average(metrics: &[JoinMetrics]) -> JoinMetrics {
-    if metrics.is_empty() {
-        return JoinMetrics::default();
-    }
-    let n = metrics.len() as f64;
-    JoinMetrics {
-        predicted: metrics.iter().map(|m| m.predicted).sum(),
-        golden: metrics.iter().map(|m| m.golden).sum(),
-        true_positives: metrics.iter().map(|m| m.true_positives).sum(),
-        precision: metrics.iter().map(|m| m.precision).sum::<f64>() / n,
-        recall: metrics.iter().map(|m| m.recall).sum::<f64>() / n,
-        f1: metrics.iter().map(|m| m.f1).sum::<f64>() / n,
-    }
-}
-
 /// Runs the end-to-end join comparison.
 pub fn compute(scale: Scale, seed: u64) -> Vec<Table3Row> {
     let mut out = Vec::new();
@@ -58,13 +43,7 @@ pub fn compute(scale: Scale, seed: u64) -> Vec<Table3Row> {
             // Ours.
             ours_all.push(pipeline.run(pair).metrics);
             // Auto-FuzzyJoin.
-            let afj_pairs: Vec<(u32, u32)> = afj
-                .join(pair)
-                .pairs
-                .iter()
-                .map(|m| (m.source_row, m.target_row))
-                .collect();
-            afj_all.push(evaluate_join(&afj_pairs, &pair.golden));
+            afj_all.push(evaluate_join(&afj.join(pair).pairs, &pair.golden));
             // Auto-Join: discover on (a sample of) candidate pairs, then join
             // with the same machinery. One pair per family at quick scale.
             let budget_pairs = match scale {
@@ -151,13 +130,7 @@ mod tests {
         });
         let ours = pipeline.run(&pair).metrics;
         let afj = AutoFuzzyJoin::new(AutoFuzzyJoinConfig::default());
-        let afj_pairs: Vec<(u32, u32)> = afj
-            .join(&pair)
-            .pairs
-            .iter()
-            .map(|m| (m.source_row, m.target_row))
-            .collect();
-        let afj_metrics = evaluate_join(&afj_pairs, &pair.golden);
+        let afj_metrics = evaluate_join(&afj.join(&pair).pairs, &pair.golden);
         assert!(
             ours.f1 >= afj_metrics.f1,
             "ours {:?} vs afj {:?}",

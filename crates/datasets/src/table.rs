@@ -124,12 +124,13 @@ impl TablePair {
     }
 }
 
-/// Converts a row index from `usize` to the `u32` row-id space used by
-/// [`ColumnPair`] golden mappings, `RowMatch`es, and predicted join pairs.
+/// Converts a row index from `usize` to the `u32` row-id space of every
+/// `(source_row, target_row)` pair: [`ColumnPair`] golden mappings, matcher
+/// candidates, Auto-FuzzyJoin's pairs and predicted join pairs.
 ///
-/// Every cast site in the matcher and join layers routes through this
-/// helper so that a column with more than `u32::MAX` rows panics with a
-/// clear message instead of silently truncating the index (and, with it,
+/// Every cast site in the matcher, baseline and join layers routes through
+/// this helper so that a column with more than `u32::MAX` rows panics with
+/// a clear message instead of silently truncating the index (and, with it,
 /// silently mis-joining rows). Columns that large are rejected up front by
 /// [`ColumnPair::new`] / [`ColumnPair::assert_row_indexable`]; this is the
 /// backstop at the individual cast.
@@ -156,10 +157,10 @@ pub struct ColumnPair {
 
 impl ColumnPair {
     /// Checked constructor: builds a column pair after verifying both
-    /// columns fit the `u32` row-id space (golden mappings, `RowMatch`es,
-    /// and predicted join pairs all index rows as `u32`). Columns with more
-    /// than `u32::MAX` rows panic here, up front, instead of silently
-    /// truncating indices deep inside the matcher or join.
+    /// columns fit the `u32` row-id space (golden mappings, matcher
+    /// candidates and predicted join pairs all index rows as `u32`).
+    /// Columns with more than `u32::MAX` rows panic here, up front, instead
+    /// of silently truncating indices deep inside the matcher or join.
     pub fn new(
         name: impl Into<String>,
         source: Vec<String>,

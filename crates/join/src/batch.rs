@@ -785,7 +785,6 @@ mod tests {
         assert_outcomes_identical(&second, &cold);
         let warm = resident.stats();
         assert_eq!(warm.columns_interned, 4);
-        assert_eq!(warm.column_attempts, 4);
         assert_eq!(warm.column_hits, cold_hits * 2 + 4);
         // The run-level snapshot is the resident corpus's (accumulating).
         assert_eq!(second.scheduler.corpus, Some(warm));

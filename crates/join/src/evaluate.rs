@@ -1,4 +1,6 @@
-//! Join quality metrics (precision, recall, F1) — Table 3 of the paper.
+//! Precision, recall and F1 of `(source_row, target_row)` pairs against the
+//! golden mapping: the matcher's candidates (Table 1 of the paper) and the
+//! end-to-end join's predictions (Table 3).
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;

@@ -80,13 +80,9 @@ proptest! {
     #[test]
     fn arena_matcher_matches_reference(
         specs in prop::collection::vec((0u8..9, 0u64..1_000_000), 0..24),
-        cap_raw in 0usize..7,
     ) {
         let pair = build_pair(&specs);
-        let config = NGramMatcherConfig {
-            max_matches_per_representative: (cap_raw > 0).then_some(cap_raw),
-            ..NGramMatcherConfig::default()
-        };
+        let config = NGramMatcherConfig::default();
         let found = NGramMatcher::new(config.clone())
             .try_find_candidates(&pair, None, None)
             .expect("unbudgeted call-local scan cannot abort");

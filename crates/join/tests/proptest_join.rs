@@ -92,14 +92,9 @@ proptest! {
     #[test]
     fn matcher_matches_reference(
         specs in prop::collection::vec((0u8..8, 0u64..1_000_000), 0..24),
-        cap_raw in 0usize..7,
     ) {
         let pair = build_pair(&specs);
-        // 0 means uncapped; otherwise a tight cap of 1..=6.
-        let config = NGramMatcherConfig {
-            max_matches_per_representative: (cap_raw > 0).then_some(cap_raw),
-            ..NGramMatcherConfig::default()
-        };
+        let config = NGramMatcherConfig::default();
         let found = NGramMatcher::new(config.clone())
             .try_find_candidates(&pair, None, None)
             .unwrap();

@@ -46,20 +46,21 @@
 //!   matcher code that still works on owned `Vec<String>` columns.
 //! * [`golden`] — the oracle matcher backed by a ground-truth mapping (the
 //!   paper's "golden row matching" rows in Tables 2 and 4).
-//! * [`metrics`] — precision / recall / F1 of a candidate pair set against
-//!   the golden mapping (Table 1).
+//!
+//! Candidates are `(source_row, target_row)` pairs, the format of golden
+//! mappings and join predictions, so Table 1 scores them with the join's
+//! evaluator (`tjoin_join::evaluate_join`).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(clippy::cast_possible_truncation)]
 
 pub mod golden;
-pub mod metrics;
 pub mod ngram;
 pub mod reference;
 
 pub use golden::{golden_pairs, golden_value_pairs};
-pub use metrics::{evaluate_pairs, MatchingMetrics};
-pub use ngram::{MatchAbort, NGramMatcher, NGramMatcherConfig, RowMatch};
+pub use ngram::{MatchAbort, NGramMatcher, NGramMatcherConfig};
 pub use reference::find_candidates_reference;
 
 /// Which row-matching mode produced a pair set; experiment tables report

@@ -87,11 +87,6 @@ pub struct NGramMatcherConfig {
     pub n_max: usize,
     /// Normalization applied to both columns before matching.
     pub normalize: NormalizeOptions,
-    /// Optional cap on the number of target rows a single representative may
-    /// match before it is considered non-discriminative and skipped
-    /// (`None` = no cap). This is an engineering guard for pathological
-    /// columns; the paper's experiments run uncapped.
-    pub max_matches_per_representative: Option<usize>,
 }
 
 impl Default for NGramMatcherConfig {
@@ -100,18 +95,8 @@ impl Default for NGramMatcherConfig {
             n_min: 4,
             n_max: 20,
             normalize: NormalizeOptions::default(),
-            max_matches_per_representative: None,
         }
     }
-}
-
-/// A candidate joinable row pair produced by the matcher.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct RowMatch {
-    /// Source row index.
-    pub source_row: u32,
-    /// Target row index.
-    pub target_row: u32,
 }
 
 /// One source row's scan result: for each n-gram size whose representative
@@ -169,7 +154,7 @@ impl NGramMatcher {
         pair: &ColumnPair,
         corpus: Option<&GramCorpus>,
         budget: Option<&BudgetToken>,
-    ) -> Result<Vec<RowMatch>, MatchAbort> {
+    ) -> Result<Vec<(u32, u32)>, MatchAbort> {
         pair.assert_row_indexable();
         check(budget)?;
         let local;
@@ -210,7 +195,7 @@ impl NGramMatcher {
         target_stats: &ColumnStats,
         target_index: &NGramIndex,
         budget: Option<&BudgetToken>,
-    ) -> Result<Vec<RowMatch>, MatchAbort> {
+    ) -> Result<Vec<(u32, u32)>, MatchAbort> {
         // The budget (deadline only; caps are charged at admission) is
         // checked before every row, aborting the whole scan on a trip.
         let mut per_row: Vec<RowHits> = Vec::with_capacity(source.len());
@@ -223,14 +208,14 @@ impl NGramMatcher {
         // sorted by size, so one cursor per row makes this linear in the
         // output.
         let mut cursors = vec![0usize; per_row.len()];
-        let mut out: Vec<RowMatch> = Vec::new();
+        let mut out: Vec<(u32, u32)> = Vec::new();
         for n in self.config.n_min..=self.config.n_max {
             for (row_idx, hits) in per_row.iter().enumerate() {
                 let cursor = &mut cursors[row_idx];
                 if *cursor < hits.len() && hits[*cursor].0 == n {
                     let source_row = row_id(row_idx);
                     for &target_row in &hits[*cursor].1 {
-                        out.push(RowMatch { source_row, target_row });
+                        out.push((source_row, target_row));
                     }
                     *cursor += 1;
                 }
@@ -280,11 +265,6 @@ impl NGramMatcher {
             }
             let Some((rep, _)) = best else { continue };
             let matches = target_index.rows_containing(rep);
-            if let Some(cap) = self.config.max_matches_per_representative {
-                if matches.len() > cap {
-                    continue;
-                }
-            }
             let new: Vec<u32> = matches.iter().copied().filter(|&t| seen.insert(t)).collect();
             if !new.is_empty() {
                 hits.push((n, new));
@@ -306,17 +286,17 @@ impl NGramMatcher {
         Ok(Self::materialize_pairs(pair, self.try_find_candidates(pair, corpus, budget)?))
     }
 
-    fn materialize_pairs(pair: &ColumnPair, matches: Vec<RowMatch>) -> Vec<(String, String)> {
+    fn materialize_pairs(pair: &ColumnPair, matches: Vec<(u32, u32)>) -> Vec<(String, String)> {
         // Invariant is local (audited): `as usize` here widens `u32` row
         // ids (lossless on every supported target), and the ids came from
         // scanning these very columns, whose lengths already passed
         // `checked_row_count` at index construction.
         matches
             .into_iter()
-            .map(|m| {
+            .map(|(s, t)| {
                 (
-                    pair.source[m.source_row as usize].clone(),
-                    pair.target[m.target_row as usize].clone(),
+                    pair.source[s as usize].clone(),
+                    pair.target[t as usize].clone(),
                 )
             })
             .collect()
@@ -329,7 +309,7 @@ mod tests {
     use crate::reference::find_candidates_reference;
 
     /// The matcher through a call-local corpus, without a budget.
-    fn candidates(matcher: &NGramMatcher, pair: &ColumnPair) -> Vec<RowMatch> {
+    fn candidates(matcher: &NGramMatcher, pair: &ColumnPair) -> Vec<(u32, u32)> {
         matcher.try_find_candidates(pair, None, None).unwrap()
     }
 
@@ -338,7 +318,7 @@ mod tests {
         matcher: &NGramMatcher,
         pair: &ColumnPair,
         corpus: &GramCorpus,
-    ) -> Vec<RowMatch> {
+    ) -> Vec<(u32, u32)> {
         matcher.try_find_candidates(pair, Some(corpus), None).unwrap()
     }
 
@@ -371,9 +351,7 @@ mod tests {
         // Every golden pair must be among the candidates (high recall).
         for i in 0..6u32 {
             assert!(
-                found
-                    .iter()
-                    .any(|m| m.source_row == i && m.target_row == i),
+                found.contains(&(i, i)),
                 "golden pair {i} missing from {found:?}"
             );
         }
@@ -398,10 +376,7 @@ mod tests {
         );
         let matcher = NGramMatcher::with_defaults();
         let found = candidates(&matcher, &pair);
-        let false_matches = found
-            .iter()
-            .filter(|m| m.source_row != m.target_row)
-            .count();
+        let false_matches = found.iter().filter(|(s, t)| s != t).count();
         assert_eq!(false_matches, 0, "false matches: {found:?}");
         assert_eq!(found.len(), 3);
     }
@@ -427,31 +402,10 @@ mod tests {
     }
 
     #[test]
-    fn representative_cap_skips_promiscuous_grams() {
-        // All targets share the gram "aaaa"; with a cap of 1 the matcher
-        // refuses to expand it.
-        let pair = ColumnPair::aligned(
-            "caps",
-            vec!["aaaa x".into(), "aaaa y".into()],
-            vec!["aaaa 1".into(), "aaaa 2".into()],
-        );
-        let capped = NGramMatcher::new(NGramMatcherConfig {
-            max_matches_per_representative: Some(1),
-            ..NGramMatcherConfig::default()
-        });
-        assert!(candidates(&capped, &pair).is_empty());
-        let uncapped = NGramMatcher::with_defaults();
-        assert_eq!(candidates(&uncapped, &pair).len(), 4);
-    }
-
-    #[test]
     fn duplicate_pairs_not_reported_twice() {
         let matcher = NGramMatcher::with_defaults();
         let found = candidates(&matcher, &staff_pair());
-        let set: std::collections::HashSet<(u32, u32)> = found
-            .iter()
-            .map(|m| (m.source_row, m.target_row))
-            .collect();
+        let set: std::collections::HashSet<(u32, u32)> = found.iter().copied().collect();
         assert_eq!(set.len(), found.len());
     }
 
@@ -539,29 +493,7 @@ mod tests {
         let found = candidates(&NGramMatcher::new(config.clone()), &pair);
         assert_eq!(found, oracle);
         // Only the one long row can produce a representative.
-        assert!(found.iter().all(|m| m.source_row == 3));
-        assert!(!found.is_empty());
-    }
-
-    #[test]
-    fn all_representatives_capped_yields_nothing_for_that_row() {
-        // Row 0's every n-gram expands to both targets (they share all its
-        // grams), so under a cap of 1 every size is non-discriminative and
-        // the row contributes nothing — while row 1 still matches uniquely.
-        let pair = ColumnPair {
-            name: "capped-row".into(),
-            source: vec!["aaaa".into(), "unique-row zzz".into()],
-            target: vec!["aaaa 1".into(), "aaaa 2 unique-row".into()],
-            golden: vec![(0, 0), (1, 1)],
-        };
-        let config = NGramMatcherConfig {
-            max_matches_per_representative: Some(1),
-            ..NGramMatcherConfig::default()
-        };
-        let oracle = find_candidates_reference(&config, &pair);
-        let found = candidates(&NGramMatcher::new(config), &pair);
-        assert_eq!(found, oracle);
-        assert!(found.iter().all(|m| m.source_row == 1), "{found:?}");
+        assert!(found.iter().all(|&(s, _)| s == 3));
         assert!(!found.is_empty());
     }
 
@@ -652,7 +584,7 @@ mod tests {
         let oracle = find_candidates_reference(&config, &pair);
         let found = candidates(&NGramMatcher::new(config.clone()), &pair);
         assert_eq!(found, oracle);
-        let targets: Vec<u32> = found.iter().map(|m| m.target_row).collect();
+        let targets: Vec<u32> = found.iter().map(|&(_, t)| t).collect();
         assert_eq!(targets, vec![0, 1, 2]);
     }
 

@@ -6,20 +6,24 @@
 //! re-extraction of the row's n-grams, and a global seen-set dedup in
 //! discovery order. It is also the one place the matcher still normalizes
 //! into owned `Vec<String>` columns. `NGramMatcher::try_find_candidates`
-//! must produce bit-identical, identically ordered [`RowMatch`] output;
-//! `crates/join/tests/proptest_join.rs` holds it to that.
+//! must produce bit-identical, identically ordered `(source_row,
+//! target_row)` pairs; `crates/join/tests/proptest_join.rs` holds it to
+//! that.
 //!
 //! The oracle deliberately re-derives every per-call artifact — it never
 //! reads a shared `GramCorpus` — so it also anchors the corpus-reuse
 //! differentials: the matcher over interned columns must reproduce this
 //! function's output exactly (`crates/join/tests/proptest_batch.rs`).
 
-use crate::ngram::{NGramMatcherConfig, RowMatch};
+use crate::ngram::NGramMatcherConfig;
 use tjoin_datasets::{row_id, ColumnPair};
 use tjoin_text::{char_ngrams, normalize_for_matching, rscore, ColumnStats, FxHashSet, NGramIndex};
 
 /// Runs Algorithm 1 with the naive size-major loop (the retained oracle).
-pub fn find_candidates_reference(config: &NGramMatcherConfig, pair: &ColumnPair) -> Vec<RowMatch> {
+pub fn find_candidates_reference(
+    config: &NGramMatcherConfig,
+    pair: &ColumnPair,
+) -> Vec<(u32, u32)> {
     pair.assert_row_indexable();
     let source: Vec<String> = pair
         .source
@@ -39,7 +43,7 @@ pub fn find_candidates_reference(config: &NGramMatcherConfig, pair: &ColumnPair)
     let target_index = NGramIndex::build(&target, config.n_min, config.n_max);
 
     let mut seen: FxHashSet<(u32, u32)> = FxHashSet::default();
-    let mut out: Vec<RowMatch> = Vec::new();
+    let mut out: Vec<(u32, u32)> = Vec::new();
 
     for n in config.n_min..=config.n_max {
         for (row_idx, row) in source.iter().enumerate() {
@@ -60,18 +64,10 @@ pub fn find_candidates_reference(config: &NGramMatcherConfig, pair: &ColumnPair)
                 }
             }
             let Some((rep, _)) = best else { continue };
-            let matches = target_index.rows_containing(rep);
-            if let Some(cap) = config.max_matches_per_representative {
-                if matches.len() > cap {
-                    continue;
-                }
-            }
-            for &t in matches {
-                if seen.insert((row_id(row_idx), t)) {
-                    out.push(RowMatch {
-                        source_row: row_id(row_idx),
-                        target_row: t,
-                    });
+            for &t in target_index.rows_containing(rep) {
+                let candidate = (row_id(row_idx), t);
+                if seen.insert(candidate) {
+                    out.push(candidate);
                 }
             }
         }

@@ -70,7 +70,6 @@ pub fn common_substring_matches(source: &str, target: &str) -> Vec<CommonMatch> 
         if i > 0 && max_len[i - 1] > max_len[i] {
             continue;
         }
-        let block: String = t[i..i + max_len[i]].iter().collect();
         let source_positions = find_char_positions(&s, &t[i..i + max_len[i]]);
         debug_assert!(!source_positions.is_empty());
         out.push(CommonMatch {
@@ -78,7 +77,6 @@ pub fn common_substring_matches(source: &str, target: &str) -> Vec<CommonMatch> 
             target_end: i + max_len[i],
             source_positions,
         });
-        let _ = block;
     }
     out
 }

@@ -144,8 +144,9 @@ type Built<A> = Result<Arc<A>, CorpusFailure>;
 /// whole-column normalization a fresh corpus would have re-run. The same
 /// applies to the stats/index/signature pairs of counters. The `*_failed`
 /// counters record sticky build failures (always 0 outside fault injection
-/// and pathological inputs). Each entry is built exactly once, so every
-/// `*_attempts` counter is its artifact's built plus failed count.
+/// and pathological inputs). Each entry is built exactly once, so
+/// `stats_attempts` and `index_attempts` are their artifact's built plus
+/// failed count.
 ///
 /// The snapshot covers the **currently resident** entries plus the
 /// corpus-lifetime `column_hits` counter: evicting an entry (see
@@ -172,8 +173,6 @@ pub struct CorpusStats {
     pub stats_failed: usize,
     /// `NGramIndex` builds recorded as sticky failures.
     pub indexes_failed: usize,
-    /// `columns_interned + columns_failed`.
-    pub column_attempts: usize,
     /// `stats_built + stats_failed`.
     pub stats_attempts: usize,
     /// `indexes_built + indexes_failed`.
@@ -184,8 +183,6 @@ pub struct CorpusStats {
     pub signature_hits: usize,
     /// `ColumnSignature` builds recorded as sticky failures.
     pub signatures_failed: usize,
-    /// `signatures_built + signatures_failed`.
-    pub signature_attempts: usize,
 }
 
 /// One artifact kind's cache on a [`CorpusColumn`]: the built artifact or
@@ -546,7 +543,6 @@ impl GramCorpus {
             columns_interned: column.built,
             column_hits: column.hits,
             columns_failed: column.failed,
-            column_attempts: column.built + column.failed,
             stats_built: stats.built,
             stats_hits: stats.hits,
             stats_failed: stats.failed,
@@ -558,7 +554,6 @@ impl GramCorpus {
             signatures_built: signature.built,
             signature_hits: signature.hits,
             signatures_failed: signature.failed,
-            signature_attempts: signature.built + signature.failed,
         }
     }
 }
@@ -626,7 +621,7 @@ mod tests {
         assert_eq!(stats.signatures_built, 2);
         assert_eq!(stats.signature_hits, 1);
         assert_eq!(stats.signatures_failed, 0);
-        assert_eq!(stats.signature_attempts, 2);
+        assert_eq!(stats.signatures_built + stats.signatures_failed, 2);
         // The signature build reads no stats, and the resident footprint
         // grows by the cached signatures.
         assert_eq!(stats.stats_built, 0);
@@ -825,7 +820,6 @@ mod tests {
         let _ = entry.try_stats(3, 5).unwrap();
         let _ = entry.try_index(2, 4).unwrap();
         let stats = corpus.stats();
-        assert_eq!(stats.column_attempts, 1);
         assert_eq!(stats.stats_attempts, 2);
         assert_eq!(stats.index_attempts, 1);
     }

@@ -27,10 +27,10 @@ fn main() {
     let candidates = matcher
         .try_find_candidates(&pair, None, None)
         .expect("matching without a budget or corpus cannot abort");
-    let metrics = tabjoin::matching::evaluate_pairs(&candidates, &pair.golden);
+    let metrics = tabjoin::join::evaluate_join(&candidates, &pair.golden);
     println!(
         "n-gram matching: {} candidate pairs, precision {:.3}, recall {:.3}",
-        metrics.candidates, metrics.precision, metrics.recall
+        metrics.predicted, metrics.precision, metrics.recall
     );
 
     // Step 2: the analytic sampling argument — how big a sample is needed to
@@ -50,10 +50,10 @@ fn main() {
     // threshold, as the paper does for this dataset.
     let candidate_values: Vec<(String, String)> = candidates
         .iter()
-        .map(|m| {
+        .map(|&(s, t)| {
             (
-                pair.source[m.source_row as usize].clone(),
-                pair.target[m.target_row as usize].clone(),
+                pair.source[s as usize].clone(),
+                pair.target[t as usize].clone(),
             )
         })
         .collect();

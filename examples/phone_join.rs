@@ -75,11 +75,7 @@ fn main() {
     );
     let afj = AutoFuzzyJoin::new(AutoFuzzyJoinConfig::default());
     let afj_result = afj.join(&pair);
-    let tp = afj_result
-        .pairs
-        .iter()
-        .filter(|m| m.source_row == m.target_row)
-        .count();
+    let tp = afj_result.pairs.iter().filter(|(s, t)| s == t).count();
     println!(
         "\nAuto-FuzzyJoin (similarity only): {} predicted pairs, {} correct of {}",
         afj_result.pairs.len(),

@@ -109,15 +109,15 @@ fn ngram_matching_feeds_synthesis() {
     let pair = dataset.column_pair();
     let matcher = NGramMatcher::with_defaults();
     let candidates = matcher.try_find_candidates(&pair, None, None).unwrap();
-    let metrics = tabjoin::matching::evaluate_pairs(&candidates, &pair.golden);
+    let metrics = tabjoin::join::evaluate_join(&candidates, &pair.golden);
     assert!(metrics.recall > 0.7, "recall {:?}", metrics);
 
     let values: Vec<(String, String)> = candidates
         .iter()
-        .map(|m| {
+        .map(|&(s, t)| {
             (
-                pair.source[m.source_row as usize].clone(),
-                pair.target[m.target_row as usize].clone(),
+                pair.source[s as usize].clone(),
+                pair.target[t as usize].clone(),
             )
         })
         .collect();
@@ -174,7 +174,7 @@ fn open_data_sampling_recovery() {
     let small = tabjoin::datasets::realistic::open_data(1, 500).column_pair();
     let matcher = NGramMatcher::with_defaults();
     let candidates = matcher.try_find_candidates(&small, None, None).unwrap();
-    let metrics = tabjoin::matching::evaluate_pairs(&candidates, &small.golden);
+    let metrics = tabjoin::join::evaluate_join(&candidates, &small.golden);
     assert!(
         metrics.recall > 0.8,
         "open-data matching recall too low: {:?}",
