@@ -11,20 +11,7 @@ pub mod table2;
 pub mod table3;
 pub mod table4;
 
-use tjoin_datasets::ColumnPair;
 use tjoin_join::JoinMetrics;
-use tjoin_matching::{golden_value_pairs, MatchingMode, NGramMatcher};
-
-/// Materializes the candidate (source value, target value) pairs of a column
-/// pair under the given row-matching mode — the input to synthesis.
-pub fn candidate_value_pairs(pair: &ColumnPair, mode: MatchingMode) -> Vec<(String, String)> {
-    match mode {
-        MatchingMode::NGram => NGramMatcher::with_defaults()
-            .try_candidate_value_pairs(pair, None, None)
-            .expect("unbudgeted per-call matching cannot abort"),
-        MatchingMode::Golden => golden_value_pairs(pair),
-    }
-}
 
 /// A dataset family's row in Tables 1 and 3: the per-pair counts summed,
 /// and the per-pair mean of precision, recall and F1 (the default with no
@@ -63,18 +50,5 @@ mod tests {
         assert!((averaged.recall - (1.0 + 0.25) / 2.0).abs() < 1e-12);
         assert!((averaged.f1 - (1.0 + half.f1) / 2.0).abs() < 1e-12);
         assert_eq!(average(&[]), JoinMetrics::default());
-    }
-
-    #[test]
-    fn candidate_pairs_both_modes() {
-        let pair = ColumnPair::aligned(
-            "t",
-            vec!["Rafiei, Davood".into(), "Bowling, Michael".into()],
-            vec!["D Rafiei".into(), "M Bowling".into()],
-        );
-        let golden = candidate_value_pairs(&pair, MatchingMode::Golden);
-        assert_eq!(golden.len(), 2);
-        let ngram = candidate_value_pairs(&pair, MatchingMode::NGram);
-        assert!(!ngram.is_empty());
     }
 }

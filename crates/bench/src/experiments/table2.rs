@@ -1,22 +1,21 @@
 //! Table 2: coverage and runtime of our approach vs Auto-Join, under both
 //! n-gram and golden row matching.
 
-use crate::experiments::candidate_value_pairs;
 use crate::report::{f2, secs, Report};
 use crate::scale::Scale;
 use crate::suite::DatasetInstance;
 use std::time::{Duration, Instant};
 use tjoin_baselines::{AutoJoin, AutoJoinConfig};
 use tjoin_core::SynthesisEngine;
-use tjoin_matching::MatchingMode;
+use tjoin_join::RowMatchingStrategy;
 
 /// One (dataset, matching-mode) row of Table 2.
 #[derive(Debug, Clone)]
 pub struct Table2Row {
     /// Dataset label.
     pub dataset: String,
-    /// Row-matching mode.
-    pub matching: MatchingMode,
+    /// Row-matching strategy.
+    pub matching: RowMatchingStrategy,
     /// Our approach: coverage of the best single transformation.
     pub ours_top_coverage: f64,
     /// Our approach: coverage of the covering set.
@@ -54,7 +53,7 @@ fn autojoin_pair_budget(scale: Scale) -> usize {
 /// Runs the coverage/runtime comparison.
 pub fn compute(scale: Scale, seed: u64) -> Vec<Table2Row> {
     let mut out = Vec::new();
-    for mode in [MatchingMode::NGram, MatchingMode::Golden] {
+    for matching in [RowMatchingStrategy::default(), RowMatchingStrategy::Golden] {
         for instance in DatasetInstance::load_all(scale, seed) {
             let engine = SynthesisEngine::new(instance.synthesis.clone());
             let mut ours_top = 0.0;
@@ -69,7 +68,10 @@ pub fn compute(scale: Scale, seed: u64) -> Vec<Table2Row> {
             let mut aj_pairs = 0usize;
 
             for (i, pair) in instance.pairs.iter().enumerate() {
-                let candidates = candidate_value_pairs(pair, mode);
+                let rows = matching
+                    .candidates(pair, None, None)
+                    .expect("unbudgeted per-call matching cannot abort");
+                let candidates = pair.row_values(&rows);
                 let start = Instant::now();
                 let result = engine.discover(&tjoin_core::PairSet::from_strings(
                     &candidates,
@@ -88,13 +90,9 @@ pub fn compute(scale: Scale, seed: u64) -> Vec<Table2Row> {
                     });
                     // Auto-Join, like the paper's setup, runs on a sample of
                     // the candidate pairs when they are numerous.
-                    let aj_input: Vec<(String, String)> = if candidates.len() > 500 {
-                        candidates.iter().take(500).cloned().collect()
-                    } else {
-                        candidates.clone()
-                    };
-                    let aj_result = autojoin.discover(&aj_input);
-                    let set = aj_result.evaluate(&aj_input, &instance.synthesis.normalize);
+                    let aj_input = &candidates[..candidates.len().min(500)];
+                    let aj_result = autojoin.discover(aj_input);
+                    let set = aj_result.evaluate(aj_input, &instance.synthesis.normalize);
                     aj_top += set.top_coverage();
                     aj_set += set.set_coverage();
                     aj_trans += set.len() as f64;
@@ -108,7 +106,7 @@ pub fn compute(scale: Scale, seed: u64) -> Vec<Table2Row> {
             let aj_n = aj_pairs.max(1) as f64;
             out.push(Table2Row {
                 dataset: instance.label.clone(),
-                matching: mode,
+                matching: matching.clone(),
                 ours_top_coverage: ours_top / n,
                 ours_set_coverage: ours_set / n,
                 ours_transformations: ours_trans / n,
@@ -180,13 +178,14 @@ pub fn run(scale: Scale, seed: u64) -> Report {
 mod tests {
     use super::*;
     use tjoin_datasets::SyntheticConfig;
+    use tjoin_matching::golden_pairs;
 
     /// A miniature version of the comparison on one synthetic pair, so the
     /// full table logic stays fast enough for unit testing.
     #[test]
     fn ours_beats_autojoin_on_work_for_one_pair() {
         let pair = SyntheticConfig::synth(30).generate(3).column_pair();
-        let candidates = candidate_value_pairs(&pair, MatchingMode::Golden);
+        let candidates = pair.row_values(&golden_pairs(&pair));
         let engine = SynthesisEngine::new(tjoin_core::SynthesisConfig::default());
         let ours = engine.discover_from_strings(&candidates);
         assert!((ours.set_coverage() - 1.0).abs() < 1e-9);

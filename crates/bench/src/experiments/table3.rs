@@ -1,13 +1,12 @@
 //! Table 3: end-to-end join quality (precision / recall / F1) of our
 //! approach vs Auto-FuzzyJoin and Auto-Join.
 
-use crate::experiments::{average, candidate_value_pairs};
+use crate::experiments::average;
 use crate::report::{f3, Report};
 use crate::scale::Scale;
 use crate::suite::DatasetInstance;
 use tjoin_baselines::{AutoFuzzyJoin, AutoFuzzyJoinConfig, AutoJoin, AutoJoinConfig};
 use tjoin_join::{evaluate_join, JoinMetrics, JoinPipeline, JoinPipelineConfig, RowMatchingStrategy};
-use tjoin_matching::MatchingMode;
 
 /// One dataset row of Table 3.
 #[derive(Debug, Clone)]
@@ -51,15 +50,19 @@ pub fn compute(scale: Scale, seed: u64) -> Vec<Table3Row> {
                 Scale::Full => usize::MAX,
             };
             if i < budget_pairs {
-                let candidates = candidate_value_pairs(pair, MatchingMode::NGram);
-                let aj_input: Vec<(String, String)> =
-                    candidates.into_iter().take(500).collect();
+                let rows = pipeline
+                    .config()
+                    .matching
+                    .candidates(pair, None, None)
+                    .expect("unbudgeted per-call matching cannot abort");
+                let candidates = pair.row_values(&rows);
+                let aj_input = &candidates[..candidates.len().min(500)];
                 let autojoin = AutoJoin::new(AutoJoinConfig {
                     time_budget: scale.autojoin_budget(),
                     max_depth: instance.synthesis.max_placeholders,
                     ..AutoJoinConfig::default()
                 });
-                let result = autojoin.discover(&aj_input);
+                let result = autojoin.discover(aj_input);
                 if !result.transformations.is_empty() {
                     let (_, metrics) = pipeline
                         .join_with_transformations(pair, result.transformations.iter());

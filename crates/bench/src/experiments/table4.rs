@@ -1,20 +1,19 @@
 //! Table 4: effectiveness of the pruning strategies (duplicate removal and
 //! the non-covering-unit cache).
 
-use crate::experiments::candidate_value_pairs;
 use crate::report::{count, Report};
 use crate::scale::Scale;
 use crate::suite::DatasetInstance;
 use tjoin_core::{PairSet, SynthesisEngine};
-use tjoin_matching::MatchingMode;
+use tjoin_join::RowMatchingStrategy;
 
 /// One (dataset, matching-mode) row of Table 4.
 #[derive(Debug, Clone)]
 pub struct Table4Row {
     /// Dataset label.
     pub dataset: String,
-    /// Row-matching mode.
-    pub matching: MatchingMode,
+    /// Row-matching strategy.
+    pub matching: RowMatchingStrategy,
     /// Average generated transformations per table pair.
     pub generated: f64,
     /// Average distinct transformations to try per table pair.
@@ -28,7 +27,7 @@ pub struct Table4Row {
 /// Runs the pruning-statistics experiment.
 pub fn compute(scale: Scale, seed: u64) -> Vec<Table4Row> {
     let mut out = Vec::new();
-    for mode in [MatchingMode::NGram, MatchingMode::Golden] {
+    for matching in [RowMatchingStrategy::default(), RowMatchingStrategy::Golden] {
         for instance in DatasetInstance::load_all(scale, seed) {
             let engine = SynthesisEngine::new(instance.synthesis.clone());
             let mut generated = 0u64;
@@ -36,9 +35,11 @@ pub fn compute(scale: Scale, seed: u64) -> Vec<Table4Row> {
             let mut cache_hits = 0u64;
             let mut potential = 0u64;
             for pair in &instance.pairs {
-                let candidates = candidate_value_pairs(pair, mode);
+                let rows = matching
+                    .candidates(pair, None, None)
+                    .expect("unbudgeted per-call matching cannot abort");
                 let result = engine.discover(&PairSet::from_strings(
-                    &candidates,
+                    &pair.row_values(&rows),
                     &instance.synthesis.normalize,
                 ));
                 generated += result.stats.generated_transformations;
@@ -49,7 +50,7 @@ pub fn compute(scale: Scale, seed: u64) -> Vec<Table4Row> {
             let n = instance.pairs.len().max(1) as f64;
             out.push(Table4Row {
                 dataset: instance.label.clone(),
-                matching: mode,
+                matching: matching.clone(),
                 generated: generated as f64 / n,
                 to_try: to_try as f64 / n,
                 duplicate_ratio: if generated == 0 {
@@ -100,12 +101,13 @@ pub fn run(scale: Scale, seed: u64) -> Report {
 mod tests {
     use super::*;
     use tjoin_datasets::SyntheticConfig;
+    use tjoin_matching::golden_pairs;
 
     #[test]
     fn pruning_ratios_nontrivial() {
         // Synthetic data: the cache does most of the pruning.
         let pair = SyntheticConfig::synth(30).generate(1).column_pair();
-        let candidates = candidate_value_pairs(&pair, MatchingMode::Golden);
+        let candidates = pair.row_values(&golden_pairs(&pair));
         let engine = SynthesisEngine::new(tjoin_core::SynthesisConfig::default());
         let result = engine.discover_from_strings(&candidates);
         assert!(result.stats.cache_hit_ratio() > 0.3);
@@ -114,7 +116,7 @@ mod tests {
         // Address data: rows share surface structure, so duplicate removal
         // eliminates a large fraction (the Table 4 regime).
         let open = tjoin_datasets::realistic::open_data(2, 200).column_pair();
-        let candidates = candidate_value_pairs(&open, MatchingMode::Golden);
+        let candidates = open.row_values(&golden_pairs(&open));
         let result = engine.discover_from_strings(&candidates);
         assert!(
             result.stats.duplicate_ratio() > 0.3,

@@ -253,7 +253,7 @@ fn coverage_scan(
     // row's target, at `spans[block[unit] + lane]`. A unit gets its block
     // of `TILE` spans when it first covers a row of the tile: on
     // `RepositoryConfig::new(12, 80).generate(7000)` about 40 % of units
-    // do, so a dense `pool × TILE` table would be mostly empty. `PairSet::from_pairs` bounds targets
+    // do, so a dense `pool × TILE` table would be mostly empty. `PairSet::from_strings` bounds targets
     // to `u32::MAX` bytes, so offsets and lengths fit a `u32`.
     let mut block = vec![NO_BLOCK; pool.len()];
     let mut spans: Vec<(u32, u32)> = Vec::new();
@@ -318,7 +318,7 @@ fn coverage_scan(
                 if matches && len == bytes.len() {
                     // Invariant is local (audited): `row` indexes the
                     // `PairSet`, admitted through `checked_row_count` in
-                    // `PairSet::from_pairs` — the cast cannot truncate.
+                    // `PairSet::from_strings` — the cast cannot truncate.
                     covered_rows[t_idx].push(row as u32);
                 }
             }
@@ -335,10 +335,10 @@ fn coverage_scan(
     }
 }
 
-/// A byte offset or length within a target, which `PairSet::from_pairs`
+/// A byte offset or length within a target, which `PairSet::from_strings`
 /// bounds to `u32::MAX` bytes.
 fn to_u32(bytes: usize) -> u32 {
-    u32::try_from(bytes).expect("PairSet::from_pairs bounds targets to u32::MAX bytes")
+    u32::try_from(bytes).expect("PairSet::from_strings bounds targets to u32::MAX bytes")
 }
 
 pub mod reference {

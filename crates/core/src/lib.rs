@@ -133,6 +133,6 @@ pub mod unitgen;
 pub use bitmap::RowBitmap;
 pub use config::SynthesisConfig;
 pub use engine::{SynthesisEngine, SynthesisResult};
-pub use pair::{InputPair, PairSet};
+pub use pair::PairSet;
 pub use sampling::{discovery_probability, SamplingAnalysis};
 pub use stats::{PhaseTimings, SynthesisStats};

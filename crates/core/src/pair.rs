@@ -1,76 +1,55 @@
 //! Input pairs: the candidate source/target rows synthesis runs on.
 
-use serde::{Deserialize, Serialize};
 use tjoin_text::{checked_row_count, normalize_for_matching, NormalizeOptions};
 use tjoin_units::CharStr;
 
-/// One candidate joinable row pair, already normalized.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct InputPair {
-    /// Normalized source value.
-    pub source: String,
-    /// Normalized target value.
-    pub target: String,
-}
-
-impl InputPair {
-    /// Builds a pair, applying the given normalization to both sides.
-    pub fn new(source: &str, target: &str, normalize: &NormalizeOptions) -> Self {
-        Self {
-            source: normalize_for_matching(source, normalize),
-            target: normalize_for_matching(target, normalize),
-        }
-    }
-}
-
-/// The prepared set of input pairs: normalized values plus per-row
-/// character-indexed views of the source (the hot structure for unit
-/// application).
+/// The prepared set of input pairs: per-row normalized sources, indexed by
+/// character (the hot structure for unit application), and normalized
+/// targets.
 #[derive(Debug, Clone)]
 pub struct PairSet {
-    pairs: Vec<InputPair>,
     sources: Vec<CharStr>,
+    targets: Vec<String>,
 }
 
 impl PairSet {
-    /// Prepares a pair set from raw (source, target) strings.
+    /// Prepares a pair set from raw (source, target) strings, normalizing
+    /// both sides.
+    ///
+    /// Panics when the pair count exceeds the `u32` row-id space — this is
+    /// the single admission check every downstream `row as u32` cast in the
+    /// coverage scans relies on — or when a normalized target exceeds
+    /// `u32::MAX` bytes, the bound the coverage scan's `u32` output spans
+    /// rely on (`CharStr::new` bounds sources the same way).
     pub fn from_strings<S: AsRef<str>, T: AsRef<str>>(
         raw: &[(S, T)],
         normalize: &NormalizeOptions,
     ) -> Self {
-        let pairs: Vec<InputPair> = raw
-            .iter()
-            .map(|(s, t)| InputPair::new(s.as_ref(), t.as_ref(), normalize))
-            .collect();
-        Self::from_pairs(pairs)
-    }
-
-    /// Prepares a pair set from already-normalized pairs.
-    ///
-    /// Panics when the pair count exceeds the `u32` row-id space — this is
-    /// the single admission check every downstream `row as u32` cast in the
-    /// coverage scans relies on — or when a target exceeds `u32::MAX`
-    /// bytes, the bound the coverage scan's `u32` output spans rely on
-    /// (`CharStr::new` bounds sources the same way).
-    pub fn from_pairs(pairs: Vec<InputPair>) -> Self {
-        if let Err(e) = checked_row_count(pairs.len()) {
+        if let Err(e) = checked_row_count(raw.len()) {
             panic!("pair set exceeds the u32 row-id space: {e}");
         }
-        if let Some(long) = pairs.iter().find(|p| u32::try_from(p.target.len()).is_err()) {
-            panic!("a target exceeds the u32 byte-offset space ({} bytes)", long.target.len());
+        let targets: Vec<String> = raw
+            .iter()
+            .map(|(_, t)| normalize_for_matching(t.as_ref(), normalize))
+            .collect();
+        if let Some(long) = targets.iter().find(|t| u32::try_from(t.len()).is_err()) {
+            panic!("a target exceeds the u32 byte-offset space ({} bytes)", long.len());
         }
-        let sources = pairs.iter().map(|p| CharStr::new(p.source.clone())).collect();
-        Self { pairs, sources }
+        let sources = raw
+            .iter()
+            .map(|(s, _)| CharStr::new(normalize_for_matching(s.as_ref(), normalize)))
+            .collect();
+        Self { sources, targets }
     }
 
     /// Number of pairs.
     pub fn len(&self) -> usize {
-        self.pairs.len()
+        self.sources.len()
     }
 
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.pairs.is_empty()
+        self.sources.is_empty()
     }
 
     /// The prepared source view at `idx`.
@@ -80,17 +59,19 @@ impl PairSet {
 
     /// The target string at `idx`.
     pub fn target(&self, idx: usize) -> &str {
-        &self.pairs[idx].target
+        &self.targets[idx]
     }
 
     /// A new pair set containing only the rows at `indices` (used by
-    /// sampling). Indices out of range are ignored.
+    /// sampling), cloned from this one's prepared rows. Indices out of
+    /// range are ignored.
     pub fn subset(&self, indices: &[usize]) -> Self {
-        let pairs: Vec<InputPair> = indices
+        let (sources, targets) = indices
             .iter()
-            .filter_map(|&i| self.pairs.get(i).cloned())
-            .collect();
-        Self::from_pairs(pairs)
+            .filter(|&&i| i < self.len())
+            .map(|&i| (self.sources[i].clone(), self.targets[i].clone()))
+            .unzip();
+        Self { sources, targets }
     }
 }
 
@@ -100,11 +81,14 @@ mod tests {
 
     #[test]
     fn normalization_applied() {
-        let p = InputPair::new("  Rafiei,   Davood ", "D RAFIEI", &NormalizeOptions::default());
-        assert_eq!(p.source, "rafiei, davood");
-        assert_eq!(p.target, "d rafiei");
-        let p = InputPair::new(" A ", "B", &NormalizeOptions::none());
-        assert_eq!(p.source, " A ");
+        let set = PairSet::from_strings(
+            &[("  Rafiei,   Davood ", "D RAFIEI")],
+            &NormalizeOptions::default(),
+        );
+        assert_eq!(set.source(0).as_str(), "rafiei, davood");
+        assert_eq!(set.target(0), "d rafiei");
+        let set = PairSet::from_strings(&[(" A ", "B")], &NormalizeOptions::none());
+        assert_eq!(set.source(0).as_str(), " A ");
     }
 
     #[test]
@@ -127,13 +111,14 @@ mod tests {
         );
         let sub = set.subset(&[2, 0, 99]);
         assert_eq!(sub.len(), 2);
-        assert_eq!(sub.pairs[0].source, "c");
-        assert_eq!(sub.pairs[1].source, "a");
+        // Each kept row keeps both its source and its target text.
+        assert_eq!((sub.source(0).as_str(), sub.target(0)), ("c", "3"));
+        assert_eq!((sub.source(1).as_str(), sub.target(1)), ("a", "1"));
     }
 
     #[test]
     fn empty_set() {
-        let set = PairSet::from_pairs(vec![]);
+        let set = PairSet::from_strings::<&str, &str>(&[], &NormalizeOptions::none());
         assert!(set.is_empty());
     }
 }

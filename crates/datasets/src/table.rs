@@ -218,6 +218,16 @@ impl ColumnPair {
         self.target.len()
     }
 
+    /// The `(source value, target value)` cells of the row pairs `rows`, in
+    /// the order of `rows` and borrowed from this pair's columns: the one
+    /// conversion from candidate row ids to the values synthesis reads.
+    /// Panics on a row id outside its column.
+    pub fn row_values(&self, rows: &[(u32, u32)]) -> Vec<(&str, &str)> {
+        rows.iter()
+            .map(|&(s, t)| (self.source[s as usize].as_str(), self.target[t as usize].as_str()))
+            .collect()
+    }
+
     /// Average character length across both columns.
     pub fn average_value_length(&self) -> f64 {
         let n = self.source.len() + self.target.len();
@@ -309,6 +319,17 @@ mod tests {
         let cp = ColumnPair::aligned("x", vec!["a".into(), "b".into()], vec!["A".into(), "B".into()]);
         assert_eq!(cp.golden, vec![(0, 0), (1, 1)]);
         assert!((cp.average_value_length() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn row_values_borrow_the_cells_in_row_order() {
+        let cp = ColumnPair::aligned("x", vec!["a".into(), "b".into()], vec!["A".into(), "B".into()]);
+        let values = cp.row_values(&[(1, 0), (0, 1), (1, 1)]);
+        assert_eq!(values, vec![("b", "A"), ("a", "B"), ("b", "B")]);
+        // Borrowed, not copied: each slice points into the pair's own cell.
+        assert!(std::ptr::eq(values[0].0, cp.source[1].as_str()));
+        assert!(std::ptr::eq(values[1].1, cp.target[1].as_str()));
+        assert!(cp.row_values(&[]).is_empty());
     }
 
     #[test]

@@ -36,7 +36,7 @@ use crate::pipeline::{JoinOutcome, JoinPipeline, JoinPipelineConfig, RowMatching
 use tjoin_core::coverage::compute_coverage;
 use tjoin_core::PairSet;
 use tjoin_datasets::{row_id, ColumnPair};
-use tjoin_matching::golden_value_pairs;
+use tjoin_matching::golden_pairs;
 use tjoin_text::{checked_row_count, NormalizeOptions};
 use tjoin_units::Transformation;
 
@@ -91,9 +91,9 @@ pub struct IncrementalCoverage {
 
 impl IncrementalCoverage {
     /// Builds the initial state with a full coverage pass over `rows`.
-    pub fn new(
+    pub fn new<S: AsRef<str>, T: AsRef<str>>(
         transformations: Vec<Transformation>,
-        rows: &[(String, String)],
+        rows: &[(S, T)],
         normalize: NormalizeOptions,
         use_cache: bool,
         threads: usize,
@@ -221,7 +221,7 @@ impl IncrementalJoin {
         outcome: &JoinOutcome,
         pair: &ColumnPair,
     ) -> IncrementalCoverage {
-        let candidates = golden_value_pairs(pair);
+        let candidates = pair.row_values(&golden_pairs(pair));
         let transformations: Vec<Transformation> = outcome
             .transformations
             .transformations

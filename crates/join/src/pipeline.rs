@@ -18,12 +18,12 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 use tjoin_core::{SynthesisConfig, SynthesisEngine};
 use tjoin_datasets::{row_id, ColumnPair};
-use tjoin_matching::{golden_value_pairs, MatchAbort, NGramMatcher, NGramMatcherConfig};
+use tjoin_matching::{golden_pairs, MatchAbort, NGramMatcher, NGramMatcherConfig};
 use tjoin_text::{
     fault, fingerprint64, BudgetExceeded, BudgetToken, CellText, ColumnArena, FaultSite,
     FxHashMap, FxHashSet, GramCorpus, RunBudget,
 };
-use tjoin_units::{Transformation, TransformationSet};
+use tjoin_units::{CharStr, Transformation, TransformationSet};
 
 /// How candidate joinable row pairs are obtained before synthesis.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -37,6 +37,39 @@ pub enum RowMatchingStrategy {
 impl Default for RowMatchingStrategy {
     fn default() -> Self {
         RowMatchingStrategy::NGram(NGramMatcherConfig::default())
+    }
+}
+
+impl RowMatchingStrategy {
+    /// The label the paper's tables print for this strategy.
+    pub fn label(&self) -> &'static str {
+        match self {
+            RowMatchingStrategy::NGram(_) => "N-Gram",
+            RowMatchingStrategy::Golden => "Golden",
+        }
+    }
+
+    /// The candidate `(source_row, target_row)` pairs of `pair` under this
+    /// strategy, in the matcher's order or the golden mapping's. The n-gram
+    /// matcher reads through `corpus` when one is given; both arms check
+    /// `budget`. Read their values with [`ColumnPair::row_values`].
+    pub fn candidates(
+        &self,
+        pair: &ColumnPair,
+        corpus: Option<&GramCorpus>,
+        budget: Option<&BudgetToken>,
+    ) -> Result<Vec<(u32, u32)>, MatchAbort> {
+        match self {
+            RowMatchingStrategy::NGram(cfg) => {
+                NGramMatcher::new(cfg.clone()).try_find_candidates(pair, corpus, budget)
+            }
+            RowMatchingStrategy::Golden => {
+                if let Some(token) = budget {
+                    token.check()?;
+                }
+                Ok(golden_pairs(pair))
+            }
+        }
     }
 }
 
@@ -112,7 +145,7 @@ pub struct JoinOutcome {
 /// Which pipeline phase a pair failure or budget overrun is attributed to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PairPhase {
-    /// Row matching (Algorithm 1 or golden materialization).
+    /// Row matching (Algorithm 1 or the golden mapping).
     Matching,
     /// Transformation discovery.
     Synthesis,
@@ -231,27 +264,6 @@ impl JoinPipeline {
         }
     }
 
-    /// The matching phase: candidate (source, target) value pairs under the
-    /// configured strategy, optionally corpus-served and budget-checked.
-    fn candidate_values(
-        &self,
-        pair: &ColumnPair,
-        corpus: Option<&GramCorpus>,
-        budget: Option<&BudgetToken>,
-    ) -> Result<Vec<(String, String)>, MatchAbort> {
-        match &self.config.matching {
-            RowMatchingStrategy::NGram(cfg) => {
-                NGramMatcher::new(cfg.clone()).try_candidate_value_pairs(pair, corpus, budget)
-            }
-            RowMatchingStrategy::Golden => {
-                if let Some(token) = budget {
-                    token.check()?;
-                }
-                Ok(golden_value_pairs(pair))
-            }
-        }
-    }
-
     /// The outcome shape of a pair that completed no phase: empty
     /// transformation set, no predictions, and the metrics of predicting
     /// nothing against the pair's golden mapping.
@@ -318,14 +330,14 @@ impl JoinPipeline {
         // size against the deterministic caps before any work, so an
         // oversized pair is rejected identically on every run at every
         // thread count.
-        let candidate_values =
+        let candidates =
             guard(PairPhase::Matching, FaultSite::MatchPhase, &mut outcome.matching_time, || {
                 if let Some(token) = token {
                     admit(pair, token)?;
                 }
-                self.candidate_values(pair, corpus, token)
+                self.config.matching.candidates(pair, corpus, token)
             })?;
-        outcome.candidate_pairs = candidate_values.len();
+        outcome.candidate_pairs = candidates.len();
 
         // 2. Transformation discovery.
         let engine = SynthesisEngine::new(self.config.synthesis.clone());
@@ -333,7 +345,7 @@ impl JoinPipeline {
             PairPhase::Synthesis,
             FaultSite::SynthesisPhase,
             &mut outcome.synthesis_time,
-            || engine.discover_from_strings_budgeted(&candidate_values, token),
+            || engine.discover_from_strings_budgeted(&pair.row_values(&candidates), token),
         )?;
 
         // 3. Support filtering (infallible bookkeeping).
@@ -413,6 +425,9 @@ impl JoinPipeline {
             .unwrap_or_else(|e| panic!("{e}"));
         let sources_normalized = ColumnArena::try_normalized(pair.source.as_slice(), normalize)
             .unwrap_or_else(|e| panic!("{e}"));
+        // Each source row indexed by character once, not once per
+        // transformation.
+        let sources: Vec<CharStr> = sources_normalized.cells().map(CharStr::new).collect();
 
         // Fingerprint index over the target column: rows bucketed by the
         // 64-bit fingerprint of their normalized value, in ascending row
@@ -436,8 +451,8 @@ impl JoinPipeline {
             if let Some(token) = budget {
                 token.check()?;
             }
-            for (src_row, src_value) in sources_normalized.cells().enumerate() {
-                let Some(out) = transformation.apply(src_value) else {
+            for (src_row, src_value) in sources.iter().enumerate() {
+                let Some(out) = transformation.apply_on(src_value) else {
                     continue;
                 };
                 let Some(rows) = target_index.get(&fingerprint64(&out)) else {
@@ -522,6 +537,12 @@ mod tests {
                 "S Gosgnach".into(),
             ],
         )
+    }
+
+    #[test]
+    fn strategy_labels_name_the_paper_rows() {
+        assert_eq!(RowMatchingStrategy::default().label(), "N-Gram");
+        assert_eq!(RowMatchingStrategy::Golden.label(), "Golden");
     }
 
     #[test]

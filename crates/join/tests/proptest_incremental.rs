@@ -84,7 +84,7 @@ proptest! {
             let mut total = base_candidates.clone();
             for step in workload.steps.iter().filter(|s| s.pair == hot) {
                 incremental.append_rows(&step.rows);
-                total.extend(step.rows.iter().cloned());
+                total.extend(step.rows.iter().map(|(s, t)| (s.as_str(), t.as_str())));
             }
             let oracle = compute_coverage(
                 &transformations,

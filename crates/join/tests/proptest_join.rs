@@ -5,8 +5,9 @@
 //! same metrics — to their retained oracles, across randomized column
 //! pairs × both matching strategies:
 //!
-//! * the fused n-gram matcher vs
-//!   `tjoin_matching::reference::find_candidates_reference`;
+//! * the fused n-gram matcher and the pipeline's n-gram candidate step vs
+//!   `tjoin_matching::reference::find_candidates_reference` (its golden
+//!   step vs `tjoin_matching::golden_pairs`);
 //! * the fingerprint equi-join vs
 //!   `tjoin_join::reference::equi_join_reference`;
 //! * the full pipeline at {2, 4} threads (and the batch runner over a
@@ -26,7 +27,7 @@ use tjoin_datasets::{ColumnPair, RepositoryConfig};
 use tjoin_join::reference::equi_join_reference;
 use tjoin_join::{BatchJoinRunner, JoinPipeline, JoinPipelineConfig, RowMatchingStrategy};
 use tjoin_matching::reference::find_candidates_reference;
-use tjoin_matching::{NGramMatcher, NGramMatcherConfig};
+use tjoin_matching::{golden_pairs, NGramMatcher, NGramMatcherConfig};
 use tjoin_units::{Transformation, Unit};
 
 /// One generated row: `(source_value, target_value)`. The `kind` selects a
@@ -99,6 +100,21 @@ proptest! {
             .try_find_candidates(&pair, None, None)
             .unwrap();
         prop_assert_eq!(found, find_candidates_reference(&config, &pair));
+    }
+
+    /// The pipeline's candidate step is the matcher's oracle output under
+    /// n-gram matching and the golden mapping under golden matching, pair
+    /// for pair and in order.
+    #[test]
+    fn strategy_candidates_match_their_oracles(
+        specs in prop::collection::vec((0u8..8, 0u64..1_000_000), 0..24),
+    ) {
+        let pair = build_pair(&specs);
+        let config = NGramMatcherConfig::default();
+        let ngram = RowMatchingStrategy::NGram(config.clone()).candidates(&pair, None, None);
+        prop_assert_eq!(ngram.unwrap(), find_candidates_reference(&config, &pair));
+        let golden = RowMatchingStrategy::Golden.candidates(&pair, None, None);
+        prop_assert_eq!(golden.unwrap(), golden_pairs(&pair));
     }
 
     /// The fingerprint equi-join is bit-identical to the retained

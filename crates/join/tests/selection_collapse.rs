@@ -13,8 +13,7 @@ use tjoin_core::coverage::compute_coverage_planned_budgeted;
 use tjoin_core::generate::generate_transformations;
 use tjoin_core::{PairSet, RowBitmap, SynthesisEngine};
 use tjoin_datasets::RepositoryConfig;
-use tjoin_join::{JoinPipelineConfig, RowMatchingStrategy};
-use tjoin_matching::NGramMatcher;
+use tjoin_join::JoinPipelineConfig;
 use tjoin_text::FxHashSet;
 
 #[test]
@@ -22,18 +21,16 @@ use tjoin_text::FxHashSet;
 fn engine_cover_equals_greedy_over_all_survivors() {
     let repository = RepositoryConfig::new(12, 80).generate(7000);
     let config = JoinPipelineConfig::paper_default();
-    let RowMatchingStrategy::NGram(matcher) = &config.matching else {
-        unreachable!("the paper default matches rows by n-grams")
-    };
     let synthesis = &config.synthesis;
     assert_eq!(synthesis.sample_size, None, "the survivors below assume no sampling");
     let (mut survivors_total, mut distinct_total) = (0usize, 0usize);
 
     for pair in &repository {
-        let candidates = NGramMatcher::new(matcher.clone())
-            .try_candidate_value_pairs(pair, None, None)
+        let rows = config
+            .matching
+            .candidates(pair, None, None)
             .expect("generated pairs never fail matching");
-        let pairs = PairSet::from_strings(&candidates, &synthesis.normalize);
+        let pairs = PairSet::from_strings(&pair.row_values(&rows), &synthesis.normalize);
         let rows = pairs.len();
 
         let generation = generate_transformations(&pairs, synthesis);

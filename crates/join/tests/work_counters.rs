@@ -26,7 +26,7 @@ use tjoin_join::{
     BatchJoinOutcome, BatchJoinRunner, DiscoveryConfig, IncrementalJoin, IncrementalJoinConfig,
     JoinPipeline, JoinPipelineConfig, RowMatchingStrategy,
 };
-use tjoin_matching::{golden_value_pairs, NGramMatcher};
+use tjoin_matching::golden_value_pairs;
 use tjoin_units::TransformationSet;
 
 /// Results-only outcome comparison (timings and scheduling counters are
@@ -237,19 +237,17 @@ fn cover_digest(cover: &TransformationSet) -> u64 {
 fn coverage_counters_and_covers_are_pinned_on_the_repo_batch_repository() {
     let repository = RepositoryConfig::new(12, 80).generate(7000);
     let config = JoinPipelineConfig::paper_default();
-    let RowMatchingStrategy::NGram(matcher) = &config.matching else {
-        unreachable!("the paper default matches rows by n-grams")
-    };
     let synthesis = &config.synthesis;
     let engine = SynthesisEngine::new(synthesis.clone());
     let (mut trials, mut cache_hits, mut unit_evaluations) = (0u64, 0u64, 0u64);
     let mut covers = Vec::new();
 
     for pair in &repository {
-        let candidates = NGramMatcher::new(matcher.clone())
-            .try_candidate_value_pairs(pair, None, None)
+        let rows = config
+            .matching
+            .candidates(pair, None, None)
             .expect("generated pairs never fail matching");
-        let pairs = PairSet::from_strings(&candidates, &synthesis.normalize);
+        let pairs = PairSet::from_strings(&pair.row_values(&rows), &synthesis.normalize);
         let generation = generate_transformations(&pairs, synthesis);
         let coverage = compute_coverage_planned_budgeted(
             &generation.pool,

@@ -15,9 +15,12 @@
 //! # Matching plan
 //!
 //! [`ngram::NGramMatcher::try_find_candidates`] runs Algorithm 1 as a
-//! two-phase scan. It is the matcher's one production path:
-//! [`ngram::NGramMatcher::try_candidate_value_pairs`] only materializes its
-//! output as strings.
+//! two-phase scan. It is the matcher's one production path. Callers read
+//! the values of its row ids with `ColumnPair::row_values`.
+//! [`ngram::NGramMatcher::try_candidate_value_pairs`] and
+//! [`golden::golden_value_pairs`] are one-line wrappers over that call,
+//! kept only because the benchmark harness (`perfbench`) names them; they
+//! go when it stops doing so (ROADMAP items 1 and 5).
 //!
 //! 1. the read-only state — both columns normalized into
 //!    [`tjoin_text::ColumnArena`]s, the two [`tjoin_text::ColumnStats`] IRF
@@ -62,34 +65,3 @@ pub mod reference;
 pub use golden::{golden_pairs, golden_value_pairs};
 pub use ngram::{MatchAbort, NGramMatcher, NGramMatcherConfig};
 pub use reference::find_candidates_reference;
-
-/// Which row-matching mode produced a pair set; experiment tables report
-/// results under both.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MatchingMode {
-    /// Candidate pairs from the n-gram matcher (Algorithm 1).
-    NGram,
-    /// Ground-truth pairs (the golden mapping).
-    Golden,
-}
-
-impl MatchingMode {
-    /// The label used in the paper's tables.
-    pub fn label(&self) -> &'static str {
-        match self {
-            MatchingMode::NGram => "N-Gram",
-            MatchingMode::Golden => "Golden",
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn mode_labels() {
-        assert_eq!(MatchingMode::NGram.label(), "N-Gram");
-        assert_eq!(MatchingMode::Golden.label(), "Golden");
-    }
-}

@@ -17,8 +17,9 @@
 //!    by k pairs derives its normalization, stats, and index exactly once;
 //!    otherwise a call-local corpus that builds each artifact once for this
 //!    call. [`NGramMatcher::try_find_candidates`] is the matcher's one
-//!    path, and [`NGramMatcher::try_candidate_value_pairs`] only
-//!    materializes its output as strings.
+//!    path. [`NGramMatcher::try_candidate_value_pairs`] wraps it in
+//!    `ColumnPair::row_values` and stays only because the benchmark
+//!    harness (`perfbench`) names it; ROADMAP items 1 and 5 remove it.
 //! 2. **Row scan.** Source rows are scanned in order, with per-size
 //!    representative selection *fused into one pass per row*: the row's
 //!    char boundaries are computed once and every size slides a window
@@ -273,33 +274,17 @@ impl NGramMatcher {
         hits
     }
 
-    /// [`Self::try_find_candidates`] materialized as (source value, target
-    /// value) strings — the input format of the synthesis engine. Values are
-    /// the *original* (un-normalized) cell contents; the engine applies its
-    /// own normalization.
-    pub fn try_candidate_value_pairs(
+    /// [`Self::try_find_candidates`] as borrowed (source value, target
+    /// value) cells, through `ColumnPair::row_values`: the *original*
+    /// (un-normalized) cell contents, which the engine normalizes itself.
+    /// Kept only because the benchmark harness names it.
+    pub fn try_candidate_value_pairs<'p>(
         &self,
-        pair: &ColumnPair,
+        pair: &'p ColumnPair,
         corpus: Option<&GramCorpus>,
         budget: Option<&BudgetToken>,
-    ) -> Result<Vec<(String, String)>, MatchAbort> {
-        Ok(Self::materialize_pairs(pair, self.try_find_candidates(pair, corpus, budget)?))
-    }
-
-    fn materialize_pairs(pair: &ColumnPair, matches: Vec<(u32, u32)>) -> Vec<(String, String)> {
-        // Invariant is local (audited): `as usize` here widens `u32` row
-        // ids (lossless on every supported target), and the ids came from
-        // scanning these very columns, whose lengths already passed
-        // `checked_row_count` at index construction.
-        matches
-            .into_iter()
-            .map(|(s, t)| {
-                (
-                    pair.source[s as usize].clone(),
-                    pair.target[t as usize].clone(),
-                )
-            })
-            .collect()
+    ) -> Result<Vec<(&'p str, &'p str)>, MatchAbort> {
+        Ok(pair.row_values(&self.try_find_candidates(pair, corpus, budget)?))
     }
 }
 
@@ -395,10 +380,11 @@ mod tests {
     #[test]
     fn value_pairs_use_original_strings() {
         let matcher = NGramMatcher::with_defaults();
-        let values = matcher.try_candidate_value_pairs(&staff_pair(), None, None).unwrap();
+        let pair = staff_pair();
+        let values = matcher.try_candidate_value_pairs(&pair, None, None).unwrap();
         assert!(values
             .iter()
-            .any(|(s, t)| s == "Rafiei, Davood" && t == "D Rafiei"));
+            .any(|&(s, t)| s == "Rafiei, Davood" && t == "D Rafiei"));
     }
 
     #[test]

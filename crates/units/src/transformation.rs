@@ -60,13 +60,19 @@ impl Transformation {
     /// Applies the transformation to `input`: the concatenated unit outputs,
     /// or `None` when any unit fails or there are no units.
     pub fn apply(&self, input: &str) -> Option<String> {
+        self.apply_on(&CharStr::new(input))
+    }
+
+    /// [`Self::apply`] on an input already indexed by character, so a
+    /// caller that applies many transformations to one value indexes it
+    /// once.
+    pub fn apply_on(&self, input: &CharStr) -> Option<String> {
         if self.units.is_empty() {
             return None;
         }
-        let input = CharStr::new(input);
         let mut out = String::new();
         for unit in &self.units {
-            out.push_str(unit.output_on(&input)?);
+            out.push_str(unit.output_on(input)?);
         }
         Some(out)
     }

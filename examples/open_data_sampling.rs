@@ -48,20 +48,11 @@ fn main() {
 
     // Step 3: synthesis on a <1% sample of the candidate pairs with a support
     // threshold, as the paper does for this dataset.
-    let candidate_values: Vec<(String, String)> = candidates
-        .iter()
-        .map(|&(s, t)| {
-            (
-                pair.source[s as usize].clone(),
-                pair.target[t as usize].clone(),
-            )
-        })
-        .collect();
     let config = SynthesisConfig::default()
         .with_sample(400, 7)
         .with_min_support(0.01);
     let engine = SynthesisEngine::new(config);
-    let result = engine.discover_from_strings(&candidate_values);
+    let result = engine.discover_from_strings(&pair.row_values(&candidates));
     println!(
         "\nsynthesis on a {}-pair sample of {} candidates:",
         result.stats.pairs_used, result.stats.pairs_total

@@ -54,9 +54,10 @@ fn main() {
 
     println!("== Step 1: candidate joinable row pairs (Algorithm 1) ==");
     let matcher = NGramMatcher::with_defaults();
-    let candidates = matcher
-        .try_candidate_value_pairs(&columns, None, None)
+    let rows = matcher
+        .try_find_candidates(&columns, None, None)
         .expect("matching without a budget or corpus cannot abort");
+    let candidates = columns.row_values(&rows);
     for (s, t) in &candidates {
         println!("  {s:<28} ~  {t}");
     }

@@ -60,7 +60,7 @@ pub mod prelude {
         JoinPipelineConfig, PairError, PairJoinReport, PairPhase, PairStatus, RepositoryMetrics,
         RowMatchingStrategy,
     };
-    pub use tjoin_matching::{MatchingMode, NGramMatcher, NGramMatcherConfig};
+    pub use tjoin_matching::{NGramMatcher, NGramMatcherConfig};
     pub use tjoin_text::{
         BudgetExceeded, CorpusStats, FaultKind, FaultPlan, FaultSite, GramCorpus, RunBudget,
     };
@@ -78,7 +78,7 @@ mod tests {
         let _ = SynthesisConfig::default();
         let _ = NGramMatcherConfig::default();
         let _ = JoinPipelineConfig::paper_default();
-        assert_eq!(MatchingMode::Golden.label(), "Golden");
+        assert_eq!(RowMatchingStrategy::Golden.label(), "Golden");
         let budget = RunBudget { max_rows: Some(10), ..RunBudget::default() };
         assert!(budget.token().charge_rows(11).is_err());
         assert!(PairStatus::Ok.is_ok());

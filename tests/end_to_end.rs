@@ -112,15 +112,7 @@ fn ngram_matching_feeds_synthesis() {
     let metrics = tabjoin::join::evaluate_join(&candidates, &pair.golden);
     assert!(metrics.recall > 0.7, "recall {:?}", metrics);
 
-    let values: Vec<(String, String)> = candidates
-        .iter()
-        .map(|&(s, t)| {
-            (
-                pair.source[s as usize].clone(),
-                pair.target[t as usize].clone(),
-            )
-        })
-        .collect();
+    let values = pair.row_values(&candidates);
     let result = SynthesisEngine::new(SynthesisConfig::default()).discover_from_strings(&values);
     assert!(
         result.set_coverage() > 0.8,
