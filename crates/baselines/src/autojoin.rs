@@ -13,9 +13,10 @@
 //! 4. backtrack to the next-ranked unit when a branch fails.
 //!
 //! The transformations found across all subsets form the final set (Auto-Join
-//! does not compute a minimal cover). A configurable wall-clock budget plays
-//! the role of the paper's 650 000-second cap: when the budget is exhausted
-//! the search stops and reports what it found so far.
+//! does not compute a minimal cover). A budget on the units enumerated plays
+//! the role of the paper's 650 000-second cap: once it is spent the search
+//! stops and reports what it found so far. It counts units, not seconds, so
+//! a run does not depend on how busy the machine is.
 
 use std::time::{Duration, Instant};
 use tjoin_core::pair::PairSet;
@@ -39,9 +40,9 @@ pub struct AutoJoinConfig {
     /// Unit kinds enumerated in the blind sweep. Auto-Join's own set includes
     /// `SplitSplitSubstr`.
     pub unit_kinds: Vec<UnitKind>,
-    /// Wall-clock budget for the whole run; the search stops (reporting
-    /// partial results) once it is exhausted.
-    pub time_budget: Duration,
+    /// Cap on [`AutoJoinResult::units_enumerated`] for the whole run; the
+    /// search stops (reporting partial results) once it is spent.
+    pub unit_budget: u64,
     /// Seed for subset sampling.
     pub seed: u64,
     /// Cap on candidate units considered per recursion step (ranked by score
@@ -63,7 +64,7 @@ impl Default for AutoJoinConfig {
                 UnitKind::SplitSubstr,
                 UnitKind::SplitSplitSubstr,
             ],
-            time_budget: Duration::from_secs(60),
+            unit_budget: 1_000_000_000,
             seed: 0,
             max_candidates_per_step: 4096,
             normalize: NormalizeOptions::default(),
@@ -83,10 +84,10 @@ pub struct AutoJoinResult {
     /// Unit/parameter combinations applied during the search (the cost the
     /// paper's placeholder guidance avoids).
     pub units_enumerated: u64,
-    /// Wall-clock time of the run.
+    /// Wall-clock time of the run (measured; the search never reads it).
     pub elapsed: Duration,
-    /// Whether the time budget expired before all subsets were processed.
-    pub timed_out: bool,
+    /// Whether the unit budget ran out before all subsets were processed.
+    pub budget_exhausted: bool,
 }
 
 impl AutoJoinResult {
@@ -124,11 +125,19 @@ pub struct AutoJoin {
 }
 
 struct SearchState {
-    deadline: Instant,
+    unit_budget: u64,
     units_enumerated: u64,
-    timed_out: bool,
+    budget_exhausted: bool,
     max_candidates: usize,
     unit_kinds: Vec<UnitKind>,
+}
+
+impl SearchState {
+    /// Whether the unit budget is spent; marks it exhausted when it is.
+    fn out_of_budget(&mut self) -> bool {
+        self.budget_exhausted |= self.units_enumerated >= self.unit_budget;
+        self.budget_exhausted
+    }
 }
 
 impl AutoJoin {
@@ -157,9 +166,9 @@ impl AutoJoin {
             .collect();
 
         let mut state = SearchState {
-            deadline: start + self.config.time_budget,
+            unit_budget: self.config.unit_budget,
             units_enumerated: 0,
-            timed_out: false,
+            budget_exhausted: false,
             max_candidates: self.config.max_candidates_per_step,
             unit_kinds: self.config.unit_kinds.clone(),
         };
@@ -170,30 +179,25 @@ impl AutoJoin {
         let mut subsets_tried = 0usize;
         let mut subsets_succeeded = 0usize;
 
-        if !pairs.is_empty() {
-            for _ in 0..self.config.subset_count {
-                if Instant::now() >= state.deadline {
-                    state.timed_out = true;
-                    break;
-                }
-                subsets_tried += 1;
-                let mut indices: Vec<usize> = (0..pairs.len()).collect();
-                indices.shuffle(&mut rng);
-                indices.truncate(self.config.subset_size.min(pairs.len()));
-                let subset: Vec<(&CharStr, &str)> = indices
+        let subset_count = if pairs.is_empty() { 0 } else { self.config.subset_count };
+        while subsets_tried < subset_count && !state.budget_exhausted {
+            subsets_tried += 1;
+            let mut indices: Vec<usize> = (0..pairs.len()).collect();
+            indices.shuffle(&mut rng);
+            indices.truncate(self.config.subset_size.min(pairs.len()));
+            let subset: Vec<(&CharStr, &str)> = indices
+                .iter()
+                .map(|&i| (&pairs[i].0, pairs[i].1.as_str()))
+                .collect();
+            if let Some(units) = solve(&subset, self.config.max_depth, &mut state) {
+                let t = Transformation::new(units);
+                // The search guarantees subset coverage; double-check.
+                debug_assert!(subset
                     .iter()
-                    .map(|&i| (&pairs[i].0, pairs[i].1.as_str()))
-                    .collect();
-                if let Some(units) = solve(&subset, self.config.max_depth, &mut state) {
-                    let t = Transformation::new(units);
-                    // The search guarantees subset coverage; double-check.
-                    debug_assert!(subset
-                        .iter()
-                        .all(|(s, tgt)| t.apply(s.as_str()).as_deref() == Some(*tgt)));
-                    subsets_succeeded += 1;
-                    if seen.insert(t.clone()) {
-                        found.push(t);
-                    }
+                    .all(|(s, tgt)| t.apply(s.as_str()).as_deref() == Some(*tgt)));
+                subsets_succeeded += 1;
+                if seen.insert(t.clone()) {
+                    found.push(t);
                 }
             }
         }
@@ -204,7 +208,7 @@ impl AutoJoin {
             subsets_succeeded,
             units_enumerated: state.units_enumerated,
             elapsed: start.elapsed(),
-            timed_out: state.timed_out,
+            budget_exhausted: state.budget_exhausted,
         }
     }
 }
@@ -216,8 +220,7 @@ fn solve(
     depth: usize,
     state: &mut SearchState,
 ) -> Option<Vec<Unit>> {
-    if Instant::now() >= state.deadline {
-        state.timed_out = true;
+    if state.out_of_budget() {
         return None;
     }
     // Base case: nothing left to produce on any row.
@@ -278,15 +281,11 @@ fn solve(
     None
 }
 
-/// How many enumerated units the sweep in [`ranked_candidates`] evaluates
-/// between two reads of the clock.
-const DEADLINE_CHECK_INTERVAL: u64 = 4096;
-
 /// Enumerates every unit/parameter combination (bounded by the configuration
 /// caps), keeps those whose output occurs in every remaining target, and
-/// ranks them by the average covered target length (descending). The sweep
-/// checks the deadline every [`DEADLINE_CHECK_INTERVAL`] units; on expiry it
-/// sets `timed_out` and returns no candidates.
+/// ranks them by the average covered target length (descending). Every
+/// unit, literals included, counts against the unit budget; once it is spent
+/// the sweep stops and returns no candidates.
 fn ranked_candidates(rows: &[(&CharStr, &str)], state: &mut SearchState) -> Vec<Unit> {
     let max_src_len = rows.iter().map(|(s, _)| s.char_len()).max().unwrap_or(0);
     let mut alphabet: FxHashSet<char> = FxHashSet::default();
@@ -297,15 +296,12 @@ fn ranked_candidates(rows: &[(&CharStr, &str)], state: &mut SearchState) -> Vec<
     alphabet.sort_unstable();
 
     let mut scored: Vec<(f64, Unit)> = Vec::new();
-    // Scores one unit; `false` once the deadline has passed.
+    // Scores one unit; `false` once the unit budget is spent.
     let consider = |unit: Unit, state: &mut SearchState, scored: &mut Vec<(f64, Unit)>| {
-        state.units_enumerated += 1;
-        if state.units_enumerated.is_multiple_of(DEADLINE_CHECK_INTERVAL)
-            && Instant::now() >= state.deadline
-        {
-            state.timed_out = true;
+        if state.out_of_budget() {
             return false;
         }
+        state.units_enumerated += 1;
         let mut total_len = 0usize;
         for (src, tgt) in rows {
             match unit.output_on(src) {
@@ -378,23 +374,22 @@ fn ranked_candidates(rows: &[(&CharStr, &str)], state: &mut SearchState) -> Vec<
                 }
             }
         }
-    }
-    if state.timed_out {
-        return Vec::new();
-    }
-    // Literal candidates: substrings of the shortest remaining target that
-    // occur in every target.
-    if let Some((_, shortest)) = rows.iter().min_by_key(|(_, t)| t.chars().count()) {
-        let chars: Vec<char> = shortest.chars().collect();
-        for i in 0..chars.len() {
-            for j in (i + 1)..=chars.len().min(i + 10) {
-                let lit: String = chars[i..j].iter().collect();
-                if rows.iter().all(|(_, t)| t.contains(&lit)) {
-                    state.units_enumerated += 1;
-                    scored.push((lit.chars().count() as f64, Unit::literal(lit)));
+        // Literal candidates: substrings of the shortest remaining target
+        // that occur in every target.
+        if let Some((_, shortest)) = rows.iter().min_by_key(|(_, t)| t.chars().count()) {
+            let chars: Vec<char> = shortest.chars().collect();
+            for i in 0..chars.len() {
+                for j in (i + 1)..=chars.len().min(i + 10) {
+                    let lit: String = chars[i..j].iter().collect();
+                    if !consider(Unit::literal(lit), state, &mut scored) {
+                        break 'sweep;
+                    }
                 }
             }
         }
+    }
+    if state.budget_exhausted {
+        return Vec::new();
     }
 
     scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
@@ -410,7 +405,7 @@ mod tests {
         AutoJoinConfig {
             subset_count: 4,
             subset_size: 2,
-            time_budget: Duration::from_secs(30),
+            unit_budget: 5_000_000,
             ..AutoJoinConfig::default()
         }
     }
@@ -461,7 +456,30 @@ mod tests {
     }
 
     #[test]
-    fn time_budget_respected() {
+    fn substr_sweep_stops_at_the_unit_budget() {
+        // Two 2,000-character sources make the full `Substr` sweep
+        // 2,000 · 2,001 / 2 ≈ 2M units, far more than the budget.
+        let source = |shift: usize| -> String {
+            (0..2000)
+                .map(|i| char::from(b'a' + u8::try_from((i * 7 + shift) % 26).expect("below 26")))
+                .collect()
+        };
+        let rows = vec![(source(0), "xyz1"), (source(3), "xyz2")];
+        let aj = AutoJoin::new(AutoJoinConfig {
+            subset_count: 3,
+            unit_kinds: vec![UnitKind::Substr],
+            unit_budget: 10_000,
+            ..AutoJoinConfig::default()
+        });
+        let result = aj.discover(&rows);
+        assert!(result.budget_exhausted);
+        assert_eq!(result.units_enumerated, 10_000);
+        assert_eq!(result.subsets_tried, 1);
+        assert!(result.transformations.is_empty());
+    }
+
+    #[test]
+    fn same_config_same_result() {
         let rows: Vec<(String, String)> = (0..20)
             .map(|i| {
                 (
@@ -471,40 +489,20 @@ mod tests {
             })
             .collect();
         let aj = AutoJoin::new(AutoJoinConfig {
-            time_budget: Duration::from_millis(50),
+            unit_budget: 200_000,
             subset_count: 50,
             ..AutoJoinConfig::default()
         });
-        let start = Instant::now();
-        let result = aj.discover(&rows);
-        assert!(start.elapsed() < Duration::from_secs(20));
-        assert!(result.timed_out || result.subsets_tried <= 50);
-    }
-
-    #[test]
-    fn substr_sweep_stops_at_the_deadline() {
-        // Two 2,000-character sources make the full `Substr` sweep
-        // 2,000 · 2,001 / 2 ≈ 2M units, far more than 1 ms allows.
-        let source = |shift: usize| -> String {
-            (0..2000)
-                .map(|i| char::from(b'a' + u8::try_from((i * 7 + shift) % 26).expect("below 26")))
-                .collect()
-        };
-        let rows = vec![(source(0), "xyz1"), (source(3), "xyz2")];
-        let aj = AutoJoin::new(AutoJoinConfig {
-            subset_count: 1,
-            unit_kinds: vec![UnitKind::Substr],
-            time_budget: Duration::from_millis(1),
-            ..AutoJoinConfig::default()
-        });
-        let result = aj.discover(&rows);
-        let sweep = 2000 * 2001 / 2;
-        assert!(result.timed_out);
-        assert!(
-            result.units_enumerated < sweep / 10,
-            "{} of {sweep} units enumerated past the deadline",
-            result.units_enumerated
+        let first = aj.discover(&rows);
+        let second = aj.discover(&rows);
+        assert!(first.budget_exhausted, "{} units", first.units_enumerated);
+        assert_eq!(first.transformations, second.transformations);
+        assert_eq!(first.units_enumerated, second.units_enumerated);
+        assert_eq!(
+            (first.subsets_tried, first.subsets_succeeded),
+            (second.subsets_tried, second.subsets_succeeded)
         );
+        assert_eq!(first.budget_exhausted, second.budget_exhausted);
     }
 
     #[test]
@@ -522,9 +520,9 @@ mod tests {
         let src = CharStr::new("whatever");
         let rows = vec![(&src, "constant")];
         let mut state = SearchState {
-            deadline: Instant::now() + Duration::from_secs(5),
+            unit_budget: 1_000_000,
             units_enumerated: 0,
-            timed_out: false,
+            budget_exhausted: false,
             max_candidates: 128,
             unit_kinds: vec![UnitKind::Substr],
         };

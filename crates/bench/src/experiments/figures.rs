@@ -72,32 +72,48 @@ pub fn figure3(scale: Scale, seed: u64) -> Report {
     report
 }
 
-/// Figure 4a: per-module runtime as the number of rows grows (length fixed
-/// at 28, the paper's setting).
-pub fn figure4a(scale: Scale, seed: u64) -> Report {
-    let mut report = Report::new(
-        format!("Figure 4a: runtime breakdown vs number of rows (length 28, {})", scale.label()),
-        &[
-            "Rows",
-            "Placeholder gen (s)",
-            "Unit extraction (s)",
-            "Duplicate removal (s)",
-            "Applying trans. (s)",
-            "Total (s)",
-        ],
-    );
-    for rows in scale.row_sweep() {
-        let point = measure(rows, 28, seed);
+/// The columns of Figures 4a and 4b after the swept one: the paper's four
+/// modules, then selection, which the paper does not plot, so that the
+/// columns add up to the total.
+const BREAKDOWN: [&str; 6] = [
+    "Placeholder gen (s)",
+    "Unit extraction (s)",
+    "Duplicate removal (s)",
+    "Applying trans. (s)",
+    "Selection (s)",
+    "Total (s)",
+];
+
+/// A Figure 4 report: `swept` then the [`BREAKDOWN`] columns, one row per
+/// sweep point.
+fn breakdown(title: String, swept: &str, points: impl Iterator<Item = (usize, SweepPoint)>) -> Report {
+    let mut header = vec![swept];
+    header.extend(BREAKDOWN);
+    let mut report = Report::new(title, &header);
+    for (x, point) in points {
         let t = &point.stats.timings;
         report.add_row(vec![
-            rows.to_string(),
+            x.to_string(),
             secs(t.placeholder_generation),
             secs(t.unit_extraction),
             secs(t.duplicate_removal),
             secs(t.applying_transformations),
+            secs(t.cover_selection),
             secs(t.total()),
         ]);
     }
+    report.add_note("the paper plots the first four modules; Selection (support filter and greedy cover) completes the total");
+    report
+}
+
+/// Figure 4a: per-module runtime as the number of rows grows (length fixed
+/// at 28, the paper's setting).
+pub fn figure4a(scale: Scale, seed: u64) -> Report {
+    let mut report = breakdown(
+        format!("Figure 4a: runtime breakdown vs number of rows (length 28, {})", scale.label()),
+        "Rows",
+        scale.row_sweep().into_iter().map(|rows| (rows, measure(rows, 28, seed))),
+    );
     report.add_note("paper Figure 4a: applying transformations dominates and grows near-quadratically without pruning, near-linearly with it");
     report
 }
@@ -105,29 +121,11 @@ pub fn figure4a(scale: Scale, seed: u64) -> Report {
 /// Figure 4b: per-module runtime as the input length grows (rows fixed).
 pub fn figure4b(scale: Scale, seed: u64) -> Report {
     let rows = scale.sweep_rows();
-    let mut report = Report::new(
+    let mut report = breakdown(
         format!("Figure 4b: runtime breakdown vs input length ({} rows, {})", rows, scale.label()),
-        &[
-            "Length",
-            "Placeholder gen (s)",
-            "Unit extraction (s)",
-            "Duplicate removal (s)",
-            "Applying trans. (s)",
-            "Total (s)",
-        ],
+        "Length",
+        scale.length_sweep().into_iter().map(|length| (length, measure(rows, length, seed))),
     );
-    for length in scale.length_sweep() {
-        let point = measure(rows, length, seed);
-        let t = &point.stats.timings;
-        report.add_row(vec![
-            length.to_string(),
-            secs(t.placeholder_generation),
-            secs(t.unit_extraction),
-            secs(t.duplicate_removal),
-            secs(t.applying_transformations),
-            secs(t.total()),
-        ]);
-    }
     report.add_note("paper Figure 4b: past a certain length, generation/duplicate-removal time overtakes the (heavily cached) application time");
     report
 }

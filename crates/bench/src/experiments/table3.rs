@@ -17,8 +17,8 @@ pub struct Table3Row {
     pub ours: JoinMetrics,
     /// Auto-FuzzyJoin metrics.
     pub afj: JoinMetrics,
-    /// Auto-Join metrics (None when it found no transformation within budget;
-    /// the paper prints "-" for its timed-out entries).
+    /// Auto-Join metrics (None when it found no transformation within its
+    /// unit budget; the paper prints "-" for its timed-out entries).
     pub autojoin: Option<JoinMetrics>,
     /// Paper reference F1 for our approach.
     pub paper_f1: Option<f64>,
@@ -45,11 +45,7 @@ pub fn compute(scale: Scale, seed: u64) -> Vec<Table3Row> {
             afj_all.push(evaluate_join(&afj.join(pair).pairs, &pair.golden));
             // Auto-Join: discover on (a sample of) candidate pairs, then join
             // with the same machinery. One pair per family at quick scale.
-            let budget_pairs = match scale {
-                Scale::Quick => 1,
-                Scale::Full => usize::MAX,
-            };
-            if i < budget_pairs {
+            if i < scale.autojoin_pairs() {
                 let rows = pipeline
                     .config()
                     .matching
@@ -58,7 +54,7 @@ pub fn compute(scale: Scale, seed: u64) -> Vec<Table3Row> {
                 let candidates = pair.row_values(&rows);
                 let aj_input = &candidates[..candidates.len().min(500)];
                 let autojoin = AutoJoin::new(AutoJoinConfig {
-                    time_budget: scale.autojoin_budget(),
+                    unit_budget: scale.autojoin_budget(),
                     max_depth: instance.synthesis.max_placeholders,
                     ..AutoJoinConfig::default()
                 });
@@ -114,7 +110,7 @@ pub fn run(scale: Scale, seed: u64) -> Report {
             r.paper_f1.map(f3).unwrap_or_else(|| "-".into()),
         ]);
     }
-    report.add_note("'-' for Auto-Join means no transformation was found within the time budget (the paper's '-' entries)");
+    report.add_note("'-' for Auto-Join means no transformation was found within the unit budget (the paper's '-' entries)");
     report
 }
 

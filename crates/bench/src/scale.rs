@@ -1,7 +1,5 @@
 //! Experiment scale: quick (default) vs the paper's full sizes.
 
-use std::time::Duration;
-
 /// How large the experiment inputs are.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
@@ -69,13 +67,25 @@ impl Scale {
         }
     }
 
-    /// Wall-clock budget granted to the Auto-Join baseline per table pair
-    /// (the paper's cap is 650 000 s ≈ one week; these budgets keep the
-    /// harness finite while still letting Auto-Join finish easy pairs).
-    pub fn autojoin_budget(self) -> Duration {
+    /// Units the Auto-Join baseline may enumerate per table pair
+    /// ([`AutoJoinConfig::unit_budget`](tjoin_baselines::AutoJoinConfig::unit_budget)).
+    /// A release build on 2 vCPUs enumerates 16–40 M units/s on the quick
+    /// Table 2 inputs. At 20 M units/s, 100 M units is about 5 s and 12 G
+    /// about 600 s; the paper's cap of 650 000 s (about a week) would be
+    /// some 13 T units. These budgets keep the harness finite while still
+    /// letting Auto-Join finish easy pairs.
+    pub fn autojoin_budget(self) -> u64 {
         match self {
-            Scale::Quick => Duration::from_secs(5),
-            Scale::Full => Duration::from_secs(600),
+            Scale::Quick => 100_000_000,
+            Scale::Full => 12_000_000_000,
+        }
+    }
+
+    /// Table pairs per family that Tables 2 and 3 run Auto-Join on.
+    pub fn autojoin_pairs(self) -> usize {
+        match self {
+            Scale::Quick => 1,
+            Scale::Full => usize::MAX,
         }
     }
 
@@ -123,6 +133,7 @@ mod tests {
         assert!(Scale::Quick.open_data_rows().0 < Scale::Full.open_data_rows().0);
         assert!(Scale::Quick.length_sweep().len() < Scale::Full.length_sweep().len());
         assert!(Scale::Quick.autojoin_budget() < Scale::Full.autojoin_budget());
+        assert!(Scale::Quick.autojoin_pairs() < Scale::Full.autojoin_pairs());
         assert_eq!(Scale::Quick.label(), "quick");
     }
 

@@ -1,17 +1,19 @@
-//! Golden paper outputs: the quick-scale Table 1 and Table 4 reports, at the
+//! Golden paper outputs: the quick-scale Table 1 to Table 4 reports, at the
 //! seed their binaries use, must render exactly as the files checked in under
-//! `tests/golden/`. Neither report has a timing column. Table 2 and Table 3
-//! are left out: their Auto-Join columns and `*` markers depend on a
-//! wall-clock budget, so two runs of the same code can differ.
+//! `tests/golden/`. No golden report has a timing column: Auto-Join stops on
+//! a unit count, not a clock, so its Table 2 and Table 3 cells and `*`
+//! markers repeat from run to run. Table 2's runtime report, which the
+//! `table2` binary prints second, is not golden.
 //!
 //! A change that moves one of these numbers on purpose regenerates the file
 //! from the binary (`cargo run --release -q -p tjoin-bench --bin table4 >
-//! crates/bench/tests/golden/table4.txt`) and says why in CHANGES.md.
+//! crates/bench/tests/golden/table4.txt`; for Table 2, only the first
+//! report) and says why in CHANGES.md.
 //!
 //! Slow in a debug build: run with `cargo test -p tjoin-bench --release --
 //! --ignored`.
 
-use tjoin_bench::experiments::{table1, table4};
+use tjoin_bench::experiments::{table1, table2, table3, table4};
 use tjoin_bench::Scale;
 
 /// The seed the `table1`..`table4` binaries pass.
@@ -32,6 +34,19 @@ fn assert_golden(name: &str, rendered: &str) {
 #[ignore = "runs the quick-scale Table 1 experiment; run with --release -- --ignored"]
 fn table1_matches_golden() {
     assert_golden("table1", &table1::run(Scale::Quick, SEED).render());
+}
+
+#[test]
+#[ignore = "runs the quick-scale Table 2 experiment; run with --release -- --ignored"]
+fn table2_matches_golden() {
+    let (coverage, _timing) = table2::run(Scale::Quick, SEED);
+    assert_golden("table2", &coverage.render());
+}
+
+#[test]
+#[ignore = "runs the quick-scale Table 3 experiment; run with --release -- --ignored"]
+fn table3_matches_golden() {
+    assert_golden("table3", &table3::run(Scale::Quick, SEED).render());
 }
 
 #[test]

@@ -101,17 +101,14 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::error::Error;
 use std::fmt;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 
 use tjoin_datasets::ColumnPair;
 use tjoin_join::{BatchJoinOutcome, BatchJoinRunner, JoinPipelineConfig, RowMatchingStrategy};
+// Poison recovery keeps cache metadata consistent: every mutation completes
+// before its guard drops.
+use tjoin_text::fault::lock_recover;
 use tjoin_text::{column_fingerprint, GramCorpus, NormalizeOptions, ServeStats};
-
-/// Recovers a lock whether or not a holder panicked (cache metadata stays
-/// consistent because every mutation completes before the guard drops).
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Configuration of the serving layer.
 #[derive(Debug, Clone, PartialEq)]
@@ -269,7 +266,7 @@ impl ResidentCorpus {
             }
         }
         let mut warm = Vec::with_capacity(fingerprints.len());
-        let mut state = lock(&self.state);
+        let mut state = lock_recover(&self.state);
         let state = &mut *state;
         for (&fingerprint, &count) in fingerprints.iter().zip(&references) {
             let meta = state.entries.entry(fingerprint).or_default();
@@ -319,7 +316,7 @@ impl ResidentCorpus {
     /// Panics if [`Self::begin`] was never called on the reservation.
     pub fn release(&self, reservation: Reservation) -> ServeStats {
         assert!(reservation.begun, "release of a reservation that never began");
-        let mut state = lock(&self.state);
+        let mut state = lock_recover(&self.state);
         let state = &mut *state;
         for (i, &fingerprint) in reservation.fingerprints.iter().enumerate() {
             let meta = state.entries.entry(fingerprint).or_default();
@@ -348,7 +345,7 @@ impl ResidentCorpus {
 
     /// A point-in-time counter snapshot (no release; `queue_depth` 0).
     pub fn stats(&self) -> ServeStats {
-        let state = lock(&self.state);
+        let state = lock_recover(&self.state);
         self.snapshot(&state)
     }
 
@@ -467,7 +464,7 @@ impl JoinService {
     /// Returns the request's ticket, or [`AdmissionError::QueueFull`] —
     /// without touching the cache — when the queue is at capacity.
     pub fn submit(&self, repository: Vec<ColumnPair>) -> Result<u64, AdmissionError> {
-        let mut queue = lock(&self.queue);
+        let mut queue = lock_recover(&self.queue);
         if queue.waiting.len() >= self.capacity {
             return Err(AdmissionError::QueueFull {
                 capacity: self.capacity,
@@ -486,7 +483,7 @@ impl JoinService {
 
     /// Queued (admitted but not yet run) requests.
     pub fn queue_depth(&self) -> usize {
-        lock(&self.queue).waiting.len()
+        lock_recover(&self.queue).waiting.len()
     }
 
     /// Dequeues and runs the oldest request; `None` when the queue is
@@ -497,7 +494,7 @@ impl JoinService {
             ticket,
             repository,
             mut reservation,
-        } = lock(&self.queue).waiting.pop_front()?;
+        } = lock_recover(&self.queue).waiting.pop_front()?;
         self.resident.begin(&mut reservation);
         let mut outcome = self.runner.run(&repository);
         let mut stats = self.resident.release(reservation);

@@ -68,10 +68,10 @@ fn main() {
         }
     }
 
-    // Compare against Auto-Join under the same budget.
+    // Compare against Auto-Join, which stops after 100 M unit evaluations.
     println!("\n== Auto-Join baseline on the same input ==");
     let autojoin = AutoJoin::new(AutoJoinConfig {
-        time_budget: std::time::Duration::from_secs(20),
+        unit_budget: 100_000_000,
         ..AutoJoinConfig::default()
     });
     let aj = autojoin.discover(&rows);

@@ -141,7 +141,7 @@ fn autojoin_comparison_on_single_rule_data() {
 
     let aj = AutoJoin::new(AutoJoinConfig {
         subset_count: 4,
-        time_budget: std::time::Duration::from_secs(30),
+        unit_budget: 100_000_000,
         ..AutoJoinConfig::default()
     });
     let aj_result = aj.discover(&rows);

@@ -191,7 +191,7 @@ fn mixed_format_coverage_gap_vs_autojoin() {
     let aj = AutoJoin::new(AutoJoinConfig {
         subset_count: 6,
         subset_size: 3,
-        time_budget: std::time::Duration::from_secs(30),
+        unit_budget: 20_000_000,
         ..AutoJoinConfig::default()
     });
     let aj_result = aj.discover(&rows);
