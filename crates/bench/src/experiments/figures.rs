@@ -3,7 +3,7 @@
 
 use crate::report::{count, secs, Report};
 use crate::scale::Scale;
-use tjoin_core::{PairSet, SynthesisConfig, SynthesisEngine, SynthesisStats};
+use tjoin_core::{SynthesisConfig, SynthesisEngine, SynthesisStats};
 use tjoin_datasets::SyntheticConfig;
 
 /// One sweep point shared by the three figures.
@@ -25,20 +25,13 @@ pub struct SweepPoint {
 pub fn measure(rows: usize, length: usize, seed: u64) -> SweepPoint {
     let dataset = SyntheticConfig::with_fixed_length(rows, length).generate(seed);
     let pair = dataset.column_pair();
-    let values: Vec<(String, String)> = pair
-        .source
-        .iter()
-        .cloned()
-        .zip(pair.target.iter().cloned())
-        .collect();
-    let config = SynthesisConfig::default();
-    let engine = SynthesisEngine::new(config.clone());
-    let result = engine.discover(&PairSet::from_strings(&values, &config.normalize));
+    let values: Vec<(&String, &String)> = pair.source.iter().zip(&pair.target).collect();
+    let result = SynthesisEngine::new(SynthesisConfig::default()).discover_from_strings(&values);
     SweepPoint {
         rows,
         length,
-        stats: result.stats.clone(),
         set_coverage: result.set_coverage(),
+        stats: result.stats,
     }
 }
 

@@ -1,10 +1,14 @@
 //! Experiment implementations, one module per paper table / figure.
 //!
-//! Each module exposes a `run(scale) -> Report` (or a small set of reports)
-//! used by the corresponding binary in `src/bin/`, so the logic is unit
-//! testable without spawning processes.
+//! Each module renders the report (or small set of reports) that the
+//! corresponding binary in `src/bin/` prints, so the logic is unit testable
+//! without spawning processes. Table 1, the figures and the sampling
+//! section compute their own inputs from a scale and a seed. Tables 2–4
+//! report on the same synthesis runs, so each `run` reads one
+//! [`runs::TableRuns`], which the binary computes with what its table needs.
 
 pub mod figures;
+pub mod runs;
 pub mod sampling;
 pub mod table1;
 pub mod table2;

@@ -57,11 +57,11 @@ pub fn empirical_report(scale: Scale, seed: u64) -> Report {
     };
     let dataset = SyntheticConfig::synth(rows).generate(seed);
     let pair = dataset.column_pair();
-    let values: Vec<(String, String)> = pair
+    let values: Vec<(&str, &str)> = pair
         .source
         .iter()
-        .cloned()
-        .zip(pair.target.iter().cloned())
+        .map(String::as_str)
+        .zip(pair.target.iter().map(String::as_str))
         .collect();
     let coverages = dataset.true_coverages();
     let rarest = coverages
@@ -115,7 +115,7 @@ pub fn empirical_report(scale: Scale, seed: u64) -> Report {
 /// Fraction of the full input covered by a transformation list.
 fn coverage_on_full(
     transformations: &[tjoin_units::Transformation],
-    values: &[(String, String)],
+    values: &[(&str, &str)],
 ) -> f64 {
     if values.is_empty() {
         return 0.0;
@@ -144,10 +144,7 @@ mod tests {
     #[test]
     fn coverage_on_full_counts_correctly() {
         let t = tjoin_units::Transformation::new(vec![tjoin_units::Unit::substr(0, 2)]);
-        let values = vec![
-            ("abc".to_owned(), "ab".to_owned()),
-            ("xyz".to_owned(), "zz".to_owned()),
-        ];
+        let values = [("abc", "ab"), ("xyz", "zz")];
         assert!((coverage_on_full(&[t], &values) - 0.5).abs() < 1e-12);
         assert_eq!(coverage_on_full(&[], &[]), 0.0);
     }

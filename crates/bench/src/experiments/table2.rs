@@ -2,130 +2,17 @@
 //! n-gram and golden row matching. The coverage report depends only on the
 //! inputs and the seed; the runtimes go into a second report.
 
+use crate::experiments::runs::TableRuns;
 use crate::report::{f2, secs, Report};
-use crate::scale::Scale;
-use crate::suite::DatasetInstance;
-use std::time::{Duration, Instant};
-use tjoin_baselines::{AutoJoin, AutoJoinConfig};
-use tjoin_core::SynthesisEngine;
+use std::time::Duration;
 use tjoin_join::RowMatchingStrategy;
+use tjoin_units::TransformationSet;
 
-/// One (dataset, matching-mode) row of Table 2.
-#[derive(Debug, Clone)]
-pub struct Table2Row {
-    /// Dataset label.
-    pub dataset: String,
-    /// Row-matching strategy.
-    pub matching: RowMatchingStrategy,
-    /// Our approach: coverage of the best single transformation.
-    pub ours_top_coverage: f64,
-    /// Our approach: coverage of the covering set.
-    pub ours_set_coverage: f64,
-    /// Our approach: number of transformations in the covering set.
-    pub ours_transformations: f64,
-    /// Our approach: total synthesis time.
-    pub ours_time: Duration,
-    /// Auto-Join: coverage of its best transformation.
-    pub autojoin_top_coverage: f64,
-    /// Auto-Join: coverage of all returned transformations.
-    pub autojoin_set_coverage: f64,
-    /// Auto-Join: number of returned transformations.
-    pub autojoin_transformations: f64,
-    /// Auto-Join: total time (measured, not capped: the budget counts
-    /// units).
-    pub autojoin_time: Duration,
-    /// Whether Auto-Join spent its unit budget on any pair.
-    pub autojoin_budget_exhausted: bool,
-    /// Table pairs Auto-Join was actually run on (a subset at quick scale).
-    pub autojoin_pairs_evaluated: usize,
-    /// Paper reference top coverage for our approach (the paper's n-gram
-    /// panel; None on Golden rows).
-    pub paper_top: Option<f64>,
-    /// Paper reference set coverage.
-    pub paper_set: Option<f64>,
-}
-
-/// Runs the coverage/runtime comparison.
-pub fn compute(scale: Scale, seed: u64) -> Vec<Table2Row> {
-    let mut out = Vec::new();
-    for matching in [RowMatchingStrategy::default(), RowMatchingStrategy::Golden] {
-        for instance in DatasetInstance::load_all(scale, seed) {
-            let engine = SynthesisEngine::new(instance.synthesis.clone());
-            let mut ours_top = 0.0;
-            let mut ours_set = 0.0;
-            let mut ours_trans = 0.0;
-            let mut ours_time = Duration::ZERO;
-            let mut aj_top = 0.0;
-            let mut aj_set = 0.0;
-            let mut aj_trans = 0.0;
-            let mut aj_time = Duration::ZERO;
-            let mut aj_budget_exhausted = false;
-            let mut aj_pairs = 0usize;
-
-            for (i, pair) in instance.pairs.iter().enumerate() {
-                let rows = matching
-                    .candidates(pair, None, None)
-                    .expect("unbudgeted per-call matching cannot abort");
-                let candidates = pair.row_values(&rows);
-                let start = Instant::now();
-                let result = engine.discover(&tjoin_core::PairSet::from_strings(
-                    &candidates,
-                    &instance.synthesis.normalize,
-                ));
-                ours_time += start.elapsed();
-                ours_top += result.top_coverage();
-                ours_set += result.set_coverage();
-                ours_trans += result.cover.len() as f64;
-
-                if i < scale.autojoin_pairs() {
-                    let autojoin = AutoJoin::new(AutoJoinConfig {
-                        unit_budget: scale.autojoin_budget(),
-                        max_depth: instance.synthesis.max_placeholders,
-                        ..AutoJoinConfig::default()
-                    });
-                    // Auto-Join, like the paper's setup, runs on a sample of
-                    // the candidate pairs when they are numerous.
-                    let aj_input = &candidates[..candidates.len().min(500)];
-                    let aj_result = autojoin.discover(aj_input);
-                    let set = aj_result.evaluate(aj_input, &instance.synthesis.normalize);
-                    aj_top += set.top_coverage();
-                    aj_set += set.set_coverage();
-                    aj_trans += set.len() as f64;
-                    aj_time += aj_result.elapsed;
-                    aj_budget_exhausted |= aj_result.budget_exhausted;
-                    aj_pairs += 1;
-                }
-            }
-
-            let n = instance.pairs.len().max(1) as f64;
-            let aj_n = aj_pairs.max(1) as f64;
-            // The paper's Table 2 reference values are its n-gram panel.
-            let paper = instance.paper.filter(|_| matches!(matching, RowMatchingStrategy::NGram(_)));
-            out.push(Table2Row {
-                dataset: instance.label.clone(),
-                matching: matching.clone(),
-                ours_top_coverage: ours_top / n,
-                ours_set_coverage: ours_set / n,
-                ours_transformations: ours_trans / n,
-                ours_time,
-                autojoin_top_coverage: aj_top / aj_n,
-                autojoin_set_coverage: aj_set / aj_n,
-                autojoin_transformations: aj_trans / aj_n,
-                autojoin_time: aj_time,
-                autojoin_budget_exhausted: aj_budget_exhausted,
-                autojoin_pairs_evaluated: aj_pairs,
-                paper_top: paper.map(|p| p.top_coverage),
-                paper_set: paper.map(|p| p.set_coverage),
-            });
-        }
-    }
-    out
-}
-
-/// Renders Table 2 as two reports: coverage, which depends only on the
-/// inputs and the seed, and the runtimes of both approaches.
-pub fn run(scale: Scale, seed: u64) -> (Report, Report) {
-    let rows = compute(scale, seed);
+/// Renders Table 2 from `runs` as two reports: coverage, which depends
+/// only on the inputs and the seed, and the runtimes of both approaches.
+/// Reads every strategy of `runs` and their Auto-Join searches.
+pub fn run(runs: &TableRuns) -> (Report, Report) {
+    let scale = runs.scale;
     let mut coverage = Report::new(
         format!(
             "Table 2: transformation coverage, ours vs Auto-Join ({})",
@@ -141,29 +28,45 @@ pub fn run(scale: Scale, seed: u64) -> (Report, Report) {
         &["Matching", "Dataset", "Time(s)", "(AJ s)"],
     );
     let paper = |x: Option<f64>| x.map(f2).unwrap_or_else(|| "-".into());
-    for r in rows {
-        coverage.add_row(vec![
-            r.matching.label().into(),
-            r.dataset.clone(),
-            f2(r.ours_top_coverage),
-            f2(r.autojoin_top_coverage),
-            f2(r.ours_set_coverage),
-            f2(r.autojoin_set_coverage),
-            format!("{:.1}", r.ours_transformations),
-            format!(
-                "{:.1}{}",
-                r.autojoin_transformations,
-                if r.autojoin_budget_exhausted { "*" } else { "" }
-            ),
-            paper(r.paper_top),
-            paper(r.paper_set),
-        ]);
-        timing.add_row(vec![
-            r.matching.label().into(),
-            r.dataset,
-            secs(r.ours_time),
-            secs(r.autojoin_time),
-        ]);
+    for matching in runs.strategies() {
+        for (instance, family) in runs.families(matching) {
+            let ours = family.outcomes.iter().map(|outcome| &outcome.synthesis.cover);
+            let autojoin = family.autojoin();
+            let aj: Vec<TransformationSet> = instance
+                .pairs
+                .iter()
+                .zip(autojoin)
+                .map(|(pair, aj)| {
+                    aj.result.evaluate(&pair.row_values(&aj.rows), &instance.synthesis.normalize)
+                })
+                .collect();
+            let [ours_top, ours_set, ours_trans] = means(ours);
+            let [aj_top, aj_set, aj_trans] = means(aj.iter());
+            let ours_time: Duration = family.outcomes.iter().map(|o| o.synthesis_time).sum();
+            let aj_time: Duration = autojoin.iter().map(|aj| aj.result.elapsed).sum();
+            let aj_budget_exhausted = autojoin.iter().any(|aj| aj.result.budget_exhausted);
+            // The paper's Table 2 reference values are its n-gram panel.
+            let reference =
+                instance.paper.filter(|_| matches!(matching, RowMatchingStrategy::NGram(_)));
+            coverage.add_row(vec![
+                matching.label().into(),
+                instance.label.clone(),
+                f2(ours_top),
+                f2(aj_top),
+                f2(ours_set),
+                f2(aj_set),
+                format!("{ours_trans:.1}"),
+                format!("{aj_trans:.1}{}", if aj_budget_exhausted { "*" } else { "" }),
+                paper(reference.map(|p| p.top_coverage)),
+                paper(reference.map(|p| p.set_coverage)),
+            ]);
+            timing.add_row(vec![
+                matching.label().into(),
+                instance.label.clone(),
+                secs(ours_time),
+                secs(aj_time),
+            ]);
+        }
     }
     coverage.add_note("(AJ) columns are the Auto-Join baseline; * marks runs that spent the unit budget");
     coverage.add_note("Auto-Join is evaluated on one table pair per family at quick scale (all pairs with --full)");
@@ -171,10 +74,25 @@ pub fn run(scale: Scale, seed: u64) -> (Report, Report) {
     (coverage, timing)
 }
 
+/// The means of top coverage, set coverage and size over `sets` (zeros for
+/// no sets).
+fn means<'a>(sets: impl ExactSizeIterator<Item = &'a TransformationSet>) -> [f64; 3] {
+    let n = sets.len().max(1) as f64;
+    let mut sums = [0.0; 3];
+    for set in sets {
+        sums[0] += set.top_coverage();
+        sums[1] += set.set_coverage();
+        sums[2] += set.len() as f64;
+    }
+    sums.map(|sum| sum / n)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tjoin_baselines::{AutoJoin, AutoJoinConfig};
     use tjoin_datasets::SyntheticConfig;
+    use tjoin_join::{JoinPipeline, JoinPipelineConfig};
     use tjoin_matching::golden_pairs;
 
     /// A miniature version of the comparison on one synthetic pair, so the
@@ -183,8 +101,12 @@ mod tests {
     fn ours_beats_autojoin_on_work_for_one_pair() {
         let pair = SyntheticConfig::synth(30).generate(3).column_pair();
         let candidates = pair.row_values(&golden_pairs(&pair));
-        let engine = SynthesisEngine::new(tjoin_core::SynthesisConfig::default());
-        let ours = engine.discover_from_strings(&candidates);
+        let ours = JoinPipeline::new(JoinPipelineConfig {
+            matching: RowMatchingStrategy::Golden,
+            ..JoinPipelineConfig::paper_default()
+        })
+        .run(&pair)
+        .synthesis;
         assert!((ours.set_coverage() - 1.0).abs() < 1e-9);
 
         let autojoin = AutoJoin::new(AutoJoinConfig {

@@ -20,7 +20,9 @@
 //! code paths on smaller slices so the whole suite finishes in minutes on a
 //! laptop. Binaries print TSV-like rows with the paper's reported values
 //! alongside ours where applicable; `crates/bench/tests/golden/` holds the
-//! quick-scale Table 1 and Table 4 reports.
+//! quick-scale Table 1 to Table 4 reports (Table 2's coverage report, not
+//! its runtimes). Tables 2–4 render from one set of synthesis runs
+//! ([`experiments::runs::TableRuns`]).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

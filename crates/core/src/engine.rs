@@ -14,8 +14,9 @@ use std::time::Instant;
 use tjoin_text::{fault, BudgetExceeded, BudgetToken, FaultSite, FxHashMap};
 use tjoin_units::TransformationSet;
 
-/// The result of a synthesis run.
-#[derive(Debug, Clone)]
+/// The result of a synthesis run. `Default` is the empty cover with zeroed
+/// stats: what a pipeline pair that did not finish synthesis carries.
+#[derive(Debug, Clone, Default)]
 pub struct SynthesisResult {
     /// The greedy minimal covering set ("Coverage" / "#Trans." view). Its
     /// first pick, [`TransformationSet::best`], is the single transformation

@@ -628,6 +628,11 @@ mod tests {
             assert_eq!(ra.outcome.metrics, rb.outcome.metrics, "{}", ra.name);
             assert_eq!(ra.outcome.candidate_pairs, rb.outcome.candidate_pairs, "{}", ra.name);
             assert_eq!(ra.outcome.transformations, rb.outcome.transformations, "{}", ra.name);
+            assert_eq!(ra.outcome.synthesis.cover, rb.outcome.synthesis.cover, "{}", ra.name);
+            // Every synthesis counter matches; the timings are measurements.
+            let (mut sa, sb) = (ra.outcome.synthesis.stats.clone(), &rb.outcome.synthesis.stats);
+            sa.timings = sb.timings;
+            assert_eq!(&sa, sb, "{}", ra.name);
         }
         assert_eq!(a.metrics.pairs, b.metrics.pairs);
         assert_eq!(a.metrics.joined_pairs, b.metrics.joined_pairs);

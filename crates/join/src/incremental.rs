@@ -319,7 +319,9 @@ impl IncrementalJoin {
     /// The current join outcome. After a re-synthesizing append this is
     /// bit-identical to a fresh [`JoinPipeline::run`] on [`Self::pair`];
     /// after a kept append it reflects the retained transformation set
-    /// re-applied to the grown pair.
+    /// re-applied to the grown pair, while its `synthesis` still describes
+    /// the last synthesis run (at construction or at the last
+    /// re-synthesizing append).
     pub fn outcome(&self) -> &JoinOutcome {
         &self.outcome
     }

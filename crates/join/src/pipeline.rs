@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
-use tjoin_core::{SynthesisConfig, SynthesisEngine};
+use tjoin_core::{SynthesisConfig, SynthesisEngine, SynthesisResult};
 use tjoin_datasets::{row_id, ColumnPair};
 use tjoin_matching::{golden_pairs, MatchAbort, NGramMatcher, NGramMatcherConfig};
 use tjoin_text::{
@@ -126,8 +126,16 @@ impl JoinPipelineConfig {
 /// The result of running the pipeline on one column pair.
 #[derive(Debug, Clone)]
 pub struct JoinOutcome {
-    /// The transformations applied during the join (after support filtering).
+    /// The transformations applied during the join: `synthesis.cover`
+    /// after the `join_min_support` filter.
     pub transformations: TransformationSet,
+    /// The synthesis run on the candidate pairs: the greedy cover before the
+    /// join's support filter, and the run's [`SynthesisStats`] (Table 4
+    /// counters, Figure 4 phase timings). `SynthesisResult::default()` when
+    /// the pair did not finish synthesis.
+    ///
+    /// [`SynthesisStats`]: tjoin_core::SynthesisStats
+    pub synthesis: SynthesisResult,
     /// Predicted joinable row pairs `(source_row, target_row)`.
     pub predicted_pairs: Vec<(u32, u32)>,
     /// Join quality against the golden mapping.
@@ -223,7 +231,9 @@ pub struct PairJoinReport {
     pub name: String,
     /// The pair's outcome — complete when `status.is_ok()`, otherwise the
     /// phases that finished before the failure/overrun (later-phase fields
-    /// keep their empty defaults).
+    /// keep their empty defaults). So `outcome.synthesis` holds the
+    /// synthesis run after a Join-phase failure or overrun, and
+    /// `SynthesisResult::default()` after a Matching- or Synthesis-phase one.
     pub outcome: JoinOutcome,
     /// What happened to the pair: completed, contained failure, or budget
     /// overrun.
@@ -270,6 +280,7 @@ impl JoinPipeline {
     pub(crate) fn empty_outcome(pair: &ColumnPair) -> JoinOutcome {
         JoinOutcome {
             transformations: TransformationSet::default(),
+            synthesis: SynthesisResult::default(),
             predicted_pairs: Vec::new(),
             metrics: evaluate_join(&[], &pair.golden),
             candidate_pairs: 0,
@@ -350,6 +361,7 @@ impl JoinPipeline {
 
         // 3. Support filtering (infallible bookkeeping).
         outcome.transformations = result.cover.filter_by_support(self.config.join_min_support);
+        outcome.synthesis = result;
 
         // 4–5. Transformed equi-join and evaluation.
         let transformations = outcome.transformations.iter().map(|t| &t.transformation);
@@ -558,6 +570,21 @@ mod tests {
         );
         assert!(outcome.metrics.precision >= 0.8, "precision {}", outcome.metrics.precision);
         assert!(outcome.metrics.f1 > 0.85);
+    }
+
+    #[test]
+    fn outcome_keeps_the_synthesis_run_on_its_candidates() {
+        let pair = staff_pair();
+        let config = JoinPipelineConfig::paper_default();
+        let candidates = config.matching.candidates(&pair, None, None).unwrap();
+        let expected = SynthesisEngine::new(config.synthesis.clone())
+            .discover_from_strings(&pair.row_values(&candidates));
+        let mut synthesis = JoinPipeline::new(config).run(&pair).synthesis;
+        assert_eq!(synthesis.cover, expected.cover);
+        assert!(!synthesis.cover.is_empty());
+        // Every counter matches; the timings are measurements.
+        synthesis.stats.timings = expected.stats.timings;
+        assert_eq!(synthesis.stats, expected.stats);
     }
 
     #[test]

@@ -95,8 +95,9 @@ fn build_repository(
 
 /// Asserts two batch outcomes carry identical results: same report order,
 /// same per-pair predicted pairs / metrics / candidate counts /
-/// transformation sets, same aggregate metrics. (Wall-clock fields and
-/// scheduling counters are measurements, not results, and are exempt.)
+/// transformation sets / synthesis covers and counters, same aggregate
+/// metrics. (Wall-clock fields and scheduling counters are measurements,
+/// not results, and are exempt.)
 fn assert_outcomes_identical(a: &BatchJoinOutcome, b: &BatchJoinOutcome, context: &str) {
     assert_eq!(a.reports.len(), b.reports.len(), "{context}: report count");
     assert_eq!(a.faults, b.faults, "{context}: fault tallies");
@@ -119,6 +120,15 @@ fn assert_outcomes_identical(a: &BatchJoinOutcome, b: &BatchJoinOutcome, context
             "{context}: transformations of {}",
             ra.name
         );
+        assert_eq!(
+            ra.outcome.synthesis.cover, rb.outcome.synthesis.cover,
+            "{context}: synthesis cover of {}",
+            ra.name
+        );
+        // Every synthesis counter matches; the timings are measurements.
+        let (mut sa, sb) = (ra.outcome.synthesis.stats.clone(), &rb.outcome.synthesis.stats);
+        sa.timings = sb.timings;
+        assert_eq!(&sa, sb, "{context}: synthesis counters of {}", ra.name);
     }
     assert_eq!(a.metrics.pairs, b.metrics.pairs, "{context}");
     assert_eq!(a.metrics.joined_pairs, b.metrics.joined_pairs, "{context}");

@@ -23,6 +23,7 @@
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::time::Duration;
+use tjoin_core::SynthesisStats;
 use tjoin_datasets::ColumnPair;
 use tjoin_join::{
     BatchJoinOutcome, BatchJoinRunner, JoinPipeline, JoinPipelineConfig, PairPhase, PairStatus,
@@ -94,6 +95,11 @@ fn assert_report_matches_oracle(run: &BatchJoinOutcome, oracle: &BatchJoinOutcom
     assert_eq!(ra.outcome.metrics, rb.outcome.metrics, "{}", ra.name);
     assert_eq!(ra.outcome.candidate_pairs, rb.outcome.candidate_pairs, "{}", ra.name);
     assert_eq!(ra.outcome.transformations, rb.outcome.transformations, "{}", ra.name);
+    assert_eq!(ra.outcome.synthesis.cover, rb.outcome.synthesis.cover, "{}", ra.name);
+    // Every synthesis counter matches; the timings are measurements.
+    let (mut sa, sb) = (ra.outcome.synthesis.stats.clone(), &rb.outcome.synthesis.stats);
+    sa.timings = sb.timings;
+    assert_eq!(&sa, sb, "{}", ra.name);
 }
 
 proptest! {
@@ -236,6 +242,7 @@ fn call_local_corpus_contains_a_stats_build_panic() {
 fn slow_phase_with_deadline_times_out_only_the_stalled_pair() {
     quiet_injected_panics();
     let repository = build_repository(&[5, 7], 4);
+    let unstalled = JoinPipeline::new(JoinPipelineConfig::paper_default()).run(&repository[0]);
     // Each phase's own serial loop is what observes the trip: the matcher's
     // build-step/row checks, the synthesis engine's coverage and selection
     // checks, and the equi-join's per-transformation check.
@@ -262,6 +269,17 @@ fn slow_phase_with_deadline_times_out_only_the_stalled_pair() {
             assert_eq!(stalled.candidate_pairs > 0, phase != PairPhase::Matching, "{context}");
             assert_eq!(!stalled.transformations.is_empty(), phase == PairPhase::Join, "{context}");
             assert!(stalled.predicted_pairs.is_empty(), "{context}");
+            // A Join-phase trip keeps the finished synthesis run; an earlier
+            // trip leaves the default.
+            if phase == PairPhase::Join {
+                assert_eq!(stalled.synthesis.cover, unstalled.synthesis.cover, "{context}");
+                let mut stats = stalled.synthesis.stats.clone();
+                stats.timings = unstalled.synthesis.stats.timings;
+                assert_eq!(stats, unstalled.synthesis.stats, "{context}");
+            } else {
+                assert!(stalled.synthesis.cover.is_empty(), "{context}");
+                assert_eq!(stalled.synthesis.stats, SynthesisStats::default(), "{context}");
+            }
             assert!(run.reports[1].status.is_ok(), "{context}");
             assert!(run.reports[1].outcome.metrics.f1 > 0.8, "{context}");
             assert_eq!(run.faults.timed_out_pairs, 1, "{context}");

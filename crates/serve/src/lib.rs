@@ -553,6 +553,15 @@ mod tests {
                 ra.name
             );
             assert_eq!(ra.outcome.metrics, rb.outcome.metrics, "{context}: metrics of {}", ra.name);
+            assert_eq!(
+                ra.outcome.synthesis.cover, rb.outcome.synthesis.cover,
+                "{context}: synthesis cover of {}",
+                ra.name
+            );
+            // Every synthesis counter matches; the timings are measurements.
+            let (mut sa, sb) = (ra.outcome.synthesis.stats.clone(), &rb.outcome.synthesis.stats);
+            sa.timings = sb.timings;
+            assert_eq!(&sa, sb, "{context}: synthesis counters of {}", ra.name);
         }
         assert_eq!(a.metrics.micro, b.metrics.micro, "{context}: micro");
         assert_eq!(a.metrics.macro_f1, b.metrics.macro_f1, "{context}: macro");

@@ -46,28 +46,23 @@ fn main() {
     }
     assert!(discovery_probability(0.05, 100) > 0.9);
 
-    // Step 3: synthesis on a <1% sample of the candidate pairs with a support
-    // threshold, as the paper does for this dataset.
-    let config = SynthesisConfig::default()
-        .with_sample(400, 7)
-        .with_min_support(0.01);
-    let engine = SynthesisEngine::new(config);
-    let result = engine.discover_from_strings(&pair.row_values(&candidates));
-    println!(
-        "\nsynthesis on a {}-pair sample of {} candidates:",
-        result.stats.pairs_used, result.stats.pairs_total
-    );
-    println!("{}", result.cover);
-    println!("{}", result.stats);
-
-    // Step 4: end-to-end join quality with a 2% support threshold (Table 3's
-    // Open-data row uses 2%).
+    // Steps 3–4: synthesis on a <1% sample of the candidate pairs with a
+    // support threshold, as the paper does for this dataset, then the
+    // end-to-end join with a 2% support threshold (Table 3's Open-data row
+    // uses 2%).
     let pipeline = JoinPipeline::new(JoinPipelineConfig {
         matching: RowMatchingStrategy::NGram(NGramMatcherConfig::default()),
         synthesis: SynthesisConfig::default().with_sample(400, 7).with_min_support(0.01),
         join_min_support: 0.02,
     });
     let outcome = pipeline.run(&pair);
+    let synthesis = &outcome.synthesis;
+    println!(
+        "\nsynthesis on a {}-pair sample of {} candidates:",
+        synthesis.stats.pairs_used, synthesis.stats.pairs_total
+    );
+    println!("{}", synthesis.cover);
+    println!("{}", synthesis.stats);
     println!(
         "end-to-end join: precision {:.3} recall {:.3} f1 {:.3} ({} transformations applied)",
         outcome.metrics.precision,

@@ -62,15 +62,15 @@ fn main() {
         println!("  {s:<28} ~  {t}");
     }
 
+    // The pipeline matches the same candidates, synthesizes on them and
+    // joins; steps 2 and 3 print what it kept of each.
+    let outcome = JoinPipeline::new(JoinPipelineConfig::paper_default()).run(&columns);
+
     println!("\n== Step 2: transformation discovery ==");
-    let engine = SynthesisEngine::new(SynthesisConfig::default());
-    let result = engine.discover_from_strings(&candidates);
-    println!("{}", result.cover);
-    println!("stats:\n{}", result.stats);
+    println!("{}", outcome.synthesis.cover);
+    println!("stats:\n{}", outcome.synthesis.stats);
 
     println!("\n== Step 3: end-to-end join ==");
-    let pipeline = JoinPipeline::new(JoinPipelineConfig::paper_default());
-    let outcome = pipeline.run(&columns);
     println!(
         "predicted {} pairs | precision {:.3} recall {:.3} f1 {:.3}",
         outcome.predicted_pairs.len(),
